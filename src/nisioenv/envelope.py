@@ -31,7 +31,7 @@ from .kernels import (
     LambdaValues,
     PureShift,
     _heat_convolve_arr,
-    apply_member,
+    apply_members,
     has_upper_bound,
     upper_bound_C,
 )
@@ -187,21 +187,23 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction, cp_interior: int = 9) -
     Finite sets take the nodewise max over the members. An interval of
     Gaussian drifts or pure shifts is resolved exactly at interpolant level
     by a window maximum; an interval of Poisson intensities is sampled at
-    both endpoints plus `cp_interior` interior points.
+    both endpoints plus `cp_interior` interior points. Sampled members share
+    their family's linear part (see `apply_members`).
     """
     if h <= 0:
         raise UsageError(f"step size must be > 0, got {h}")
     lset = fam.lambda_set
     if isinstance(lset, LambdaValues):
-        return pointwise_max([apply_member(fam, v, h, f) for v in lset.values])
-    dx = f.grid.dx
-    if isinstance(fam, GaussianDrift):
-        smoothed = _heat_convolve_arr(f.samples, h, dx)
-        return GridFunction(f.grid, _window_sup_arr(smoothed, lset.lo * h, lset.hi * h, dx))
-    if isinstance(fam, PureShift):
-        return GridFunction(f.grid, _window_sup_arr(f.samples, lset.lo * h, lset.hi * h, dx))
-    lams = lset.samples(cp_interior)
-    return pointwise_max([apply_member(fam, float(v), h, f) for v in lams])
+        lams = lset.values
+    else:
+        dx = f.grid.dx
+        if isinstance(fam, GaussianDrift):
+            smoothed = _heat_convolve_arr(f.samples, h, dx)
+            return GridFunction(f.grid, _window_sup_arr(smoothed, lset.lo * h, lset.hi * h, dx))
+        if isinstance(fam, PureShift):
+            return GridFunction(f.grid, _window_sup_arr(f.samples, lset.lo * h, lset.hi * h, dx))
+        lams = [float(v) for v in lset.samples(cp_interior)]
+    return pointwise_max(apply_members(fam, lams, h, f))
 
 
 def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction, cp_interior: int = 9) -> GridFunction:

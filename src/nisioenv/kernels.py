@@ -17,6 +17,7 @@ that dominates every partition composition (where one exists).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "KernelFamily",
     "heat_convolve",
     "apply_member",
+    "apply_members",
     "member_generator",
     "sup_generator",
     "upper_bound_C",
@@ -281,38 +283,45 @@ def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarra
     return out
 
 
-def _compound_poisson_arr(arr: np.ndarray, lam: float, t: float, mu: JumpDistribution, dx: float) -> np.ndarray:
-    weights = _poisson_weights(lam * t)
-    acc = weights[0] * arr
-    cur = arr
-    for w in weights[1:]:
-        cur = _jump_mix_arr(cur, mu, dx)
-        acc = acc + w * cur
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Member application
 
 
-def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
-    """Apply one member semigroup at time t to f.
+def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> list[GridFunction]:
+    """Apply several members of one family at time t to f, one result per lam.
 
-    t = 0 returns f exactly. All weights involved are nonnegative, so the map
-    is linear, monotone, and fixes constants away from the boundary.
+    The linear part the members share is computed once: one heat convolution
+    for Gaussian drift, one chain of jump powers mu^{*k} f for compound
+    Poisson. Each result is bit-identical to applying its member alone.
+    t = 0 returns copies of f. All weights involved are nonnegative, so every
+    member is linear, monotone, and fixes constants away from the boundary.
     """
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
-    _require_member(fam, lam)
+    for lam in lams:
+        _require_member(fam, lam)
     if t == 0.0:
-        return GridFunction(f.grid, f.samples.copy())
+        return [GridFunction(f.grid, f.samples.copy()) for _ in lams]
     dx = f.grid.dx
-    if isinstance(fam, GaussianDrift):
-        smoothed = _heat_convolve_arr(f.samples, t, dx)
-        return GridFunction(f.grid, _interp_shift_arr(smoothed, lam * t, dx))
     if isinstance(fam, CompoundPoisson):
-        return GridFunction(f.grid, _compound_poisson_arr(f.samples, lam, t, fam.mu, dx))
-    return GridFunction(f.grid, _interp_shift_arr(f.samples, lam * t, dx))
+        weights = [_poisson_weights(lam * t) for lam in lams]
+        powers = [f.samples]
+        for _ in range(max((len(w) for w in weights), default=1) - 1):
+            powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
+        out = []
+        for w in weights:
+            acc = w[0] * powers[0]
+            for wk, power in zip(w[1:], powers[1:]):
+                acc += wk * power
+            out.append(GridFunction(f.grid, acc))
+        return out
+    base = _heat_convolve_arr(f.samples, t, dx) if isinstance(fam, GaussianDrift) else f.samples
+    return [GridFunction(f.grid, _interp_shift_arr(base, lam * t, dx)) for lam in lams]
+
+
+def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
+    """Apply one member semigroup at time t to f; t = 0 returns f exactly."""
+    return apply_members(fam, (lam,), t, f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -50,6 +52,17 @@ class TestLpNorm:
     def test_zero(self):
         g = make_grid(0.0, 1.0, 11)
         assert lp_norm(GridFunction(g, np.zeros(11)), PNorm(2.0)) == 0.0
+
+    def test_strict_left_to_right_order(self):
+        # 1e-16 is below half an ulp of 1.0, so each left-to-right addition
+        # rounds back to 1.0; pairwise and compensated sums do not
+        terms = [1.0] + [1e-16] * 10
+        g = make_grid(0.0, 10.0, 11)
+        assert g.dx == 1.0
+        got = lp_norm(GridFunction(g, np.array(terms)), PNorm(1.0))
+        assert got == functools.reduce(operator.add, terms, 0.0) == 1.0
+        assert got != math.fsum(terms)
+        assert got != float(np.sum(np.array(terms)))
 
     def test_ramp_l1_converges_to_half(self):
         # rectangle rule for int_0^1 x dx is exactly N/(2(N-1))

@@ -14,6 +14,7 @@ from nisioenv.kernels import (
     LevyTriplet,
     PureShift,
     apply_member,
+    apply_members,
     first_difference,
     heat_convolve,
     levy_condition_bound,
@@ -151,6 +152,10 @@ class TestApplyMember:
             apply_member(gauss_family, 0.5, -0.1, bump_small)
         with pytest.raises(UsageError):
             apply_member(gauss_family, 1.5, 0.1, bump_small)
+        with pytest.raises(UsageError):
+            apply_members(gauss_family, (0.5, 0.2), -0.1, bump_small)
+        with pytest.raises(UsageError):
+            apply_members(gauss_family, (0.5, 1.5), 0.1, bump_small)
 
     def test_linearity(self, grid_small, gauss_family, cp_family, make_smooth):
         rng = np.random.default_rng(2)
