@@ -33,11 +33,9 @@ from .kernels import (
     KernelFamily,
     LambdaInterval,
     LambdaValues,
-    LevyTriplet,
     PureShift,
     apply_member,
     heat_convolve,
-    levy_condition_bound,
     member_generator,
     sup_generator,
     upper_bound_C,

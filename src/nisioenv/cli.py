@@ -24,13 +24,14 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import calculus, envelope, funcspace, kernels, reference
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UsageError
 from .funcspace import GridFunction, PNorm, lp_norm, make_grid, pointwise_max
 from .kernels import (
     CompoundPoisson,
@@ -81,15 +82,40 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _object(mapping: dict, key: str, context: str) -> dict:
+    val = _require(mapping, key, context)
+    if not isinstance(val, dict):
+        raise ConfigurationError(f"key `{context}{key}` must be an object")
+    return val
+
+
+def _finite(val, name: str) -> float:
+    # `not abs(val) <= max` also rejects NaN, and ints beyond the float range
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
+        raise ConfigurationError(f"key `{name}` must be a finite number, got {val!r}")
+    return float(val)
+
+
 def _number(mapping: dict, key: str, context: str, default=None) -> float:
     if key not in mapping:
         if default is None:
             raise ConfigurationError(f"missing key `{context}{key}`")
         return default
-    val = mapping[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigurationError(f"key `{context}{key}` must be a number, got {val!r}")
-    return float(val)
+    return _finite(mapping[key], context + key)
+
+
+def _positive(mapping: dict, key: str, context: str, default=None) -> float:
+    val = _number(mapping, key, context, default)
+    if val <= 0:
+        raise ConfigurationError(f"key `{context}{key}` must be > 0, got {val}")
+    return val
+
+
+def _count(mapping: dict, key: str, context: str, default=None, least: int = 0) -> int:
+    val = _number(mapping, key, context, default)
+    if val != int(val) or val < least:
+        raise ConfigurationError(f"key `{context}{key}` must be an integer >= {least}, got {val}")
+    return int(val)
 
 
 def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFamily, str]:
@@ -102,13 +128,13 @@ def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFa
         raise ConfigurationError(f"`{context}` needs exactly one of lambda_interval or lambda_list")
     try:
         if has_interval:
-            lo, hi = spec["lambda_interval"]
-            lset: kernels.LambdaSet = LambdaInterval(float(lo), float(hi))
+            lo, hi = (_finite(v, context + "lambda_interval") for v in spec["lambda_interval"])
+            lset: kernels.LambdaSet = LambdaInterval(lo, hi)
         else:
             values = spec["lambda_list"]
             if not isinstance(values, list) or not values:
                 raise ConfigurationError(f"key `{context}lambda_list` must be a nonempty list")
-            lset = LambdaValues(tuple(float(v) for v in values))
+            lset = LambdaValues(tuple(_finite(v, context + "lambda_list") for v in values))
         if name == "gaussian_drift":
             fam: kernels.KernelFamily = GaussianDrift(lset)
         elif name == "pure_shift":
@@ -117,9 +143,9 @@ def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFa
             atoms = _require(spec, "jump_atoms", context)
             if not isinstance(atoms, list) or not atoms:
                 raise ConfigurationError(f"key `{context}jump_atoms` must be a nonempty list of [offset, weight]")
-            mu = JumpDistribution(tuple((float(y), float(w)) for y, w in atoms))
+            mu = JumpDistribution(tuple((_finite(y, context + "jump_atoms"), _finite(w, context + "jump_atoms"))
+                                        for y, w in atoms))
             fam = CompoundPoisson(lset, mu)
-        kernels.levy_condition_bound(fam)
         return fam, name
     except ConfigurationError:
         raise
@@ -129,9 +155,7 @@ def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFa
 
 def build_initial(spec: dict, grid: funcspace.Grid, context: str = "initial.") -> GridFunction:
     kind = _require(spec, "kind", context)
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigurationError(f"key `{context}params` must be an object")
+    params = _object(spec, "params", context) if "params" in spec else {}
     if kind == "bump":
         return funcspace.bump(
             grid,
@@ -188,31 +212,26 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
-    gspec = _require(raw, "grid", "")
+    gspec = _object(raw, "grid", "")
     grid = make_grid(
         _number(gspec, "lower", "grid."),
         _number(gspec, "upper", "grid."),
-        int(_number(gspec, "n_nodes", "grid.")),
+        _count(gspec, "n_nodes", "grid.", least=4),  # the difference stencils need 4
     )
-    norm = PNorm(_number(_require(raw, "norm", ""), "p", "norm."))
-    family, family_name = build_family(_require(raw, "family", ""))
-    initial = build_initial(_require(raw, "initial", ""), grid)
-    tspec = _require(raw, "time", "")
-    t = _number(tspec, "t", "time.")
-    if t <= 0:
-        raise ConfigurationError(f"key `time.t` must be > 0, got {t}")
-    tol_rel = _number(tspec, "tol_rel", "time.", 1e-4)
-    if tol_rel <= 0:
-        raise ConfigurationError(f"key `time.tol_rel` must be > 0, got {tol_rel}")
-    n_max = int(_number(tspec, "n_max", "time.", 12))
-    if n_max < 0:
-        raise ConfigurationError(f"key `time.n_max` must be >= 0, got {n_max}")
-    seed = int(_number(raw, "seeds", "", 0)) if "seeds" in raw else 0
+    norm = PNorm(_number(_object(raw, "norm", ""), "p", "norm."))
+    family, family_name = build_family(_object(raw, "family", ""))
+    initial = build_initial(_object(raw, "initial", ""), grid)
+    tspec = _object(raw, "time", "")
+    t = _positive(tspec, "t", "time.")
+    tol_rel = _positive(tspec, "tol_rel", "time.", 1e-4)
+    n_max = _count(tspec, "n_max", "time.", 12)
+    seed = _count(raw, "seeds", "", 0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigurationError("key `output_dir` must be a string")
 
-    options = {k: raw[k] for k in ("generator", "derivative", "compare", "ode", "hjb", "counterexample") if k in raw}
+    options = {k: _object(raw, k, "") for k in ("generator", "derivative", "compare", "ode", "hjb", "counterexample")
+               if k in raw}
     return ExperimentConfig(
         raw=raw, grid=grid, norm=norm, family=family, family_name=family_name,
         initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
@@ -303,10 +322,7 @@ def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     ]
 
 
-def _cmd_generator(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    opts = cfg.options.get("generator", {})
-    h0 = _number(opts, "h0", "generator.", 0.1)
-    k_steps = int(_number(opts, "k_steps", "generator.", 6))
+def _cmd_generator(cfg: ExperimentConfig, outdir: Path, h0: float, k_steps: int) -> list[CheckResult]:
     est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.envelope_params())
     _write_rows_csv(outdir / "generator.csv", "h,error_lp", list(zip(est.h_schedule, est.errors_vs_B)))
     decreasing = all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
@@ -317,11 +333,9 @@ def _cmd_generator(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     ]
 
 
-def _cmd_derivative(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    opts = cfg.options.get("derivative", {})
-    quad_nodes = int(_number(opts, "quad_nodes", "derivative.", 33))
-    identity_tol = _number(opts, "identity_tol", "derivative.", 5e-2)
-    integral_tol = _number(opts, "integral_tol", "derivative.", 2e-2)
+def _cmd_derivative(
+    cfg: ExperimentConfig, outdir: Path, quad_nodes: int, identity_tol: float, integral_tol: float
+) -> list[CheckResult]:
     params = cfg.envelope_params()
     report = calculus.derivative_identity_check(cfg.family, cfg.t, cfg.initial, params, identity_tol=identity_tol)
     deviation = calculus.integral_identity_check(cfg.family, cfg.t, cfg.initial, quad_nodes, params)
@@ -336,13 +350,7 @@ def _cmd_derivative(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     ]
 
 
-def _cmd_compare_hjb(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    if not isinstance(cfg.family, GaussianDrift):
-        raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
-    opts = cfg.options.get("compare", {})
-    tol = _number(opts, "tolerance", "compare.", 5e-2)
-    margin = _number(opts, "boundary_margin", "compare.", 0.05)
-    cfl = _number(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
+def _cmd_compare_hjb(cfg: ExperimentConfig, outdir: Path, tol: float, margin: float, cfl: float) -> list[CheckResult]:
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
     oracle = reference.hjb_upwind(cfg.initial, cfg.t, cfg.family.lambda_set.sup_abs, cfl=cfl)
     comp = reference.compare(res.final, oracle, cfg.norm, margin)
@@ -353,13 +361,7 @@ def _cmd_compare_hjb(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     return [CheckResult("envelope_vs_hjb_rel_l2", comp.rel_err <= tol, comp.rel_err, tol)]
 
 
-def _cmd_compare_ode(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    if not isinstance(cfg.family, CompoundPoisson):
-        raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
-    opts = cfg.options.get("compare", {})
-    tol = _number(opts, "tolerance", "compare.", 1e-2)
-    margin = _number(opts, "boundary_margin", "compare.", 0.05)
-    dt = _number(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
+def _cmd_compare_ode(cfg: ExperimentConfig, outdir: Path, tol: float, margin: float, dt: float) -> list[CheckResult]:
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
     oracle = reference.ode_reference(cfg.family, cfg.initial, cfg.t, dt)
     comp = reference.compare(res.final, oracle, cfg.norm, margin)
@@ -383,11 +385,8 @@ def _default_epsilons(grid: funcspace.Grid) -> list[float]:
     return out
 
 
-def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    opts = cfg.options.get("counterexample", {})
-    t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
-    epsilons = opts.get("epsilons", _default_epsilons(cfg.grid))
-    table = reference.counterexample_scan(cfg.grid, cfg.norm.p, t, list(epsilons))
+def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path, t: float, epsilons: list[float]) -> list[CheckResult]:
+    table = reference.counterexample_scan(cfg.grid, cfg.norm.p, t, epsilons)
     _write_rows_csv(outdir / "scan.csv", "epsilon,norm_lp", table)
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     worst = min(ratios) if ratios else math.inf
@@ -430,49 +429,71 @@ def sampled_probes(scale: str = "small", seed: int = 0) -> dict:
     }
 
 
-def _dispatch(cfg: ExperimentConfig, subcommand: str, outdir: Path, scale: str) -> list[CheckResult]:
+def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
+    opts = cfg.options.get("compare", {})
+    margin = _number(opts, "boundary_margin", "compare.", 0.05)
+    if not (0.0 <= margin < 0.5):
+        raise ConfigurationError(f"key `compare.boundary_margin` must lie in [0, 0.5), got {margin}")
+    return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
+
+
+def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
+    """Parse and range-check the options of one subcommand before anything is
+    written; returns its handler with the parsed values bound."""
     if subcommand == "envelope":
-        return _cmd_envelope(cfg, outdir)
+        try:
+            kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)
+        except UsageError as exc:
+            raise ConfigurationError(
+                f"keys `family`, `norm.p`: {exc}; `envelope` certifies against C(t) "
+                "(use `counterexample` for pure_shift)") from exc
+        return _cmd_envelope
     if subcommand == "generator":
-        return _cmd_generator(cfg, outdir)
+        opts = cfg.options.get("generator", {})
+        return partial(_cmd_generator, h0=_positive(opts, "h0", "generator.", 0.1),
+                       k_steps=_count(opts, "k_steps", "generator.", 6))
     if subcommand == "derivative":
-        return _cmd_derivative(cfg, outdir)
+        opts = cfg.options.get("derivative", {})
+        quad_nodes = _count(opts, "quad_nodes", "derivative.", 33, least=3)
+        if quad_nodes % 2 == 0:
+            raise ConfigurationError(f"key `derivative.quad_nodes` must be odd (composite Simpson), got {quad_nodes}")
+        return partial(_cmd_derivative, quad_nodes=quad_nodes,
+                       identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
+                       integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
     if subcommand == "compare-hjb":
-        return _cmd_compare_hjb(cfg, outdir)
+        if not isinstance(cfg.family, GaussianDrift):
+            raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
+        cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
+        if cfl > 1.0:
+            raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
+        return partial(_cmd_compare_hjb, cfl=cfl, **_compare_options(cfg, 5e-2))
     if subcommand == "compare-ode":
-        return _cmd_compare_ode(cfg, outdir)
-    if subcommand == "counterexample":
-        return _cmd_counterexample(cfg, outdir)
-    return _cmd_verify(cfg, outdir, scale)
-
-
-def _validate_for_subcommand(cfg: ExperimentConfig, subcommand: str) -> None:
-    if subcommand == "envelope" and isinstance(cfg.family, PureShift):
-        raise ConfigurationError(
-            "key `family.family`: no envelope bound available for pure_shift; use `counterexample`")
-    if (
-        subcommand == "envelope"
-        and isinstance(cfg.family, GaussianDrift)
-        and cfg.norm.p == 1.0
-        and cfg.family.lambda_set.sup_abs > 0.0
-    ):
-        raise ConfigurationError(
-            "key `norm.p`: the gaussian_drift upper bound needs p > 1 (conjugate exponent is infinite)")
-    if subcommand == "compare-hjb" and not isinstance(cfg.family, GaussianDrift):
-        raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
-    if subcommand == "compare-ode" and not isinstance(cfg.family, CompoundPoisson):
-        raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
+        if not isinstance(cfg.family, CompoundPoisson):
+            raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
+        dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
+        return partial(_cmd_compare_ode, dt=dt, **_compare_options(cfg, 1e-2))
     if subcommand == "counterexample":
         opts = cfg.options.get("counterexample", {})
         t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
         if not (0.0 < t < 1.0):
             raise ConfigurationError(f"key `counterexample.t` must lie in (0, 1), got {t}")
-        epsilons = opts.get("epsilons", _default_epsilons(cfg.grid))
-        if any(e < 4.0 * cfg.grid.dx for e in epsilons):
-            needed = math.ceil((cfg.grid.upper - cfg.grid.lower) / (min(epsilons) / 4.0)) + 1
+        if "epsilons" not in opts:
+            return partial(_cmd_counterexample, t=t, epsilons=_default_epsilons(cfg.grid))
+        raw_eps = opts["epsilons"]
+        if not isinstance(raw_eps, list) or not raw_eps:
+            raise ConfigurationError("key `counterexample.epsilons` must be a nonempty list")
+        epsilons = [_finite(e, "counterexample.epsilons") for e in raw_eps]
+        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+            raise ConfigurationError(f"key `counterexample.epsilons` must be strictly decreasing, got {epsilons}")
+        if epsilons[-1] < 4.0 * cfg.grid.dx:
+            needed = math.ceil((cfg.grid.upper - cfg.grid.lower) / (epsilons[-1] / 4.0)) + 1
             raise ConfigurationError(
-                f"key `counterexample.epsilons`: smallest epsilon needs dx <= {min(epsilons) / 4.0:g}; "
+                f"key `counterexample.epsilons`: smallest epsilon needs dx <= {epsilons[-1] / 4.0:g}; "
                 f"use at least {needed} nodes")
+        return partial(_cmd_counterexample, t=t, epsilons=epsilons)
+    if scale not in ("small", "full"):
+        raise ConfigurationError(f"scale must be small or full, got {scale!r}")
+    return partial(_cmd_verify, scale=scale)
 
 
 def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "small") -> int:
@@ -486,7 +507,7 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
             cfg.output_dir = str(out_dir)
         if seed is not None:
             cfg.seed = int(seed)
-        _validate_for_subcommand(cfg, subcommand)
+        job = _subcommand_job(cfg, subcommand, scale)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -494,7 +515,7 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks = _dispatch(cfg, subcommand, outdir, scale)
+    checks = job(cfg, outdir)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     report = Report(subcommand=subcommand, config_echo=_config_echo(cfg), checks=checks, seed=cfg.seed)

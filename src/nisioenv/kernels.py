@@ -26,7 +26,6 @@ from .errors import ConfigurationError, UsageError
 from .funcspace import GridFunction, PNorm, _interp_shift_arr, _shift_int
 
 __all__ = [
-    "LevyTriplet",
     "LambdaInterval",
     "LambdaValues",
     "JumpDistribution",
@@ -41,8 +40,6 @@ __all__ = [
     "sup_generator",
     "upper_bound_C",
     "upper_bound_norm_factor",
-    "has_upper_bound",
-    "levy_condition_bound",
     "first_difference",
     "second_difference",
 ]
@@ -54,19 +51,6 @@ SERIES_TOL = 1e-12
 # Heat kernel support, in standard deviations; the dropped Gaussian mass is
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
-
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """Summary triplet (drift, diffusion, integrated jump mass) of one member."""
-
-    b: float
-    sigma2: float
-    jump_mass: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0 or self.jump_mass < 0:
-            raise ConfigurationError("triplet needs sigma2 >= 0 and jump_mass >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,6 +79,10 @@ class LambdaInterval:
     def samples(self, n_interior: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n_interior + 2)
 
+    def sup_scaled(self, g: np.ndarray) -> np.ndarray:
+        """Nodewise sup over lam in [lo, hi] of lam*g, attained at an endpoint."""
+        return np.maximum(self.lo * g, self.hi * g)
+
 
 @dataclass(frozen=True)
 class LambdaValues:
@@ -122,6 +110,10 @@ class LambdaValues:
         tol = 1e-12 * (1.0 + abs(lam))
         return any(abs(lam - v) <= tol for v in self.values)
 
+    def sup_scaled(self, g: np.ndarray) -> np.ndarray:
+        """Nodewise max over the values of lam*g."""
+        return np.maximum.reduce([v * g for v in self.values])
+
 
 LambdaSet = LambdaInterval | LambdaValues
 
@@ -136,8 +128,10 @@ class JumpDistribution:
         atoms = tuple((float(y), float(w)) for y, w in self.atoms)
         if not atoms:
             raise ConfigurationError("jump distribution needs at least one atom")
-        if any(w <= 0 for _, w in atoms):
+        if not all(w > 0 for _, w in atoms):
             raise ConfigurationError("jump weights must be positive")
+        if not all(math.isfinite(y) for y, _ in atoms):
+            raise ConfigurationError("jump offsets must be finite")
         total = sum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ConfigurationError(f"jump weights must sum to 1, got {total}")
@@ -151,17 +145,10 @@ class JumpDistribution:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def unit_jump_mass(self) -> float:
-        """integral of 1 ^ |y|^2 against the measure."""
-        return sum(w * min(1.0, y * y) for y, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class GaussianDrift:
     lambda_set: LambdaSet
-
-    def triplet(self, lam: float) -> LevyTriplet:
-        return LevyTriplet(b=lam, sigma2=1.0, jump_mass=0.0)
 
 
 @dataclass(frozen=True)
@@ -170,36 +157,16 @@ class CompoundPoisson:
     mu: JumpDistribution
 
     def __post_init__(self):
-        lo = self.lambda_set.inf if isinstance(self.lambda_set, LambdaInterval) else self.lambda_set.values[0]
-        if lo < 0:
+        if self.lambda_set.inf < 0:
             raise ConfigurationError("compound Poisson intensities must be >= 0")
-
-    def triplet(self, lam: float) -> LevyTriplet:
-        return LevyTriplet(b=0.0, sigma2=0.0, jump_mass=lam * self.mu.unit_jump_mass())
 
 
 @dataclass(frozen=True)
 class PureShift:
     lambda_set: LambdaSet
 
-    def triplet(self, lam: float) -> LevyTriplet:
-        return LevyTriplet(b=lam, sigma2=0.0, jump_mass=0.0)
-
 
 KernelFamily = GaussianDrift | CompoundPoisson | PureShift
-
-
-def levy_condition_bound(fam: KernelFamily) -> float:
-    """sup over the family of |b| + sigma2 + jump_mass; finite by construction."""
-    lam_bar = fam.lambda_set.sup_abs
-    if isinstance(fam, GaussianDrift):
-        bound = lam_bar + 1.0
-    elif isinstance(fam, CompoundPoisson):
-        bound = lam_bar * fam.mu.unit_jump_mass()
-    else:
-        bound = lam_bar
-    assert math.isfinite(bound)
-    return bound
 
 
 def _require_member(fam: KernelFamily, lam: float) -> None:
@@ -235,7 +202,10 @@ def _heat_convolve_arr(arr: np.ndarray, t: float, dx: float) -> np.ndarray:
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
         w = _heat_weights(t, dx)
-        return np.convolve(arr, w, mode="same")
+        # the centred n samples of the full convolution; unlike mode="same",
+        # this stays n samples long when the kernel is wider than the grid
+        half = len(w) // 2
+        return np.convolve(arr, w)[half : half + arr.shape[0]]
     # grid-unresolved variance: three-point steps with the exact variance,
     # nonnegative weights (s <= dx^2), constants preserved by construction
     k = max(1, math.ceil(t / dx2))
@@ -352,91 +322,70 @@ def second_difference(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
+def _generator_parts(fam: KernelFamily, f: GridFunction) -> tuple[np.ndarray | None, np.ndarray]:
+    """(A f, B f) of the member generators A f + lam * B f; A f is None when zero."""
+    if isinstance(fam, CompoundPoisson):
+        return None, _jump_mix_arr(f.samples, fam.mu, f.grid.dx) - f.samples
+    d1 = first_difference(f).samples
+    if isinstance(fam, GaussianDrift):
+        return 0.5 * second_difference(f).samples, d1
+    return None, d1
+
+
 def member_generator(fam: KernelFamily, lam: float, f: GridFunction) -> GridFunction:
     """Pointwise generator of one member applied to f (f smooth at grid scale)."""
     _require_member(fam, lam)
-    if isinstance(fam, GaussianDrift):
-        return 0.5 * second_difference(f) + lam * first_difference(f)
-    if isinstance(fam, CompoundPoisson):
-        mixed = _jump_mix_arr(f.samples, fam.mu, f.grid.dx)
-        return GridFunction(f.grid, lam * (mixed - f.samples))
-    return lam * first_difference(f)
-
-
-def _interval_affine_sup(lo: float, hi: float, g: np.ndarray) -> np.ndarray:
-    # sup over lam in [lo, hi] of lam*g, attained at an endpoint nodewise.
-    return np.maximum(lo * g, hi * g)
+    a, b = _generator_parts(fam, f)
+    return GridFunction(f.grid, lam * b if a is None else a + lam * b)
 
 
 def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     """Nodewise supremum of the member generators over the uncertainty set.
 
-    Interval sets use the closed form of the supremum of an affine function
-    (endpoints suffice); finite sets take the nodewise max over members.
+    The generators are affine in lam, so this is A f + sup lam * B f (see
+    `sup_scaled`); rounding is monotone, so adding A f after the max gives
+    the same bits as the max over the members.
     """
-    lset = fam.lambda_set
-    if isinstance(fam, GaussianDrift):
-        if isinstance(lset, LambdaInterval):
-            d1 = first_difference(f).samples
-            d2 = second_difference(f).samples
-            return GridFunction(f.grid, 0.5 * d2 + _interval_affine_sup(lset.lo, lset.hi, d1))
-        members = [member_generator(fam, v, f) for v in lset.values]
-        return GridFunction(f.grid, np.maximum.reduce([m.samples for m in members]))
-    if isinstance(fam, CompoundPoisson):
-        g = _jump_mix_arr(f.samples, fam.mu, f.grid.dx) - f.samples
-        if isinstance(lset, LambdaInterval):
-            return GridFunction(f.grid, _interval_affine_sup(lset.lo, lset.hi, g))
-        return GridFunction(f.grid, np.maximum.reduce([v * g for v in lset.values]))
-    d1 = first_difference(f).samples
-    if isinstance(lset, LambdaInterval):
-        return GridFunction(f.grid, _interval_affine_sup(lset.lo, lset.hi, d1))
-    return GridFunction(f.grid, np.maximum.reduce([v * d1 for v in lset.values]))
+    a, b = _generator_parts(fam, f)
+    top = fam.lambda_set.sup_scaled(b)
+    return GridFunction(f.grid, top if a is None else a + top)
 
 
 # ---------------------------------------------------------------------------
 # Upper-bound operator C(h)
 
 
-def has_upper_bound(fam: KernelFamily) -> bool:
-    return isinstance(fam, (GaussianDrift, CompoundPoisson))
+def upper_bound_norm_factor(fam: KernelFamily, h: float, norm: PNorm) -> float:
+    """c(h) in C(h)f = c(h) * (M(h)|f|^p)^(1/p), also the exact norm growth
+    ||C(h)f||_p / ||f||_p since M(h) conserves mass. The one place that
+    decides which families have a C(h): raises UsageError for the others."""
+    lam_bar = fam.lambda_set.sup_abs
+    if isinstance(fam, GaussianDrift):
+        if norm.p == 1.0 and lam_bar > 0.0:
+            raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
+        return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
+    if isinstance(fam, CompoundPoisson):
+        return math.exp((lam_bar - fam.lambda_set.inf) * h)
+    raise UsageError("no envelope bound available for the pure shift family")
 
 
 def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> GridFunction:
     """The explicit operator C(h) dominating every one-step supremum chain.
 
-    GaussianDrift: (heat(|f|^p, h))^(1/p) * exp((q-1) h lam_bar^2 / 2), from
-    the Cameron-Martin factorization and Hoelder; needs p > 1 so the
+    C(h)f = c(h) * (M(h)|f|^p)^(1/p) with c(h) from `upper_bound_norm_factor`.
+    GaussianDrift: M is the heat semigroup and c(h) = exp((q-1) h lam_bar^2 / 2),
+    from the Cameron-Martin factorization and Hoelder; needs p > 1 so the
     conjugate exponent is finite (unless the drift bound is zero).
-    CompoundPoisson: exp((lam_bar - lam_lo) h) * (S_{lam_bar}(h)|f|^p)^(1/p),
-    from Jensen's inequality.
+    CompoundPoisson: M is the top-intensity member S_{lam_bar} and
+    c(h) = exp((lam_bar - lam_lo) h), from Jensen's inequality.
     PureShift has no such operator; calling it is a usage error.
     """
     if h <= 0:
         raise UsageError(f"upper bound horizon must be > 0, got {h}")
-    lam_bar = fam.lambda_set.sup_abs
-    p = norm.p
+    factor = upper_bound_norm_factor(fam, h, norm)
+    powed = np.abs(f.samples) ** norm.p
     if isinstance(fam, GaussianDrift):
-        if p == 1.0 and lam_bar > 0.0:
-            raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
-        factor = math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-        powed = np.abs(f.samples) ** p
-        smoothed = _heat_convolve_arr(powed, h, f.grid.dx)
-        return GridFunction(f.grid, factor * np.maximum(smoothed, 0.0) ** (1.0 / p))
-    if isinstance(fam, CompoundPoisson):
-        lam_lo = fam.lambda_set.inf
-        powed = GridFunction(f.grid, np.abs(f.samples) ** p)
-        moved = apply_member(fam, lam_bar, h, powed)
-        return GridFunction(f.grid, math.exp((lam_bar - lam_lo) * h) * np.maximum(moved.samples, 0.0) ** (1.0 / p))
-    raise UsageError("no envelope bound available for the pure shift family")
-
-
-def upper_bound_norm_factor(fam: KernelFamily, h: float, norm: PNorm) -> float:
-    """Exact norm growth ||C(h)f||_p / ||f||_p of the upper-bound operator."""
-    lam_bar = fam.lambda_set.sup_abs
-    if isinstance(fam, GaussianDrift):
-        if norm.p == 1.0 and lam_bar > 0.0:
-            raise UsageError("Gaussian drift upper bound needs p > 1")
-        return math.exp(norm.q * h * lam_bar**2 / (2.0 * norm.p)) if lam_bar > 0.0 else 1.0
-    if isinstance(fam, CompoundPoisson):
-        return math.exp((lam_bar - fam.lambda_set.inf) * h)
-    raise UsageError("no envelope bound available for the pure shift family")
+        moved = _heat_convolve_arr(powed, h, f.grid.dx)
+    else:
+        moved = apply_member(fam, fam.lambda_set.sup_abs, h, GridFunction(f.grid, powed)).samples
+    return GridFunction(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))

@@ -80,6 +80,72 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, cfg))
 
 
+def _set(cfg, path, value):
+    *head, last = path.split(".")
+    node = cfg
+    for key in head:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return cfg
+
+
+CP_FAMILY = {"family": "compound_poisson", "lambda_list": [0.0, 1.0], "jump_atoms": [[1.0, 1.0]]}
+
+
+class TestInvalidConfigsWriteNothing:
+    @pytest.mark.parametrize("path, value", [
+        ("time.t", float("nan")),
+        ("time.t", float("inf")),
+        ("time.t", float("-inf")),
+        ("time.tol_rel", float("nan")),
+        ("initial.params.radius", float("nan")),
+        ("grid.upper", float("inf")),
+        ("norm.p", float("nan")),
+        ("grid.n_nodes", 257.9),
+        ("grid.n_nodes", 3),
+        ("time.n_max", 2.7),
+        ("seeds", 0.5),
+        ("family.jump_atoms", [[1.0, float("nan")]]),
+        ("family.jump_atoms", [[float("nan"), 1.0]]),
+    ])
+    def test_non_finite_and_non_integer(self, tmp_path, capsys, path, value):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        if path.startswith("family."):
+            cfg["family"] = dict(CP_FAMILY)
+        code = run("envelope", write_config(tmp_path, _set(cfg, path, value)))
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, path, value", [
+        ("generator", "generator.h0", "x"),
+        ("generator", "generator.h0", -1),
+        ("generator", "generator.k_steps", 2.5),
+        ("derivative", "derivative.quad_nodes", 4),
+        ("derivative", "derivative.quad_nodes", 1),
+        ("derivative", "derivative.integral_tol", float("nan")),
+        ("compare-hjb", "hjb.cfl", 2.0),
+        ("compare-hjb", "compare.boundary_margin", 0.5),
+        ("compare-ode", "ode.dt", 0),
+        ("counterexample", "counterexample.epsilons", [0.01, 0.1]),
+        ("counterexample", "counterexample.epsilons", ["x"]),
+        ("counterexample", "counterexample.t", 1.0),
+        ("verify", "generator", [1]),
+    ])
+    def test_subcommand_options(self, tmp_path, subcommand, path, value):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        if subcommand == "compare-ode":
+            cfg["family"] = dict(CP_FAMILY)
+        if subcommand == "counterexample":
+            cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
+            cfg["grid"] = {"lower": -3.0, "upper": 3.0, "n_nodes": 2401}
+        code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
+        assert code == 2
+        assert not out.exists()
+
+
 class TestRunEnvelope:
     def test_happy_path_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -102,6 +168,24 @@ class TestRunEnvelope:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "no envelope bound available" in err and "counterexample" in err
+
+    def test_gaussian_p1_rejected_with_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, norm={"p": 1})
+        code = run("envelope", write_config(tmp_path, cfg))
+        assert code == 2
+        assert not out.exists()
+        assert "p > 1" in capsys.readouterr().err
+
+    def test_heat_kernel_wider_than_grid(self, tmp_path):
+        # 8 sqrt(t) / dx exceeds half the grid: every heat step is a zero
+        # extension, and the run still ends in a verdict
+        out = tmp_path / "out"
+        cfg = base_config(out, grid={"lower": -4.0, "upper": 4.0, "n_nodes": 257})
+        cfg["time"] = {"t": 0.5, "tol_rel": 1e-4, "n_max": 4}
+        code = run("envelope", write_config(tmp_path, cfg))
+        assert code in (0, 1)
+        assert json.loads((out / "report.json").read_text())["passed"] is (code == 0)
 
     def test_determinism_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

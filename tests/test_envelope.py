@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nisioenv import UsageError
+from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
     Partition,
     _window_int_max,
@@ -310,3 +310,10 @@ class TestUpperBoundCertificate:
         assert res.upper_bound_margin is None
         with pytest.raises(UsageError, match="no envelope bound"):
             check_upper_bound(fam, 0.3, res, f, norm2)
+
+    def test_gaussian_p1_has_no_certificate(self, gauss_family, grid_small, bump_small):
+        norm1 = PNorm(1.0)
+        res = nisio_dyadic(gauss_family, 0.3, bump_small, 1e-4, 2, norm1)
+        assert res.upper_bound_margin is None
+        with pytest.raises(UsageError, match="p > 1"):
+            check_upper_bound(gauss_family, 0.3, res, bump_small, norm1)

@@ -11,13 +11,12 @@ from nisioenv.kernels import (
     JumpDistribution,
     LambdaInterval,
     LambdaValues,
-    LevyTriplet,
     PureShift,
+    _heat_convolve_arr,
     apply_member,
     apply_members,
     first_difference,
     heat_convolve,
-    levy_condition_bound,
     member_generator,
     second_difference,
     sup_generator,
@@ -39,7 +38,11 @@ class TestDomainTypes:
         with pytest.raises(ConfigurationError):
             JumpDistribution(((1.0, -0.5), (2.0, 1.5)))
         mu = JumpDistribution(((-1.0, 0.25), (2.0, 0.75)))
-        assert mu.unit_jump_mass() == pytest.approx(0.25 * 1.0 + 0.75 * 1.0)
+
+    @pytest.mark.parametrize("atoms", [((1.0, math.nan),), ((math.nan, 1.0),), ((math.inf, 1.0),)])
+    def test_jump_distribution_rejects_non_finite(self, atoms):
+        with pytest.raises(ConfigurationError):
+            JumpDistribution(atoms)
 
     def test_lambda_sets(self):
         iv = LambdaInterval(-2.0, 1.0)
@@ -57,17 +60,6 @@ class TestDomainTypes:
     def test_compound_poisson_nonnegative_intensity(self):
         with pytest.raises(ConfigurationError):
             CompoundPoisson(LambdaValues((-0.5, 1.0)), delta_one())
-
-    def test_triplets_and_levy_bound(self):
-        g = GaussianDrift(LambdaInterval(-1.0, 1.0))
-        assert g.triplet(0.5) == LevyTriplet(0.5, 1.0, 0.0)
-        cp = CompoundPoisson(LambdaValues((0.0, 2.0)), JumpDistribution(((0.5, 1.0),)))
-        assert cp.triplet(2.0).jump_mass == pytest.approx(2.0 * 0.25)
-        ps = PureShift(LambdaInterval(-1.0, 1.0))
-        assert ps.triplet(-1.0) == LevyTriplet(-1.0, 0.0, 0.0)
-        for fam in (g, cp, ps):
-            assert math.isfinite(levy_condition_bound(fam))
-        assert levy_condition_bound(g) == pytest.approx(2.0)
 
 
 class TestHeatConvolve:
@@ -92,6 +84,21 @@ class TestHeatConvolve:
         g = make_grid(-1.0, 1.0, 101)
         f = GridFunction(g, np.random.default_rng(0).standard_normal(101))
         assert np.array_equal(heat_convolve(f, 0.0).samples, f.samples)
+
+    def test_kernel_wider_than_grid(self):
+        # 8 sqrt(t) / dx = 256 offsets per side on 257 nodes: the kernel is
+        # about twice as wide as the grid; the result is the zero extension
+        g = make_grid(-4.0, 4.0, 257)
+        f = bump(g, center=0.5, radius=1.5)
+        t = 1.0
+        out = heat_convolve(f, t)
+        assert out.samples.shape == (257,)
+        half = math.ceil(8.0 * math.sqrt(t) / g.dx)
+        w = np.exp(-((np.arange(-half, half + 1) * g.dx) ** 2) / (2.0 * t))
+        w /= w.sum()
+        padded = np.concatenate([np.zeros(half), f.samples, np.zeros(half)])
+        expected = np.array([padded[i : i + 2 * half + 1] @ w for i in range(257)])
+        assert np.allclose(out.samples, expected, rtol=0.0, atol=1e-15)
 
 
 class TestApplyMember:
@@ -244,6 +251,44 @@ class TestGenerators:
         exact = -0.5 * np.sin(g.nodes()) + np.abs(np.cos(g.nodes()))
         assert np.max(np.abs(closed.samples[sl] - exact[sl])) < 1e-3
 
+    MU = JumpDistribution(((0.75, 0.5), (-0.5, 0.3), (1.25, 0.2)))
+    FINITE = (
+        GaussianDrift(LambdaValues((-1.5, -0.4, 0.3, 1.1))),
+        GaussianDrift(LambdaValues((-2.0, -1.0, -0.25))),
+        PureShift(LambdaValues((-1.5, -0.4, 0.3, 1.1))),
+        PureShift(LambdaValues((-2.0, -1.0, -0.25))),
+        CompoundPoisson(LambdaValues((0.0, 0.5, 1.3, 2.0)), MU),
+    )
+    INTERVALS = (
+        GaussianDrift(LambdaInterval(-1.5, 0.75)),
+        GaussianDrift(LambdaInterval(-2.0, -0.5)),
+        PureShift(LambdaInterval(-1.5, 0.75)),
+        PureShift(LambdaInterval(0.25, 1.0)),
+        CompoundPoisson(LambdaInterval(0.5, 2.0), MU),
+    )
+
+    @staticmethod
+    def _rough(g, seed):
+        # exact zeros, negative zeros and ties, where a max can pick a side
+        arr = np.round(np.random.default_rng(seed).standard_normal(g.n_nodes), 1)
+        arr[::7] = -0.0
+        return GridFunction(g, arr)
+
+    @pytest.mark.parametrize("fam", FINITE, ids=lambda f: type(f).__name__)
+    def test_finite_set_is_max_over_members(self, fam):
+        g = make_grid(-4.0, 4.0, 401)
+        for f in (bump(g, radius=1.5), self._rough(g, 1)):
+            members = [member_generator(fam, v, f).samples for v in fam.lambda_set.values]
+            assert np.array_equal(sup_generator(fam, f).samples, np.maximum.reduce(members))
+
+    @pytest.mark.parametrize("fam", INTERVALS, ids=lambda f: type(f).__name__)
+    def test_interval_is_max_over_endpoint_members(self, fam):
+        g = make_grid(-4.0, 4.0, 401)
+        lset = fam.lambda_set
+        for f in (bump(g, radius=1.5), self._rough(g, 2)):
+            ends = np.maximum(member_generator(fam, lset.lo, f).samples, member_generator(fam, lset.hi, f).samples)
+            assert np.array_equal(sup_generator(fam, f).samples, ends)
+
     def test_cp_two_candidate_sup(self, cp_family):
         g = make_grid(-8.0, 8.0, 1601)
         f = bump(g, radius=1.5)
@@ -309,6 +354,36 @@ class TestUpperBound:
     def test_cp_p1_works(self, grid_small, bump_small, cp_family):
         out = upper_bound_C(cp_family, 0.1, bump_small, PNorm(1.0))
         assert np.all(np.isfinite(out.samples))
+
+    @staticmethod
+    def _two_formulas(fam, h, f, norm):
+        # the per-family closed forms, written out separately
+        lam_bar = fam.lambda_set.sup_abs
+        p = norm.p
+        if isinstance(fam, GaussianDrift):
+            factor = math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
+            smoothed = _heat_convolve_arr(np.abs(f.samples) ** p, h, f.grid.dx)
+            return factor * np.maximum(smoothed, 0.0) ** (1.0 / p)
+        moved = apply_member(fam, lam_bar, h, GridFunction(f.grid, np.abs(f.samples) ** p))
+        return math.exp((lam_bar - fam.lambda_set.inf) * h) * np.maximum(moved.samples, 0.0) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("lset", [LambdaInterval(-1.0, 0.5), LambdaValues((-0.3, 0.8, 1.2)), LambdaValues((0.0,))])
+    def test_gaussian_matches_closed_form(self, p, lset, make_smooth):
+        g = make_grid(-8.0, 8.0, 801)
+        fam = GaussianDrift(lset)
+        f = make_smooth(g, np.random.default_rng(3))
+        for h in (0.05, 0.3):
+            assert np.array_equal(upper_bound_C(fam, h, f, PNorm(p)).samples, self._two_formulas(fam, h, f, PNorm(p)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("lset", [LambdaInterval(0.25, 1.5), LambdaValues((0.0, 0.7, 2.0))])
+    def test_compound_poisson_matches_closed_form(self, p, lset, make_smooth):
+        g = make_grid(-8.0, 8.0, 801)
+        fam = CompoundPoisson(lset, JumpDistribution(((0.6, 0.7), (-1.1, 0.3))))
+        f = make_smooth(g, np.random.default_rng(4))
+        for h in (0.05, 0.3):
+            assert np.array_equal(upper_bound_C(fam, h, f, PNorm(p)).samples, self._two_formulas(fam, h, f, PNorm(p)))
 
     def test_boundary_mass_decays(self, norm2, gauss_family):
         # the L^p mass of C(h)f beyond an enlarged support is o(h)
