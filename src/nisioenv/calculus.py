@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import EnvelopeParams, Partition, apply_partition, nisio_dyadic
+from .envelope import EnvelopeParams, Partition, apply_partition, nisio_dyadic, step_J
 from .errors import UsageError
 from .funcspace import GridFunction, lp_norm
 from .kernels import KernelFamily, heat_convolve, sup_generator
@@ -140,22 +140,38 @@ class DerivativeProbe:
     quotients_minus: list[GridFunction] = field(default_factory=list)
 
 
+def _check_schedule(h_schedule: list[float]) -> None:
+    if any(b >= a for a, b in zip(h_schedule, h_schedule[1:])) or not h_schedule:
+        raise UsageError("h_schedule must be nonempty and strictly decreasing")
+
+
+def _quotient(
+    fam: KernelFamily,
+    t: float,
+    x: GridFunction,
+    y: GridFunction,
+    base: GridFunction,
+    h: float,
+    params: EnvelopeParams,
+    level: int | None,
+) -> GridFunction:
+    """(S(t)(x + h*y) - base)/h for a signed step h, where base = S(t)x."""
+    return (_S(fam, t, x + h * y, params, level=level) - base) / h
+
+
 def _side_quotients(
     fam: KernelFamily,
     t: float,
     x: GridFunction,
     y: GridFunction,
+    base: GridFunction,
     h_schedule: list[float],
     params: EnvelopeParams,
     level: int | None,
     sign: float,
 ) -> tuple[list[GridFunction], float]:
     """Quotients (S(t)(x + sign*h*y) - S(t)x)/(sign*h) plus worst ordering slack."""
-    base = _S(fam, t, x, params, level=level)
-    quotients = []
-    for h in h_schedule:
-        moved = _S(fam, t, x + (sign * h) * y, params, level=level)
-        quotients.append((moved - base) / (sign * h))
+    quotients = [_quotient(fam, t, x, y, base, sign * h, params, level) for h in h_schedule]
     worst = 0.0
     for prev, nxt in zip(quotients, quotients[1:]):
         # plus side decreases toward the inf, minus side increases toward the sup
@@ -181,8 +197,7 @@ def directional_derivative(
     """
     if side not in ("plus", "minus", "both"):
         raise UsageError(f"side must be plus, minus or both, got {side!r}")
-    if any(b >= a for a, b in zip(h_schedule, h_schedule[1:])) or not h_schedule:
-        raise UsageError("h_schedule must be nonempty and strictly decreasing")
+    _check_schedule(h_schedule)
     params = envelope_params
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
@@ -192,16 +207,17 @@ def directional_derivative(
             quotients_plus=[ycopy], quotients_minus=[ycopy],
         )
     level = params.n_max
+    base = _S(fam, t, x, params, level=level)  # shared by both sides
     plus = minus = None
     q_plus: list[GridFunction] = []
     q_minus: list[GridFunction] = []
     violation = 0.0
     if side in ("plus", "both"):
-        q_plus, v = _side_quotients(fam, t, x, y, h_schedule, params, level, +1.0)
+        q_plus, v = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
         plus = q_plus[-1]
         violation = max(violation, v)
     if side in ("minus", "both"):
-        q_minus, v = _side_quotients(fam, t, x, y, h_schedule, params, level, -1.0)
+        q_minus, v = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
         minus = q_minus[-1]
         violation = max(violation, v)
     gap = lp_norm(plus - minus, params.norm) if (plus is not None and minus is not None) else math.nan
@@ -250,10 +266,12 @@ def derivative_identity_check(
 
     All three limits coincide for f in the generator's domain; the check
     passes when the pairwise interior L^p distances, relative to the largest
-    of the three norms, stay below identity_tol.
+    of the three norms, stay below identity_tol. Only the smallest step of
+    h_schedule enters the quotients, and S(t)f is the base of all three.
     """
     params = envelope_params
     schedule = h_schedule or geometric_schedule()
+    _check_schedule(schedule)
     h = schedule[-1]
     level = params.n_max
     target_dir = sup_generator(fam, f)
@@ -262,8 +280,11 @@ def derivative_identity_check(
     st_h = _S(fam, t + h, f, params, level=level)
     forward = (st_h - st) / h
 
-    probe = directional_derivative(fam, t, f, target_dir, schedule, params, side="both")
-    plus, minus = probe.plus, probe.minus
+    if t == 0.0:  # S(0) is the identity: both derivatives are the direction
+        plus = minus = target_dir
+    else:
+        plus = _quotient(fam, t, f, target_dir, st, h, params, level)
+        minus = _quotient(fam, t, f, target_dir, st, -h, params, level)
 
     scale = max(
         lp_norm(forward, params.norm),
@@ -288,6 +309,13 @@ def _simpson_weights(n_nodes: int, t: float) -> np.ndarray:
     return w * (t / (n_nodes - 1)) / 3.0
 
 
+def _integral_path(quad_nodes: int, level: int) -> tuple[int, int]:
+    """(m, M) of the integral identity's path: M = m*(quad_nodes - 1) uniform
+    steps, m = ceil(2^(level+1)/(quad_nodes - 1)) of them between two nodes."""
+    m = -(-(2 << level) // (quad_nodes - 1))
+    return m, m * (quad_nodes - 1)
+
+
 def integral_identity_check(
     fam: KernelFamily,
     t: float,
@@ -300,28 +328,32 @@ def integral_identity_check(
     directional derivative S'_+(s, f) applied to the supremum generator.
 
     The integral runs over composite Simpson nodes in [0, t]; each integrand
-    is the smallest-h plus quotient at a fixed dyadic level. Returns 0 when
+    is the plus quotient with step h_dir. All nodes lie on one path of M
+    uniform one-step suprema from f (and one from f + h_dir*direction; see
+    `_integral_path` for M), so node j is the prefix of j*m steps and the end
+    of the path gives S(t)f. The mesh t/M is at most t/2^(n_max+1), half the
+    fixed-level mesh of the derivative identity. Returns 0 when
     ||S(t)f - f||_p is below 1e-12.
     """
     params = envelope_params
     if h_dir is None:
         h_dir = geometric_schedule()[-1]
     weights = _simpson_weights(quad_nodes, t)
-    level = params.n_max
     direction = sup_generator(fam, f)
+    if t == 0.0:  # S(0)f - f vanishes
+        return 0.0
+    m, steps = _integral_path(quad_nodes, params.n_max)
+    gaps = Partition(tuple(t * k / steps for k in range(steps + 1))).gaps()
 
-    acc = np.zeros(f.grid.n_nodes)
-    for j in range(quad_nodes):
-        s = t * j / (quad_nodes - 1)
-        if s == 0.0:
-            integrand = direction
-        else:
-            base = _S(fam, s, f, params, level=level)
-            moved = _S(fam, s, f + h_dir * direction, params, level=level)
-            integrand = (moved - base) / h_dir
-        acc = acc + weights[j] * integrand.samples
+    acc = weights[0] * direction.samples
+    base, moved = f, f + h_dir * direction
+    for k, gap in enumerate(gaps, 1):
+        base = step_J(fam, gap, base, cp_interior=params.cp_interior)
+        moved = step_J(fam, gap, moved, cp_interior=params.cp_interior)
+        if k % m == 0:
+            acc = acc + weights[k // m] * ((moved - base) / h_dir).samples
 
-    lhs = _S(fam, t, f, params, level=level) - f
+    lhs = base - f
     denom = lp_norm(lhs, params.norm)
     if denom < 1e-12:
         return 0.0

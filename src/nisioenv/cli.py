@@ -339,7 +339,9 @@ def _cmd_derivative(
     params = cfg.envelope_params()
     report = calculus.derivative_identity_check(cfg.family, cfg.t, cfg.initial, params, identity_tol=identity_tol)
     deviation = calculus.integral_identity_check(cfg.family, cfg.t, cfg.initial, quad_nodes, params)
+    _, path_steps = calculus._integral_path(quad_nodes, params.n_max)
     doc = {"t": cfg.t, "gaps": report.gaps(), "integral_deviation": deviation,
+           "integral_path_steps": path_steps,
            "identity_tol": identity_tol, "integral_tol": integral_tol,
            "pass": bool(report.passed and deviation <= integral_tol)}
     (outdir / "derivative_report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -506,7 +508,7 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
         if out_dir is not None:
             cfg.output_dir = str(out_dir)
         if seed is not None:
-            cfg.seed = int(seed)
+            cfg.seed = _count({"seed": seed}, "seed", "--")
         job = _subcommand_job(cfg, subcommand, scale)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

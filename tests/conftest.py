@@ -8,6 +8,8 @@ from nisioenv import (
     LambdaValues,
     PNorm,
     bump,
+    calculus,
+    envelope,
     make_grid,
 )
 from nisioenv.funcspace import GridFunction
@@ -53,3 +55,18 @@ def smooth_sample(grid, rng, scale=1.0):
 @pytest.fixture
 def make_smooth():
     return smooth_sample
+
+
+@pytest.fixture
+def step_J_calls(monkeypatch):
+    """List that gains one entry per one-step supremum, at every name binding step_J."""
+    calls = []
+    real = envelope.step_J
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envelope, "step_J", counted)
+    monkeypatch.setattr(calculus, "step_J", counted)
+    return calls

@@ -15,9 +15,19 @@ from nisioenv.calculus import (
     integral_identity_check,
     lipschitz_probe,
 )
-from nisioenv.envelope import EnvelopeParams
+from nisioenv.envelope import EnvelopeParams, step_J
 from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid
-from nisioenv.kernels import GaussianDrift, LambdaValues, sup_generator
+from nisioenv.kernels import (
+    CompoundPoisson,
+    GaussianDrift,
+    JumpDistribution,
+    LambdaInterval,
+    LambdaValues,
+    sup_generator,
+)
+from nisioenv.reference import compare
+
+CP_INTERVAL = CompoundPoisson(LambdaInterval(0.0, 1.0), JumpDistribution(((1.0, 1.0),)))
 
 
 def params_for(norm, n_max=6, tol_rel=1e-5):
@@ -89,6 +99,12 @@ class TestDirectionalDerivative:
         assert np.array_equal(probe.plus.samples, y.samples)
         assert np.array_equal(probe.minus.samples, y.samples)
         assert probe.gap == 0.0
+
+    def test_both_sides_share_one_base(self, norm2, gauss_family, bump_small, step_J_calls):
+        # S(t)x once, then one chain per h and side: (2k + 1) level-L chains
+        x = bump_small
+        directional_derivative(gauss_family, 0.25, x, x, geometric_schedule(0.1, 2), params_for(norm2, n_max=3))
+        assert len(step_J_calls) == (2 * 3 + 1) * 2**3
 
     def test_linear_member_derivative_is_semigroup_applied(self, norm2):
         # for a linear (singleton) family the Gateaux derivative at any x
@@ -176,12 +192,70 @@ class TestDerivativeIdentity:
         assert coarse.passed and fine.passed
         assert max(fine.gaps().values()) < max(coarse.gaps().values())
 
+    @pytest.mark.parametrize("family", ["gauss", "cp"])
+    def test_gaps_equal_full_schedule_probe(self, norm2, gauss_family, bump_small, family):
+        # reference: the forward quotient beside a probe over the whole
+        # default schedule, of which only the smallest-h quotients count
+        fam = gauss_family if family == "gauss" else CP_INTERVAL
+        f, t, params = bump_small, 0.25, params_for(norm2, n_max=4)
+        schedule = geometric_schedule()
+        h = schedule[-1]
+        forward = (_S(fam, t + h, f, params, level=4) - _S(fam, t, f, params, level=4)) / h
+        probe = directional_derivative(fam, t, f, sup_generator(fam, f), schedule, params)
+        scale = max(lp_norm(forward, norm2), lp_norm(probe.plus, norm2), lp_norm(probe.minus, norm2), 1e-14)
+        expected = [
+            compare(a, b, norm2, params.boundary_margin).abs_err / scale
+            for a, b in ((forward, probe.plus), (forward, probe.minus), (probe.plus, probe.minus))
+        ]
+        report = derivative_identity_check(fam, t, f, params)
+        assert list(report.gaps().values()) == expected
+        assert report.h == h
+
+    def test_rejects_increasing_schedule(self, norm2, gauss_family, bump_small):
+        with pytest.raises(UsageError):
+            derivative_identity_check(gauss_family, 0.25, bump_small, params_for(norm2, n_max=2),
+                                      h_schedule=[0.01, 0.02])
+
 
 class TestIntegralIdentity:
+    @pytest.mark.parametrize("family", ["gauss", "cp"])
+    @pytest.mark.parametrize("quad_nodes, level", [(5, 3), (7, 3), (9, 1)])
+    def test_equals_prefixes_of_one_mesh(self, norm2, gauss_family, bump_small, family, quad_nodes, level):
+        # reference: each Simpson node j marched afresh from f over the first
+        # j*m gaps of the mesh t*k/M, M = m*(quad_nodes - 1) and
+        # m = ceil(2^(level+1)/(quad_nodes - 1))
+        fam = gauss_family if family == "gauss" else CP_INTERVAL
+        f, t, h_dir = bump_small, 0.5, geometric_schedule()[-1]
+        m = math.ceil(2 ** (level + 1) / (quad_nodes - 1))
+        steps = m * (quad_nodes - 1)
+        times = [t * k / steps for k in range(steps + 1)]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+
+        def march(g, count):
+            for gap in gaps[:count]:
+                g = step_J(fam, gap, g)
+            return g
+
+        weights = np.ones(quad_nodes)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        weights = weights * (t / (quad_nodes - 1)) / 3.0
+        direction = sup_generator(fam, f)
+        acc = weights[0] * direction.samples
+        for j in range(1, quad_nodes):
+            quotient = (march(f + h_dir * direction, j * m) - march(f, j * m)) / h_dir
+            acc = acc + weights[j] * quotient.samples
+        lhs = march(f, steps) - f
+        expected = lp_norm(lhs - GridFunction(f.grid, acc), norm2) / lp_norm(lhs, norm2)
+        assert integral_identity_check(fam, t, f, quad_nodes, params_for(norm2, n_max=level)) == expected
+
     def test_zero_data_deviation_zero(self, norm2, gauss_family, grid_small):
         zero = GridFunction(grid_small, np.zeros(grid_small.n_nodes))
         dev = integral_identity_check(gauss_family, 0.5, zero, 5, params_for(norm2, n_max=3))
         assert dev == 0.0
+
+    def test_time_zero_deviation_zero(self, norm2, gauss_family, bump_small):
+        assert integral_identity_check(gauss_family, 0.0, bump_small, 5, params_for(norm2, n_max=3)) == 0.0
 
     def test_singleton_heat(self, norm2):
         g = make_grid(-10.0, 10.0, 1001)

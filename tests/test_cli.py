@@ -145,6 +145,14 @@ class TestInvalidConfigsWriteNothing:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "x"])
+    def test_seed_override(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        code = run("verify", write_config(tmp_path, base_config(out)), seed=seed)
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestRunEnvelope:
     def test_happy_path_writes_artifacts(self, tmp_path, capsys):
@@ -225,6 +233,17 @@ class TestRunOtherSubcommands:
         assert code == 0
         doc = json.loads((out / "derivative_report.json").read_text())
         assert doc["pass"] and set(doc["gaps"]) == {"forward_vs_plus", "forward_vs_minus", "plus_vs_minus"}
+
+    def test_derivative_step_J_calls(self, tmp_path, step_J_calls):
+        # four level-L chains (S(t)f, S(t+h)f, S(t)(f +- h Bf)) for the
+        # derivative identity, two M-step paths for the integral identity
+        out = tmp_path / "out"
+        cfg = base_config(out, derivative={"quad_nodes": 5})
+        cfg["time"]["n_max"] = 3
+        assert run("derivative", write_config(tmp_path, cfg)) in (0, 1)
+        path_steps = 4 * 4  # m = ceil(2^(3+1)/(5 - 1)) = 4 steps per node interval
+        assert len(step_J_calls) == 4 * 2**3 + 2 * path_steps
+        assert json.loads((out / "derivative_report.json").read_text())["integral_path_steps"] == path_steps
 
     def test_compare_hjb(self, tmp_path):
         out = tmp_path / "out"
