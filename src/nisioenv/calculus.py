@@ -10,7 +10,7 @@ S(t)f - f, and sampled Lipschitz/growth probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +58,8 @@ def _S(
     if t == 0.0:
         return GridFunction(f.grid, f.samples.copy())
     if level is not None:
-        return apply_partition(fam, Partition.dyadic(t, level), f, cp_interior=params.cp_interior)
-    res = nisio_dyadic(
-        fam, t, f, params.tol_rel, params.n_max, params.norm,
-        n_min=params.n_min, cp_interior=params.cp_interior,
-    )
-    return res.final
+        return apply_partition(fam, Partition.dyadic(t, level), f)
+    return nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, params.norm).final
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +71,12 @@ class GeneratorEstimate:
     """Table of quotients (S(h)f - f)/h along a halving h-schedule.
 
     errors_vs_B holds the interior L^p distance to the closed-form supremum
-    generator; extrapolated is the first-order Richardson combination of the
-    two smallest-h quotients.
+    generator.
     """
 
     h_schedule: list[float]
     quotients: list[GridFunction]
     errors_vs_B: list[float]
-    extrapolated: GridFunction
 
 
 def generator_fd(
@@ -103,15 +97,11 @@ def generator_fd(
     quotients: list[GridFunction] = []
     errors: list[float] = []
     for h in schedule:
-        res = nisio_dyadic(
-            fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm,
-            n_min=2, cp_interior=params.cp_interior,
-        )
+        res = nisio_dyadic(fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm, n_min=2)
         q = (res.final - f) / h
         quotients.append(q)
-        errors.append(compare(q, target, params.norm, params.boundary_margin).abs_err)
-    extrapolated = 2.0 * quotients[-1] - quotients[-2] if len(quotients) >= 2 else quotients[-1]
-    return GeneratorEstimate(schedule, quotients, errors, extrapolated)
+        errors.append(compare(q, target, params.norm).abs_err)
+    return GeneratorEstimate(schedule, quotients, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +118,12 @@ class DerivativeProbe:
     is recorded in quotient_monotone / monotonicity_violation.
     """
 
-    t: float
-    x: GridFunction
-    y: GridFunction
-    plus: GridFunction | None
-    minus: GridFunction | None
+    plus: GridFunction
+    minus: GridFunction
     gap: float
     quotient_monotone: bool
     monotonicity_violation: float
-    quotients_plus: list[GridFunction] = field(default_factory=list)
-    quotients_minus: list[GridFunction] = field(default_factory=list)
+    quotients_plus: list[GridFunction]
 
 
 def _check_schedule(h_schedule: list[float]) -> None:
@@ -187,45 +173,30 @@ def directional_derivative(
     y: GridFunction,
     h_schedule: list[float],
     envelope_params: EnvelopeParams,
-    side: str = "both",
 ) -> DerivativeProbe:
-    """Gateaux derivative probe of the envelope at x in direction y.
-
-    side selects which family of quotients to evaluate ("plus", "minus" or
-    "both"); the gap needs both. At t = 0 the envelope is the identity and
-    both derivatives are y exactly.
+    """Gateaux derivative probe of the envelope at x in direction y, from both
+    sides. At t = 0 the envelope is the identity and both derivatives are y
+    exactly.
     """
-    if side not in ("plus", "minus", "both"):
-        raise UsageError(f"side must be plus, minus or both, got {side!r}")
     _check_schedule(h_schedule)
     params = envelope_params
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
         return DerivativeProbe(
-            t=0.0, x=x, y=y, plus=ycopy, minus=ycopy, gap=0.0,
-            quotient_monotone=True, monotonicity_violation=0.0,
-            quotients_plus=[ycopy], quotients_minus=[ycopy],
+            plus=ycopy, minus=ycopy, gap=0.0,
+            quotient_monotone=True, monotonicity_violation=0.0, quotients_plus=[ycopy],
         )
     level = params.n_max
     base = _S(fam, t, x, params, level=level)  # shared by both sides
-    plus = minus = None
-    q_plus: list[GridFunction] = []
-    q_minus: list[GridFunction] = []
-    violation = 0.0
-    if side in ("plus", "both"):
-        q_plus, v = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
-        plus = q_plus[-1]
-        violation = max(violation, v)
-    if side in ("minus", "both"):
-        q_minus, v = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
-        minus = q_minus[-1]
-        violation = max(violation, v)
-    gap = lp_norm(plus - minus, params.norm) if (plus is not None and minus is not None) else math.nan
+    q_plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
+    q_minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
+    plus, minus = q_plus[-1], q_minus[-1]
+    violation = max(v_plus, v_minus)
     return DerivativeProbe(
-        t=t, x=x, y=y, plus=plus, minus=minus, gap=gap,
+        plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
         quotient_monotone=violation <= QUOTIENT_TOL,
         monotonicity_violation=violation,
-        quotients_plus=q_plus, quotients_minus=q_minus,
+        quotients_plus=q_plus,
     )
 
 
@@ -237,7 +208,6 @@ def directional_derivative(
 class IdentityReport:
     """Pairwise comparison of the three realizations of d/dt S(t)f."""
 
-    t: float
     h: float
     gap_forward_plus: float
     gap_forward_minus: float
@@ -292,12 +262,11 @@ def derivative_identity_check(
         lp_norm(minus, params.norm),
         1e-14,
     )
-    margin = params.boundary_margin
-    g_fp = compare(forward, plus, params.norm, margin).abs_err / scale
-    g_fm = compare(forward, minus, params.norm, margin).abs_err / scale
-    g_pm = compare(plus, minus, params.norm, margin).abs_err / scale
+    g_fp = compare(forward, plus, params.norm).abs_err / scale
+    g_fm = compare(forward, minus, params.norm).abs_err / scale
+    g_pm = compare(plus, minus, params.norm).abs_err / scale
     passed = max(g_fp, g_fm, g_pm) <= identity_tol
-    return IdentityReport(t, h, g_fp, g_fm, g_pm, identity_tol, passed)
+    return IdentityReport(h, g_fp, g_fm, g_pm, identity_tol, passed)
 
 
 def _simpson_weights(n_nodes: int, t: float) -> np.ndarray:
@@ -322,22 +291,20 @@ def integral_identity_check(
     f: GridFunction,
     quad_nodes: int,
     envelope_params: EnvelopeParams,
-    h_dir: float | None = None,
 ) -> float:
     """Relative deviation of S(t)f - f from the time integral of the
     directional derivative S'_+(s, f) applied to the supremum generator.
 
     The integral runs over composite Simpson nodes in [0, t]; each integrand
-    is the plus quotient with step h_dir. All nodes lie on one path of M
-    uniform one-step suprema from f (and one from f + h_dir*direction; see
-    `_integral_path` for M), so node j is the prefix of j*m steps and the end
-    of the path gives S(t)f. The mesh t/M is at most t/2^(n_max+1), half the
-    fixed-level mesh of the derivative identity. Returns 0 when
-    ||S(t)f - f||_p is below 1e-12.
+    is the plus quotient with h_dir, the smallest step of
+    `geometric_schedule()`. All nodes lie on one path of M uniform one-step
+    suprema from f (and one from f + h_dir*direction; see `_integral_path` for
+    M), so node j is the prefix of j*m steps and the end of the path gives
+    S(t)f. The mesh t/M is at most t/2^(n_max+1), half the fixed-level mesh of
+    the derivative identity. Returns 0 when ||S(t)f - f||_p is below 1e-12.
     """
     params = envelope_params
-    if h_dir is None:
-        h_dir = geometric_schedule()[-1]
+    h_dir = geometric_schedule()[-1]
     weights = _simpson_weights(quad_nodes, t)
     direction = sup_generator(fam, f)
     if t == 0.0:  # S(0)f - f vanishes
@@ -348,8 +315,8 @@ def integral_identity_check(
     acc = weights[0] * direction.samples
     base, moved = f, f + h_dir * direction
     for k, gap in enumerate(gaps, 1):
-        base = step_J(fam, gap, base, cp_interior=params.cp_interior)
-        moved = step_J(fam, gap, moved, cp_interior=params.cp_interior)
+        base = step_J(fam, gap, base)
+        moved = step_J(fam, gap, moved)
         if k % m == 0:
             acc = acc + weights[k // m] * ((moved - base) / h_dir).samples
 
@@ -400,9 +367,7 @@ class LipschitzProbe:
     sampled norm of T on the radius-r sphere through the samples.
     """
 
-    t: float
     L: float
-    b: float
     lemma_ok: bool
     lemma_slack: float
 
@@ -455,7 +420,7 @@ def lipschitz_probe(
         slack = max(slack, excess)
         if excess > QUOTIENT_TOL:
             lemma_ok = False
-    return LipschitzProbe(t=t, L=L, b=b, lemma_ok=lemma_ok, lemma_slack=slack)
+    return LipschitzProbe(L=L, lemma_ok=lemma_ok, lemma_slack=slack)
 
 
 def growth_bound_estimate(

@@ -63,7 +63,6 @@ class ExperimentConfig:
     grid: funcspace.Grid
     norm: PNorm
     family: kernels.KernelFamily
-    family_name: str
     initial: GridFunction
     t: float
     tol_rel: float
@@ -118,7 +117,7 @@ def _count(mapping: dict, key: str, context: str, default=None, least: int = 0) 
     return int(val)
 
 
-def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFamily, str]:
+def build_family(spec: dict, context: str = "family.") -> kernels.KernelFamily:
     name = _require(spec, "family", context)
     if name not in ("gaussian_drift", "compound_poisson", "pure_shift"):
         raise ConfigurationError(f"key `{context}family` must be one of gaussian_drift, compound_poisson, pure_shift; got {name!r}")
@@ -136,17 +135,15 @@ def build_family(spec: dict, context: str = "family.") -> tuple[kernels.KernelFa
                 raise ConfigurationError(f"key `{context}lambda_list` must be a nonempty list")
             lset = LambdaValues(tuple(_finite(v, context + "lambda_list") for v in values))
         if name == "gaussian_drift":
-            fam: kernels.KernelFamily = GaussianDrift(lset)
-        elif name == "pure_shift":
-            fam = PureShift(lset)
-        else:
-            atoms = _require(spec, "jump_atoms", context)
-            if not isinstance(atoms, list) or not atoms:
-                raise ConfigurationError(f"key `{context}jump_atoms` must be a nonempty list of [offset, weight]")
-            mu = JumpDistribution(tuple((_finite(y, context + "jump_atoms"), _finite(w, context + "jump_atoms"))
-                                        for y, w in atoms))
-            fam = CompoundPoisson(lset, mu)
-        return fam, name
+            return GaussianDrift(lset)
+        if name == "pure_shift":
+            return PureShift(lset)
+        atoms = _require(spec, "jump_atoms", context)
+        if not isinstance(atoms, list) or not atoms:
+            raise ConfigurationError(f"key `{context}jump_atoms` must be a nonempty list of [offset, weight]")
+        mu = JumpDistribution(tuple((_finite(y, context + "jump_atoms"), _finite(w, context + "jump_atoms"))
+                                    for y, w in atoms))
+        return CompoundPoisson(lset, mu)
     except ConfigurationError:
         raise
     except (TypeError, ValueError) as exc:
@@ -178,6 +175,8 @@ def build_initial(spec: dict, grid: funcspace.Grid, context: str = "initial.") -
         )
     if kind == "custom_csv":
         path = _require(params, "path", context + "params.")
+        if not isinstance(path, str):
+            raise ConfigurationError(f"key `{context}params.path` must be a string, got {path!r}")
         if not Path(path).is_file():
             raise ConfigurationError(f"key `{context}params.path`: file not found: {path}")
         f = funcspace.read_csv(path)
@@ -219,7 +218,7 @@ def load_config(path) -> ExperimentConfig:
         _count(gspec, "n_nodes", "grid.", least=4),  # the difference stencils need 4
     )
     norm = PNorm(_number(_object(raw, "norm", ""), "p", "norm."))
-    family, family_name = build_family(_object(raw, "family", ""))
+    family = build_family(_object(raw, "family", ""))
     initial = build_initial(_object(raw, "initial", ""), grid)
     tspec = _object(raw, "time", "")
     t = _positive(tspec, "t", "time.")
@@ -233,7 +232,7 @@ def load_config(path) -> ExperimentConfig:
     options = {k: _object(raw, k, "") for k in ("generator", "derivative", "compare", "ode", "hjb", "counterexample")
                if k in raw}
     return ExperimentConfig(
-        raw=raw, grid=grid, norm=norm, family=family, family_name=family_name,
+        raw=raw, grid=grid, norm=norm, family=family,
         initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
         output_dir=output_dir, options=options,
     )

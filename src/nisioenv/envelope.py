@@ -26,11 +26,9 @@ from .funcspace import (
     pointwise_max,
 )
 from .kernels import (
-    GaussianDrift,
     KernelFamily,
     LambdaValues,
-    PureShift,
-    _heat_convolve_arr,
+    _translation_base,
     apply_members,
     upper_bound_C,
 )
@@ -52,6 +50,10 @@ _FILTER_CUTOVER = 48
 # Integer-offset window bounds are snapped like interp_shift's fractions.
 _SNAP_TOL = 1e-9
 
+# Interior intensities sampled, besides both endpoints, on a compound Poisson
+# interval, whose one-step supremum has no closed form.
+_CP_INTERIOR = 9
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -66,16 +68,6 @@ class Partition:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise UsageError("partition times must be strictly increasing")
         object.__setattr__(self, "times", ts)
-
-    @property
-    def mesh(self) -> float:
-        if len(self.times) == 1:
-            return 0.0
-        return max(b - a for a, b in zip(self.times, self.times[1:]))
-
-    @property
-    def horizon(self) -> float:
-        return self.times[-1]
 
     def gaps(self) -> list[float]:
         return [b - a for a, b in zip(self.times, self.times[1:])]
@@ -101,9 +93,6 @@ class EnvelopeParams:
     norm: PNorm
     tol_rel: float = 1e-4
     n_max: int = 12
-    n_min: int = 0
-    boundary_margin: float = 0.05
-    cp_interior: int = 9
 
 
 @dataclass
@@ -179,37 +168,33 @@ def _window_sup_arr(u: np.ndarray, lo: float, hi: float, dx: float) -> np.ndarra
 # One-step supremum and partition composition
 
 
-def step_J(fam: KernelFamily, h: float, f: GridFunction, cp_interior: int = 9) -> GridFunction:
+def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     """One-step supremum over the family: sup over the uncertainty set of the
     members applied at time h.
 
-    Finite sets take the nodewise max over the members. An interval of
-    Gaussian drifts or pure shifts is resolved exactly at interpolant level
-    by a window maximum; an interval of Poisson intensities is sampled at
-    both endpoints plus `cp_interior` interior points. Sampled members share
-    their family's linear part (see `apply_members`).
+    Finite sets take the nodewise max over the members. On an interval,
+    members that are translates of one function (Gaussian drift, pure shift)
+    are resolved exactly at interpolant level by a window maximum of that
+    function; an interval of Poisson intensities is sampled at both endpoints
+    plus `_CP_INTERIOR` interior points. Sampled members share their family's
+    linear part (see `apply_members`).
     """
     if h <= 0:
         raise UsageError(f"step size must be > 0, got {h}")
     lset = fam.lambda_set
     if isinstance(lset, LambdaValues):
-        lams = lset.values
-    else:
-        dx = f.grid.dx
-        if isinstance(fam, GaussianDrift):
-            smoothed = _heat_convolve_arr(f.samples, h, dx)
-            return GridFunction(f.grid, _window_sup_arr(smoothed, lset.lo * h, lset.hi * h, dx))
-        if isinstance(fam, PureShift):
-            return GridFunction(f.grid, _window_sup_arr(f.samples, lset.lo * h, lset.hi * h, dx))
-        lams = [float(v) for v in lset.samples(cp_interior)]
-    return pointwise_max(apply_members(fam, lams, h, f))
+        return pointwise_max(apply_members(fam, lset.values, h, f))
+    base = _translation_base(fam, h, f)
+    if base is None:
+        return pointwise_max(apply_members(fam, [float(v) for v in lset.samples(_CP_INTERIOR)], h, f))
+    return GridFunction(f.grid, _window_sup_arr(base, lset.lo * h, lset.hi * h, f.grid.dx))
 
 
-def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction, cp_interior: int = 9) -> GridFunction:
+def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one-step suprema along the partition, last gap applied first."""
     out = f
     for h in reversed(pi.gaps()):
-        out = step_J(fam, h, out, cp_interior=cp_interior)
+        out = step_J(fam, h, out)
     return out
 
 
@@ -234,7 +219,6 @@ def nisio_dyadic(
     norm: PNorm,
     *,
     n_min: int = 0,
-    cp_interior: int = 9,
 ) -> EnvelopeResult:
     """Envelope approximation along nested dyadic partitions of [0, t].
 
@@ -258,7 +242,7 @@ def nisio_dyadic(
     converged = False
     level = 0
     for level in range(n_max + 1):
-        current = apply_partition(fam, Partition.dyadic(t, level), f, cp_interior=cp_interior)
+        current = apply_partition(fam, Partition.dyadic(t, level), f)
         if prev is None:
             rows.append((level, lp_norm(current, norm), math.nan))
         else:

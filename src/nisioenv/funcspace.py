@@ -118,19 +118,14 @@ class PNorm:
     """Lebesgue exponent p in [1, inf) with its conjugate q (inf when p = 1)."""
 
     p: float
-    q: float = math.nan
 
     def __post_init__(self):
         if self.p < 1.0 or not math.isfinite(self.p):
             raise ConfigurationError(f"norm exponent p must be in [1, inf), got {self.p}")
-        if math.isnan(self.q):
-            q = math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
-            object.__setattr__(self, "q", q)
-        elif self.p == 1.0:
-            if not math.isinf(self.q):
-                raise ConfigurationError("p = 1 requires q = inf")
-        elif abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise ConfigurationError(f"conjugate pair violated: 1/{self.p} + 1/{self.q} != 1")
+
+    @property
+    def q(self) -> float:
+        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
 
 def lp_norm(f: GridFunction, norm: PNorm) -> float:
@@ -254,9 +249,14 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def read_csv(path) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not a numeric `x,value` table: {exc}") from exc
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigurationError(f"{path}: expected two columns `x,value` with >= 2 rows")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: every entry must be a finite number")
     x, v = data[:, 0], data[:, 1]
     grid = make_grid(float(x[0]), float(x[-1]), len(x))
     if np.max(np.abs(x - grid.nodes())) > 1e-9 * grid.dx:

@@ -137,14 +137,6 @@ class JumpDistribution:
             raise ConfigurationError(f"jump weights must sum to 1, got {total}")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def offsets(self) -> tuple[float, ...]:
-        return tuple(y for y, _ in self.atoms)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class GaussianDrift:
@@ -227,8 +219,8 @@ def heat_convolve(f: GridFunction, t: float) -> GridFunction:
 # Poisson series
 
 
-def _poisson_weights(rate: float, tol: float = SERIES_TOL) -> np.ndarray:
-    """Truncated, renormalized Poisson(rate) weights with tail mass <= tol."""
+def _poisson_weights(rate: float) -> np.ndarray:
+    """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL."""
     if rate < 0:
         raise UsageError(f"Poisson rate must be >= 0, got {rate}")
     if rate == 0.0:
@@ -237,7 +229,7 @@ def _poisson_weights(rate: float, tol: float = SERIES_TOL) -> np.ndarray:
     w = [math.exp(-rate)]
     cum = w[0]
     n = 0
-    while cum < 1.0 - tol and n < cap:
+    while cum < 1.0 - SERIES_TOL and n < cap:
         n += 1
         w.append(w[-1] * rate / n)
         cum += w[-1]
@@ -257,36 +249,46 @@ def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarra
 # Member application
 
 
+def _translation_base(fam: KernelFamily, t: float, f: GridFunction) -> np.ndarray | None:
+    """Samples u with S_lam(t)f(x) = u(x + lam*t) for every member: f smoothed
+    by the heat kernel of variance t for Gaussian drift, f for pure shift, and
+    None for compound Poisson, whose members are not translates."""
+    if isinstance(fam, CompoundPoisson):
+        return None
+    if isinstance(fam, GaussianDrift):
+        return _heat_convolve_arr(f.samples, t, f.grid.dx)
+    return f.samples
+
+
 def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> list[GridFunction]:
     """Apply several members of one family at time t to f, one result per lam.
 
     The linear part the members share is computed once: one heat convolution
     for Gaussian drift, one chain of jump powers mu^{*k} f for compound
-    Poisson. Each result is bit-identical to applying its member alone.
-    t = 0 returns copies of f. All weights involved are nonnegative, so every
-    member is linear, monotone, and fixes constants away from the boundary.
+    Poisson. Each result is bit-identical to applying its member alone, and
+    t = 0 returns copies of f on every path. All weights involved are
+    nonnegative, so every member is linear, monotone, and fixes constants
+    away from the boundary.
     """
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
     for lam in lams:
         _require_member(fam, lam)
-    if t == 0.0:
-        return [GridFunction(f.grid, f.samples.copy()) for _ in lams]
     dx = f.grid.dx
-    if isinstance(fam, CompoundPoisson):
-        weights = [_poisson_weights(lam * t) for lam in lams]
-        powers = [f.samples]
-        for _ in range(max((len(w) for w in weights), default=1) - 1):
-            powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
-        out = []
-        for w in weights:
-            acc = w[0] * powers[0]
-            for wk, power in zip(w[1:], powers[1:]):
-                acc += wk * power
-            out.append(GridFunction(f.grid, acc))
-        return out
-    base = _heat_convolve_arr(f.samples, t, dx) if isinstance(fam, GaussianDrift) else f.samples
-    return [GridFunction(f.grid, _interp_shift_arr(base, lam * t, dx)) for lam in lams]
+    base = _translation_base(fam, t, f)
+    if base is not None:
+        return [GridFunction(f.grid, _interp_shift_arr(base, lam * t, dx)) for lam in lams]
+    weights = [_poisson_weights(lam * t) for lam in lams]
+    powers = [f.samples]
+    for _ in range(max((len(w) for w in weights), default=1) - 1):
+        powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
+    out = []
+    for w in weights:
+        acc = w[0] * powers[0]
+        for wk, power in zip(w[1:], powers[1:]):
+            acc += wk * power
+        out.append(GridFunction(f.grid, acc))
+    return out
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:

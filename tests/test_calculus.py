@@ -83,13 +83,6 @@ class TestGeneratorFd:
         est = generator_fd(gauss_family, f, 0.05, 4, params_for(norm2, n_max=5))
         assert all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
 
-    def test_richardson_field_present(self, norm2, gauss_family):
-        g = make_grid(-8.0, 8.0, 401)
-        f = bump(g, radius=1.5)
-        est = generator_fd(gauss_family, f, 0.05, 2, params_for(norm2, n_max=4))
-        combo = 2.0 * est.quotients[-1] - est.quotients[-2]
-        assert np.array_equal(est.extrapolated.samples, combo.samples)
-
 
 class TestDirectionalDerivative:
     def test_time_zero_identity(self, norm2, gauss_family, grid_small, make_smooth):
@@ -145,15 +138,6 @@ class TestDirectionalDerivative:
             assert probe.monotonicity_violation <= 1e-9
             assert np.max(probe.minus.samples - probe.plus.samples) <= 1e-9
 
-    def test_side_selection(self, norm2, gauss_family, grid_small, make_smooth):
-        rng = np.random.default_rng(13)
-        x, y = make_smooth(grid_small, rng), make_smooth(grid_small, rng)
-        probe = directional_derivative(
-            gauss_family, 0.2, x, y, geometric_schedule(0.2, 1), params_for(norm2, n_max=2), side="plus"
-        )
-        assert probe.plus is not None and probe.minus is None
-        assert math.isnan(probe.gap)
-
 
 class TestDerivativeIdentity:
     def test_time_zero_matches_generator(self, norm2, gauss_family):
@@ -204,7 +188,7 @@ class TestDerivativeIdentity:
         probe = directional_derivative(fam, t, f, sup_generator(fam, f), schedule, params)
         scale = max(lp_norm(forward, norm2), lp_norm(probe.plus, norm2), lp_norm(probe.minus, norm2), 1e-14)
         expected = [
-            compare(a, b, norm2, params.boundary_margin).abs_err / scale
+            compare(a, b, norm2).abs_err / scale
             for a, b in ((forward, probe.plus), (forward, probe.minus), (probe.plus, probe.minus))
         ]
         report = derivative_identity_check(fam, t, f, params)

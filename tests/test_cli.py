@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisioenv.cli import load_config, main, run, verify_suite
 from nisioenv.errors import ConfigurationError
 from nisioenv.funcspace import bump, make_grid, write_csv
+from nisioenv.kernels import GaussianDrift
 
 
 def base_config(out_dir, **overrides):
@@ -34,7 +39,7 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.grid.n_nodes == 513
         assert cfg.norm.p == 2.0
-        assert cfg.family_name == "gaussian_drift"
+        assert isinstance(cfg.family, GaussianDrift)
 
     def test_missing_key_named(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -91,6 +96,17 @@ def _set(cfg, path, value):
 
 CP_FAMILY = {"family": "compound_poisson", "lambda_list": [0.0, 1.0], "jump_atoms": [[1.0, 1.0]]}
 
+# leaves of base_config for the wrong-type fuzz; the path leaf is set on a
+# custom_csv initial condition
+NUMERIC_LEAVES = ["grid.lower", "grid.upper", "grid.n_nodes", "norm.p", "time.t", "time.tol_rel",
+                  "time.n_max", "initial.params.radius", "seeds"]
+STRING_LEAVES = ["output_dir", "initial.params.path"]
+_LISTS = st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3)
+_OBJECTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5), _LISTS, _OBJECTS)
+NOT_A_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                         _LISTS, _OBJECTS)
+
 
 class TestInvalidConfigsWriteNothing:
     @pytest.mark.parametrize("path, value", [
@@ -107,12 +123,17 @@ class TestInvalidConfigsWriteNothing:
         ("seeds", 0.5),
         ("family.jump_atoms", [[1.0, float("nan")]]),
         ("family.jump_atoms", [[float("nan"), 1.0]]),
+        ("initial.params.path", 5),
+        ("initial.params.path", []),
+        ("initial.params.path", None),
     ])
     def test_non_finite_and_non_integer(self, tmp_path, capsys, path, value):
         out = tmp_path / "out"
         cfg = base_config(out)
         if path.startswith("family."):
             cfg["family"] = dict(CP_FAMILY)
+        if path == "initial.params.path":
+            cfg["initial"] = {"kind": "custom_csv"}
         code = run("envelope", write_config(tmp_path, _set(cfg, path, value)))
         assert code == 2
         assert not out.exists()
@@ -144,6 +165,35 @@ class TestInvalidConfigsWriteNothing:
         code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["-4.5,abc", "-4.5,nan", "-4.5,inf"])
+    def test_custom_csv_bad_data(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "initial.csv"
+        write_csv(bump(make_grid(-8.0, 8.0, 513), radius=1.0), csv_path)
+        lines = csv_path.read_text().splitlines()
+        lines[113] = row  # node 112 of the 1/32 mesh, after the header line
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        cfg = base_config(out, initial={"kind": "custom_csv", "params": {"path": str(csv_path)}})
+        code = run("envelope", write_config(tmp_path, cfg))
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
+    @given(leaf=st.sampled_from(NUMERIC_LEAVES + STRING_LEAVES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_wrongly_typed_leaf(self, leaf, data):
+        value = data.draw(NOT_A_NUMBER if leaf in NUMERIC_LEAVES else NOT_A_STRING, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out"
+            cfg = base_config(out)
+            if leaf == "initial.params.path":
+                write_csv(bump(make_grid(-8.0, 8.0, 513), radius=1.0), tmp / "initial.csv")
+                cfg["initial"] = {"kind": "custom_csv", "params": {"path": str(tmp / "initial.csv")}}
+            code = run("envelope", write_config(tmp, _set(cfg, leaf, value)))
+            assert code == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "x"])
     def test_seed_override(self, tmp_path, capsys, seed):

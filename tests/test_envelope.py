@@ -35,13 +35,11 @@ class TestPartition:
         with pytest.raises(UsageError):
             Partition((0.0, 0.4, 0.4))
         pi = Partition((0.0, 0.1, 0.5))
-        assert pi.mesh == pytest.approx(0.4)
-        assert pi.horizon == 0.5
+        assert pi.gaps() == pytest.approx([0.1, 0.4])
 
     def test_dyadic(self):
         pi = Partition.dyadic(0.5, 2)
         assert pi.times == (0.0, 0.125, 0.25, 0.375, 0.5)
-        assert pi.mesh == 0.125
 
     def test_refine(self):
         pi = Partition((0.0, 0.25, 0.5)).refine_with((0.0, 0.1, 0.5))

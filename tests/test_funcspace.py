@@ -214,8 +214,6 @@ class TestPNorm:
     def test_rejects_bad(self):
         with pytest.raises(ConfigurationError):
             PNorm(0.5)
-        with pytest.raises(ConfigurationError):
-            PNorm(2.0, 3.0)
 
 
 class TestCsv:
