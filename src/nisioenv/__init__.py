@@ -20,7 +20,6 @@ from .funcspace import (
     interp_shift,
     lp_norm,
     make_grid,
-    pointwise_leq,
     pointwise_max,
     ramp,
     read_csv,
@@ -36,7 +35,6 @@ from .kernels import (
     PureShift,
     apply_member,
     heat_convolve,
-    member_generator,
     sup_generator,
     upper_bound_C,
 )

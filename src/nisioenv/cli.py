@@ -23,14 +23,17 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from . import calculus, envelope, funcspace, kernels, reference
+from .calculus import _random_smooth
 from .errors import ConfigurationError, UsageError
 from .funcspace import GridFunction, PNorm, lp_norm, make_grid, pointwise_max
 from .kernels import (
@@ -41,6 +44,12 @@ from .kernels import (
     LambdaValues,
     PureShift,
 )
+
+# Caps on the work a config can ask for: the largest grid any shipped config
+# uses (the pure-shift scan), and the default dyadic level (a level-L run
+# makes 2^(L+1) - 1 one-step suprema).
+_MAX_NODES = 2_400_001
+_MAX_LEVEL = 12
 
 SUBCOMMANDS = (
     "envelope",
@@ -110,86 +119,87 @@ def _positive(mapping: dict, key: str, context: str, default=None) -> float:
     return val
 
 
-def _count(mapping: dict, key: str, context: str, default=None, least: int = 0) -> int:
+def _count(mapping: dict, key: str, context: str, default=None, least: int = 0, most: float = math.inf) -> int:
     val = _number(mapping, key, context, default)
     if val != int(val) or val < least:
         raise ConfigurationError(f"key `{context}{key}` must be an integer >= {least}, got {val}")
+    if val > most:
+        raise ConfigurationError(
+            f"key `{context}{key}` must be at most {most} (the cap on the work a config can ask for), got {val:.12g}")
     return int(val)
 
 
-def build_family(spec: dict, context: str = "family.") -> kernels.KernelFamily:
-    name = _require(spec, "family", context)
+def build_family(spec: dict) -> kernels.KernelFamily:
+    name = _require(spec, "family", "family.")
     if name not in ("gaussian_drift", "compound_poisson", "pure_shift"):
-        raise ConfigurationError(f"key `{context}family` must be one of gaussian_drift, compound_poisson, pure_shift; got {name!r}")
+        raise ConfigurationError(f"key `family.family` must be one of gaussian_drift, compound_poisson, pure_shift; got {name!r}")
     has_interval = "lambda_interval" in spec
     has_list = "lambda_list" in spec
     if has_interval == has_list:
-        raise ConfigurationError(f"`{context}` needs exactly one of lambda_interval or lambda_list")
+        raise ConfigurationError("`family.` needs exactly one of lambda_interval or lambda_list")
     try:
         if has_interval:
-            lo, hi = (_finite(v, context + "lambda_interval") for v in spec["lambda_interval"])
+            lo, hi = (_finite(v, "family.lambda_interval") for v in spec["lambda_interval"])
             lset: kernels.LambdaSet = LambdaInterval(lo, hi)
         else:
             values = spec["lambda_list"]
             if not isinstance(values, list) or not values:
-                raise ConfigurationError(f"key `{context}lambda_list` must be a nonempty list")
-            lset = LambdaValues(tuple(_finite(v, context + "lambda_list") for v in values))
+                raise ConfigurationError("key `family.lambda_list` must be a nonempty list")
+            lset = LambdaValues(tuple(_finite(v, "family.lambda_list") for v in values))
         if name == "gaussian_drift":
             return GaussianDrift(lset)
         if name == "pure_shift":
             return PureShift(lset)
-        atoms = _require(spec, "jump_atoms", context)
+        atoms = _require(spec, "jump_atoms", "family.")
         if not isinstance(atoms, list) or not atoms:
-            raise ConfigurationError(f"key `{context}jump_atoms` must be a nonempty list of [offset, weight]")
-        mu = JumpDistribution(tuple((_finite(y, context + "jump_atoms"), _finite(w, context + "jump_atoms"))
+            raise ConfigurationError("key `family.jump_atoms` must be a nonempty list of [offset, weight]")
+        mu = JumpDistribution(tuple((_finite(y, "family.jump_atoms"), _finite(w, "family.jump_atoms"))
                                     for y, w in atoms))
         return CompoundPoisson(lset, mu)
     except ConfigurationError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid `{context}` specification: {exc}") from exc
+        raise ConfigurationError(f"invalid `family.` specification: {exc}") from exc
 
 
-def build_initial(spec: dict, grid: funcspace.Grid, context: str = "initial.") -> GridFunction:
-    kind = _require(spec, "kind", context)
-    params = _object(spec, "params", context) if "params" in spec else {}
+def build_initial(spec: dict, grid: funcspace.Grid) -> GridFunction:
+    kind = _require(spec, "kind", "initial.")
+    params = _object(spec, "params", "initial.") if "params" in spec else {}
     if kind == "bump":
         return funcspace.bump(
             grid,
-            center=_number(params, "center", context + "params.", 0.0),
-            radius=_number(params, "radius", context + "params.", 1.0),
-            height=_number(params, "height", context + "params.", 1.0),
+            center=_number(params, "center", "initial.params.", 0.0),
+            radius=_number(params, "radius", "initial.params.", 1.0),
+            height=_number(params, "height", "initial.params.", 1.0),
         )
     if kind == "gaussian":
         return funcspace.gaussian_profile(
             grid,
-            center=_number(params, "center", context + "params.", 0.0),
-            sigma=_number(params, "sigma", context + "params.", 1.0),
-            height=_number(params, "height", context + "params.", 1.0),
+            center=_number(params, "center", "initial.params.", 0.0),
+            sigma=_number(params, "sigma", "initial.params.", 1.0),
+            height=_number(params, "height", "initial.params.", 1.0),
         )
     if kind == "ramp":
         return funcspace.ramp(
             grid,
-            slope=_number(params, "slope", context + "params.", 1.0),
-            intercept=_number(params, "intercept", context + "params.", 0.0),
+            slope=_number(params, "slope", "initial.params.", 1.0),
+            intercept=_number(params, "intercept", "initial.params.", 0.0),
         )
     if kind == "custom_csv":
-        path = _require(params, "path", context + "params.")
+        path = _require(params, "path", "initial.params.")
         if not isinstance(path, str):
-            raise ConfigurationError(f"key `{context}params.path` must be a string, got {path!r}")
+            raise ConfigurationError(f"key `initial.params.path` must be a string, got {path!r}")
         if not Path(path).is_file():
-            raise ConfigurationError(f"key `{context}params.path`: file not found: {path}")
+            raise ConfigurationError(f"key `initial.params.path`: file not found: {path}")
         f = funcspace.read_csv(path)
         if f.grid != grid:
-            raise ConfigurationError(f"key `{context}params.path`: CSV grid does not match the configured grid")
+            raise ConfigurationError("key `initial.params.path`: CSV grid does not match the configured grid")
         return f
-    raise ConfigurationError(f"key `{context}kind` must be one of bump, gaussian, ramp, custom_csv; got {kind!r}")
+    raise ConfigurationError(f"key `initial.kind` must be one of bump, gaussian, ramp, custom_csv; got {kind!r}")
 
 
-_TOP_LEVEL_KEYS = {
-    "grid", "norm", "family", "initial", "time", "seeds", "output_dir",
-    "generator", "derivative", "compare", "ode", "hjb", "counterexample",
-}
+_OPTION_KEYS = ("generator", "derivative", "compare", "ode", "hjb", "counterexample")
+_TOP_LEVEL_KEYS = {"grid", "norm", "family", "initial", "time", "seeds", "output_dir", *_OPTION_KEYS}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -215,7 +225,7 @@ def load_config(path) -> ExperimentConfig:
     grid = make_grid(
         _number(gspec, "lower", "grid."),
         _number(gspec, "upper", "grid."),
-        _count(gspec, "n_nodes", "grid.", least=4),  # the difference stencils need 4
+        _count(gspec, "n_nodes", "grid.", least=4, most=_MAX_NODES),  # the difference stencils need 4
     )
     norm = PNorm(_number(_object(raw, "norm", ""), "p", "norm."))
     family = build_family(_object(raw, "family", ""))
@@ -223,14 +233,13 @@ def load_config(path) -> ExperimentConfig:
     tspec = _object(raw, "time", "")
     t = _positive(tspec, "t", "time.")
     tol_rel = _positive(tspec, "tol_rel", "time.", 1e-4)
-    n_max = _count(tspec, "n_max", "time.", 12)
+    n_max = _count(tspec, "n_max", "time.", 12, most=_MAX_LEVEL)
     seed = _count(raw, "seeds", "", 0)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigurationError("key `output_dir` must be a string")
 
-    options = {k: _object(raw, k, "") for k in ("generator", "derivative", "compare", "ode", "hjb", "counterexample")
-               if k in raw}
+    options = {k: _object(raw, k, "") for k in _OPTION_KEYS if k in raw}
     return ExperimentConfig(
         raw=raw, grid=grid, norm=norm, family=family,
         initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
@@ -351,26 +360,17 @@ def _cmd_derivative(
     ]
 
 
-def _cmd_compare_hjb(cfg: ExperimentConfig, outdir: Path, tol: float, margin: float, cfl: float) -> list[CheckResult]:
+def _cmd_compare(cfg: ExperimentConfig, outdir: Path, oracle, name: str, check: str, tol: float,
+                 margin: float) -> list[CheckResult]:
+    """The envelope against the oracle solution `oracle(cfg)`, written as `<name>.csv`."""
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-    oracle = reference.hjb_upwind(cfg.initial, cfg.t, cfg.family.lambda_set.sup_abs, cfl=cfl)
-    comp = reference.compare(res.final, oracle, cfg.norm, margin)
+    solution = oracle(cfg)
+    comp = reference.compare(res.final, solution, cfg.norm, margin)
     (outdir / "comparison.json").write_text(
         json.dumps(comp.to_json_dict(margin), sort_keys=True, indent=2) + "\n")
     funcspace.write_csv(res.final, outdir / "envelope.csv")
-    funcspace.write_csv(oracle, outdir / "hjb.csv")
-    return [CheckResult("envelope_vs_hjb_rel_l2", comp.rel_err <= tol, comp.rel_err, tol)]
-
-
-def _cmd_compare_ode(cfg: ExperimentConfig, outdir: Path, tol: float, margin: float, dt: float) -> list[CheckResult]:
-    res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-    oracle = reference.ode_reference(cfg.family, cfg.initial, cfg.t, dt)
-    comp = reference.compare(res.final, oracle, cfg.norm, margin)
-    (outdir / "comparison.json").write_text(
-        json.dumps(comp.to_json_dict(margin), sort_keys=True, indent=2) + "\n")
-    funcspace.write_csv(res.final, outdir / "envelope.csv")
-    funcspace.write_csv(oracle, outdir / "ode.csv")
-    return [CheckResult("envelope_vs_ode_rel_lp", comp.rel_err <= tol, comp.rel_err, tol)]
+    funcspace.write_csv(solution, outdir / f"{name}.csv")
+    return [CheckResult(check, comp.rel_err <= tol, comp.rel_err, tol)]
 
 
 def _default_epsilons(grid: funcspace.Grid) -> list[float]:
@@ -409,12 +409,8 @@ def _cmd_verify(cfg: ExperimentConfig, outdir: Path, scale: str) -> list[CheckRe
 
 def sampled_probes(scale: str = "small", seed: int = 0) -> dict:
     """Lipschitz / directional-gap / growth probe report for the drift family."""
-    grid = make_grid(-8.0, 8.0, 257 if scale == "small" else 1025)
-    norm = PNorm(2.0)
-    fam = GaussianDrift(LambdaInterval(-1.0, 1.0))
-    params = envelope.EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=4)
-    t = 0.25
-    f0 = funcspace.bump(grid, radius=1.0)
+    ctx = _verify_context(scale, seed)
+    fam, f0, params, t = ctx.gauss, ctx.f0, ctx.params, 0.25
     lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=seed)
     probe = calculus.directional_derivative(
         fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
@@ -467,12 +463,14 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
-        return partial(_cmd_compare_hjb, cfl=cfl, **_compare_options(cfg, 5e-2))
+        return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
+                       oracle=lambda c: reference.hjb_upwind(c.initial, c.t, c.family.lambda_set.sup_abs, cfl=cfl))
     if subcommand == "compare-ode":
         if not isinstance(cfg.family, CompoundPoisson):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
-        return partial(_cmd_compare_ode, dt=dt, **_compare_options(cfg, 1e-2))
+        return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
+                       oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":
         opts = cfg.options.get("counterexample", {})
         t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
@@ -529,7 +527,9 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
 
 
 # ---------------------------------------------------------------------------
-# Verification suite
+# Verification suite: one ordered registry of invariants. `verify_suite` runs
+# every entry in order on one shared generator; the tests run each entry on a
+# context of its own.
 
 
 def monotone_stepper_violation(stepper, grid: funcspace.Grid, rng, pairs: int, dt: float, steps: int) -> float:
@@ -540,8 +540,8 @@ def monotone_stepper_violation(stepper, grid: funcspace.Grid, rng, pairs: int, d
     """
     worst = -math.inf
     for _ in range(pairs):
-        f = kernels._heat_convolve_arr(rng.standard_normal(grid.n_nodes), grid.dx**2, grid.dx)
-        g = f + np.abs(kernels._heat_convolve_arr(rng.standard_normal(grid.n_nodes), grid.dx**2, grid.dx))
+        f = _random_smooth(grid, rng).samples
+        g = f + np.abs(_random_smooth(grid, rng).samples)
         for _ in range(steps):
             f = stepper(f, dt, grid.dx)
             g = stepper(g, dt, grid.dx)
@@ -549,199 +549,241 @@ def monotone_stepper_violation(stepper, grid: funcspace.Grid, rng, pairs: int, d
     return worst
 
 
-def _random_smooth(grid: funcspace.Grid, rng) -> GridFunction:
-    arr = kernels._heat_convolve_arr(rng.standard_normal(grid.n_nodes), grid.dx**2, grid.dx)
-    return GridFunction(grid, arr)
+def _verify_context(scale: str, seed: int) -> SimpleNamespace:
+    """What the invariants and the sampled probes share: grid, norm, seeded
+    generator, repetitions, the drift and compound Poisson test families, the
+    bump f0, and the envelope parameters of the calculus quotients."""
+    grid, norm = make_grid(-8.0, 8.0, 257 if scale == "small" else 1025), PNorm(2.0)
+    return SimpleNamespace(
+        scale=scale, grid=grid, norm=norm, rng=np.random.default_rng(seed),
+        reps=20 if scale == "small" else 100, gauss=GaussianDrift(LambdaInterval(-1.0, 1.0)),
+        cp=CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((1.0, 1.0),))),
+        f0=funcspace.bump(grid, radius=1.0), params=envelope.EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=4))
+
+
+@dataclass(frozen=True)
+class _Invariant:
+    """A measure of the context and the (name, tolerance) checks it feeds.
+
+    The measure returns one value per check, which passes when it is <= the
+    tolerance; a tolerance may be a function of the context. A verdict
+    measure returns pass/fail instead, reported as measured 0.0.
+    """
+
+    measure: Callable
+    checks: tuple
+    verdict: bool
+
+    def run(self, ctx) -> list[CheckResult]:
+        out = []
+        for (name, tol), value in zip(self.checks, self.measure(ctx), strict=True):
+            tol = float(tol(ctx) if callable(tol) else tol)
+            out.append(CheckResult(name, bool(value), 0.0, tol) if self.verdict
+                       else CheckResult(name, bool(value <= tol), float(value), tol))
+        return out
+
+
+_INVARIANTS: list[_Invariant] = []  # in the order `verify` runs them
+
+
+def _invariant(*checks, verdict: bool = False):
+    def register(measure):
+        _INVARIANTS.append(_Invariant(measure, checks, verdict))
+        return measure
+    return register
 
 
 def verify_suite(scale: str = "small", seed: int = 0) -> Report:
-    """Run every module's invariant checks at the given scale with fixed seeds."""
-    if scale not in ("small", "full"):
-        raise ConfigurationError(f"scale must be small or full, got {scale!r}")
-    n_nodes = 257 if scale == "small" else 1025
-    reps = 20 if scale == "small" else 100
-    grid = make_grid(-8.0, 8.0, n_nodes)
-    norm = PNorm(2.0)
-    rng = np.random.default_rng(seed)
-    gauss = GaussianDrift(LambdaInterval(-1.0, 1.0))
-    cp = CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((1.0, 1.0),)))
-    f0 = funcspace.bump(grid, radius=1.0)
-    checks: list[CheckResult] = []
+    """Run every registered invariant at the given scale on one seeded generator."""
+    ctx = _verify_context(scale, seed)
+    checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
+    return Report(subcommand="verify", config_echo={"scale": scale}, checks=checks, seed=seed)
 
-    def add(name: str, measured: float, tol: float, passed=None):
-        ok = (measured <= tol) if passed is None else passed
-        checks.append(CheckResult(name, bool(ok), float(measured), float(tol)))
 
-    # funcspace: interpolation order preservation and linearity
-    worst = -math.inf
-    lin = 0.0
-    for _ in range(reps):
-        f = _random_smooth(grid, rng)
-        g = f + abs(_random_smooth(grid, rng))
-        d = rng.uniform(-2, 2)
-        worst = max(worst, float(np.max(
-            funcspace.interp_shift(f, d).samples - funcspace.interp_shift(g, d).samples)))
-        a, b = rng.uniform(-2, 2, size=2)
+def _excess(f: GridFunction, g: GridFunction) -> float:
+    """max(f - g) over the nodes: <= 0 exactly when f <= g."""
+    return float(np.max(f.samples - g.samples))
+
+
+def _rel_lp(diff: GridFunction, ref: GridFunction, norm: PNorm) -> float:
+    return lp_norm(diff, norm) / max(lp_norm(ref, norm), 1e-300)
+
+
+# funcspace: interpolation order and linearity, norm scaling, the lattice max
+
+
+@_invariant(("funcspace.interp_shift_monotone", 0.0), ("funcspace.interp_shift_linear_ulps", 4.0))
+def _interp_shift_order_and_linearity(ctx):
+    worst, lin = -math.inf, 0.0
+    for _ in range(ctx.reps):
+        f = _random_smooth(ctx.grid, ctx.rng)
+        g = f + abs(_random_smooth(ctx.grid, ctx.rng))
+        d = ctx.rng.uniform(-2, 2)
+        worst = max(worst, _excess(funcspace.interp_shift(f, d), funcspace.interp_shift(g, d)))
+        a, b = ctx.rng.uniform(-2, 2, size=2)
         combo = funcspace.interp_shift(a * f + b * g, d)
         split = a * funcspace.interp_shift(f, d) + b * funcspace.interp_shift(g, d)
         scale_arr = (abs(a) * funcspace.interp_shift(abs(f), d)
                      + abs(b) * funcspace.interp_shift(abs(g), d)).samples
         lin = max(lin, float(np.max(np.abs(combo.samples - split.samples) / (4.0 * np.spacing(scale_arr + 1e-300)))))
-    add("funcspace.interp_shift_monotone", worst, 0.0)
-    add("funcspace.interp_shift_linear_ulps", lin, 4.0)
+    return worst, lin
 
-    f = _random_smooth(grid, rng)
-    c = 3.7
-    add("funcspace.norm_scaling",
-        abs(lp_norm(c * f, norm) - abs(c) * lp_norm(f, norm)) / max(abs(c) * lp_norm(f, norm), 1e-300), 1e-12)
-    fs = [_random_smooth(grid, rng) for _ in range(5)]
+
+@_invariant(("funcspace.norm_scaling", 1e-12), ("funcspace.max_permutation_bitexact", 0.0),
+            ("funcspace.max_least_upper_bound", 0.0))
+def _norm_scaling_and_max_lattice(ctx):
+    f, c, norm = _random_smooth(ctx.grid, ctx.rng), 3.7, ctx.norm
+    scaling = abs(lp_norm(c * f, norm) - abs(c) * lp_norm(f, norm)) / max(abs(c) * lp_norm(f, norm), 1e-300)
+    fs = [_random_smooth(ctx.grid, ctx.rng) for _ in range(5)]
     m_all = pointwise_max(fs)
     perm = pointwise_max([fs[i] for i in (3, 1, 4, 0, 2)])
-    add("funcspace.max_permutation_bitexact", 0.0 if np.array_equal(m_all.samples, perm.samples) else 1.0, 0.0)
-    drop = pointwise_max(fs[:-1])
-    add("funcspace.max_least_upper_bound", float(np.max(drop.samples - m_all.samples)), 0.0)
+    return (scaling, 0.0 if np.array_equal(m_all.samples, perm.samples) else 1.0,
+            _excess(pointwise_max(fs[:-1]), m_all))
 
-    # kernels: linearity, monotonicity, mass conservation, domination, C flow
-    # (mass check: interior margin of 4 units must exceed the operator reach,
-    # so the compound Poisson family here uses quarter-unit jumps)
+
+# kernels: linearity, monotonicity, mass conservation, domination, C flow
+
+
+@_invariant(("kernels.apply_member_linear", 1e-10), ("kernels.apply_member_monotone", 0.0),
+            ("kernels.mass_conservation_interior", 1e-10))
+def _member_linear_monotone_mass(ctx):
+    # the mass check's interior margin of 4 units must exceed the operator
+    # reach, so the compound Poisson family here uses quarter-unit jumps
+    grid, rng = ctx.grid, ctx.rng
     cp_small = CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((0.25, 1.0),)))
     lin = worst = mass = 0.0
-    for fam, lam, t in ((gauss, 0.7, 0.25), (cp_small, 1.0, 0.25)):
+    for fam, lam, t in ((ctx.gauss, 0.7, 0.25), (cp_small, 1.0, 0.25)):
         fa, fb = _random_smooth(grid, rng), _random_smooth(grid, rng)
         a, b = 1.3, -0.4
         combo = kernels.apply_member(fam, lam, t, a * fa + b * fb)
         split = a * kernels.apply_member(fam, lam, t, fa) + b * kernels.apply_member(fam, lam, t, fb)
-        lin = max(lin, lp_norm(combo - split, norm) / max(lp_norm(split, norm), 1e-300))
+        lin = max(lin, _rel_lp(combo - split, split, ctx.norm))
         g = fa + abs(_random_smooth(grid, rng))
-        worst = max(worst, float(np.max(
-            kernels.apply_member(fam, lam, t, fa).samples - kernels.apply_member(fam, lam, t, g).samples)))
-        const = GridFunction(grid, np.ones(grid.n_nodes))
-        moved = kernels.apply_member(fam, lam, t, const)
-        sl = grid.interior_slice(0.25)
-        mass = max(mass, float(np.max(np.abs(moved.samples[sl] - 1.0))))
-    add("kernels.apply_member_linear", lin, 1e-10)
-    add("kernels.apply_member_monotone", worst, 0.0)
-    add("kernels.mass_conservation_interior", mass, 1e-10)
+        worst = max(worst, _excess(kernels.apply_member(fam, lam, t, fa), kernels.apply_member(fam, lam, t, g)))
+        moved = kernels.apply_member(fam, lam, t, GridFunction(grid, np.ones(grid.n_nodes)))
+        mass = max(mass, float(np.max(np.abs(moved.samples[grid.interior_slice(0.25)] - 1.0))))
+    return lin, worst, mass
 
-    dom = -math.inf
-    for fam in (gauss, cp):
-        h = 0.25
-        bound = kernels.upper_bound_C(fam, h, f0, norm)
-        lams = fam.lambda_set.samples(5) if isinstance(fam.lambda_set, LambdaInterval) else fam.lambda_set.values
-        for lam in lams:
-            dom = max(dom, float(np.max(kernels.apply_member(fam, float(lam), h, f0).samples - bound.samples)))
-    add("kernels.member_below_C", dom, 1e-9)
 
-    flow = 0.0
-    for fam in (gauss, cp):
+@_invariant(("kernels.member_below_C", 1e-9), ("kernels.C_flow_property", 1e-6))
+def _C_dominates_and_flows(ctx):
+    dom, flow, f0, norm = -math.inf, 0.0, ctx.f0, ctx.norm
+    for fam, lams in ((ctx.gauss, ctx.gauss.lambda_set.samples(5)), (ctx.cp, ctx.cp.lambda_set.values)):
+        bound = kernels.upper_bound_C(fam, 0.25, f0, norm)
+        dom = max(dom, *(_excess(kernels.apply_member(fam, float(lam), 0.25, f0), bound) for lam in lams))
         two = kernels.upper_bound_C(fam, 0.1, kernels.upper_bound_C(fam, 0.15, f0, norm), norm)
-        one = kernels.upper_bound_C(fam, 0.25, f0, norm)
-        flow = max(flow, lp_norm(two - one, norm) / max(lp_norm(one, norm), 1e-300))
-    add("kernels.C_flow_property", flow, 1e-6)
+        flow = max(flow, _rel_lp(two - bound, bound, norm))
+    return dom, flow
 
-    coarse_grid, fine_grid = make_grid(-8.0, 8.0, 257), make_grid(-8.0, 8.0, 513)
+
+@_invariant(("kernels.member_semigroup_refines", 1.0))
+def _member_semigroup_refines(ctx):
     errs = []
-    for g_ in (coarse_grid, fine_grid):
-        fb = funcspace.bump(g_, radius=1.0)
-        lhs = kernels.apply_member(gauss, 0.5, 0.3, fb)
-        rhs = kernels.apply_member(gauss, 0.5, 0.18, kernels.apply_member(gauss, 0.5, 0.12, fb))
-        errs.append(lp_norm(lhs - rhs, norm))
-    add("kernels.member_semigroup_refines", errs[1] / max(errs[0], 1e-300), 1.0)
+    for n_nodes in (257, 513):
+        fb = funcspace.bump(make_grid(-8.0, 8.0, n_nodes), radius=1.0)
+        lhs = kernels.apply_member(ctx.gauss, 0.5, 0.3, fb)
+        rhs = kernels.apply_member(ctx.gauss, 0.5, 0.18, kernels.apply_member(ctx.gauss, 0.5, 0.12, fb))
+        errs.append(lp_norm(lhs - rhs, ctx.norm))
+    return (errs[1] / max(errs[0], 1e-300),)
 
-    # supremum generator lands in L^p (finite norm) for smooth compact data
-    add("kernels.sup_generator_in_lp", 0.0,
-        1.0, passed=math.isfinite(lp_norm(kernels.sup_generator(gauss, f0), norm)))
 
-    # upper-bound mass outside an enlarged support vanishes like o(h)
+@_invariant(("kernels.sup_generator_in_lp", 1.0), ("kernels.C_boundary_mass_decay", 1.0), verdict=True)
+def _generator_in_lp_and_C_mass_decay(ctx):
+    # the supremum generator lands in L^p (finite norm) for smooth compact
+    # data, and the upper-bound mass outside an enlarged support is o(h)
+    in_lp = math.isfinite(lp_norm(kernels.sup_generator(ctx.gauss, ctx.f0), ctx.norm))
     decay = []
     for h in (0.2, 0.1, 0.05):
-        bound = kernels.upper_bound_C(gauss, h, f0, norm)
-        outside = bound.samples.copy()
-        outside[np.abs(grid.nodes()) <= 2.0] = 0.0
-        decay.append(lp_norm(GridFunction(grid, outside), norm) ** norm.p / h)
-    add("kernels.C_boundary_mass_decay", 0.0, 1.0, passed=decay[2] < decay[1] < decay[0])
+        outside = kernels.upper_bound_C(ctx.gauss, h, ctx.f0, ctx.norm).samples.copy()
+        outside[np.abs(ctx.grid.nodes()) <= 2.0] = 0.0
+        decay.append(lp_norm(GridFunction(ctx.grid, outside), ctx.norm) ** ctx.norm.p / h)
+    return in_lp, decay[2] < decay[1] < decay[0]
 
-    # envelope: monotone/convex/homogeneous, refinement, no exceedance
+
+# envelope: monotone/convex/homogeneous steps, refinement, no exceedance, singleton step
+
+
+@_invariant(("envelope.step_monotone", 0.0), ("envelope.step_convex", 1e-10), ("envelope.step_homogeneous", 1e-10))
+def _step_monotone_convex_homogeneous(ctx):
+    def J(f):
+        return envelope.step_J(ctx.gauss, 0.2, f)
+
     worst = conv = hom = 0.0
-    for _ in range(reps):
-        fa = _random_smooth(grid, rng)
-        fb = fa + abs(_random_smooth(grid, rng))
-        worst = max(worst, float(np.max(
-            envelope.step_J(gauss, 0.2, fa).samples - envelope.step_J(gauss, 0.2, fb).samples)))
-        alpha = rng.uniform(0.1, 0.9)
-        mix = envelope.step_J(gauss, 0.2, alpha * fa + (1 - alpha) * fb)
-        hull = alpha * envelope.step_J(gauss, 0.2, fa) + (1 - alpha) * envelope.step_J(gauss, 0.2, fb)
-        conv = max(conv, float(np.max(mix.samples - hull.samples)))
-        cpos = rng.uniform(0.2, 3.0)
-        scaled = envelope.step_J(gauss, 0.2, cpos * fa)
-        hom = max(hom, lp_norm(scaled - cpos * envelope.step_J(gauss, 0.2, fa), norm)
-                  / max(lp_norm(scaled, norm), 1e-300))
-    add("envelope.step_monotone", worst, 0.0)
-    add("envelope.step_convex", conv, 1e-10)
-    add("envelope.step_homogeneous", hom, 1e-10)
+    for _ in range(ctx.reps):
+        fa = _random_smooth(ctx.grid, ctx.rng)
+        fb = fa + abs(_random_smooth(ctx.grid, ctx.rng))
+        worst = max(worst, _excess(J(fa), J(fb)))
+        alpha = ctx.rng.uniform(0.1, 0.9)
+        conv = max(conv, _excess(J(alpha * fa + (1 - alpha) * fb), alpha * J(fa) + (1 - alpha) * J(fb)))
+        cpos = ctx.rng.uniform(0.2, 3.0)
+        scaled = J(cpos * fa)
+        hom = max(hom, _rel_lp(scaled - cpos * J(fa), scaled, ctx.norm))
+    return worst, conv, hom
 
-    worst = -math.inf
-    for _ in range(reps):
-        times = np.sort(rng.choice(np.arange(1, 16), size=4, replace=False)) * (0.5 / 16.0)
+
+@_invariant(("envelope.refinement_monotone_cp", 1e-9),
+            ("envelope.random_partition_no_exceedance", lambda ctx: 1e-4 * lp_norm(ctx.f0, ctx.norm)),
+            ("envelope.singleton_step_bitexact", 0.0))
+def _envelope_construction(ctx):
+    # nested partitions increase the iterates (compound Poisson composes
+    # exactly), no partition exceeds the dyadic envelope, and the one-step
+    # supremum of a one-member family is that member
+    nested = -math.inf
+    for _ in range(ctx.reps):
+        times = np.sort(ctx.rng.choice(np.arange(1, 16), size=4, replace=False)) * (0.5 / 16.0)
         pi1 = envelope.Partition((0.0, *times.tolist()))
-        extra = np.sort(rng.choice(np.arange(1, 16), size=3, replace=False)) * (0.5 / 16.0)
+        extra = np.sort(ctx.rng.choice(np.arange(1, 16), size=3, replace=False)) * (0.5 / 16.0)
         pi2 = pi1.refine_with((0.0, *extra.tolist()))
-        v1 = envelope.apply_partition(cp, pi1, f0)
-        v2 = envelope.apply_partition(cp, pi2, f0)
-        worst = max(worst, float(np.max(v1.samples - v2.samples)))
-    add("envelope.refinement_monotone_cp", worst, 1e-9)
-
-    res = envelope.nisio_dyadic(gauss, 0.5, f0, 1e-4, 6, norm)
-    worst = -math.inf
-    for _ in range(reps):
-        k = int(rng.integers(1, 8))
-        times = np.sort(rng.uniform(0.0, 0.5, size=k))
+        nested = max(nested, _excess(envelope.apply_partition(ctx.cp, pi1, ctx.f0),
+                                     envelope.apply_partition(ctx.cp, pi2, ctx.f0)))
+    res = envelope.nisio_dyadic(ctx.gauss, 0.5, ctx.f0, 1e-4, 6, ctx.norm)
+    exceed = -math.inf
+    for _ in range(ctx.reps):
+        times = np.sort(ctx.rng.uniform(0.0, 0.5, size=int(ctx.rng.integers(1, 8))))
         pi = envelope.Partition((0.0, *[float(v) for v in times if v > 1e-3], 0.5))
-        val = envelope.apply_partition(gauss, pi, f0)
-        worst = max(worst, float(np.max(val.samples - res.final.samples)))
-    add("envelope.random_partition_no_exceedance", worst, 1e-4 * lp_norm(f0, norm))
-
+        exceed = max(exceed, _excess(envelope.apply_partition(ctx.gauss, pi, ctx.f0), res.final))
     single = GaussianDrift(LambdaValues((0.4,)))
-    direct = kernels.apply_member(single, 0.4, 0.3, f0)
-    add("envelope.singleton_step_bitexact",
-        0.0 if np.array_equal(envelope.step_J(single, 0.3, f0).samples, direct.samples) else 1.0, 0.0)
+    direct = kernels.apply_member(single, 0.4, 0.3, ctx.f0)
+    return nested, exceed, 0.0 if np.array_equal(envelope.step_J(single, 0.3, ctx.f0).samples, direct.samples) else 1.0
 
-    # calculus: quotient orderings
-    params = envelope.EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=4)
-    schedule = calculus.geometric_schedule(0.2, 3)
+
+# calculus: quotient orderings and scaling
+
+
+@_invariant(("calculus.plus_quotient_monotone", 1e-9), ("calculus.minus_below_plus", 1e-9),
+            ("calculus.quotient_scaling", 1e-10))
+def _quotient_orderings_and_scaling(ctx):
+    params, schedule = ctx.params, calculus.geometric_schedule(0.2, 3)
     worst = gap = 0.0
-    for _ in range(max(3, reps // 4)):
-        x = _random_smooth(grid, rng)
-        y = _random_smooth(grid, rng)
-        probe = calculus.directional_derivative(gauss, 0.25, x, y, schedule, params)
+    for _ in range(max(3, ctx.reps // 4)):
+        x = _random_smooth(ctx.grid, ctx.rng)
+        y = _random_smooth(ctx.grid, ctx.rng)
+        probe = calculus.directional_derivative(ctx.gauss, 0.25, x, y, schedule, params)
         worst = max(worst, probe.monotonicity_violation)
-        gap = max(gap, float(np.max(probe.minus.samples - probe.plus.samples)))
-    add("calculus.plus_quotient_monotone", worst, 1e-9)
-    add("calculus.minus_below_plus", gap, 1e-9)
+        gap = max(gap, _excess(probe.minus, probe.plus))
+    f0, c = ctx.f0, 2.5
+    q1 = (calculus._S(ctx.gauss, 0.2, f0, params, level=3) - f0) / 0.2
+    qc = (calculus._S(ctx.gauss, 0.2, c * f0, params, level=3) - c * f0) / 0.2
+    return worst, gap, _rel_lp(qc - c * q1, qc, ctx.norm)
 
-    q1 = (calculus._S(gauss, 0.2, f0, params, level=3) - f0) / 0.2
-    c = 2.5
-    qc = (calculus._S(gauss, 0.2, c * f0, params, level=3) - c * f0) / 0.2
-    add("calculus.quotient_scaling",
-        lp_norm(qc - c * q1, norm) / max(lp_norm(qc, norm), 1e-300), 1e-10)
 
-    # reference: monotone upwind scheme, interior constants, scan growth
-    viol = monotone_stepper_violation(
-        lambda u, dt, dx: reference.hjb_step(u, dt, dx, 1.0), grid, rng, max(5, reps // 4),
-        dt=0.4 * grid.dx**2, steps=20)
-    add("reference.hjb_monotone", viol, 1e-12)
-    const = GridFunction(grid, np.ones(grid.n_nodes))
-    sol = reference.hjb_upwind(const, 0.01, 1.0)
-    sl = grid.interior_slice(0.25)
-    add("reference.hjb_constants_interior", float(np.max(np.abs(sol.samples[sl] - 1.0))), 1e-12)
+# reference: monotone upwind scheme, interior constants, scan growth
 
-    scan_grid = make_grid(-2.0, 2.0, 8001 if scale == "small" else 80001)
-    eps_list = [0.1, 0.01] if scale == "small" else [0.1, 0.01, 0.001]
+
+@_invariant(("reference.hjb_monotone", 1e-12), ("reference.hjb_constants_interior", 1e-12))
+def _hjb_monotone_and_constants(ctx):
+    viol = monotone_stepper_violation(lambda u, dt, dx: reference.hjb_step(u, dt, dx, 1.0), ctx.grid, ctx.rng,
+                                      max(5, ctx.reps // 4), dt=0.4 * ctx.grid.dx**2, steps=20)
+    sol = reference.hjb_upwind(GridFunction(ctx.grid, np.ones(ctx.grid.n_nodes)), 0.01, 1.0)
+    return viol, float(np.max(np.abs(sol.samples[ctx.grid.interior_slice(0.25)] - 1.0)))
+
+
+@_invariant(("reference.scan_norms_increase", 1.0), verdict=True)
+def _scan_norms_increase(ctx):
+    scan_grid = make_grid(-2.0, 2.0, 8001 if ctx.scale == "small" else 80001)
+    eps_list = [0.1, 0.01] if ctx.scale == "small" else [0.1, 0.01, 0.001]
     table = reference.counterexample_scan(scan_grid, 2.0, 0.5, eps_list)
-    add("reference.scan_norms_increase", 0.0, 1.0,
-        passed=all(b > a for (_, a), (_, b) in zip(table, table[1:])))
-
-    return Report(subcommand="verify", config_echo={"scale": scale}, checks=checks, seed=seed)
+    return (all(b > a for (_, a), (_, b) in zip(table, table[1:])),)
 
 
 # ---------------------------------------------------------------------------

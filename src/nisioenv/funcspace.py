@@ -2,8 +2,8 @@
 
 The computational stand-in for L^p(R): sampled real functions on a uniform
 mesh, rectangle-rule norms, shifts by linear interpolation with zero
-extension, and the lattice operations (pointwise max, pointwise order) that
-realize suprema of families of functions.
+extension, and the pointwise max that realizes suprema of families of
+functions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "lp_norm",
     "interp_shift",
     "pointwise_max",
-    "pointwise_leq",
     "bump",
     "gaussian_profile",
     "ramp",
@@ -197,13 +196,6 @@ def pointwise_max(fs: list[GridFunction]) -> GridFunction:
         if g.grid != grid:
             raise UsageError("pointwise_max arguments live on different grids")
     return GridFunction(grid, np.maximum.reduce([g.samples for g in fs]))
-
-
-def pointwise_leq(f: GridFunction, g: GridFunction, tol: float = 0.0) -> tuple[bool, float]:
-    """Whether f <= g + tol at every node, plus the worst excess max_i(f_i - g_i)."""
-    f._check_same_grid(g)
-    worst = float(np.max(f.samples - g.samples))
-    return worst <= tol, worst
 
 
 # ---------------------------------------------------------------------------

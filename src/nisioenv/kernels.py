@@ -9,9 +9,9 @@ Three families, each indexed by an uncertainty set Lambda:
 * ``PureShift`` -- translation semigroup f(x + lam*t); it admits no upper
   bound operator, which is what the blow-up scan in `reference` exploits.
 
-Alongside each family: its pointwise generator, the closed-form supremum of
-the member generators over Lambda, and the explicit upper-bound operator C(h)
-that dominates every partition composition (where one exists).
+Alongside each family: the closed-form supremum of its member generators
+over Lambda, and the explicit upper-bound operator C(h) that dominates every
+partition composition (where one exists).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "heat_convolve",
     "apply_member",
     "apply_members",
-    "member_generator",
     "sup_generator",
     "upper_bound_C",
     "upper_bound_norm_factor",
@@ -161,11 +160,6 @@ class PureShift:
 KernelFamily = GaussianDrift | CompoundPoisson | PureShift
 
 
-def _require_member(fam: KernelFamily, lam: float) -> None:
-    if not fam.lambda_set.contains(lam):
-        raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-
-
 # ---------------------------------------------------------------------------
 # Heat convolution
 
@@ -273,7 +267,8 @@ def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFun
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
     for lam in lams:
-        _require_member(fam, lam)
+        if not fam.lambda_set.contains(lam):
+            raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
     dx = f.grid.dx
     base = _translation_base(fam, t, f)
     if base is not None:
@@ -332,13 +327,6 @@ def _generator_parts(fam: KernelFamily, f: GridFunction) -> tuple[np.ndarray | N
     if isinstance(fam, GaussianDrift):
         return 0.5 * second_difference(f).samples, d1
     return None, d1
-
-
-def member_generator(fam: KernelFamily, lam: float, f: GridFunction) -> GridFunction:
-    """Pointwise generator of one member applied to f (f smooth at grid scale)."""
-    _require_member(fam, lam)
-    a, b = _generator_parts(fam, f)
-    return GridFunction(f.grid, lam * b if a is None else a + lam * b)
 
 
 def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:

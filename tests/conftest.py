@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nisioenv import (
@@ -12,8 +14,8 @@ from nisioenv import (
     envelope,
     make_grid,
 )
-from nisioenv.funcspace import GridFunction
-from nisioenv.kernels import _heat_convolve_arr
+from nisioenv.calculus import _random_smooth
+from nisioenv.kernels import sup_generator
 
 
 @pytest.fixture
@@ -46,15 +48,15 @@ def bump_small(grid_small):
     return bump(grid_small, radius=1.0)
 
 
-def smooth_sample(grid, rng, scale=1.0):
-    """Grid-resolved random function: white noise mollified by one dx^2 heat step."""
-    arr = _heat_convolve_arr(rng.standard_normal(grid.n_nodes), grid.dx**2, grid.dx)
-    return GridFunction(grid, scale * arr)
+@pytest.fixture
+def make_smooth():
+    return _random_smooth
 
 
 @pytest.fixture
-def make_smooth():
-    return smooth_sample
+def member_generator():
+    """Generator of the one member lam: the supremum generator of that singleton family."""
+    return lambda fam, lam, f: sup_generator(dataclasses.replace(fam, lambda_set=LambdaValues((lam,))), f)
 
 
 @pytest.fixture

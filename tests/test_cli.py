@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nisioenv import cli
 from nisioenv.cli import load_config, main, run, verify_suite
 from nisioenv.errors import ConfigurationError
 from nisioenv.funcspace import bump, make_grid, write_csv
@@ -119,7 +120,9 @@ class TestInvalidConfigsWriteNothing:
         ("norm.p", float("nan")),
         ("grid.n_nodes", 257.9),
         ("grid.n_nodes", 3),
+        ("grid.n_nodes", 1e300),
         ("time.n_max", 2.7),
+        ("time.n_max", 13),
         ("seeds", 0.5),
         ("family.jump_atoms", [[1.0, float("nan")]]),
         ("family.jump_atoms", [[float("nan"), 1.0]]),
@@ -138,6 +141,18 @@ class TestInvalidConfigsWriteNothing:
         assert code == 2
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    def test_work_caps(self, tmp_path):
+        # every shipped config and the largest admitted values load; one more
+        # is a configuration error that names the cap
+        for path in (Path(__file__).parents[1] / "configs").glob("*.json"):
+            load_config(path)
+        cfg = base_config(tmp_path / "out", grid={"lower": -3.0, "upper": 3.0, "n_nodes": cli._MAX_NODES})
+        cfg["time"]["n_max"] = cli._MAX_LEVEL
+        load_config(write_config(tmp_path, cfg))
+        for leaf, cap in (("grid.n_nodes", cli._MAX_NODES), ("time.n_max", cli._MAX_LEVEL)):
+            with pytest.raises(ConfigurationError, match=f"at most {cap} "):
+                load_config(write_config(tmp_path, _set(json.loads(json.dumps(cfg)), leaf, cap + 1)))
 
     @pytest.mark.parametrize("subcommand, path, value", [
         ("generator", "generator.h0", "x"),
@@ -351,16 +366,55 @@ class TestRunOtherSubcommands:
         assert doc["provenance"]["seed"] == 3
 
 
+# the ordered (name, tolerance) pairs of `verify --scale small`
+VERIFY_CHECKS = [
+    ("funcspace.interp_shift_monotone", 0.0),
+    ("funcspace.interp_shift_linear_ulps", 4.0),
+    ("funcspace.norm_scaling", 1e-12),
+    ("funcspace.max_permutation_bitexact", 0.0),
+    ("funcspace.max_least_upper_bound", 0.0),
+    ("kernels.apply_member_linear", 1e-10),
+    ("kernels.apply_member_monotone", 0.0),
+    ("kernels.mass_conservation_interior", 1e-10),
+    ("kernels.member_below_C", 1e-09),
+    ("kernels.C_flow_property", 1e-06),
+    ("kernels.member_semigroup_refines", 1.0),
+    ("kernels.sup_generator_in_lp", 1.0),
+    ("kernels.C_boundary_mass_decay", 1.0),
+    ("envelope.step_monotone", 0.0),
+    ("envelope.step_convex", 1e-10),
+    ("envelope.step_homogeneous", 1e-10),
+    ("envelope.refinement_monotone_cp", 1e-09),
+    ("envelope.random_partition_no_exceedance", 9.916552644963352e-05),
+    ("envelope.singleton_step_bitexact", 0.0),
+    ("calculus.plus_quotient_monotone", 1e-09),
+    ("calculus.minus_below_plus", 1e-09),
+    ("calculus.quotient_scaling", 1e-10),
+    ("reference.hjb_monotone", 1e-12),
+    ("reference.hjb_constants_interior", 1e-12),
+    ("reference.scan_norms_increase", 1.0),
+    ("calculus.sampled_probes", 2.2662969061336526),
+]
+
+
 class TestVerifySuite:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("invariant", cli._INVARIANTS, ids=lambda inv: inv.checks[0][0])
+    def test_invariant(self, invariant, seed):
+        failed = [c for c in invariant.run(cli._verify_context("small", seed)) if not c.passed]
+        assert not failed, failed
+
     def test_small_scale_all_pass(self):
         report = verify_suite("small", seed=0)
         failed = [c.name for c in report.checks if not c.passed]
         assert not failed, failed
         assert len(report.checks) >= 20
 
-    def test_invalid_scale(self):
-        with pytest.raises(ConfigurationError):
-            verify_suite("huge")
+    def test_invalid_scale(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("verify", write_config(tmp_path, base_config(out)), scale="huge") == 2
+        assert not out.exists()
+        assert "scale must be small or full" in capsys.readouterr().err
 
     def test_verify_subcommand(self, tmp_path):
         out = tmp_path / "out"
@@ -368,6 +422,9 @@ class TestVerifySuite:
         assert run("verify", path, scale="small") == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["passed"] is True
+        assert [c["name"] for c in doc["checks"]] == [name for name, _ in VERIFY_CHECKS]
+        assert [c["tolerance"] for c in doc["checks"]] == pytest.approx([tol for _, tol in VERIFY_CHECKS],
+                                                                         rel=1e-12, abs=0.0)
         probes = json.loads((out / "probes.json").read_text())
         assert set(probes) == {"t", "gap", "L_estimate", "M", "omega", "pass"}
         assert probes["pass"] is True

@@ -17,7 +17,6 @@ from nisioenv.kernels import (
     apply_members,
     first_difference,
     heat_convolve,
-    member_generator,
     second_difference,
     sup_generator,
     upper_bound_C,
@@ -194,7 +193,7 @@ class TestApplyMember:
 
 
 class TestGenerators:
-    def test_constant_vanishes(self, gauss_family, cp_family):
+    def test_constant_vanishes(self, gauss_family, cp_family, member_generator):
         g = make_grid(-4.0, 4.0, 401)
         const = GridFunction(g, 3.0 * np.ones(401))
         for fam, lam in ((gauss_family, 0.5), (cp_family, 1.0)):
@@ -202,7 +201,7 @@ class TestGenerators:
             sl = g.interior_slice(0.2)
             assert np.max(np.abs(out.samples[sl])) < 1e-11
 
-    def test_gaussian_sin_second_order(self):
+    def test_gaussian_sin_second_order(self, member_generator):
         # A f = 1/2 f'' + lam f' = -1/2 sin + 2 cos, second order in dx
         fam = GaussianDrift(LambdaValues((2.0,)))
         errs = []
@@ -215,7 +214,7 @@ class TestGenerators:
             errs.append(np.max(np.abs(out.samples[sl] - exact[sl])))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
-    def test_compound_poisson_single_atom(self):
+    def test_compound_poisson_single_atom(self, member_generator):
         g = make_grid(-8.0, 8.0, 1601)
         fam = CompoundPoisson(LambdaValues((2.0,)), delta_one())
         f = bump(g, radius=1.5)
@@ -238,7 +237,7 @@ class TestGenerators:
         assert abs(d1) < 1e-12
         assert out.samples[center] == pytest.approx(0.5 * d2, rel=1e-12)
 
-    def test_sup_brute_force_lambda_scan(self):
+    def test_sup_brute_force_lambda_scan(self, member_generator):
         # the closed-form endpoint supremum against a 1001-point lambda scan
         g = make_grid(-3.0, 3.0, 601)
         fam = GaussianDrift(LambdaInterval(-1.0, 1.0))
@@ -275,14 +274,14 @@ class TestGenerators:
         return GridFunction(g, arr)
 
     @pytest.mark.parametrize("fam", FINITE, ids=lambda f: type(f).__name__)
-    def test_finite_set_is_max_over_members(self, fam):
+    def test_finite_set_is_max_over_members(self, fam, member_generator):
         g = make_grid(-4.0, 4.0, 401)
         for f in (bump(g, radius=1.5), self._rough(g, 1)):
             members = [member_generator(fam, v, f).samples for v in fam.lambda_set.values]
             assert np.array_equal(sup_generator(fam, f).samples, np.maximum.reduce(members))
 
     @pytest.mark.parametrize("fam", INTERVALS, ids=lambda f: type(f).__name__)
-    def test_interval_is_max_over_endpoint_members(self, fam):
+    def test_interval_is_max_over_endpoint_members(self, fam, member_generator):
         g = make_grid(-4.0, 4.0, 401)
         lset = fam.lambda_set
         for f in (bump(g, radius=1.5), self._rough(g, 2)):
