@@ -43,7 +43,6 @@ from .envelope import (
     EnvelopeResult,
     Partition,
     apply_partition,
-    check_upper_bound,
     nisio_dyadic,
     step_J,
 )

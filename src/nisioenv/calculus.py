@@ -258,7 +258,7 @@ def derivative_identity_check(
 
 def _simpson_weights(n_nodes: int, t: float) -> np.ndarray:
     if n_nodes < 3 or n_nodes % 2 == 0:
-        raise UsageError(f"composite Simpson needs an odd node count >= 3, got {n_nodes}")
+        raise UsageError(f"quad_nodes must be odd and >= 3 (composite Simpson), got {n_nodes}")
     w = np.ones(n_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -35,7 +35,7 @@ from . import __version__
 from . import calculus, envelope, funcspace, kernels, reference
 from .calculus import _random_smooth
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, lp_norm, make_grid, pointwise_max
+from .funcspace import GridFunction, PNorm, _write_rows_csv, lp_norm, make_grid, pointwise_max
 from .kernels import (
     CompoundPoisson,
     GaussianDrift,
@@ -82,6 +82,34 @@ class ExperimentConfig:
 
     def envelope_params(self) -> envelope.EnvelopeParams:
         return envelope.EnvelopeParams(norm=self.norm, tol_rel=self.tol_rel, n_max=self.n_max)
+
+
+class _Section(dict):
+    """A config object that records the keys the parser asks for: every read
+    tests `key in section` first, and every other key is unknown (see
+    `_check_keys`)."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.asked: set = set()
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
+def _check_keys(raw: _Section) -> None:
+    """Reject every key the parser did not ask for, in the top level and in
+    each section it read; a section it never asked about (the options of
+    another subcommand) is not checked."""
+    unknown, todo = [], [("", raw)]
+    while todo:
+        prefix, section = todo.pop()
+        unknown += [prefix + key for key in section if key not in section.asked]
+        todo += [(f"{prefix}{key}.", val) for key, val in section.items()
+                 if key in section.asked and isinstance(val, _Section) and val.asked]
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -199,27 +227,24 @@ def build_initial(spec: dict, grid: funcspace.Grid) -> GridFunction:
 
 
 _OPTION_KEYS = ("generator", "derivative", "compare", "ode", "hjb", "counterexample")
-_TOP_LEVEL_KEYS = {"grid", "norm", "family", "initial", "time", "seeds", "output_dir", *_OPTION_KEYS}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate a JSON experiment configuration.
 
     Every numeric field is checked against the target module preconditions
-    before any computation; errors name the offending key.
+    before any computation; errors name the offending key, and so does a key
+    the parser does not read.
     """
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        raw = json.loads(cfg_path.read_text())
+        raw = json.loads(cfg_path.read_text(), object_hook=_Section)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
     gspec = _object(raw, "grid", "")
     grid = make_grid(
@@ -235,11 +260,12 @@ def load_config(path) -> ExperimentConfig:
     tol_rel = _positive(tspec, "tol_rel", "time.", 1e-4)
     n_max = _count(tspec, "n_max", "time.", 12, most=_MAX_LEVEL)
     seed = _count(raw, "seeds", "", 0)
-    output_dir = raw.get("output_dir", "out")
+    output_dir = raw["output_dir"] if "output_dir" in raw else "out"
     if not isinstance(output_dir, str):
         raise ConfigurationError("key `output_dir` must be a string")
 
     options = {k: _object(raw, k, "") for k in _OPTION_KEYS if k in raw}
+    _check_keys(raw)
     return ExperimentConfig(
         raw=raw, grid=grid, norm=norm, family=family,
         initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
@@ -281,15 +307,14 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "subcommand": self.subcommand,
             "config": self.config_echo,
             "checks": [c.to_json_dict() for c in self.checks],
             "provenance": {"version": __version__, "seed": self.seed},
             "passed": self.passed,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -298,11 +323,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _write_rows_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON artifact format: sorted keys, two-space indent, final newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +334,7 @@ def _write_rows_csv(path: Path, header: str, rows) -> None:
 
 def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-    passed, margin = envelope.check_upper_bound(cfg.family, cfg.t, res, cfg.initial, cfg.norm)
-    (outdir / "envelope_result.json").write_text(res.to_json())
+    _write_json(outdir / "envelope_result.json", res.to_json_dict())
     funcspace.write_csv(res.final, outdir / "final.csv")
     _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
     tol = 1e-6 * (1.0 + cfg.initial.max_abs())
@@ -325,7 +347,7 @@ def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
         drop_tol = -(1e-9 + 4.0 * cfg.grid.dx**2 * cfg.initial.max_abs())
     worst_drop = min(res.min_increments) if res.min_increments else 0.0
     return [
-        CheckResult("upper_bound_certificate", passed, margin, tol),
+        CheckResult("upper_bound_certificate", res.upper_bound_margin <= tol, res.upper_bound_margin, tol),
         CheckResult("dyadic_monotone_increase", worst_drop >= drop_tol, worst_drop, drop_tol),
     ]
 
@@ -352,7 +374,7 @@ def _cmd_derivative(
            "integral_path_steps": path_steps,
            "identity_tol": identity_tol, "integral_tol": integral_tol,
            "pass": bool(report.passed and deviation <= integral_tol)}
-    (outdir / "derivative_report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir / "derivative_report.json", doc)
     worst_gap = max(report.gaps().values())
     return [
         CheckResult("derivative_identity_gaps", report.passed, worst_gap, identity_tol),
@@ -366,24 +388,10 @@ def _cmd_compare(cfg: ExperimentConfig, outdir: Path, oracle, name: str, check: 
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
     solution = oracle(cfg)
     comp = reference.compare(res.final, solution, cfg.norm, margin)
-    (outdir / "comparison.json").write_text(
-        json.dumps(comp.to_json_dict(margin), sort_keys=True, indent=2) + "\n")
+    _write_json(outdir / "comparison.json", comp.to_json_dict(margin))
     funcspace.write_csv(res.final, outdir / "envelope.csv")
     funcspace.write_csv(solution, outdir / f"{name}.csv")
     return [CheckResult(check, comp.rel_err <= tol, comp.rel_err, tol)]
-
-
-def _default_epsilons(grid: funcspace.Grid) -> list[float]:
-    eps, out = 0.1, []
-    while eps >= 4.0 * grid.dx and len(out) < 6:
-        out.append(eps)
-        eps /= 10.0
-    # at least two decades, otherwise there is no ratio to check
-    if len(out) < 2:
-        raise ConfigurationError(
-            f"key `grid.n_nodes`: grid resolves {len(out)} epsilon decade(s), need >= 2 "
-            f"(dx = {grid.dx:g}, smallest resolvable epsilon is 4*dx)")
-    return out
 
 
 def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path, t: float, epsilons: list[float]) -> list[CheckResult]:
@@ -397,11 +405,12 @@ def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path, t: float, epsilons:
 def _cmd_verify(cfg: ExperimentConfig, outdir: Path, scale: str) -> list[CheckResult]:
     report = verify_suite(scale, seed=cfg.seed)
     probes = sampled_probes(scale, seed=cfg.seed)
-    (outdir / "probes.json").write_text(json.dumps(probes, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir / "probes.json", probes)
     checks = list(report.checks)
     # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the
-    # operator norm is dominated by the upper-bound factor exp(qt lam^2/(2p))
-    lip_cap = 2.0 * math.exp(0.25 / 2.0)
+    # operator norm is dominated by the norm growth of C(t)
+    ctx = _verify_context(scale, cfg.seed)
+    lip_cap = 2.0 * kernels.upper_bound_norm_factor(ctx.gauss, probes["t"], ctx.norm)
     ok = bool(probes["pass"]) and probes["L_estimate"] <= lip_cap
     checks.append(CheckResult("calculus.sampled_probes", ok, probes["L_estimate"], lip_cap))
     return checks
@@ -438,12 +447,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     """Parse and range-check the options of one subcommand before anything is
     written; returns its handler with the parsed values bound."""
     if subcommand == "envelope":
-        try:
-            kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)
-        except UsageError as exc:
-            raise ConfigurationError(
-                f"keys `family`, `norm.p`: {exc}; `envelope` certifies against C(t) "
-                "(use `counterexample` for pure_shift)") from exc
+        kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
         return _cmd_envelope
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
@@ -451,9 +455,8 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
                        k_steps=_count(opts, "k_steps", "generator.", 6))
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
-        quad_nodes = _count(opts, "quad_nodes", "derivative.", 33, least=3)
-        if quad_nodes % 2 == 0:
-            raise ConfigurationError(f"key `derivative.quad_nodes` must be odd (composite Simpson), got {quad_nodes}")
+        quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
+        calculus._simpson_weights(quad_nodes, cfg.t)  # the composite Simpson node rule
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
@@ -474,22 +477,12 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     if subcommand == "counterexample":
         opts = cfg.options.get("counterexample", {})
         t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
-        if not (0.0 < t < 1.0):
-            raise ConfigurationError(f"key `counterexample.t` must lie in (0, 1), got {t}")
-        if "epsilons" not in opts:
-            return partial(_cmd_counterexample, t=t, epsilons=_default_epsilons(cfg.grid))
-        raw_eps = opts["epsilons"]
-        if not isinstance(raw_eps, list) or not raw_eps:
-            raise ConfigurationError("key `counterexample.epsilons` must be a nonempty list")
-        epsilons = [_finite(e, "counterexample.epsilons") for e in raw_eps]
-        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-            raise ConfigurationError(f"key `counterexample.epsilons` must be strictly decreasing, got {epsilons}")
-        if epsilons[-1] < 4.0 * cfg.grid.dx:
-            needed = math.ceil((cfg.grid.upper - cfg.grid.lower) / (epsilons[-1] / 4.0)) + 1
-            raise ConfigurationError(
-                f"key `counterexample.epsilons`: smallest epsilon needs dx <= {epsilons[-1] / 4.0:g}; "
-                f"use at least {needed} nodes")
-        return partial(_cmd_counterexample, t=t, epsilons=epsilons)
+        epsilons = None
+        if "epsilons" in opts:
+            if not isinstance(opts["epsilons"], list):
+                raise ConfigurationError("key `counterexample.epsilons` must be a list")
+            epsilons = [_finite(e, "counterexample.epsilons") for e in opts["epsilons"]]
+        return partial(_cmd_counterexample, t=t, epsilons=reference.scan_epsilons(cfg.grid, t, epsilons))
     if scale not in ("small", "full"):
         raise ConfigurationError(f"scale must be small or full, got {scale!r}")
     return partial(_cmd_verify, scale=scale)
@@ -500,14 +493,15 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
     if subcommand not in SUBCOMMANDS:
         print(f"configuration error: unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
-    try:
+    try:  # the one place where a rule broken by the config becomes exit 2
         cfg = load_config(config_path)
         if out_dir is not None:
             cfg.output_dir = str(out_dir)
         if seed is not None:
             cfg.seed = _count({"seed": seed}, "seed", "--")
         job = _subcommand_job(cfg, subcommand, scale)
-    except ConfigurationError as exc:
+        _check_keys(cfg.raw)
+    except (ConfigurationError, UsageError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -518,9 +512,8 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     report = Report(subcommand=subcommand, config_echo=_config_echo(cfg), checks=checks, seed=cfg.seed)
-    (outdir / "report.json").write_text(report.to_json())
-    (outdir / "timings.json").write_text(
-        json.dumps({"stage_ms": {subcommand: elapsed_ms}}, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir / "report.json", report.to_json_dict())
+    _write_json(outdir / "timings.json", {"stage_ms": {subcommand: elapsed_ms}})
     n_pass = sum(1 for c in checks if c.passed)
     print(f"[{subcommand}] {'PASS' if report.passed else 'FAIL'} ({n_pass}/{len(checks)} checks) -> {outdir}")
     return 0 if report.passed else 1
@@ -627,6 +620,15 @@ def _interp_shift_order_and_linearity(ctx):
                      + abs(b) * funcspace.interp_shift(abs(g), d)).samples
         lin = max(lin, float(np.max(np.abs(combo.samples - split.samples) / (4.0 * np.spacing(scale_arr + 1e-300)))))
     return worst, lin
+
+
+@_invariant(("funcspace.interp_shift_ramp_exact", 1e-12))
+def _interp_shift_ramp_exact(ctx):
+    # linear interpolation is exact on a ramp, and a ramp is not symmetric
+    # under x -> -x as every other invariant is: this fixes the shift direction
+    ramp, sl = funcspace.ramp(ctx.grid), ctx.grid.interior_slice(0.25)
+    return (max(float(np.max(np.abs(funcspace.interp_shift(ramp, d).samples - (ramp.samples + d))[sl]))
+                for d in (0.3, -0.3)),)
 
 
 @_invariant(("funcspace.norm_scaling", 1e-12), ("funcspace.max_permutation_bitexact", 0.0),
@@ -750,8 +752,8 @@ def _envelope_construction(ctx):
 # calculus: quotient orderings and scaling
 
 
-@_invariant(("calculus.plus_quotient_monotone", 1e-9), ("calculus.minus_below_plus", 1e-9),
-            ("calculus.quotient_scaling", 1e-10))
+@_invariant(("calculus.plus_quotient_monotone", calculus.QUOTIENT_TOL),
+            ("calculus.minus_below_plus", calculus.QUOTIENT_TOL), ("calculus.quotient_scaling", 1e-10))
 def _quotient_orderings_and_scaling(ctx):
     params, schedule = ctx.params, calculus.geometric_schedule(0.2, 3)
     worst = gap = 0.0

@@ -9,7 +9,6 @@ the convergence table and the upper-bound certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .errors import UsageError
 from .funcspace import (
     GridFunction,
     PNorm,
+    _SNAP_TOL,
     _interp_shift_arr,
     _shift_int,
     lp_norm,
@@ -40,15 +40,11 @@ __all__ = [
     "step_J",
     "apply_partition",
     "nisio_dyadic",
-    "check_upper_bound",
 ]
 
 # Above this many integer offsets the window maximum switches from a shifted
 # reduce to scipy's streaming 1-D max filter (identical results, O(n)).
 _FILTER_CUTOVER = 48
-
-# Integer-offset window bounds are snapped like interp_shift's fractions.
-_SNAP_TOL = 1e-9
 
 # Interior intensities sampled, besides both endpoints, on a compound Poisson
 # interval, whose one-step supremum has no closed form.
@@ -90,8 +86,8 @@ class EnvelopeParams:
     """Bundle of envelope evaluation parameters used by the calculus probes."""
 
     norm: PNorm
-    tol_rel: float = 1e-4
-    n_max: int = 12
+    tol_rel: float
+    n_max: int
 
 
 @dataclass
@@ -102,6 +98,8 @@ class EnvelopeResult:
     the level-0 increment is NaN (there is no previous iterate).
     min_increments records the worst nodewise drop T_n - T_{n-1} per level,
     the runtime check that nested dyadic partitions increase the iterates.
+    upper_bound_margin is the certificate: the worst nodewise excess of the
+    final iterate over C(t)f, None for families without a C(t).
     """
 
     final: GridFunction
@@ -123,9 +121,6 @@ class EnvelopeResult:
             "boundary_leakage": self.boundary_leakage,
             "increments": self.increments(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def convergence_rows(self, t: float) -> list[tuple[int, int, float, float, float]]:
         """Rows (level, steps, h, increment_lp, norm_lp) for the convergence CSV."""
@@ -268,21 +263,3 @@ def nisio_dyadic(
         boundary_leakage=_boundary_leakage(current, norm),
         min_increments=drops,
     )
-
-
-def check_upper_bound(
-    fam: KernelFamily,
-    t: float,
-    result: EnvelopeResult,
-    f: GridFunction,
-    norm: PNorm,
-) -> tuple[bool, float]:
-    """Certify the final iterate against C(t)f.
-
-    Returns (passed, margin) where margin is the worst nodewise excess of the
-    final iterate over C(t)f; passes when the excess is at most
-    1e-6 * (1 + ||f||_inf). Raises for families without an upper bound.
-    """
-    bound = upper_bound_C(fam, t, f, norm)
-    margin = float(np.max(result.final.samples - bound.samples))
-    return margin <= 1e-6 * (1.0 + f.max_abs()), margin

@@ -229,15 +229,21 @@ def ramp(grid: Grid, slope: float = 1.0, intercept: float = 0.0) -> GridFunction
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV with header `x,value`, 17 significant digits per entry.
+# Serialization: CSV with a header line, 17 significant digits per entry
+# (integers print as integers).
+
+
+def _write_rows_csv(path, header: str, rows) -> None:
+    line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(line.format(*row))
 
 
 def write_csv(f: GridFunction, path) -> None:
-    x = f.grid.nodes()
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for xi, vi in zip(x.tolist(), f.samples.tolist()):
-            fh.write(f"{xi:.17g},{vi:.17g}\n")
+    """Write f as the table `x,value`."""
+    _write_rows_csv(path, "x,value", zip(f.grid.nodes().tolist(), f.samples.tolist()))
 
 
 def read_csv(path) -> GridFunction:

@@ -356,7 +356,7 @@ def upper_bound_norm_factor(fam: KernelFamily, h: float, norm: PNorm) -> float:
         return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
     if isinstance(fam, CompoundPoisson):
         return math.exp((lam_bar - fam.lambda_set.inf) * h)
-    raise UsageError("no envelope bound available for the pure shift family")
+    raise UsageError("no envelope bound available for the pure shift family (see reference.counterexample_scan)")
 
 
 def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> GridFunction:

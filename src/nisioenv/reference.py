@@ -26,6 +26,7 @@ __all__ = [
     "hjb_step",
     "ode_reference",
     "counterexample_scan",
+    "scan_epsilons",
     "pole_initial_condition",
     "compare",
     "ComparisonResult",
@@ -118,6 +119,34 @@ def pole_initial_condition(grid: Grid, p: float, eps: float) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> list[float]:
+    """The blow-up scan's rules: t in (0, 1) and strictly decreasing epsilons
+    (UsageError), each resolved, eps >= 4 dx (ConfigurationError naming the
+    nodes needed). Without epsilons, the default ladder: the decades 0.1,
+    0.01, ... down to the finest resolved one, at least two (a ratio to
+    check) and at most six."""
+    if not (0.0 < t < 1.0):
+        raise UsageError(f"scan time t must lie in (0, 1), got {t}")
+    floor = 4.0 * grid.dx
+    if epsilons is None:
+        epsilons = [0.1, 0.1 / 10.0]
+        while len(epsilons) < 6 and epsilons[-1] / 10.0 >= floor:
+            epsilons.append(epsilons[-1] / 10.0)
+    if not epsilons:
+        raise UsageError("scan needs at least one epsilon")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise UsageError(f"epsilons must be strictly decreasing, got {epsilons}")
+    if epsilons[-1] < floor:
+        eps = epsilons[-1]
+        needed = math.ceil((grid.upper - grid.lower) / (eps / 4.0)) + 1
+        raise ConfigurationError(
+            f"epsilon = {eps} is under-resolved: need dx <= eps/4 = {eps / 4.0:g} "
+            f"(grid dx = {grid.dx:g}); use at least {needed} nodes on "
+            f"[{grid.lower}, {grid.upper}]"
+        )
+    return list(epsilons)
+
+
 def counterexample_scan(
     grid: Grid,
     p: float,
@@ -128,24 +157,10 @@ def counterexample_scan(
 
     Applies the uncertain shift step J_t with drift set [-1, 1] and window
     h = t to each capped pole f_eps and returns (eps, ||J_t f_eps||_p). The
-    norms must grow without bound as eps decreases; an eps the grid cannot
-    resolve (eps < 4 dx) is rejected with the grid that would be required.
+    norms must grow without bound as eps decreases; t and the epsilons obey
+    `scan_epsilons`.
     """
-    if not (0.0 < t < 1.0):
-        raise UsageError(f"scan time must lie in (0, 1), got {t}")
-    if not epsilons:
-        raise UsageError("scan needs at least one epsilon")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise UsageError("epsilons must be strictly decreasing")
-    floor = 4.0 * grid.dx
-    for eps in epsilons:
-        if eps < floor:
-            needed = math.ceil((grid.upper - grid.lower) / (eps / 4.0)) + 1
-            raise ConfigurationError(
-                f"epsilon = {eps} is under-resolved: need dx <= eps/4 = {eps / 4.0:g} "
-                f"(grid dx = {grid.dx:g}); use at least {needed} nodes on "
-                f"[{grid.lower}, {grid.upper}]"
-            )
+    epsilons = scan_epsilons(grid, t, epsilons)
     fam = PureShift(LambdaInterval(-1.0, 1.0))
     norm = PNorm(p)
     table = []

@@ -168,6 +168,7 @@ class TestInvalidConfigsWriteNothing:
         ("counterexample", "counterexample.epsilons", ["x"]),
         ("counterexample", "counterexample.t", 1.0),
         ("verify", "generator", [1]),
+        ("counterexample", "grid.n_nodes", 601),  # the default ladder resolves one decade
     ])
     def test_subcommand_options(self, tmp_path, subcommand, path, value):
         out = tmp_path / "out"
@@ -180,6 +181,19 @@ class TestInvalidConfigsWriteNothing:
         code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, path, value", [
+        ("envelope", "time.nmax", 2),
+        ("envelope", "initial.params.radiuss", 2.0),
+        ("envelope", "family.jump_atoms", [[1.0, 1.0]]),  # read for compound_poisson only
+        ("generator", "generator.k_step", 3),
+    ])
+    def test_unknown_key_in_section(self, tmp_path, capsys, subcommand, path, value):
+        out = tmp_path / "out"
+        code = run(subcommand, write_config(tmp_path, _set(base_config(out), path, value)))
+        assert code == 2
+        assert not out.exists()
+        assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["-4.5,abc", "-4.5,nan", "-4.5,inf"])
     def test_custom_csv_bad_data(self, tmp_path, capsys, row):
@@ -249,6 +263,11 @@ class TestRunEnvelope:
         assert code == 2
         assert not out.exists()
         assert "p > 1" in capsys.readouterr().err
+
+    def test_sections_of_other_subcommands_allowed(self, tmp_path):
+        # `envelope` reads no option section, so keys only `compare-ode` reads stay allowed
+        cfg = base_config(tmp_path / "out", ode={"dt": 1e-3}, compare={"tolerance": 1e-2})
+        assert run("envelope", write_config(tmp_path, cfg)) == 0
 
     def test_heat_kernel_wider_than_grid(self, tmp_path):
         # 8 sqrt(t) / dx exceeds half the grid: every heat step is a zero
@@ -344,6 +363,16 @@ class TestRunOtherSubcommands:
         rows = (out / "scan.csv").read_text().splitlines()
         assert rows[0] == "epsilon,norm_lp" and len(rows) == 3
 
+    def test_counterexample_default_ladder(self, tmp_path):
+        # without epsilons the scan runs the decades the grid resolves
+        out = tmp_path / "out"
+        cfg = base_config(out, counterexample={"t": 0.5})
+        cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
+        cfg["grid"] = {"lower": -3.0, "upper": 3.0, "n_nodes": 2401}
+        assert run("counterexample", write_config(tmp_path, cfg)) in (0, 1)
+        rows = (out / "scan.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.1, 0.01]
+
     def test_counterexample_under_resolved_exit_2(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, counterexample={"t": 0.5, "epsilons": [1e-6]})
@@ -370,6 +399,7 @@ class TestRunOtherSubcommands:
 VERIFY_CHECKS = [
     ("funcspace.interp_shift_monotone", 0.0),
     ("funcspace.interp_shift_linear_ulps", 4.0),
+    ("funcspace.interp_shift_ramp_exact", 1e-12),
     ("funcspace.norm_scaling", 1e-12),
     ("funcspace.max_permutation_bitexact", 0.0),
     ("funcspace.max_least_upper_bound", 0.0),

@@ -22,6 +22,7 @@ from nisioenv.reference import (
     hjb_upwind,
     ode_reference,
     pole_initial_condition,
+    scan_epsilons,
 )
 
 
@@ -146,6 +147,14 @@ class TestCounterexampleScan:
         g = make_grid(-3.0, 3.0, 24001)
         with pytest.raises(UsageError):
             counterexample_scan(g, 2.0, 1.5, [1e-2])
+
+    def test_default_ladder(self):
+        # decades from 0.1 by repeated division by 10, down to eps >= 4 dx;
+        # 601 nodes resolve only 0.1, and the second decade names the grid
+        assert scan_epsilons(make_grid(-3.0, 3.0, 2401), 0.5) == [0.1, 0.01]
+        assert scan_epsilons(make_grid(-3.0, 3.0, 240001), 0.5) == [0.1, 0.01, 0.001, 1e-4]
+        with pytest.raises(ConfigurationError, match="2401 nodes"):
+            scan_epsilons(make_grid(-3.0, 3.0, 601), 0.5)
 
 
 class TestCompare:
