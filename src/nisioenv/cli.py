@@ -46,10 +46,14 @@ from .kernels import (
 )
 
 # Caps on the work a config can ask for: the largest grid any shipped config
-# uses (the pure-shift scan), and the default dyadic level (a level-L run
-# makes 2^(L+1) - 1 one-step suprema).
+# uses (the pure-shift scan), the default dyadic level (a level-L run makes
+# 2^(L+1) - 1 one-step suprema), and the time steps of each oracle (no
+# shipped config or benchmark job needs more than 1000 RK4 or 5911 upwind
+# steps).
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
+_MAX_RK4_STEPS = 100_000
+_MAX_UPWIND_STEPS = 100_000
 
 SUBCOMMANDS = (
     "envelope",
@@ -443,6 +447,12 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
     return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
 
 
+def _check_steps(oracle: str, steps: int, cap: int, keys: str) -> None:
+    if steps > cap:
+        raise ConfigurationError(
+            f"{keys} ask for {steps} {oracle} steps; at most {cap} (the cap on the work a config can ask for)")
+
+
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     """Parse and range-check the options of one subcommand before anything is
     written; returns its handler with the parsed values bound."""
@@ -466,12 +476,15 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
+        _check_steps("upwind", reference._upwind_steps(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
+                     _MAX_UPWIND_STEPS, "`time.t`, `grid`, `family` and `hjb.cfl`")
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
                        oracle=lambda c: reference.hjb_upwind(c.initial, c.t, c.family.lambda_set.sup_abs, cfl=cfl))
     if subcommand == "compare-ode":
         if not isinstance(cfg.family, CompoundPoisson):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
+        _check_steps("RK4", reference._rk4_steps(cfg.t, dt), _MAX_RK4_STEPS, "`time.t` / `ode.dt`")
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":

@@ -23,13 +23,12 @@ from .funcspace import (
     _interp_shift_arr,
     _shift_int,
     lp_norm,
-    pointwise_max,
 )
 from .kernels import (
     KernelFamily,
     LambdaValues,
+    _member_rows,
     _translation_base,
-    apply_members,
     upper_bound_C,
 )
 
@@ -171,17 +170,20 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     are resolved exactly at interpolant level by a window maximum of that
     function; an interval of Poisson intensities is sampled at both endpoints
     plus `_CP_INTERIOR` interior points. Sampled members share their family's
-    linear part (see `apply_members`).
+    linear part (see `apply_members`), and their nodewise max is taken over
+    the member arrays.
     """
     if h <= 0:
         raise UsageError(f"step size must be > 0, got {h}")
     lset = fam.lambda_set
     if isinstance(lset, LambdaValues):
-        return pointwise_max(apply_members(fam, lset.values, h, f))
-    base = _translation_base(fam, h, f)
-    if base is None:
-        return pointwise_max(apply_members(fam, [float(v) for v in lset.samples(_CP_INTERIOR)], h, f))
-    return GridFunction(f.grid, _window_sup_arr(base, lset.lo * h, lset.hi * h, f.grid.dx))
+        lams = lset.values
+    else:
+        base = _translation_base(fam, h, f)
+        if base is not None:
+            return GridFunction(f.grid, _window_sup_arr(base, lset.lo * h, lset.hi * h, f.grid.dx))
+        lams = [float(v) for v in lset.samples(_CP_INTERIOR)]
+    return GridFunction(f.grid, np.maximum.reduce(_member_rows(fam, lams, h, f)))
 
 
 def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction) -> GridFunction:

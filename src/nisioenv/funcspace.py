@@ -163,7 +163,9 @@ def _shift_int(arr: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _interp_shift_arr(arr: np.ndarray, delta: float, dx: float) -> np.ndarray:
+def _shift_split(delta: float, dx: float) -> tuple[int, float]:
+    """(k, frac) with delta / dx = k + frac and frac in [0, 1); a fraction
+    within _SNAP_TOL of an integer snaps to 0, so node multiples reindex."""
     s = delta / dx
     k = math.floor(s)
     frac = s - k
@@ -172,6 +174,11 @@ def _interp_shift_arr(arr: np.ndarray, delta: float, dx: float) -> np.ndarray:
     elif frac > 1.0 - _SNAP_TOL:
         k += 1
         frac = 0.0
+    return k, frac
+
+
+def _interp_shift_arr(arr: np.ndarray, delta: float, dx: float) -> np.ndarray:
+    k, frac = _shift_split(delta, dx)
     if frac == 0.0:
         return _shift_int(arr, k)
     # Nonnegative weights keep the map monotone and order-preserving exactly.

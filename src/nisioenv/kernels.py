@@ -16,6 +16,7 @@ partition composition (where one exists).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, _interp_shift_arr, _shift_int
+from .funcspace import GridFunction, PNorm, _interp_shift_arr, _shift_int, _shift_split
 
 __all__ = [
     "LambdaInterval",
@@ -39,8 +40,6 @@ __all__ = [
     "sup_generator",
     "upper_bound_C",
     "upper_bound_norm_factor",
-    "first_difference",
-    "second_difference",
 ]
 
 # Poisson series truncation: drop a tail of at most this probability mass,
@@ -50,6 +49,13 @@ SERIES_TOL = 1e-12
 # Heat kernel support, in standard deviations; the dropped Gaussian mass is
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
+
+# Entries kept by the caches of fixed weights, whose arrays are read-only.
+# All steps of a dyadic level share one gap up to rounding, so a run misses
+# a few times per level. A heat kernel holds about 16 sqrt(t)/dx floats, so
+# fewer of them are kept than of the short Poisson series and jump stencils.
+_HEAT_CACHE_SIZE = 64
+_SERIES_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -170,16 +176,20 @@ KernelFamily = GaussianDrift | CompoundPoisson | PureShift
 _SAMPLED_KERNEL_MIN_VAR = 2.25
 
 
+@functools.lru_cache(maxsize=_HEAT_CACHE_SIZE)
 def _heat_weights(t: float, dx: float) -> np.ndarray:
     """Sampled Gaussian kernel at node offsets, renormalized to unit mass.
 
     Truncated at HEAT_KERNEL_WIDTH standard deviations; weights are the
-    probabilities attached to integer node offsets -J..J.
+    probabilities attached to integer node offsets -J..J. Cached per (t, dx)
+    and read-only.
     """
     half = max(1, math.ceil(HEAT_KERNEL_WIDTH * math.sqrt(t) / dx))
     offsets = np.arange(-half, half + 1) * dx
     w = np.exp(-(offsets**2) / (2.0 * t))
-    return w / w.sum()
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def _heat_convolve_arr(arr: np.ndarray, t: float, dx: float) -> np.ndarray:
@@ -213,12 +223,12 @@ def heat_convolve(f: GridFunction, t: float) -> GridFunction:
 # Poisson series
 
 
+@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _poisson_weights(rate: float) -> np.ndarray:
-    """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL."""
+    """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL.
+    Cached per rate and read-only."""
     if rate < 0:
         raise UsageError(f"Poisson rate must be >= 0, got {rate}")
-    if rate == 0.0:
-        return np.array([1.0])
     cap = int(rate + 12.0 * math.sqrt(rate) + 40.0)
     w = [math.exp(-rate)]
     cum = w[0]
@@ -228,14 +238,48 @@ def _poisson_weights(rate: float) -> np.ndarray:
         w.append(w[-1] * rate / n)
         cum += w[-1]
     arr = np.array(w)
-    return arr / arr.sum()
+    arr /= arr.sum()
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
+def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple[tuple[int, int, float, float], ...]]:
+    """The shifted reads of one convolution with mu on n nodes: per atom
+    (k, k + 1, frac, w) with the split of `_interp_shift_arr`, each index
+    clamped to [-n, n] (a shift by n or more reads only zeros), and the zero
+    padding the reads need."""
+    rows = []
+    pad = 0
+    for y, w in mu.atoms:
+        k, frac = _shift_split(y, dx)
+        k, k1 = min(max(k, -n), n), min(max(k + 1, -n), n)
+        pad = max(pad, abs(k), abs(k1) if frac else 0)
+        rows.append((k, k1, frac, w))
+    return pad, tuple(rows)
 
 
 def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarray:
-    """One convolution with mu: sum_j w_j * f(x + y_j)."""
-    out = np.zeros_like(arr)
-    for y, w in mu.atoms:
-        out += w * _interp_shift_arr(arr, y, dx)
+    """One convolution with mu: sum_j w_j * f(x + y_j).
+
+    Reads every shift from one zero-padded copy of arr; each term has the
+    arithmetic of `_interp_shift_arr`, so the sum is bit-identical to adding
+    w_j * interp_shift(f, y_j) to zeros atom by atom.
+    """
+    n = arr.shape[0]
+    pad, stencil = _jump_stencil(mu, dx, n)
+    padded = np.zeros(n + 2 * pad)
+    padded[pad : pad + n] = arr
+    out = np.zeros(n)
+    for k, k1, frac, w in stencil:
+        lo = padded[pad + k : pad + k + n]
+        if frac == 0.0:
+            out += w * lo
+        else:
+            term = (1.0 - frac) * lo
+            term += frac * padded[pad + k1 : pad + k1 + n]
+            term *= w
+            out += term
     return out
 
 
@@ -254,6 +298,35 @@ def _translation_base(fam: KernelFamily, t: float, f: GridFunction) -> np.ndarra
     return f.samples
 
 
+def _member_rows(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> np.ndarray:
+    """The samples of `apply_members`, one row per lam; raises UsageError
+    unless every entry is finite."""
+    if t < 0:
+        raise UsageError(f"time must be >= 0, got {t}")
+    for lam in lams:
+        if not fam.lambda_set.contains(lam):
+            raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
+    dx = f.grid.dx
+    rows = np.empty((len(lams), f.grid.n_nodes))
+    base = _translation_base(fam, t, f)
+    if base is not None:
+        for row, lam in zip(rows, lams):
+            row[:] = _interp_shift_arr(base, lam * t, dx)
+    else:
+        weights = [_poisson_weights(lam * t) for lam in lams]
+        powers = [f.samples]
+        for _ in range(max((len(w) for w in weights), default=1) - 1):
+            powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
+        term = np.empty(f.grid.n_nodes)
+        for row, w in zip(rows, weights):
+            np.multiply(w[0], powers[0], out=row)
+            for wk, power in zip(w[1:], powers[1:]):
+                row += np.multiply(wk, power, out=term)
+    if not np.isfinite(rows).all():
+        raise UsageError("member samples must all be finite")
+    return rows
+
+
 def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> list[GridFunction]:
     """Apply several members of one family at time t to f, one result per lam.
 
@@ -264,26 +337,7 @@ def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFun
     nonnegative, so every member is linear, monotone, and fixes constants
     away from the boundary.
     """
-    if t < 0:
-        raise UsageError(f"time must be >= 0, got {t}")
-    for lam in lams:
-        if not fam.lambda_set.contains(lam):
-            raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-    dx = f.grid.dx
-    base = _translation_base(fam, t, f)
-    if base is not None:
-        return [GridFunction(f.grid, _interp_shift_arr(base, lam * t, dx)) for lam in lams]
-    weights = [_poisson_weights(lam * t) for lam in lams]
-    powers = [f.samples]
-    for _ in range(max((len(w) for w in weights), default=1) - 1):
-        powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
-    out = []
-    for w in weights:
-        acc = w[0] * powers[0]
-        for wk, power in zip(w[1:], powers[1:]):
-            acc += wk * power
-        out.append(GridFunction(f.grid, acc))
-    return out
+    return [GridFunction(f.grid, row) for row in _member_rows(fam, lams, t, f)]
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
@@ -296,19 +350,19 @@ def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> Gr
 # nodes; generator comparisons exclude a boundary margin anyway).
 
 
-def first_difference(f: GridFunction) -> GridFunction:
-    arr, dx, n = f.samples, f.grid.dx, f.grid.n_nodes
+def _first_difference(arr: np.ndarray, dx: float) -> np.ndarray:
+    n = arr.shape[0]
     if n < 4:
         raise UsageError("difference stencils need at least 4 nodes")
     out = np.empty(n)
     out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dx)
     out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dx)
-    return GridFunction(f.grid, out)
+    return out
 
 
-def second_difference(f: GridFunction) -> GridFunction:
-    arr, dx, n = f.samples, f.grid.dx, f.grid.n_nodes
+def _second_difference(arr: np.ndarray, dx: float) -> np.ndarray:
+    n = arr.shape[0]
     if n < 4:
         raise UsageError("difference stencils need at least 4 nodes")
     out = np.empty(n)
@@ -316,17 +370,25 @@ def second_difference(f: GridFunction) -> GridFunction:
     out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dx2
     out[0] = (2.0 * arr[0] - 5.0 * arr[1] + 4.0 * arr[2] - arr[3]) / dx2
     out[-1] = (2.0 * arr[-1] - 5.0 * arr[-2] + 4.0 * arr[-3] - arr[-4]) / dx2
-    return GridFunction(f.grid, out)
+    return out
 
 
-def _generator_parts(fam: KernelFamily, f: GridFunction) -> tuple[np.ndarray | None, np.ndarray]:
+def _generator_parts(fam: KernelFamily, arr: np.ndarray, dx: float) -> tuple[np.ndarray | None, np.ndarray]:
     """(A f, B f) of the member generators A f + lam * B f; A f is None when zero."""
     if isinstance(fam, CompoundPoisson):
-        return None, _jump_mix_arr(f.samples, fam.mu, f.grid.dx) - f.samples
-    d1 = first_difference(f).samples
+        return None, _jump_mix_arr(arr, fam.mu, dx) - arr
+    d1 = _first_difference(arr, dx)
     if isinstance(fam, GaussianDrift):
-        return 0.5 * second_difference(f).samples, d1
+        return 0.5 * _second_difference(arr, dx), d1
     return None, d1
+
+
+def _sup_generator_arr(fam: KernelFamily, arr: np.ndarray, dx: float) -> np.ndarray:
+    """The samples of `sup_generator` for samples arr on spacing dx; not
+    checked for finiteness."""
+    a, b = _generator_parts(fam, arr, dx)
+    top = fam.lambda_set.sup_scaled(b)
+    return top if a is None else a + top
 
 
 def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
@@ -336,9 +398,7 @@ def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     `sup_scaled`); rounding is monotone, so adding A f after the max gives
     the same bits as the max over the members.
     """
-    a, b = _generator_parts(fam, f)
-    top = fam.lambda_set.sup_scaled(b)
-    return GridFunction(f.grid, top if a is None else a + top)
+    return GridFunction(f.grid, _sup_generator_arr(fam, f.samples, f.grid.dx))
 
 
 # ---------------------------------------------------------------------------

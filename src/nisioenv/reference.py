@@ -19,7 +19,7 @@ import numpy as np
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
 from .funcspace import Grid, GridFunction, PNorm, lp_norm
-from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, sup_generator
+from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _sup_generator_arr
 
 __all__ = [
     "hjb_upwind",
@@ -33,26 +33,57 @@ __all__ = [
 ]
 
 
-def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float) -> np.ndarray:
+def _step_count(ratio: float, rounding) -> int:
+    """max(1, rounding(ratio)); UsageError when the ratio is not finite."""
+    if not math.isfinite(ratio):
+        raise UsageError(f"time step count {ratio} is not finite")
+    return max(1, rounding(ratio))
+
+
+def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
+    """Steps `hjb_upwind` takes to reach t > 0: the step obeys
+    dt <= cfl * min(dx^2, dx/lam_bar); it is chosen as
+    cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient
+    nonnegative, so the scheme is monotone for any cfl in (0, 1]."""
+    return _step_count(t / (cfl / (1.0 / (dx * dx) + lambda_bar / dx)), math.ceil)
+
+
+def _rk4_steps(t: float, dt: float) -> int:
+    """Steps `ode_reference` takes to reach t > 0: t / dt rounded, at least one."""
+    return _step_count(t / dt, round)
+
+
+def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step of the upwind scheme, zero Dirichlet boundary.
 
     Diffusion by central differences; lam_bar |u_x| by the monotone upwind
-    form lam_bar * max(D+ u, -D- u, 0).
+    form lam_bar * max(D+ u, -D- u, 0). Writes into `out` when given (it
+    must not share memory with u) and returns it.
     """
-    out = np.zeros_like(u)
-    upw = np.maximum.reduce([u[2:] - u[1:-1], u[:-2] - u[1:-1], np.zeros(u.shape[0] - 2)])
-    diff = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    out[1:-1] = u[1:-1] + dt * (0.5 * diff / (dx * dx) + lambda_bar * upw / dx)
+    if out is None:
+        out = np.empty_like(u)
+    mid = u[1:-1]
+    upw = u[2:] - mid
+    diff = np.subtract(u[:-2], mid)
+    np.maximum(upw, diff, out=upw)
+    np.maximum(upw, 0.0, out=upw)
+    upw *= lambda_bar
+    upw /= dx
+    np.multiply(2.0, mid, out=diff)
+    np.subtract(u[2:], diff, out=diff)
+    diff += u[:-2]
+    diff *= 0.5
+    diff /= dx * dx
+    diff += upw
+    diff *= dt
+    np.add(mid, diff, out=out[1:-1])
+    out[0] = out[-1] = 0.0
     return out
 
 
 def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) -> GridFunction:
-    """Upwind finite-difference solution of the envelope PDE at time t.
-
-    The step obeys dt <= cfl * min(dx^2, dx/lam_bar); it is chosen as
-    cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient
-    nonnegative, so the scheme is monotone for any cfl in (0, 1].
-    """
+    """Upwind finite-difference solution of the envelope PDE at time t, in
+    `_upwind_steps` steps of `hjb_step`."""
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
     if lambda_bar < 0:
@@ -62,12 +93,11 @@ def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) 
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
     dx = f0.grid.dx
-    dt_max = cfl / (1.0 / (dx * dx) + lambda_bar / dx)
-    steps = max(1, math.ceil(t / dt_max))
+    steps = _upwind_steps(t, dx, lambda_bar, cfl)
     dt = t / steps
-    u = f0.samples.copy()
+    u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
     for _ in range(steps):
-        u = hjb_step(u, dt, dx, lambda_bar)
+        u, nxt = hjb_step(u, dt, dx, lambda_bar, out=nxt), u
     return GridFunction(f0.grid, u)
 
 
@@ -85,13 +115,17 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
         raise UsageError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
-    steps = max(1, round(t / dt))
+    steps = _rk4_steps(t, dt)
     dt = t / steps
+    dx = f0.grid.dx
 
     def rhs(arr: np.ndarray) -> np.ndarray:
-        return sup_generator(fam, GridFunction(f0.grid, arr)).samples
+        k = _sup_generator_arr(fam, arr, dx)
+        if not np.isfinite(k).all():
+            raise UsageError("an RK4 stage of ode_reference is not finite")
+        return k
 
-    u = f0.samples.copy()
+    u = f0.samples
     for _ in range(steps):
         k1 = rhs(u)
         k2 = rhs(u + 0.5 * dt * k1)

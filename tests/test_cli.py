@@ -154,6 +154,20 @@ class TestInvalidConfigsWriteNothing:
             with pytest.raises(ConfigurationError, match=f"at most {cap} "):
                 load_config(write_config(tmp_path, _set(json.loads(json.dumps(cfg)), leaf, cap + 1)))
 
+    @pytest.mark.parametrize("subcommand, path, value, cap", [
+        ("compare-ode", "ode.dt", 1e-9, "_MAX_RK4_STEPS"),  # 2.5e8 RK4 steps
+        ("compare-hjb", "time.t", 1e6, "_MAX_UPWIND_STEPS"),  # 1.2e9 upwind steps
+    ])
+    def test_oracle_step_caps(self, tmp_path, capsys, subcommand, path, value, cap):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        if subcommand == "compare-ode":
+            cfg["family"] = dict(CP_FAMILY)
+        code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
+        assert code == 2
+        assert not out.exists()
+        assert f"at most {getattr(cli, cap)} " in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, path, value", [
         ("generator", "generator.h0", "x"),
         ("generator", "generator.h0", -1),

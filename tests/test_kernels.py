@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nisioenv import ConfigurationError, PNorm, UsageError
-from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid, ramp
+from nisioenv.funcspace import GridFunction, bump, gaussian_profile, interp_shift, lp_norm, make_grid, ramp
 from nisioenv.kernels import (
     CompoundPoisson,
     GaussianDrift,
@@ -12,12 +12,15 @@ from nisioenv.kernels import (
     LambdaInterval,
     LambdaValues,
     PureShift,
+    _first_difference,
     _heat_convolve_arr,
+    _heat_weights,
+    _jump_mix_arr,
+    _poisson_weights,
+    _second_difference,
     apply_member,
     apply_members,
-    first_difference,
     heat_convolve,
-    second_difference,
     sup_generator,
     upper_bound_C,
     upper_bound_norm_factor,
@@ -98,6 +101,36 @@ class TestHeatConvolve:
         padded = np.concatenate([np.zeros(half), f.samples, np.zeros(half)])
         expected = np.array([padded[i : i + 2 * half + 1] @ w for i in range(257)])
         assert np.allclose(out.samples, expected, rtol=0.0, atol=1e-15)
+
+
+class TestFixedWeights:
+    """The jump stencil and the cached weights change no byte."""
+
+    # fractional, snapped (1.0 is 100.00000000000001 nodes of 0.01), negative,
+    # zero, and far beyond the grid on either side
+    @pytest.mark.parametrize("atoms", [
+        ((0.37, 1.0),),
+        ((1.0, 1.0),),
+        ((-0.7, 0.3), (1.0, 0.7)),
+        ((0.0, 0.25), (-0.013, 0.75)),
+        ((1e12, 0.5), (-1e12, 0.5)),
+        ((1e12, 0.2), (0.0123, 0.3), (-1e12, 0.5)),
+    ])
+    def test_jump_mix_matches_sum_of_shifts(self, atoms):
+        g = make_grid(-10.0, 10.0, 2001)
+        rng = np.random.default_rng(5)
+        f = GridFunction(g, rng.standard_normal(2001))
+        mu = JumpDistribution(atoms)
+        expected = np.zeros(2001)
+        for y, w in mu.atoms:
+            expected += w * interp_shift(f, y).samples
+        assert np.array_equal(_jump_mix_arr(f.samples, mu, g.dx), expected)
+
+    def test_cached_weights_are_read_only(self):
+        for w in (_poisson_weights(0.7), _poisson_weights(0.0), _heat_weights(0.5, 0.01)):
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+        assert _poisson_weights(0.7) is _poisson_weights(0.7)
 
 
 class TestApplyMember:
@@ -232,8 +265,8 @@ class TestGenerators:
         f = gaussian_profile(g, sigma=1.0)
         out = sup_generator(fam, f)
         center = g.n_nodes // 2
-        d2 = second_difference(f).samples[center]
-        d1 = first_difference(f).samples[center]
+        d2 = _second_difference(f.samples, g.dx)[center]
+        d1 = _first_difference(f.samples, g.dx)[center]
         assert abs(d1) < 1e-12
         assert out.samples[center] == pytest.approx(0.5 * d2, rel=1e-12)
 

@@ -14,6 +14,7 @@ from nisioenv.kernels import (
     LambdaValues,
     PureShift,
     apply_member,
+    sup_generator,
 )
 from nisioenv.reference import (
     compare,
@@ -65,6 +66,31 @@ class TestHjbUpwind:
         viol = monotone_stepper_violation(broken_step, g, rng, pairs=10, dt=0.4 * g.dx**2, steps=30)
         assert viol > 1e-12
 
+    @pytest.mark.parametrize("lambda_bar", [0.0, 0.7, 1.0, 1.3])
+    def test_step_bit_identical_to_formula(self, lambda_bar):
+        # the in-place step against the scheme written out with temporaries
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(301)
+        dt, dx = 1e-4, 2.0 / 75.0
+        upw = np.maximum.reduce([u[2:] - u[1:-1], u[:-2] - u[1:-1], np.zeros(299)])
+        expected = np.zeros(301)
+        expected[1:-1] = u[1:-1] + dt * (0.5 * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx) + lambda_bar * upw / dx)
+        assert np.array_equal(hjb_step(u, dt, dx, lambda_bar), expected)
+
+    @pytest.mark.parametrize("lambda_bar", [0.0, 0.7, 1.0, 1.3])
+    def test_steps_bit_identical_to_hjb_step_loop(self, lambda_bar):
+        # hjb_upwind reuses its buffers; each step must equal hjb_step's
+        g = make_grid(-4.0, 4.0, 301)  # dx = 2/75, not a power of two
+        rng = np.random.default_rng(7)
+        for f in (bump(g, radius=1.0), GridFunction(g, rng.standard_normal(301))):
+            t = 0.01
+            dt_max = 0.9 / (1.0 / g.dx**2 + lambda_bar / g.dx)
+            steps = math.ceil(t / dt_max)
+            u = f.samples
+            for _ in range(steps):
+                u = hjb_step(u, t / steps, g.dx, lambda_bar)
+            assert np.array_equal(hjb_upwind(f, t, lambda_bar).samples, u)
+
     def test_parameter_validation(self):
         g = make_grid(-1.0, 1.0, 101)
         f = bump(g, radius=0.3)
@@ -101,6 +127,33 @@ class TestOdeReference:
         e_dt = lp_norm(ode_reference(fam, f, 1.0, 0.05) - exact, norm2)
         e_half = lp_norm(ode_reference(fam, f, 1.0, 0.025) - exact, norm2)
         assert 12.0 <= e_dt / e_half <= 20.0
+
+    @pytest.mark.parametrize("lambda_set", [LambdaValues((0.0, 0.5, 1.0)), LambdaInterval(0.2, 1.5)])
+    def test_bit_identical_to_rk4_on_grid_functions(self, lambda_set):
+        # the stages run on arrays; each must equal sup_generator's samples
+        g = make_grid(-6.0, 6.0, 601)
+        fam = CompoundPoisson(lambda_set, JumpDistribution(((-0.7, 0.3), (1.0, 0.7))))
+        f = bump(g, radius=1.0)
+        t, steps = 0.5, 20
+        dt = t / steps
+        u = f
+        for _ in range(steps):
+            k1 = sup_generator(fam, u)
+            k2 = sup_generator(fam, u + 0.5 * dt * k1)
+            k3 = sup_generator(fam, u + 0.5 * dt * k2)
+            k4 = sup_generator(fam, u + dt * k3)
+            u = GridFunction(g, u.samples + (dt / 6.0) * (k1.samples + 2.0 * k2.samples + 2.0 * k3.samples + k4.samples))
+        assert np.array_equal(ode_reference(fam, f, t, dt).samples, u.samples)
+
+    def test_overflowing_stage_raises(self):
+        # adjacent nodes of opposite sign near the float range: the jump to
+        # the neighbour overflows the generator in the first stage
+        g = make_grid(-1.0, 1.0, 201)
+        vals = np.zeros(201)
+        vals[100], vals[101] = 1.5e308, -1.5e308
+        fam = CompoundPoisson(LambdaValues((1.0,)), JumpDistribution(((0.01, 1.0),)))
+        with pytest.raises(UsageError), np.errstate(over="ignore"):
+            ode_reference(fam, GridFunction(g, vals), 0.1, 0.01)
 
     def test_rejects_non_compound_poisson(self, gauss_family):
         g = make_grid(-1.0, 1.0, 101)
