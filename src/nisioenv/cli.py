@@ -47,13 +47,15 @@ from .kernels import (
 
 # Caps on the work a config can ask for: the largest grid any shipped config
 # uses (the pure-shift scan), the default dyadic level (a level-L run makes
-# 2^(L+1) - 1 one-step suprema), and the time steps of each oracle (no
-# shipped config or benchmark job needs more than 1000 RK4 or 5911 upwind
-# steps).
+# 2^(L+1) - 1 one-step suprema), the time steps of each oracle (no shipped
+# config or benchmark job needs more than 1000 RK4 or 5911 upwind steps),
+# and the steps of the integral identity's path, twice the finest mesh
+# 2^(L+1) at _MAX_LEVEL (every quad_nodes up to 2^(L+1) + 1 fits).
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
 _MAX_RK4_STEPS = 100_000
 _MAX_UPWIND_STEPS = 100_000
+_MAX_PATH_STEPS = 2 << (_MAX_LEVEL + 1)
 
 SUBCOMMANDS = (
     "envelope",
@@ -447,10 +449,10 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
     return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
 
 
-def _check_steps(oracle: str, steps: int, cap: int, keys: str) -> None:
+def _check_steps(kind: str, steps: int, cap: int, keys: str) -> None:
     if steps > cap:
         raise ConfigurationError(
-            f"{keys} ask for {steps} {oracle} steps; at most {cap} (the cap on the work a config can ask for)")
+            f"{keys} ask for {steps} {kind} steps; at most {cap} (the cap on the work a config can ask for)")
 
 
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
@@ -467,6 +469,8 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         opts = cfg.options.get("derivative", {})
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
         calculus._simpson_weights(quad_nodes, cfg.t)  # the composite Simpson node rule
+        _check_steps("integral path", calculus._integral_path(quad_nodes, cfg.n_max)[1], _MAX_PATH_STEPS,
+                     "`derivative.quad_nodes` and `time.n_max`")
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))

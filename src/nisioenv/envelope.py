@@ -10,7 +10,9 @@ the convergence table and the upper-bound certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -20,8 +22,9 @@ from .funcspace import (
     GridFunction,
     PNorm,
     _SNAP_TOL,
-    _interp_shift_arr,
-    _shift_int,
+    _clamp_shift,
+    _shift_split,
+    _zero_shifts,
     lp_norm,
 )
 from .kernels import (
@@ -97,17 +100,26 @@ class EnvelopeResult:
     the level-0 increment is NaN (there is no previous iterate).
     min_increments records the worst nodewise drop T_n - T_{n-1} per level,
     the runtime check that nested dyadic partitions increase the iterates.
-    upper_bound_margin is the certificate: the worst nodewise excess of the
-    final iterate over C(t)f, None for families without a C(t).
+    `_upper_bound` computes C(t)f for the certificate `upper_bound_margin`.
     """
 
     final: GridFunction
     iterates_norms: list[tuple[int, float, float]]
     levels_used: int
     converged: bool
-    upper_bound_margin: float | None
     boundary_leakage: float
+    _upper_bound: Callable[[], GridFunction] = field(repr=False)
     min_increments: list[float] = field(default_factory=list)
+
+    @cached_property
+    def upper_bound_margin(self) -> float | None:
+        """The certificate: the worst nodewise excess of the final iterate
+        over C(t)f, None for families without a C(t). Computed on first read."""
+        try:
+            bound = self._upper_bound()
+        except UsageError:  # no C(t): pure shift, or Gaussian drift at p = 1
+            return None
+        return float(np.max(self.final.samples - bound.samples))
 
     def increments(self) -> list[float]:
         return [row[2] for row in self.iterates_norms[1:]]
@@ -136,25 +148,67 @@ class EnvelopeResult:
 # either at a node inside the window or at one of the two window endpoints.
 
 
-def _window_int_max(u: np.ndarray, ml: int, mh: int) -> np.ndarray:
-    """max over integer offsets: out[i] = max(u[i+ml .. i+mh], zero-padded)."""
-    count = mh - ml + 1
+def _int_window(n: int, ml: int, mh: int) -> tuple[int, int, int]:
+    """(wl, wh, reach) of the max over the integer offsets ml..mh on n nodes:
+    the offsets clamped to [-n, n], which drops only all-zero terms, and the
+    farthest shift the max reads. The short fold reads every offset; the
+    filter reads one shift c that brings offset 0 into the window (c = 0,
+    no padding, when the window contains it)."""
+    wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
+    if wh - wl < _FILTER_CUTOVER:
+        return wl, wh, max(abs(wl), abs(wh))
+    return wl, wh, abs(max(wl, 0) + min(wh, 0))
+
+
+def _window_int_max(u: np.ndarray, ml: int, mh: int, shift=None) -> np.ndarray:
+    """max over integer offsets: out[i] = max(u[i+ml .. i+mh], zero-padded).
+
+    `shift` maps k to u shifted by k (`_zero_shifts`); a caller that reads
+    other shifts of u as well passes one that covers `_int_window`'s reach.
+    The short fold takes the offsets in increasing order, so a tie between
+    +0 and -0 keeps the later offset, and so does scipy's filter.
+    """
+    n = u.shape[0]
+    wl, wh, reach = _int_window(n, ml, mh)
+    if shift is None:
+        shift = _zero_shifts(u, reach)
+    count = wh - wl + 1
     if count <= _FILTER_CUTOVER:
-        return np.maximum.reduce([_shift_int(u, m) for m in range(ml, mh + 1)])
-    pad = max(abs(ml), abs(mh))
-    padded = np.concatenate([np.zeros(pad), u, np.zeros(pad)])
-    filtered = maximum_filter1d(padded, size=count, mode="constant", cval=0.0, origin=0)
-    start = pad + ml + count // 2
-    return filtered[start : start + u.shape[0]]
+        out = shift(wl).copy()
+        for m in range(wl + 1, wh + 1):
+            np.maximum(out, shift(m), out=out)
+        return out
+    c = max(wl, 0) + min(wh, 0)
+    return maximum_filter1d(shift(c), count, mode="constant", cval=0.0, origin=c - wl - count // 2)
 
 
 def _window_sup_arr(u: np.ndarray, lo: float, hi: float, dx: float) -> np.ndarray:
+    """Sup of the interpolant of u over the window [x + lo, x + hi] at each node x.
+
+    The candidates are the window's integer offsets ml..mh and its two
+    endpoints. An endpoint that snaps to one of those offsets is a term of the
+    integer max already and is left out. The rest are folded as
+    max(max of the endpoints, integer max): np.maximum keeps its second
+    operand on a tie between +0 and -0, so this order gives the bits of the
+    max over all candidates. Every shift is a view of one zero-padded copy
+    of u, clamped to [-n, n] (farther shifts read only zeros)."""
+    n = u.shape[0]
     ml = math.ceil(lo / dx - _SNAP_TOL)
     mh = math.floor(hi / dx + _SNAP_TOL)
-    candidates = [_interp_shift_arr(u, lo, dx), _interp_shift_arr(u, hi, dx)]
+    ends = [(_clamp_shift(k, n), _clamp_shift(k + 1, n), frac)
+            for k, frac in (_shift_split(lo, dx), _shift_split(hi, dx)) if frac or not ml <= k <= mh]
+    reach = max([abs(k) for k, _, _ in ends] + [abs(k1) for _, k1, frac in ends if frac], default=0)
     if ml <= mh:
-        candidates.append(_window_int_max(u, ml, mh))
-    return np.maximum.reduce(candidates)
+        reach = max(reach, _int_window(n, ml, mh)[2])
+    shift = _zero_shifts(u, reach)
+    top = None
+    for k, k1, frac in ends:  # the arithmetic of `_interp_shift_arr`
+        cand = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
+        top = cand if top is None else np.maximum(top, cand)
+    if ml > mh:  # no node in the window: both endpoints are candidates
+        return top
+    window = _window_int_max(u, ml, mh, shift)
+    return window if top is None else np.maximum(top, window, out=window)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +305,12 @@ def nisio_dyadic(
                 break
         prev = current
 
-    try:
-        margin: float | None = float(np.max(current.samples - upper_bound_C(fam, t, f, norm).samples))
-    except UsageError:  # no C(t): pure shift, or Gaussian drift at p = 1
-        margin = None
-
     return EnvelopeResult(
         final=current,
         iterates_norms=rows,
         levels_used=level,
         converged=converged,
-        upper_bound_margin=margin,
         boundary_leakage=_boundary_leakage(current, norm),
+        _upper_bound=partial(upper_bound_C, fam, t, f, norm),
         min_increments=drops,
     )

@@ -9,6 +9,7 @@ functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ class Grid:
     n_nodes: int
     dx: float
 
-    def nodes(self) -> np.ndarray:
-        return self.lower + self.dx * np.arange(self.n_nodes)
+    def nodes(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The nodes x_i for i in [start, stop), all of them by default; a
+        range has the bits of the same slice of all nodes."""
+        return self.lower + self.dx * np.arange(start, self.n_nodes if stop is None else stop)
 
     def interior_slice(self, margin: float) -> slice:
         """Index window that drops a fraction `margin` of nodes on each side."""
@@ -54,12 +57,16 @@ class Grid:
 
 
 def make_grid(lower: float, upper: float, n_nodes: int) -> Grid:
-    """Build a uniform grid; rejects degenerate intervals and n_nodes < 2."""
+    """Build a uniform grid; rejects degenerate intervals, n_nodes < 2 and a
+    spacing whose square is not a normal float."""
     if not (upper > lower):
         raise ConfigurationError(f"grid needs upper > lower, got [{lower}, {upper}]")
     if n_nodes < 2:
         raise ConfigurationError(f"grid needs n_nodes >= 2, got {n_nodes}")
     dx = (upper - lower) / (n_nodes - 1)
+    if not dx * dx >= sys.float_info.min:  # the difference and step formulas divide by dx^2
+        raise ConfigurationError(
+            f"grid spacing dx = {dx:g} on [{lower}, {upper}] is too fine: dx^2 underflows the float range")
     return Grid(float(lower), float(upper), int(n_nodes), dx)
 
 
@@ -161,6 +168,23 @@ def _shift_int(arr: np.ndarray, k: int) -> np.ndarray:
         if -k < n:
             out[-k:] = arr[: n + k]
     return out
+
+
+def _clamp_shift(k: int, n: int) -> int:
+    """k clamped to [-n, n]: on n nodes a shift by n or more reads only zeros."""
+    return min(max(k, -n), n)
+
+
+def _zero_shifts(arr: np.ndarray, reach: int):
+    """k -> the samples of `_shift_int(arr, k)` for |k| <= reach, each a view
+    of one copy of arr zero-padded by reach on both sides (of arr itself when
+    reach is 0). The views are read-only by convention."""
+    n = arr.shape[0]
+    padded = arr
+    if reach:
+        padded = np.zeros(n + 2 * reach)
+        padded[reach : reach + n] = arr
+    return lambda k: padded[reach + k : reach + k + n]
 
 
 def _shift_split(delta: float, dx: float) -> tuple[int, float]:

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, _interp_shift_arr, _shift_int, _shift_split
+from .funcspace import (
+    GridFunction,
+    PNorm,
+    _clamp_shift,
+    _interp_shift_arr,
+    _shift_int,
+    _shift_split,
+    _zero_shifts,
+)
 
 __all__ = [
     "LambdaInterval",
@@ -253,7 +261,7 @@ def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple[t
     pad = 0
     for y, w in mu.atoms:
         k, frac = _shift_split(y, dx)
-        k, k1 = min(max(k, -n), n), min(max(k + 1, -n), n)
+        k, k1 = _clamp_shift(k, n), _clamp_shift(k + 1, n)
         pad = max(pad, abs(k), abs(k1) if frac else 0)
         rows.append((k, k1, frac, w))
     return pad, tuple(rows)
@@ -268,16 +276,15 @@ def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarra
     """
     n = arr.shape[0]
     pad, stencil = _jump_stencil(mu, dx, n)
-    padded = np.zeros(n + 2 * pad)
-    padded[pad : pad + n] = arr
+    shift = _zero_shifts(arr, pad)
     out = np.zeros(n)
     for k, k1, frac, w in stencil:
-        lo = padded[pad + k : pad + k + n]
+        lo = shift(k)
         if frac == 0.0:
             out += w * lo
         else:
             term = (1.0 - frac) * lo
-            term += frac * padded[pad + k1 : pad + k1 + n]
+            term += frac * shift(k1)
             term *= w
             out += term
     return out

@@ -146,10 +146,19 @@ def pole_initial_condition(grid: Grid, p: float, eps: float) -> GridFunction:
     an unbounded supremum under the uncertain shift step.
     """
     a = 1.0 / (2.0 * p)
-    x = grid.nodes()
-    absx = np.abs(x)
-    vals = np.where(absx >= eps, np.where(absx > 0, absx, eps) ** (-a), eps ** (-a))
-    vals = np.where(absx <= 1.0, vals, 0.0)
+    def index(x: float, margin: float) -> int:
+        return int(min(max((x - grid.lower) / grid.dx + margin, 0.0), grid.n_nodes))
+
+    # only nodes in [-1, 1] are nonzero: look at those, plus two nodes or
+    # more beyond each end to absorb the rounding of the index estimate
+    start, stop = index(-1.0, -2.0), index(1.0, 3.0)
+    absx = np.abs(grid.nodes(start, stop))
+    vals = np.zeros(grid.n_nodes)
+    seg = vals[start:stop]
+    inside = absx <= 1.0
+    seg[inside] = eps ** (-a)
+    pole = inside & (absx >= eps)  # the only nodes off the cap
+    seg[pole] = absx[pole] ** (-a)
     return GridFunction(grid, vals)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisioenv import cli
+from nisioenv import cli, envelope
 from nisioenv.cli import load_config, main, run, verify_suite
 from nisioenv.errors import ConfigurationError
 from nisioenv.funcspace import bump, make_grid, write_csv
@@ -157,6 +157,7 @@ class TestInvalidConfigsWriteNothing:
     @pytest.mark.parametrize("subcommand, path, value, cap", [
         ("compare-ode", "ode.dt", 1e-9, "_MAX_RK4_STEPS"),  # 2.5e8 RK4 steps
         ("compare-hjb", "time.t", 1e6, "_MAX_UPWIND_STEPS"),  # 1.2e9 upwind steps
+        ("derivative", "derivative.quad_nodes", 1_000_001, "_MAX_PATH_STEPS"),  # 1e6 path steps
     ])
     def test_oracle_step_caps(self, tmp_path, capsys, subcommand, path, value, cap):
         out = tmp_path / "out"
@@ -167,6 +168,14 @@ class TestInvalidConfigsWriteNothing:
         assert code == 2
         assert not out.exists()
         assert f"at most {getattr(cli, cap)} " in capsys.readouterr().err
+
+    def test_grid_spacing_underflow(self, tmp_path, capsys):
+        # dx^2 of 2.5e-301 underflows to 0; the step formula divides by it
+        out = tmp_path / "out"
+        cfg = base_config(out, grid={"lower": 0.0, "upper": 1e-300, "n_nodes": 5})
+        assert run("compare-hjb", write_config(tmp_path, cfg)) == 2
+        assert not out.exists()
+        assert "dx^2 underflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand, path, value", [
         ("generator", "generator.h0", "x"),
@@ -394,6 +403,21 @@ class TestRunOtherSubcommands:
         code = run("counterexample", write_config(tmp_path, cfg))
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, calls", [("envelope", 1), ("compare-hjb", 0), ("verify", 0)])
+    def test_certificate_computed_when_read(self, tmp_path, monkeypatch, subcommand, calls):
+        # C(t)f of the envelope certificate is computed once by `envelope`,
+        # which reads the margin, and never by runs that do not read it
+        counted = []
+        real = envelope.upper_bound_C
+
+        def counting(*args):
+            counted.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(envelope, "upper_bound_C", counting)
+        assert run(subcommand, write_config(tmp_path, base_config(tmp_path / "out"))) == 0
+        assert len(counted) == calls
 
     def test_unknown_subcommand(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

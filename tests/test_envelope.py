@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d
 
 from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
+    _FILTER_CUTOVER,
     Partition,
     _window_int_max,
     _window_sup_arr,
@@ -12,7 +14,16 @@ from nisioenv.envelope import (
     nisio_dyadic,
     step_J,
 )
-from nisioenv.funcspace import GridFunction, bump, interp_shift, lp_norm, make_grid
+from nisioenv.funcspace import (
+    _SNAP_TOL,
+    GridFunction,
+    _interp_shift_arr,
+    _shift_int,
+    bump,
+    interp_shift,
+    lp_norm,
+    make_grid,
+)
 from nisioenv.kernels import (
     CompoundPoisson,
     GaussianDrift,
@@ -70,9 +81,63 @@ class TestWindowSup:
         assert np.min(out - brute) >= -1e-12
 
 
-def _shifted(u, delta, dx):
-    from nisioenv.funcspace import _interp_shift_arr
+def _window_sup_written_out(u, lo, hi, dx):
+    """The window supremum with every candidate a fresh array: both endpoints
+    by `_interp_shift_arr`, the integer offsets by `_shift_int` (by scipy's
+    filter on a zero-padded copy past `_FILTER_CUTOVER`), one stacked reduce."""
+    ml = math.ceil(lo / dx - _SNAP_TOL)
+    mh = math.floor(hi / dx + _SNAP_TOL)
+    candidates = [_interp_shift_arr(u, lo, dx), _interp_shift_arr(u, hi, dx)]
+    if ml <= mh:
+        count = mh - ml + 1
+        if count <= _FILTER_CUTOVER:
+            candidates.append(np.maximum.reduce([_shift_int(u, m) for m in range(ml, mh + 1)]))
+        else:
+            pad = max(abs(ml), abs(mh))
+            padded = np.concatenate([np.zeros(pad), u, np.zeros(pad)])
+            filtered = maximum_filter1d(padded, size=count, mode="constant", cval=0.0, origin=0)
+            start = pad + ml + count // 2
+            candidates.append(filtered[start : start + u.shape[0]])
+    return np.maximum.reduce(candidates)
 
+
+class TestWindowSupBytes:
+    # the sign of a zero is part of the bytes: ties between +0 and -0 must
+    # resolve as in the written-out reduce
+    VALUES = np.array([0.0, -0.0, 1e-320, -1e-320, -1.0, -2.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 60, 200, 513])
+    def test_matches_written_out_reduce(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            u = rng.choice(self.VALUES, size=n)
+            if rng.random() < 0.5:
+                u = np.where(rng.random(n) < 0.5, u, rng.standard_normal(n))
+            dx = float(rng.choice([0.01, 0.1, 1.0 / 3.0]))
+            # windows up to 1500 nodes: wider than the grid, on both sides of
+            # the filter cutover, and often off offset 0 (scipy's origin range)
+            span = float(rng.choice([2, 10, 60, 300, 1500])) * dx
+            ends = rng.uniform(-span, span, size=2)
+            snap = rng.random(2) < 0.4  # endpoints on a node
+            lo, hi = sorted(np.where(snap, np.round(ends / dx) * dx, ends).tolist())
+            if rng.random() < 0.2:  # a window between two nodes
+                lo = hi - rng.uniform(0.0, dx)
+            want, got = _window_sup_written_out(u, lo, hi, dx), _window_sup_arr(u, lo, hi, dx)
+            assert np.array_equal(got, want), (lo / dx, hi / dx)
+            # with a single node the written-out reduce is numpy's 1-D
+            # reduction, whose +0/-0 tie order no grid reaches (make_grid
+            # needs two nodes); from two nodes on it folds row by row
+            if n > 1:
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (lo / dx, hi / dx)
+
+    def test_shift_beyond_the_grid_pads_at_most_n(self):
+        # a drift of 1e12 nodes reads only zeros; no 1e12-node padding is built
+        u = np.arange(1.0, 6.0)
+        assert np.array_equal(_window_sup_arr(u, 1e10, 2e10, 0.01), np.zeros(5))
+        assert np.array_equal(_window_sup_arr(u, -1e10, 1e10, 0.01), np.full(5, 5.0))
+
+
+def _shifted(u, delta, dx):
     return _interp_shift_arr(u, float(delta), dx)
 
 

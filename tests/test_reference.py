@@ -186,6 +186,22 @@ class TestCounterexampleScan:
         assert np.array_equal(out.samples, f_eps.samples)
         assert lp_norm(out, norm2) == lp_norm(f_eps, norm2)
 
+    @pytest.mark.parametrize("lower, upper, n_nodes", [
+        (-3.0, 3.0, 24001), (-0.7, 2.3, 3001), (-1.0, 1.0, 801), (1.5, 3.0, 101), (-5.0, -0.999, 4003)])
+    @pytest.mark.parametrize("p", [1.25, 2.0])
+    def test_pole_matches_where_formula(self, lower, upper, n_nodes, p):
+        # the capped pole computed on the whole grid with np.where, against
+        # the pole that raises only the nodes eps <= |x| <= 1 to a power
+        g = make_grid(lower, upper, n_nodes)
+        a, x = 1.0 / (2.0 * p), g.nodes()
+        node = float(np.min(np.abs(x[np.abs(x) > 0.05]), initial=0.3))
+        for eps in (node, node + g.dx / 3.0, 0.01, 2.0):  # on a node, off it, and wider than [-1, 1]
+            absx = np.abs(x)
+            want = np.where(absx >= eps, np.where(absx > 0, absx, eps) ** (-a), eps ** (-a))
+            want = np.where(absx <= 1.0, want, 0.0)
+            got = pole_initial_condition(g, p, eps).samples
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), eps
+
     def test_under_resolved_epsilon_names_required_grid(self):
         g = make_grid(-3.0, 3.0, 1001)
         with pytest.raises(ConfigurationError, match="nodes"):
