@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import UsageError
 from .funcspace import (
@@ -44,9 +43,12 @@ __all__ = [
     "nisio_dyadic",
 ]
 
-# Above this many integer offsets the window maximum switches from a shifted
-# reduce to scipy's streaming 1-D max filter (identical results, O(n)).
-_FILTER_CUTOVER = 48
+# Above this many integer offsets the window maximum switches from a doubling
+# fold (ceil(log2 count) passes over n + count nodes) to scipy's streaming 1-D
+# max filter (identical results, O(n)). The fold is the faster of the two up
+# to a few thousand offsets; only the blow-up scans of `counterexample` and
+# `verify --scale full` reach the filter.
+_FILTER_CUTOVER = 4096
 
 # Interior intensities sampled, besides both endpoints, on a compound Poisson
 # interval, whose one-step supremum has no closed form.
@@ -151,9 +153,9 @@ class EnvelopeResult:
 def _int_window(n: int, ml: int, mh: int) -> tuple[int, int, int]:
     """(wl, wh, reach) of the max over the integer offsets ml..mh on n nodes:
     the offsets clamped to [-n, n], which drops only all-zero terms, and the
-    farthest shift the max reads. The short fold reads every offset; the
-    filter reads one shift c that brings offset 0 into the window (c = 0,
-    no padding, when the window contains it)."""
+    farthest shift the max reads. The doubling fold reads the run of shifts
+    wl..wh; the filter reads one shift c that brings offset 0 into the window
+    (c = 0, no padding, when the window contains it)."""
     wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
     if wh - wl < _FILTER_CUTOVER:
         return wl, wh, max(abs(wl), abs(wh))
@@ -163,10 +165,16 @@ def _int_window(n: int, ml: int, mh: int) -> tuple[int, int, int]:
 def _window_int_max(u: np.ndarray, ml: int, mh: int, shift=None) -> np.ndarray:
     """max over integer offsets: out[i] = max(u[i+ml .. i+mh], zero-padded).
 
-    `shift` maps k to u shifted by k (`_zero_shifts`); a caller that reads
-    other shifts of u as well passes one that covers `_int_window`'s reach.
-    The short fold takes the offsets in increasing order, so a tie between
-    +0 and -0 keeps the later offset, and so does scipy's filter.
+    `shift` maps (k, size) to `size` samples of u shifted by k
+    (`_zero_shifts`); a caller that reads other shifts of u as well passes
+    one that covers `_int_window`'s reach.
+    Up to `_FILTER_CUTOVER` offsets a doubling fold reads the contiguous run
+    of u from offset wl on: after each pass run[j] is the max over k
+    consecutive offsets from wl + j, with k doubled, and one overlapping pair
+    of k-blocks covers the count. The earlier block is always the first
+    operand, and np.maximum keeps its second on a tie between +0 and -0, so a
+    tie keeps the later offset, as a fold in increasing order does, and so
+    does scipy's filter.
     """
     n = u.shape[0]
     wl, wh, reach = _int_window(n, ml, mh)
@@ -174,10 +182,14 @@ def _window_int_max(u: np.ndarray, ml: int, mh: int, shift=None) -> np.ndarray:
         shift = _zero_shifts(u, reach)
     count = wh - wl + 1
     if count <= _FILTER_CUTOVER:
-        out = shift(wl).copy()
-        for m in range(wl + 1, wh + 1):
-            np.maximum(out, shift(m), out=out)
-        return out
+        run, k = shift(wl, n + count - 1), 1
+        while 2 * k < count:
+            run, k = np.maximum(run[:-k], run[k:]), 2 * k
+        return np.maximum(run[:n], run[count - k : count - k + n])
+    # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB, and
+    # only windows past the cutover (the blow-up scans) need it.
+    from scipy.ndimage import maximum_filter1d
+
     c = max(wl, 0) + min(wh, 0)
     return maximum_filter1d(shift(c), count, mode="constant", cval=0.0, origin=c - wl - count // 2)
 

@@ -149,7 +149,7 @@ def lp_norm(f: GridFunction, norm: PNorm) -> float:
         terms = f.samples * f.samples * f.grid.dx
     else:
         terms = np.abs(f.samples) ** p * f.grid.dx
-    total = float(np.cumsum(terms)[-1])
+    total = float(np.cumsum(terms, out=terms)[-1])  # terms is a fresh array
     if p == 1.0:
         return total
     if p == 2.0:
@@ -178,13 +178,14 @@ def _clamp_shift(k: int, n: int) -> int:
 def _zero_shifts(arr: np.ndarray, reach: int):
     """k -> the samples of `_shift_int(arr, k)` for |k| <= reach, each a view
     of one copy of arr zero-padded by reach on both sides (of arr itself when
-    reach is 0). The views are read-only by convention."""
+    reach is 0). `size` > n extends the view to the samples of the next
+    shifts, up to shift reach. The views are read-only by convention."""
     n = arr.shape[0]
     padded = arr
     if reach:
         padded = np.zeros(n + 2 * reach)
         padded[reach : reach + n] = arr
-    return lambda k: padded[reach + k : reach + k + n]
+    return lambda k, size=n: padded[reach + k : reach + k + size]
 
 
 def _shift_split(delta: float, dx: float) -> tuple[int, float]:

@@ -415,14 +415,21 @@ def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
 def upper_bound_norm_factor(fam: KernelFamily, h: float, norm: PNorm) -> float:
     """c(h) in C(h)f = c(h) * (M(h)|f|^p)^(1/p), also the exact norm growth
     ||C(h)f||_p / ||f||_p since M(h) conserves mass. The one place that
-    decides which families have a C(h): raises UsageError for the others."""
+    decides which families have a C(h): raises UsageError for the others,
+    and ConfigurationError when c(h) lies beyond the float range."""
     lam_bar = fam.lambda_set.sup_abs
-    if isinstance(fam, GaussianDrift):
-        if norm.p == 1.0 and lam_bar > 0.0:
-            raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
-        return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-    if isinstance(fam, CompoundPoisson):
-        return math.exp((lam_bar - fam.lambda_set.inf) * h)
+    try:
+        if isinstance(fam, GaussianDrift):
+            if norm.p == 1.0 and lam_bar > 0.0:
+                raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
+            return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
+        if isinstance(fam, CompoundPoisson):
+            return math.exp((lam_bar - fam.lambda_set.inf) * h)
+    except OverflowError:
+        raise ConfigurationError(
+            f"the C(h) growth factor at h = {h:g} with lambda bound {lam_bar:g} overflows the float range "
+            "(it grows with `family.lambda_interval` / `family.lambda_list` and `time.t`, and for a Gaussian "
+            "drift as `norm.p` falls to 1)") from None
     raise UsageError("no envelope bound available for the pure shift family (see reference.counterexample_scan)")
 
 

@@ -44,8 +44,14 @@ def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
     """Steps `hjb_upwind` takes to reach t > 0: the step obeys
     dt <= cfl * min(dx^2, dx/lam_bar); it is chosen as
     cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient
-    nonnegative, so the scheme is monotone for any cfl in (0, 1]."""
-    return _step_count(t / (cfl / (1.0 / (dx * dx) + lambda_bar / dx)), math.ceil)
+    nonnegative, so the scheme is monotone for any cfl in (0, 1].
+    ConfigurationError when that step is 0 in floats: lam_bar / dx overflows."""
+    dt = cfl / (1.0 / (dx * dx) + lambda_bar / dx)
+    if not dt > 0.0:
+        raise ConfigurationError(
+            f"the upwind step for lambda bound {lambda_bar:g} on dx = {dx:g} is 0 in floats; "
+            "lower `family.lambda_interval` / `family.lambda_list` or coarsen `grid`")
+    return _step_count(t / dt, math.ceil)
 
 
 def _rk4_steps(t: float, dt: float) -> int:

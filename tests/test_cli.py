@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -176,6 +179,18 @@ class TestInvalidConfigsWriteNothing:
         assert run("compare-hjb", write_config(tmp_path, cfg)) == 2
         assert not out.exists()
         assert "dx^2 underflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, bound, t, message", [
+        ("envelope", 60.0, 0.5, "C(h) growth factor"),  # exp((q-1) t lam^2 / 2) = exp(900)
+        ("compare-hjb", 1e307, 0.25, "upwind step"),  # lam / dx overflows, the step is 0
+    ])
+    def test_drift_bound_beyond_float_range(self, tmp_path, capsys, subcommand, bound, t, message):
+        out = tmp_path / "out"
+        cfg = _set(_set(base_config(out), "family.lambda_interval", [-bound, bound]), "time.t", t)
+        assert run(subcommand, write_config(tmp_path, cfg)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "`family.lambda_interval`" in err
 
     @pytest.mark.parametrize("subcommand, path, value", [
         ("generator", "generator.h0", "x"),
@@ -418,6 +433,28 @@ class TestRunOtherSubcommands:
         monkeypatch.setattr(envelope, "upper_bound_C", counting)
         assert run(subcommand, write_config(tmp_path, base_config(tmp_path / "out"))) == 0
         assert len(counted) == calls
+
+    def test_shipped_runs_leave_scipy_unloaded(self, tmp_path):
+        # scipy is imported on first use, by a window supremum past
+        # `envelope._FILTER_CUTOVER` offsets, which none of these runs reaches
+        root = Path(__file__).parents[1]
+        script = (
+            "import json, sys\n"
+            "from nisioenv import cli\n"
+            "seen = [['import', 0, 'scipy' in sys.modules]]\n"
+            "for sub, name in [('envelope', 'envelope_gaussian'), ('compare-hjb', 'envelope_gaussian'),\n"
+            "                  ('compare-ode', 'compare_ode_compound_poisson')]:\n"
+            "    code = cli.run(sub, f'{sys.argv[1]}/{name}.json', out_dir=f'{sys.argv[2]}/{sub}')\n"
+            "    seen.append([sub, code, 'scipy' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(root / "configs"), str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, check=True)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert [name for name, _, _ in seen] == ["import", "envelope", "compare-hjb", "compare-ode"]
+        assert all(code in (0, 1) for _, code, _ in seen)
+        assert not any(loaded for _, _, loaded in seen), seen
 
     def test_unknown_subcommand(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

@@ -6,7 +6,6 @@ from scipy.ndimage import maximum_filter1d
 
 from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
-    _FILTER_CUTOVER,
     Partition,
     _window_int_max,
     _window_sup_arr,
@@ -81,23 +80,30 @@ class TestWindowSup:
         assert np.min(out - brute) >= -1e-12
 
 
+def _int_max_written_out(u, ml, mh):
+    """The max over the integer offsets ml..mh: a stacked reduce of
+    `_shift_int` per offset up to 48 offsets, scipy's filter on a zero-padded
+    copy beyond. The 48 is fixed, not `envelope._FILTER_CUTOVER`, so the
+    doubling fold is checked against both."""
+    count = mh - ml + 1
+    if count <= 48:
+        return np.maximum.reduce([_shift_int(u, m) for m in range(ml, mh + 1)])
+    pad = max(abs(ml), abs(mh))
+    padded = np.concatenate([np.zeros(pad), u, np.zeros(pad)])
+    filtered = maximum_filter1d(padded, size=count, mode="constant", cval=0.0, origin=0)
+    start = pad + ml + count // 2
+    return filtered[start : start + u.shape[0]]
+
+
 def _window_sup_written_out(u, lo, hi, dx):
     """The window supremum with every candidate a fresh array: both endpoints
-    by `_interp_shift_arr`, the integer offsets by `_shift_int` (by scipy's
-    filter on a zero-padded copy past `_FILTER_CUTOVER`), one stacked reduce."""
+    by `_interp_shift_arr`, the integer offsets by `_int_max_written_out`,
+    one stacked reduce."""
     ml = math.ceil(lo / dx - _SNAP_TOL)
     mh = math.floor(hi / dx + _SNAP_TOL)
     candidates = [_interp_shift_arr(u, lo, dx), _interp_shift_arr(u, hi, dx)]
     if ml <= mh:
-        count = mh - ml + 1
-        if count <= _FILTER_CUTOVER:
-            candidates.append(np.maximum.reduce([_shift_int(u, m) for m in range(ml, mh + 1)]))
-        else:
-            pad = max(abs(ml), abs(mh))
-            padded = np.concatenate([np.zeros(pad), u, np.zeros(pad)])
-            filtered = maximum_filter1d(padded, size=count, mode="constant", cval=0.0, origin=0)
-            start = pad + ml + count // 2
-            candidates.append(filtered[start : start + u.shape[0]])
+        candidates.append(_int_max_written_out(u, ml, mh))
     return np.maximum.reduce(candidates)
 
 
@@ -129,6 +135,19 @@ class TestWindowSupBytes:
             # needs two nodes); from two nodes on it folds row by row
             if n > 1:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (lo / dx, hi / dx)
+
+    @pytest.mark.parametrize("n", [2049, 4100])
+    @pytest.mark.parametrize("count", [4095, 4096, 4097])
+    def test_both_sides_of_the_filter_cutover(self, n, count):
+        # the doubling fold up to 4096 offsets and scipy's filter beyond give
+        # the bits of the filter, on windows off offset 0, around it and
+        # wider than the grid
+        rng = np.random.default_rng(count + n)
+        for ml in (-count // 2, 1 - count, -3, 5, -n - 7, n - count + 2):
+            u = rng.choice(self.VALUES, size=n)
+            want, got = _int_max_written_out(u, ml, ml + count - 1), _window_int_max(u, ml, ml + count - 1)
+            assert np.array_equal(got, want), ml
+            assert np.array_equal(np.signbit(got), np.signbit(want)), ml
 
     def test_shift_beyond_the_grid_pads_at_most_n(self):
         # a drift of 1e12 nodes reads only zeros; no 1e12-node padding is built
