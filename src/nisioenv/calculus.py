@@ -17,7 +17,7 @@ import numpy as np
 from .envelope import EnvelopeParams, Partition, apply_partition, nisio_dyadic, step_J
 from .errors import UsageError
 from .funcspace import GridFunction, lp_norm
-from .kernels import KernelFamily, _heat_convolve_arr, sup_generator
+from .kernels import KernelFamily, _heat_plan, sup_generator
 from .reference import compare
 
 __all__ = [
@@ -321,7 +321,7 @@ def integral_identity_check(
 
 def _random_smooth(grid, rng) -> GridFunction:
     """Grid-resolved random function: white noise mollified by one dx^2 heat step."""
-    return GridFunction(grid, _heat_convolve_arr(rng.standard_normal(grid.n_nodes), grid.dx**2, grid.dx))
+    return GridFunction(grid, _heat_plan(grid.dx**2, grid.dx)(rng.standard_normal(grid.n_nodes)))
 
 
 def ball_samples(

@@ -9,6 +9,7 @@ the convergence table and the upper-bound certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ from .funcspace import (
 from .kernels import (
     KernelFamily,
     LambdaValues,
-    _member_rows,
-    _translation_base,
+    _member_plan,
+    _translation_plan,
     upper_bound_C,
 )
 
@@ -53,6 +54,12 @@ _FILTER_CUTOVER = 4096
 # Interior intensities sampled, besides both endpoints, on a compound Poisson
 # interval, whose one-step supremum has no closed form.
 _CP_INTERIOR = 9
+
+# Step plans kept, one per (family, h, dx, n). A plan holds what does not
+# depend on the samples (weights, offsets, splits, padding widths), never a
+# grid-long buffer. All steps of a dyadic level share one gap up to
+# rounding, so a run misses a few times per level.
+_PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -150,52 +157,47 @@ class EnvelopeResult:
 # either at a node inside the window or at one of the two window endpoints.
 
 
-def _int_window(n: int, ml: int, mh: int) -> tuple[int, int, int]:
-    """(wl, wh, reach) of the max over the integer offsets ml..mh on n nodes:
-    the offsets clamped to [-n, n], which drops only all-zero terms, and the
-    farthest shift the max reads. The doubling fold reads the run of shifts
-    wl..wh; the filter reads one shift c that brings offset 0 into the window
-    (c = 0, no padding, when the window contains it)."""
-    wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
-    if wh - wl < _FILTER_CUTOVER:
-        return wl, wh, max(abs(wl), abs(wh))
-    return wl, wh, abs(max(wl, 0) + min(wh, 0))
+def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
+    """(reach, int_max) for the max over the integer offsets ml..mh on n
+    nodes: out[i] = max(u[i+ml .. i+mh], zero-padded). The offsets are
+    clamped to [-n, n], which drops only all-zero terms; reach is the
+    farthest shift the max reads, and int_max maps the `_zero_shifts` of u,
+    covering reach, to a fresh array.
 
-
-def _window_int_max(u: np.ndarray, ml: int, mh: int, shift=None) -> np.ndarray:
-    """max over integer offsets: out[i] = max(u[i+ml .. i+mh], zero-padded).
-
-    `shift` maps (k, size) to `size` samples of u shifted by k
-    (`_zero_shifts`); a caller that reads other shifts of u as well passes
-    one that covers `_int_window`'s reach.
     Up to `_FILTER_CUTOVER` offsets a doubling fold reads the contiguous run
     of u from offset wl on: after each pass run[j] is the max over k
     consecutive offsets from wl + j, with k doubled, and one overlapping pair
     of k-blocks covers the count. The earlier block is always the first
     operand, and np.maximum keeps its second on a tie between +0 and -0, so a
     tie keeps the later offset, as a fold in increasing order does, and so
-    does scipy's filter.
+    does scipy's filter. The filter reads one shift c that brings offset 0
+    into the window (c = 0, no padding, when the window contains it).
     """
-    n = u.shape[0]
-    wl, wh, reach = _int_window(n, ml, mh)
-    if shift is None:
-        shift = _zero_shifts(u, reach)
+    wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
     count = wh - wl + 1
     if count <= _FILTER_CUTOVER:
-        run, k = shift(wl, n + count - 1), 1
-        while 2 * k < count:
-            run, k = np.maximum(run[:-k], run[k:]), 2 * k
-        return np.maximum(run[:n], run[count - k : count - k + n])
-    # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB, and
-    # only windows past the cutover (the blow-up scans) need it.
-    from scipy.ndimage import maximum_filter1d
+        def fold(shift) -> np.ndarray:
+            run, k = shift(wl, n + count - 1), 1
+            while 2 * k < count:
+                run, k = np.maximum(run[:-k], run[k:]), 2 * k
+            return np.maximum(run[:n], run[count - k : count - k + n])
 
+        return max(abs(wl), abs(wh)), fold
     c = max(wl, 0) + min(wh, 0)
-    return maximum_filter1d(shift(c), count, mode="constant", cval=0.0, origin=c - wl - count // 2)
+
+    def filtered(shift) -> np.ndarray:
+        # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB,
+        # and only windows past the cutover (the blow-up scans) need it.
+        from scipy.ndimage import maximum_filter1d
+
+        return maximum_filter1d(shift(c), count, mode="constant", cval=0.0, origin=c - wl - count // 2)
+
+    return abs(c), filtered
 
 
-def _window_sup_arr(u: np.ndarray, lo: float, hi: float, dx: float) -> np.ndarray:
-    """Sup of the interpolant of u over the window [x + lo, x + hi] at each node x.
+def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> a fresh array: at each node x, the sup of the interpolant of u
+    over the window [x + lo, x + hi], for samples u on n nodes of spacing dx.
 
     The candidates are the window's integer offsets ml..mh and its two
     endpoints. An endpoint that snaps to one of those offsets is a term of the
@@ -203,28 +205,51 @@ def _window_sup_arr(u: np.ndarray, lo: float, hi: float, dx: float) -> np.ndarra
     max(max of the endpoints, integer max): np.maximum keeps its second
     operand on a tie between +0 and -0, so this order gives the bits of the
     max over all candidates. Every shift is a view of one zero-padded copy
-    of u, clamped to [-n, n] (farther shifts read only zeros)."""
-    n = u.shape[0]
+    of u, clamped to [-n, n] (farther shifts read only zeros); the offsets,
+    the endpoint splits and the padding width are worked out here, once."""
     ml = math.ceil(lo / dx - _SNAP_TOL)
     mh = math.floor(hi / dx + _SNAP_TOL)
     ends = [(_clamp_shift(k, n), _clamp_shift(k + 1, n), frac)
             for k, frac in (_shift_split(lo, dx), _shift_split(hi, dx)) if frac or not ml <= k <= mh]
     reach = max([abs(k) for k, _, _ in ends] + [abs(k1) for _, k1, frac in ends if frac], default=0)
+    int_max = None
     if ml <= mh:
-        reach = max(reach, _int_window(n, ml, mh)[2])
-    shift = _zero_shifts(u, reach)
-    top = None
-    for k, k1, frac in ends:  # the arithmetic of `_interp_shift_arr`
-        cand = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
-        top = cand if top is None else np.maximum(top, cand)
-    if ml > mh:  # no node in the window: both endpoints are candidates
-        return top
-    window = _window_int_max(u, ml, mh, shift)
-    return window if top is None else np.maximum(top, window, out=window)
+        int_reach, int_max = _int_max_plan(n, ml, mh)
+        reach = max(reach, int_reach)
+
+    def window(u: np.ndarray) -> np.ndarray:
+        shift = _zero_shifts(u, reach)
+        top = None
+        for k, k1, frac in ends:  # the arithmetic of `_interp_shift_arr`
+            cand = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
+            top = cand if top is None else np.maximum(top, cand)
+        if int_max is None:  # no node in the window: both endpoints are candidates
+            return top
+        out = int_max(shift)
+        return out if top is None else np.maximum(top, out, out=out)
+
+    return window
 
 
 # ---------------------------------------------------------------------------
 # One-step supremum and partition composition
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """arr -> the samples of `step_J` at step h for samples arr on n nodes
+    of spacing dx, a fresh array. Cached per (family, h, dx, n)."""
+    lset = fam.lambda_set
+    if isinstance(lset, LambdaValues):
+        lams = lset.values
+    else:
+        base = _translation_plan(fam, h, dx)
+        if base is not None:
+            window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
+            return lambda arr: window(base(arr))
+        lams = [float(v) for v in lset.samples(_CP_INTERIOR)]
+    rows = _member_plan(fam, lams, h, dx, n)
+    return lambda arr: np.maximum.reduce(rows(arr))
 
 
 def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
@@ -237,19 +262,13 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     function; an interval of Poisson intensities is sampled at both endpoints
     plus `_CP_INTERIOR` interior points. Sampled members share their family's
     linear part (see `apply_members`), and their nodewise max is taken over
-    the member arrays.
+    the member arrays. The work is planned once per (family, h, dx, n) by
+    `_step_plan`; each call computes on arrays and wraps its fresh result
+    without a copy.
     """
-    if h <= 0:
+    if not h > 0:
         raise UsageError(f"step size must be > 0, got {h}")
-    lset = fam.lambda_set
-    if isinstance(lset, LambdaValues):
-        lams = lset.values
-    else:
-        base = _translation_base(fam, h, f)
-        if base is not None:
-            return GridFunction(f.grid, _window_sup_arr(base, lset.lo * h, lset.hi * h, f.grid.dx))
-        lams = [float(v) for v in lset.samples(_CP_INTERIOR)]
-    return GridFunction(f.grid, np.maximum.reduce(_member_rows(fam, lams, h, f)))
+    return GridFunction._wrap(f.grid, _step_plan(fam, h, f.grid.dx, f.grid.n_nodes)(f.samples))
 
 
 def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction) -> GridFunction:
@@ -269,7 +288,7 @@ def _boundary_leakage(f: GridFunction, norm: PNorm) -> float:
     masked = f.samples.copy()
     sl = f.grid.interior_slice(0.05)
     masked[sl] = 0.0
-    return lp_norm(GridFunction(f.grid, masked), norm)
+    return lp_norm(GridFunction._wrap(f.grid, masked), norm)
 
 
 def nisio_dyadic(

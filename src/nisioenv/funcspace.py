@@ -78,7 +78,9 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
+        self._freeze(np.array(self.samples, dtype=float))
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.shape != (self.grid.n_nodes,):
             raise UsageError(
                 f"samples shape {arr.shape} does not match grid with "
@@ -89,31 +91,41 @@ class GridFunction:
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
+    @classmethod
+    def _wrap(cls, grid: Grid, arr: np.ndarray) -> "GridFunction":
+        """The constructor without its copy, for a fresh float array that
+        nothing else holds or writes: the same shape and finiteness checks,
+        then arr itself is frozen."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "grid", grid)
+        fn._freeze(arr)
+        return fn
+
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise UsageError("grid functions live on different grids")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.samples + other.samples)
+        return GridFunction._wrap(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.samples - other.samples)
+        return GridFunction._wrap(self.grid, self.samples - other.samples)
 
     def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.samples * float(c))
+        return GridFunction._wrap(self.grid, self.samples * float(c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.samples / float(c))
+        return GridFunction._wrap(self.grid, self.samples / float(c))
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.samples)
+        return GridFunction._wrap(self.grid, -self.samples)
 
     def __abs__(self) -> "GridFunction":
-        return GridFunction(self.grid, np.abs(self.samples))
+        return GridFunction._wrap(self.grid, np.abs(self.samples))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -173,6 +185,15 @@ def _shift_int(arr: np.ndarray, k: int) -> np.ndarray:
 def _clamp_shift(k: int, n: int) -> int:
     """k clamped to [-n, n]: on n nodes a shift by n or more reads only zeros."""
     return min(max(k, -n), n)
+
+
+def _clamped_split(delta: float, dx: float, n: int) -> tuple[int, int, float]:
+    """(k, k1, frac) of a shift by delta on n nodes: the split of
+    `_shift_split` with k and k1 = k + 1 each clamped to [-n, n], so the
+    shift reads (1 - frac) * shift k + frac * shift k1 from a zero padding
+    of at most n."""
+    k, frac = _shift_split(delta, dx)
+    return _clamp_shift(k, n), _clamp_shift(k + 1, n), frac
 
 
 def _zero_shifts(arr: np.ndarray, reach: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +27,8 @@ from .errors import ConfigurationError, UsageError
 from .funcspace import (
     GridFunction,
     PNorm,
-    _clamp_shift,
-    _interp_shift_arr,
+    _clamped_split,
     _shift_int,
-    _shift_split,
     _zero_shifts,
 )
 
@@ -92,9 +90,10 @@ class LambdaInterval:
     def samples(self, n_interior: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n_interior + 2)
 
-    def sup_scaled(self, g: np.ndarray) -> np.ndarray:
-        """Nodewise sup over lam in [lo, hi] of lam*g, attained at an endpoint."""
-        return np.maximum(self.lo * g, self.hi * g)
+    def sup_scaled(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Nodewise sup over lam in [lo, hi] of lam*g, attained at an endpoint;
+        into `out` when given (it may be g)."""
+        return np.maximum(self.lo * g, self.hi * g, out=out)
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,13 @@ class LambdaValues:
         tol = 1e-12 * (1.0 + abs(lam))
         return any(abs(lam - v) <= tol for v in self.values)
 
-    def sup_scaled(self, g: np.ndarray) -> np.ndarray:
-        """Nodewise max over the values of lam*g."""
-        return np.maximum.reduce([v * g for v in self.values])
+    def sup_scaled(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Nodewise max over the values of lam*g; into `out` when given (it
+        may be g)."""
+        prods = np.empty((len(self.values), g.shape[0]))
+        for row, v in zip(prods, self.values):
+            np.multiply(v, g, out=row)
+        return np.maximum.reduce(prods, out=out)
 
 
 LambdaSet = LambdaInterval | LambdaValues
@@ -200,31 +203,37 @@ def _heat_weights(t: float, dx: float) -> np.ndarray:
     return w
 
 
-def _heat_convolve_arr(arr: np.ndarray, t: float, dx: float) -> np.ndarray:
+def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
+    """arr -> new samples: arr convolved with the heat kernel of variance t
+    on spacing dx. The branch and its weights are chosen here, once."""
     if t == 0.0:
-        return arr.copy()
+        return np.copy
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
         w = _heat_weights(t, dx)
         # the centred n samples of the full convolution; unlike mode="same",
         # this stays n samples long when the kernel is wider than the grid
         half = len(w) // 2
-        return np.convolve(arr, w)[half : half + arr.shape[0]]
+        return lambda arr: np.convolve(arr, w)[half : half + arr.shape[0]]
     # grid-unresolved variance: three-point steps with the exact variance,
     # nonnegative weights (s <= dx^2), constants preserved by construction
     k = max(1, math.ceil(t / dx2))
     a = 0.5 * (t / k) / dx2
-    out = arr
-    for _ in range(k):
-        out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
-    return out
+
+    def walk(arr: np.ndarray) -> np.ndarray:
+        out = arr
+        for _ in range(k):
+            out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
+        return out
+
+    return walk
 
 
 def heat_convolve(f: GridFunction, t: float) -> GridFunction:
     """Convolve with the heat kernel of variance t (zero extension outside)."""
     if t < 0:
         raise UsageError(f"heat time must be >= 0, got {t}")
-    return GridFunction(f.grid, _heat_convolve_arr(f.samples, t, f.grid.dx))
+    return GridFunction(f.grid, _heat_plan(t, f.grid.dx)(f.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -254,84 +263,123 @@ def _poisson_weights(rate: float) -> np.ndarray:
 @functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple[tuple[int, int, float, float], ...]]:
     """The shifted reads of one convolution with mu on n nodes: per atom
-    (k, k + 1, frac, w) with the split of `_interp_shift_arr`, each index
-    clamped to [-n, n] (a shift by n or more reads only zeros), and the zero
+    (k, k1, frac, w) with the split of `_clamped_split`, and the zero
     padding the reads need."""
     rows = []
     pad = 0
     for y, w in mu.atoms:
-        k, frac = _shift_split(y, dx)
-        k, k1 = _clamp_shift(k, n), _clamp_shift(k + 1, n)
+        k, k1, frac = _clamped_split(y, dx, n)
         pad = max(pad, abs(k), abs(k1) if frac else 0)
         rows.append((k, k1, frac, w))
     return pad, tuple(rows)
 
 
-def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarray:
-    """One convolution with mu: sum_j w_j * f(x + y_j).
+class _JumpMixer:
+    """Convolutions with mu on n nodes, for one call: a zero-padded buffer
+    whose interior view `src` holds the samples to mix, and two scratch
+    rows. Nothing here outlives the call that made it."""
 
-    Reads every shift from one zero-padded copy of arr; each term has the
-    arithmetic of `_interp_shift_arr`, so the sum is bit-identical to adding
-    w_j * interp_shift(f, y_j) to zeros atom by atom.
-    """
+    def __init__(self, stencil: tuple[int, tuple[tuple[int, int, float, float], ...]], n: int):
+        self.pad, self.stencil = stencil
+        self.padded = np.zeros(n + 2 * self.pad)
+        self.src = self.padded[self.pad : self.pad + n]
+        self.term, self.tmp = np.empty(n), np.empty(n)
+
+    def mix(self, out: np.ndarray) -> np.ndarray:
+        """out = sum_j w_j * src(x + y_j), returned. Every shift is a view of
+        the padded buffer, each term has the arithmetic of
+        `_interp_shift_arr`, and the terms are added to zeros atom by atom."""
+        n, pad, padded = out.shape[0], self.pad, self.padded
+        for j, (k, k1, frac, w) in enumerate(self.stencil):
+            term = out if j == 0 else self.term
+            lo = padded[pad + k : pad + k + n]
+            if frac == 0.0:
+                np.multiply(w, lo, out=term)
+            else:
+                np.multiply(1.0 - frac, lo, out=term)
+                term += np.multiply(frac, padded[pad + k1 : pad + k1 + n], out=self.tmp)
+                term *= w
+            # the first term is added to +0.0 where it is made: the bits of a
+            # zero-filled sum, one pass fewer
+            out += 0.0 if j == 0 else term
+        return out
+
+
+def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarray:
+    """One convolution with mu: sum_j w_j * f(x + y_j), bit-identical to
+    adding w_j * interp_shift(f, y_j) to zeros atom by atom."""
     n = arr.shape[0]
-    pad, stencil = _jump_stencil(mu, dx, n)
-    shift = _zero_shifts(arr, pad)
-    out = np.zeros(n)
-    for k, k1, frac, w in stencil:
-        lo = shift(k)
-        if frac == 0.0:
-            out += w * lo
-        else:
-            term = (1.0 - frac) * lo
-            term += frac * shift(k1)
-            term *= w
-            out += term
-    return out
+    mixer = _JumpMixer(_jump_stencil(mu, dx, n), n)
+    mixer.src[:] = arr
+    return mixer.mix(np.empty(n))
 
 
 # ---------------------------------------------------------------------------
 # Member application
 
 
-def _translation_base(fam: KernelFamily, t: float, f: GridFunction) -> np.ndarray | None:
-    """Samples u with S_lam(t)f(x) = u(x + lam*t) for every member: f smoothed
-    by the heat kernel of variance t for Gaussian drift, f for pure shift, and
-    None for compound Poisson, whose members are not translates."""
+def _translation_plan(fam: KernelFamily, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """arr -> samples u with S_lam(t)f(x) = u(x + lam*t) for every member, for
+    samples arr of f: f smoothed by the heat kernel of variance t for Gaussian
+    drift, arr itself for pure shift (to be read only), and None for compound
+    Poisson, whose members are not translates."""
     if isinstance(fam, CompoundPoisson):
         return None
     if isinstance(fam, GaussianDrift):
-        return _heat_convolve_arr(f.samples, t, f.grid.dx)
-    return f.samples
+        return _heat_plan(t, dx)
+    return lambda arr: arr
 
 
-def _member_rows(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> np.ndarray:
-    """The samples of `apply_members`, one row per lam; raises UsageError
-    unless every entry is finite."""
+def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int
+                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """arr -> the samples of `apply_members` for samples arr on n nodes, a
+    fresh array with one row per lam; it raises UsageError unless every entry
+    is finite. What does not depend on arr is worked out here, once: the
+    checks on t and on every lam; for translates the heat step and the split
+    of every shift, for compound Poisson the Poisson weights and the jump
+    stencil."""
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
     for lam in lams:
         if not fam.lambda_set.contains(lam):
             raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-    dx = f.grid.dx
-    rows = np.empty((len(lams), f.grid.n_nodes))
-    base = _translation_base(fam, t, f)
+    base = _translation_plan(fam, t, dx)
     if base is not None:
-        for row, lam in zip(rows, lams):
-            row[:] = _interp_shift_arr(base, lam * t, dx)
+        splits = [_clamped_split(lam * t, dx, n) for lam in lams]
+        reach = max((max(abs(k), abs(k1)) for k, k1, _ in splits), default=0)
+
+        def fill(rows: np.ndarray, arr: np.ndarray) -> None:
+            shift = _zero_shifts(base(arr), reach)
+            for row, (k, k1, frac) in zip(rows, splits):  # the arithmetic of `_interp_shift_arr`
+                row[:] = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
     else:
         weights = [_poisson_weights(lam * t) for lam in lams]
-        powers = [f.samples]
-        for _ in range(max((len(w) for w in weights), default=1) - 1):
-            powers.append(_jump_mix_arr(powers[-1], fam.mu, dx))
-        term = np.empty(f.grid.n_nodes)
-        for row, w in zip(rows, weights):
-            np.multiply(w[0], powers[0], out=row)
-            for wk, power in zip(w[1:], powers[1:]):
-                row += np.multiply(wk, power, out=term)
-    if not np.isfinite(rows).all():
-        raise UsageError("member samples must all be finite")
-    return rows
+        depth = max((len(w) for w in weights), default=1)
+        stencil = _jump_stencil(fam.mu, dx, n)
+
+        def fill(rows: np.ndarray, arr: np.ndarray) -> None:
+            # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0;
+            # only the current power mu^{*j} f is kept
+            for row, w in zip(rows, weights):
+                np.multiply(w[0], arr, out=row)
+            if depth == 1:
+                return
+            mixer, power, term = _JumpMixer(stencil, n), np.empty(n), np.empty(n)
+            mixer.src[:] = arr
+            for j in range(1, depth):
+                mixer.src[:] = mixer.mix(power)
+                for row, w in zip(rows, weights):
+                    if j < len(w):
+                        row += np.multiply(w[j], power, out=term)
+
+    def rows_of(arr: np.ndarray) -> np.ndarray:
+        rows = np.empty((len(lams), n))
+        fill(rows, arr)
+        if not np.isfinite(rows).all():
+            raise UsageError("member samples must all be finite")
+        return rows
+
+    return rows_of
 
 
 def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> list[GridFunction]:
@@ -344,7 +392,8 @@ def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFun
     nonnegative, so every member is linear, monotone, and fixes constants
     away from the boundary.
     """
-    return [GridFunction(f.grid, row) for row in _member_rows(fam, lams, t, f)]
+    rows = _member_plan(fam, lams, t, f.grid.dx, f.grid.n_nodes)(f.samples)
+    return [GridFunction(f.grid, row) for row in rows]
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
@@ -390,14 +439,6 @@ def _generator_parts(fam: KernelFamily, arr: np.ndarray, dx: float) -> tuple[np.
     return None, d1
 
 
-def _sup_generator_arr(fam: KernelFamily, arr: np.ndarray, dx: float) -> np.ndarray:
-    """The samples of `sup_generator` for samples arr on spacing dx; not
-    checked for finiteness."""
-    a, b = _generator_parts(fam, arr, dx)
-    top = fam.lambda_set.sup_scaled(b)
-    return top if a is None else a + top
-
-
 def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     """Nodewise supremum of the member generators over the uncertainty set.
 
@@ -405,7 +446,9 @@ def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     `sup_scaled`); rounding is monotone, so adding A f after the max gives
     the same bits as the max over the members.
     """
-    return GridFunction(f.grid, _sup_generator_arr(fam, f.samples, f.grid.dx))
+    a, b = _generator_parts(fam, f.samples, f.grid.dx)
+    top = fam.lambda_set.sup_scaled(b)
+    return GridFunction._wrap(f.grid, top if a is None else a + top)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +492,7 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
     factor = upper_bound_norm_factor(fam, h, norm)
     powed = np.abs(f.samples) ** norm.p
     if isinstance(fam, GaussianDrift):
-        moved = _heat_convolve_arr(powed, h, f.grid.dx)
+        moved = _heat_plan(h, f.grid.dx)(powed)
     else:
         moved = apply_member(fam, fam.lambda_set.sup_abs, h, GridFunction(f.grid, powed)).samples
     return GridFunction(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))

@@ -19,7 +19,7 @@ import numpy as np
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
 from .funcspace import Grid, GridFunction, PNorm, lp_norm
-from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _sup_generator_arr
+from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_stencil, _JumpMixer
 
 __all__ = [
     "hjb_upwind",
@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 
-def _step_count(ratio: float, rounding) -> int:
-    """max(1, rounding(ratio)); UsageError when the ratio is not finite."""
+def _step_count(ratio: float, rounding, kind: str, keys: str) -> int:
+    """max(1, rounding(ratio)); ConfigurationError naming the config keys
+    when the ratio is not finite (a subnormal step, or a count past the
+    float range)."""
     if not math.isfinite(ratio):
-        raise UsageError(f"time step count {ratio} is not finite")
+        raise ConfigurationError(f"{keys} ask for {ratio} {kind} steps, not a finite count")
     return max(1, rounding(ratio))
 
 
@@ -51,12 +53,12 @@ def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
         raise ConfigurationError(
             f"the upwind step for lambda bound {lambda_bar:g} on dx = {dx:g} is 0 in floats; "
             "lower `family.lambda_interval` / `family.lambda_list` or coarsen `grid`")
-    return _step_count(t / dt, math.ceil)
+    return _step_count(t / dt, math.ceil, "upwind", "`time.t`, `grid`, `family` and `hjb.cfl`")
 
 
 def _rk4_steps(t: float, dt: float) -> int:
     """Steps `ode_reference` takes to reach t > 0: t / dt rounded, at least one."""
-    return _step_count(t / dt, round)
+    return _step_count(t / dt, round, "RK4", "`time.t` / `ode.dt`")
 
 
 def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -104,14 +106,17 @@ def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) 
     u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
     for _ in range(steps):
         u, nxt = hjb_step(u, dt, dx, lambda_bar, out=nxt), u
-    return GridFunction(f0.grid, u)
+    return GridFunction._wrap(f0.grid, u)
 
 
 def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> GridFunction:
     """Classical RK4 for u' = Bu with the compound Poisson supremum generator.
 
     B is bounded and globally Lipschitz, so the trajectory is the unique
-    solution of the Cauchy problem and must match the envelope.
+    solution of the Cauchy problem and must match the envelope. The jump
+    stencil, one zero-padded stage buffer and the four stage rows are made
+    once per run; each stage has the operations, in the order, of
+    `sup_generator` and the textbook RK4 update, so the bits are theirs.
     """
     if not isinstance(fam, CompoundPoisson):
         raise UsageError("ode_reference is defined for compound Poisson families only")
@@ -123,22 +128,38 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
         return GridFunction(f0.grid, f0.samples.copy())
     steps = _rk4_steps(t, dt)
     dt = t / steps
-    dx = f0.grid.dx
+    n = f0.grid.n_nodes
+    mixer = _JumpMixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
+    stage, lset = mixer.src, fam.lambda_set
+    k1, k2, k3, k4 = np.empty((4, n))
+    finite = np.empty(n, dtype=bool)
 
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        k = _sup_generator_arr(fam, arr, dx)
-        if not np.isfinite(k).all():
+    def rhs(k: np.ndarray) -> None:
+        """k = sup_lam lam * (mu * s - s) for the samples s in `stage`."""
+        np.subtract(mixer.mix(k), stage, out=k)
+        lset.sup_scaled(k, out=k)
+        if not np.isfinite(k, out=finite).all():
             raise UsageError("an RK4 stage of ode_reference is not finite")
-        return k
 
-    u = f0.samples
+    u = f0.samples.copy()
     for _ in range(steps):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return GridFunction(f0.grid, u)
+        stage[:] = u
+        rhs(k1)
+        np.add(u, np.multiply(0.5 * dt, k1, out=stage), out=stage)
+        rhs(k2)
+        np.add(u, np.multiply(0.5 * dt, k2, out=stage), out=stage)
+        rhs(k3)
+        np.add(u, np.multiply(dt, k3, out=stage), out=stage)
+        rhs(k4)
+        # u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        u += k1
+    return GridFunction._wrap(f0.grid, u)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +186,7 @@ def pole_initial_condition(grid: Grid, p: float, eps: float) -> GridFunction:
     seg[inside] = eps ** (-a)
     pole = inside & (absx >= eps)  # the only nodes off the cap
     seg[pole] = absx[pole] ** (-a)
-    return GridFunction(grid, vals)
+    return GridFunction._wrap(grid, vals)
 
 
 def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> list[float]:

@@ -172,6 +172,20 @@ class TestInvalidConfigsWriteNothing:
         assert not out.exists()
         assert f"at most {getattr(cli, cap)} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, path, value, keys", [
+        ("compare-ode", "ode.dt", 1e-320, ("`ode.dt`", "`time.t`")),  # t / dt is inf
+        ("compare-hjb", "time.t", 1e306, ("`time.t`", "`grid`")),  # t / dt overflows the upwind count
+    ])
+    def test_step_count_beyond_float_range(self, tmp_path, capsys, subcommand, path, value, keys):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        if subcommand == "compare-ode":
+            cfg["family"] = dict(CP_FAMILY)
+        assert run(subcommand, write_config(tmp_path, _set(cfg, path, value))) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not a finite count" in err and all(key in err for key in keys)
+
     def test_grid_spacing_underflow(self, tmp_path, capsys):
         # dx^2 of 2.5e-301 underflows to 0; the step formula divides by it
         out = tmp_path / "out"

@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
 from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
+    _CP_INTERIOR,
+    _FILTER_CUTOVER,
     Partition,
-    _window_int_max,
-    _window_sup_arr,
+    _step_plan,
+    _window_plan,
     apply_partition,
     nisio_dyadic,
     step_J,
@@ -30,6 +34,7 @@ from nisioenv.kernels import (
     LambdaInterval,
     LambdaValues,
     PureShift,
+    _heat_weights,
     _jump_mix_arr,
     _poisson_weights,
     apply_member,
@@ -55,14 +60,29 @@ class TestPartition:
         assert pi.times == (0.0, 0.1, 0.25, 0.5)
 
 
+def _window_sup_arr(u, lo, hi, dx):
+    return _window_plan(lo, hi, dx, u.shape[0])(u)
+
+
+def _window_int_max(u, ml, mh):
+    """The window supremum with whole-node ends on dx = 1: both ends snap to
+    the integer offsets, so it is the integer max alone."""
+    return _window_plan(ml, mh, 1.0, u.shape[0])(u)
+
+
 class TestWindowSup:
     def test_filter_path_matches_reduce_path(self):
-        rng = np.random.default_rng(9)
-        u = rng.standard_normal(500)
-        for ml, mh in ((-70, 70), (0, 120), (-120, -3), (-70, 3)):
-            brute = np.array(
-                [max(u[i + m] if 0 <= i + m < 500 else 0.0 for m in range(ml, mh + 1)) for i in range(500)]
-            )
+        # on 9 001 nodes each window keeps more than _FILTER_CUTOVER offsets
+        # after clamping to [-n, n], so the max runs scipy's filter: around
+        # offset 0, from it, up to it, and off it on either side
+        n = 9001
+        u = np.random.default_rng(9).standard_normal(n)
+        for ml, mh in ((-2100, 2100), (0, 4200), (-4200, 0), (100, 4300), (-8000, -3800)):
+            assert min(mh, n) - max(ml, -n) + 1 > _FILTER_CUTOVER
+            # brute force: out[i] is the max of the zero-padded run from i + ml
+            left = max(-ml, 0)
+            padded = np.concatenate([np.zeros(left), u, np.zeros(max(mh, 0))])
+            brute = sliding_window_view(padded, mh - ml + 1)[left + ml : left + ml + n].max(axis=1)
             assert np.array_equal(_window_int_max(u, ml, mh), brute), (ml, mh)
 
     def test_exact_interpolant_supremum(self):
@@ -248,6 +268,153 @@ class TestSharedMembers:
         expected = np.maximum.reduce(
             [interp_shift(heat_convolve(f, h), lam * h).samples for lam in fam.lambda_set.values])
         assert np.array_equal(step_J(fam, h, f).samples, expected)
+
+
+def _mix_written_out(arr, mu, dx):
+    """One convolution with mu: w_j times each interpolated shift, added to
+    zeros atom by atom."""
+    out = np.zeros(arr.shape[0])
+    for y, w in mu.atoms:
+        out += w * _interp_shift_arr(arr, y, dx)
+    return out
+
+
+def _heat_written_out(arr, t, dx):
+    """The heat step: the centred samples of the full convolution with the
+    sampled kernel, or three-point random-walk steps below 2.25 dx^2."""
+    dx2 = dx * dx
+    if t >= 2.25 * dx2:
+        w = _heat_weights(t, dx)
+        half = len(w) // 2
+        return np.convolve(arr, w)[half : half + arr.shape[0]]
+    k = max(1, math.ceil(t / dx2))
+    a = 0.5 * (t / k) / dx2
+    out = arr
+    for _ in range(k):
+        out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
+    return out
+
+
+def _member_written_out(fam, lam, h, f):
+    """One member at time h, its Poisson series summed term by term with
+    every jump power a fresh array."""
+    dx = f.grid.dx
+    if isinstance(fam, CompoundPoisson):
+        weights = _poisson_weights(lam * h)
+        acc, cur = weights[0] * f.samples, f.samples
+        for w in weights[1:]:
+            cur = _mix_written_out(cur, fam.mu, dx)
+            acc = acc + w * cur
+        return acc
+    base = _heat_written_out(f.samples, h, dx) if isinstance(fam, GaussianDrift) else f.samples
+    return _interp_shift_arr(base, lam * h, dx)
+
+
+def _step_written_out(fam, h, f):
+    """The one-step supremum with no plan: every member or window candidate
+    a fresh array, one stacked max, and a copying GridFunction."""
+    lset = fam.lambda_set
+    if isinstance(lset, LambdaInterval) and not isinstance(fam, CompoundPoisson):
+        base = _heat_written_out(f.samples, h, f.grid.dx) if isinstance(fam, GaussianDrift) else f.samples
+        return GridFunction(f.grid, _window_sup_written_out(base, lset.lo * h, lset.hi * h, f.grid.dx))
+    lams = lset.values if isinstance(lset, LambdaValues) else [float(v) for v in lset.samples(_CP_INTERIOR)]
+    return GridFunction(f.grid, np.maximum.reduce([_member_written_out(fam, lam, h, f) for lam in lams]))
+
+
+def _plan_arrays(obj, seen=None):
+    """Every ndarray a step plan holds, through closures, tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _plan_arrays(item, seen)]
+    cells = getattr(obj, "__closure__", None) or ()
+    return [a for cell in cells for a in _plan_arrays(cell.cell_contents, seen)]
+
+
+_MU2 = JumpDistribution(((-0.73, 0.4), (0.2, 0.6)))  # a fractional and a whole-node offset on dx = 0.1
+_MU3 = JumpDistribution(((0.3, 0.25), (-1.15, 0.35), (0.055, 0.4)))
+PLAN_FAMILIES = {
+    "gauss-interval": GaussianDrift(LambdaInterval(-0.7, 1.1)),
+    "gauss-list": GaussianDrift(LambdaValues((-0.8, 0.25, 1.1))),
+    "shift-interval": PureShift(LambdaInterval(-1.0, 0.6)),
+    "cp-interval": CompoundPoisson(LambdaInterval(0.0, 1.3), _MU2),
+    "cp-list": CompoundPoisson(LambdaValues((0.0, 0.5, 2.0)), _MU3),
+}
+
+
+def _signed_zero_data(g, seed, normal=0.5):
+    """Samples of +-0, +-1e-320 and other small values, a share `normal`
+    of them replaced by normal values; tiny values keep signed zeros in the
+    results, so sign bits show."""
+    rng = np.random.default_rng(seed)
+    u = rng.choice(TestWindowSupBytes.VALUES, size=g.n_nodes)
+    return GridFunction(g, np.where(rng.random(g.n_nodes) < normal, rng.standard_normal(g.n_nodes), u))
+
+
+class TestStepPlans:
+    """step_J runs a cached plan per (family, h, dx, n) and wraps its result
+    without a copy; the bits must be those of the written-out step."""
+
+    @pytest.mark.parametrize("name", PLAN_FAMILIES)
+    def test_apply_partition_matches_written_out_steps(self, name):
+        # dx = 0.1: the Gaussian heat step is a sampled kernel up to level 4
+        # and random-walk steps at levels 5 and 6
+        fam = PLAN_FAMILIES[name]
+        g = make_grid(-10.0, 10.0, 201)
+        for f in (_signed_zero_data(g, 3), _signed_zero_data(g, 4, normal=0.02)):
+            for level in range(7):
+                want = f
+                for h in reversed(Partition.dyadic(0.5, level).gaps()):
+                    want = _step_written_out(fam, h, want)
+                got = apply_partition(fam, Partition.dyadic(0.5, level), f).samples
+                assert np.array_equal(got, want.samples), level
+                assert np.array_equal(np.signbit(got), np.signbit(want.samples)), level
+
+    def test_plan_cache_keeps_keys_apart(self):
+        # equal dx on different node counts, and families that differ only in
+        # mu or only in the lambda set, each get a plan of their own
+        g1, g2 = make_grid(-10.0, 10.0, 201), make_grid(-5.0, 5.0, 101)
+        assert g1.dx == g2.dx
+        fams = [CompoundPoisson(LambdaInterval(0.0, 1.3), _MU2), CompoundPoisson(LambdaInterval(0.0, 1.3), _MU3),
+                GaussianDrift(LambdaInterval(-0.7, 1.1)), GaussianDrift(LambdaInterval(-0.7, 0.4)),
+                GaussianDrift(LambdaValues((-0.7, 1.1)))]
+        _step_plan.cache_clear()
+        for _ in range(2):  # the second round reads every plan from the cache
+            for fam, g in itertools.product(fams, (g1, g2)):
+                f = _signed_zero_data(g, g.n_nodes)
+                got, want = step_J(fam, 0.125, f).samples, _step_written_out(fam, 0.125, f).samples
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (fam, g)
+        info = _step_plan.cache_info()
+        assert info.currsize == len(fams) * 2 and info.hits == len(fams) * 2
+
+    @pytest.mark.parametrize("name", PLAN_FAMILIES)
+    def test_results_are_fresh_and_read_only(self, name):
+        fam = PLAN_FAMILIES[name]
+        g = make_grid(-10.0, 10.0, 201)
+        f = bump(g, radius=1.0)
+        a = step_J(fam, 0.25, f)
+        b = step_J(fam, 0.25, a)
+        c = step_J(fam, 0.25, f)
+        held = _plan_arrays(_step_plan(fam, 0.25, g.dx, g.n_nodes))
+        for x in (a, b, c):
+            assert not x.samples.flags.writeable
+            assert not any(np.shares_memory(x.samples, arr) for arr in held)
+        for x, y in itertools.combinations((f, a, b, c), 2):
+            assert not np.shares_memory(x.samples, y.samples)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_member_raises(self, sign):
+        # the Poisson series of a constant at the float range overflows in
+        # the member rows; the one-step supremum must not hide it
+        g = make_grid(-5.0, 5.0, 101)
+        f = GridFunction(g, np.full(101, sign * np.finfo(float).max))
+        fam = CompoundPoisson(LambdaInterval(0.0, 1.0), JumpDistribution(((1.0, 1.0),)))
+        with pytest.raises(UsageError, match="member samples must all be finite"), np.errstate(over="ignore"):
+            step_J(fam, 1.0, f)
 
 
 class TestApplyPartition:

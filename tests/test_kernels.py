@@ -13,7 +13,7 @@ from nisioenv.kernels import (
     LambdaValues,
     PureShift,
     _first_difference,
-    _heat_convolve_arr,
+    _heat_plan,
     _heat_weights,
     _jump_mix_arr,
     _poisson_weights,
@@ -117,14 +117,18 @@ class TestFixedWeights:
         ((1e12, 0.2), (0.0123, 0.3), (-1e12, 0.5)),
     ])
     def test_jump_mix_matches_sum_of_shifts(self, atoms):
+        # on normal data, and on +-0 and +-1e-320 data, where the sum starting
+        # from +0 decides the sign of a zero
         g = make_grid(-10.0, 10.0, 2001)
         rng = np.random.default_rng(5)
-        f = GridFunction(g, rng.standard_normal(2001))
         mu = JumpDistribution(atoms)
-        expected = np.zeros(2001)
-        for y, w in mu.atoms:
-            expected += w * interp_shift(f, y).samples
-        assert np.array_equal(_jump_mix_arr(f.samples, mu, g.dx), expected)
+        for u in (rng.standard_normal(2001), rng.choice([0.0, -0.0, 1e-320, -1e-320, 1.0], size=2001)):
+            f = GridFunction(g, u)
+            expected = np.zeros(2001)
+            for y, w in mu.atoms:
+                expected += w * interp_shift(f, y).samples
+            got = _jump_mix_arr(f.samples, mu, g.dx)
+            assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_cached_weights_are_read_only(self):
         for w in (_poisson_weights(0.7), _poisson_weights(0.0), _heat_weights(0.5, 0.01)):
@@ -394,7 +398,7 @@ class TestUpperBound:
         p = norm.p
         if isinstance(fam, GaussianDrift):
             factor = math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-            smoothed = _heat_convolve_arr(np.abs(f.samples) ** p, h, f.grid.dx)
+            smoothed = _heat_plan(h, f.grid.dx)(np.abs(f.samples) ** p)
             return factor * np.maximum(smoothed, 0.0) ** (1.0 / p)
         moved = apply_member(fam, lam_bar, h, GridFunction(f.grid, np.abs(f.samples) ** p))
         return math.exp((lam_bar - fam.lambda_set.inf) * h) * np.maximum(moved.samples, 0.0) ** (1.0 / p)

@@ -6,7 +6,7 @@ import pytest
 from nisioenv import ConfigurationError, UsageError
 from nisioenv.cli import monotone_stepper_violation
 from nisioenv.envelope import step_J
-from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid
+from nisioenv.funcspace import GridFunction, _interp_shift_arr, bump, gaussian_profile, lp_norm, make_grid
 from nisioenv.kernels import (
     CompoundPoisson,
     JumpDistribution,
@@ -144,6 +144,55 @@ class TestOdeReference:
             k4 = sup_generator(fam, u + dt * k3)
             u = GridFunction(g, u.samples + (dt / 6.0) * (k1.samples + 2.0 * k2.samples + 2.0 * k3.samples + k4.samples))
         assert np.array_equal(ode_reference(fam, f, t, dt).samples, u.samples)
+
+    @pytest.mark.parametrize("atoms", [
+        ((0.2, 1.0),),  # one whole-node offset on dx = 0.1
+        ((-0.37, 1.0),),
+        ((0.2, 0.45), (-0.73, 0.55)),
+        ((0.3, 0.25), (-1.15, 0.35), (0.055, 0.4)),
+    ])
+    @pytest.mark.parametrize("lambda_set", [LambdaValues((0.0, 0.6, 1.4)), LambdaInterval(0.3, 1.2)])
+    def test_bit_identical_to_rk4_written_out(self, atoms, lambda_set):
+        # the RK4 loop with every stage a fresh array, on data with +-0 and
+        # +-1e-320, against the oracle's preallocated stages
+        g = make_grid(-10.0, 10.0, 201)
+        fam = CompoundPoisson(lambda_set, JumpDistribution(atoms))
+        rng = np.random.default_rng(len(atoms))
+        u = rng.choice([0.0, -0.0, 1e-320, -1e-320, -1.0, 0.5], size=201)
+        f = GridFunction(g, np.where(rng.random(201) < 0.1, rng.standard_normal(201), u))
+
+        def rhs(arr):
+            mixed = np.zeros(201)
+            for y, w in fam.mu.atoms:
+                mixed += w * _interp_shift_arr(arr, y, g.dx)
+            b = mixed - arr
+            if isinstance(lambda_set, LambdaInterval):
+                return np.maximum(lambda_set.lo * b, lambda_set.hi * b)
+            return np.maximum.reduce([v * b for v in lambda_set.values])
+
+        t, steps = 0.3, 30
+        dt = t / steps
+        u = f.samples
+        for _ in range(steps):
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * dt * k1)
+            k3 = rhs(u + 0.5 * dt * k2)
+            k4 = rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = ode_reference(fam, f, t, 0.01).samples
+        assert np.array_equal(got, u) and np.array_equal(np.signbit(got), np.signbit(u))
+        assert not got.flags.writeable and not np.shares_memory(got, f.samples)
+
+    @pytest.mark.parametrize("lambda_set", [LambdaValues((0.0, 1.0)), LambdaInterval(0.0, 1.0)])
+    def test_alternating_float_max_stage_raises(self, lambda_set):
+        # mu * f - f is -2 f at the float range: the first stage overflows
+        g = make_grid(-5.0, 5.0, 101)
+        big = np.finfo(float).max
+        f = GridFunction(g, np.where(np.arange(101) % 2 == 0, big, -big))
+        fam = CompoundPoisson(lambda_set, JumpDistribution(((0.1, 1.0),)))
+        with pytest.raises(UsageError, match="an RK4 stage of ode_reference is not finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            ode_reference(fam, f, 0.1, 0.01)
 
     def test_overflowing_stage_raises(self):
         # adjacent nodes of opposite sign near the float range: the jump to
