@@ -23,6 +23,7 @@ from .funcspace import (
     PNorm,
     _SNAP_TOL,
     _clamp_shift,
+    _nonzero_span,
     _shift_split,
     _zero_shifts,
     lp_norm,
@@ -171,7 +172,11 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
     operand, and np.maximum keeps its second on a tie between +0 and -0, so a
     tie keeps the later offset, as a fold in increasing order does, and so
     does scipy's filter. The filter reads one shift c that brings offset 0
-    into the window (c = 0, no padding, when the window contains it).
+    into the window (c = 0, no padding, when the window contains it). It
+    runs only on the outputs whose window meets the span of v = shift(c)
+    whose bits are not +0; every other output is a max of +0 terms, +0. On
+    that slice, reads past its ends give cval +0, as the samples there do,
+    and each output of the filter depends only on the values in its window.
     """
     wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
     count = wh - wl + 1
@@ -184,13 +189,21 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
 
         return max(abs(wl), abs(wh)), fold
     c = max(wl, 0) + min(wh, 0)
+    vl, vh = wl - c, wh - c  # the window's offsets on v = shift(c): vl <= 0 <= vh
 
     def filtered(shift) -> np.ndarray:
         # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB,
         # and only windows past the cutover (the blow-up scans) need it.
         from scipy.ndimage import maximum_filter1d
 
-        return maximum_filter1d(shift(c), count, mode="constant", cval=0.0, origin=c - wl - count // 2)
+        v, out = shift(c), np.zeros(n)
+        span = _nonzero_span(v.view(np.int64) != 0)  # -0 has nonzero bits
+        if span is None:
+            return out
+        lo, hi = max(0, span[0] - vh), min(n, span[1] - vl)
+        maximum_filter1d(v[lo:hi], count, output=out[lo:hi], mode="constant", cval=0.0,
+                         origin=c - wl - count // 2)
+        return out
 
     return abs(c), filtered
 

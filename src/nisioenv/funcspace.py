@@ -86,7 +86,7 @@ class GridFunction:
                 f"samples shape {arr.shape} does not match grid with "
                 f"{self.grid.n_nodes} nodes"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise UsageError("samples must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -152,21 +152,47 @@ def lp_norm(f: GridFunction, norm: PNorm) -> float:
     Terms are accumulated strictly left to right so the result does not
     depend on any parallel reduction schedule or on the interpreter: the
     running sum of np.cumsum is a plain sequential scan, where np.sum adds
-    pairwise and Python's float sum is compensated from 3.12 on.
+    pairwise and Python's float sum is compensated from 3.12 on. A sample
+    of +0 or -0 gives a term of +0, which leaves every running sum as it is,
+    so only the span from the first to the last nonzero sample is summed.
     """
-    p = norm.p
-    if p == 1.0:
-        terms = np.abs(f.samples) * f.grid.dx
-    elif p == 2.0:
-        terms = f.samples * f.samples * f.grid.dx
-    else:
-        terms = np.abs(f.samples) ** p * f.grid.dx
-    total = float(np.cumsum(terms, out=terms)[-1])  # terms is a fresh array
+    p, x = norm.p, f.samples
+    if not (x[0] and x[-1]):
+        span = _nonzero_span(x != 0)
+        if span is None:
+            return 0.0
+        x = x[span[0] : span[1]]
+    terms = np.abs(x) if p != 2.0 else x * x  # one fresh array, worked on in place
+    if p != 1.0 and p != 2.0:
+        np.power(terms, p, out=terms)
+    terms *= f.grid.dx
+    total = float(np.cumsum(terms, out=terms)[-1])
     if p == 1.0:
         return total
     if p == 2.0:
         return math.sqrt(total)
     return total ** (1.0 / p)
+
+
+def _nonzero_span(mask: np.ndarray) -> tuple[int, int] | None:
+    """[a, b) from the first to one past the last True of a 1-D bool mask,
+    or None when it has none."""
+    raw = mask.tobytes()  # a True is the byte 1; bytes.rfind scans from the end
+    a = raw.find(1)
+    return None if a < 0 else (a, raw.rfind(1) + 1)
+
+
+def _node_span(grid: Grid, lo: float, hi: float) -> tuple[int, int]:
+    """[start, stop), never empty: the indices of the nodes in [lo, hi],
+    estimated from (x - lower) / dx and widened by two nodes or more on each
+    side to absorb the rounding of the estimate, clamped to the grid. A NaN
+    end counts as left of the grid."""
+    def index(x: float, margin: float) -> int:
+        s = (x - grid.lower) / grid.dx + margin
+        return int(min(s, grid.n_nodes)) if s > 0 else 0
+
+    start = min(index(lo, -2.0), grid.n_nodes - 1)
+    return start, max(index(hi, 3.0), start + 1)
 
 
 def _shift_int(arr: np.ndarray, k: int) -> np.ndarray:
@@ -259,15 +285,25 @@ def bump(grid: Grid, center: float = 0.0, radius: float = 1.0, height: float = 1
     """Smooth compactly supported bump, height at the center, zero for |x-c| >= r.
 
     The classical C_c^infinity profile exp(1 - 1/(1 - u^2)) with u = (x-c)/r.
+    Only the nodes of [c - r, c + r] are evaluated; a range of nodes has the
+    bits of the same slice of all of them, and u is nondecreasing along the
+    grid, so the end nodes of the range, at u <= -1 and u >= 1, show that no
+    node beyond it is inside. Where they do not (nodes too dense for their
+    floats, a NaN center or radius), every node is evaluated.
     """
     if radius <= 0:
         raise ConfigurationError("bump radius must be positive")
-    u = (grid.nodes() - center) / radius
-    vals = np.zeros(grid.n_nodes)
+    n = grid.n_nodes
+    start, stop = _node_span(grid, center - radius, center + radius)
+    u = (grid.nodes(start, stop) - center) / radius
+    if (start > 0 and not u[0] <= -1.0) or (stop < n and not u[-1] >= 1.0):
+        start, stop = 0, n
+        u = (grid.nodes() - center) / radius
+    vals = np.zeros(n)
     inside = np.abs(u) < 1.0
     with np.errstate(over="ignore", under="ignore"):
-        vals[inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return GridFunction(grid, vals)
+        vals[start:stop][inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+    return GridFunction._wrap(grid, vals)
 
 
 def gaussian_profile(grid: Grid, center: float = 0.0, sigma: float = 1.0, height: float = 1.0) -> GridFunction:

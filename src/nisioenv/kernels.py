@@ -211,10 +211,12 @@ def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
         w = _heat_weights(t, dx)
-        # the centred n samples of the full convolution; unlike mode="same",
-        # this stays n samples long when the kernel is wider than the grid
+        # mode "same" gives the centred samples of the full convolution, the
+        # same dot products on the same operands, but returns len(w) samples
+        # when the kernel is wider than the grid: slice the full one there
         half = len(w) // 2
-        return lambda arr: np.convolve(arr, w)[half : half + arr.shape[0]]
+        return lambda arr: (np.convolve(arr, w, "same") if len(w) <= arr.shape[0]
+                            else np.convolve(arr, w)[half : half + arr.shape[0]])
     # grid-unresolved variance: three-point steps with the exact variance,
     # nonnegative weights (s <= dx^2), constants preserved by construction
     k = max(1, math.ceil(t / dx2))
@@ -231,7 +233,7 @@ def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
 
 def heat_convolve(f: GridFunction, t: float) -> GridFunction:
     """Convolve with the heat kernel of variance t (zero extension outside)."""
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"heat time must be >= 0, got {t}")
     return GridFunction(f.grid, _heat_plan(t, f.grid.dx)(f.samples))
 
@@ -338,7 +340,7 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
     checks on t and on every lam; for translates the heat step and the split
     of every shift, for compound Poisson the Poisson weights and the jump
     stencil."""
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     for lam in lams:
         if not fam.lambda_set.contains(lam):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
-from .funcspace import Grid, GridFunction, PNorm, lp_norm
+from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
 from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_stencil, _JumpMixer
 
 __all__ = [
@@ -173,13 +173,14 @@ def pole_initial_condition(grid: Grid, p: float, eps: float) -> GridFunction:
     an unbounded supremum under the uncertain shift step.
     """
     a = 1.0 / (2.0 * p)
-    def index(x: float, margin: float) -> int:
-        return int(min(max((x - grid.lower) / grid.dx + margin, 0.0), grid.n_nodes))
-
-    # only nodes in [-1, 1] are nonzero: look at those, plus two nodes or
-    # more beyond each end to absorb the rounding of the index estimate
-    start, stop = index(-1.0, -2.0), index(1.0, 3.0)
-    absx = np.abs(grid.nodes(start, stop))
+    # only nodes in [-1, 1] are nonzero: look at those, and at all nodes
+    # when the ends of the range do not show that none beyond it is inside
+    start, stop = _node_span(grid, -1.0, 1.0)
+    x = grid.nodes(start, stop)
+    if (start > 0 and not x[0] < -1.0) or (stop < grid.n_nodes and not x[-1] > 1.0):
+        start, stop = 0, grid.n_nodes
+        x = grid.nodes()
+    absx = np.abs(x)
     vals = np.zeros(grid.n_nodes)
     seg = vals[start:stop]
     inside = absx <= 1.0
@@ -234,9 +235,8 @@ def counterexample_scan(
     fam = PureShift(LambdaInterval(-1.0, 1.0))
     norm = PNorm(p)
     table = []
-    for eps in epsilons:
-        f_eps = pole_initial_condition(grid, p, eps)
-        table.append((float(eps), lp_norm(step_J(fam, t, f_eps), norm)))
+    for eps in epsilons:  # each pole is freed once its step has read it, each step once normed
+        table.append((float(eps), lp_norm(step_J(fam, t, pole_initial_condition(grid, p, eps)), norm)))
     return table
 
 

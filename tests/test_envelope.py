@@ -169,6 +169,47 @@ class TestWindowSupBytes:
             assert np.array_equal(got, want), ml
             assert np.array_equal(np.signbit(got), np.signbit(want)), ml
 
+    # windows past the cutover on 9 001 nodes: around offset 0 (c = 0), off
+    # it on either side (c != 0, as for drifts in [0.25, 1]), and wider than
+    # the grid
+    FILTER_WINDOWS = ((-2100, 2100), (-4500, 100), (1000, 5200), (100, 4300), (-8000, -3800), (-9500, 9500))
+
+    @staticmethod
+    def _supports(n, rng):
+        """Samples whose nonzero bits lie on one span: inside, touching
+        either edge, the whole grid, a lone -0, -0 tails, all +0."""
+        out = []
+        for a, b in ((3000, 4000), (0, 700), (n - 700, n), (0, n), (4500, 4501), (0, 1), (n - 1, n)):
+            u = np.zeros(n)
+            u[a:b] = np.random.default_rng(a + b).choice(TestWindowSupBytes.VALUES, size=b - a)
+            # the first output whose window meets the span reads only its
+            # -0, the last one only its 1e-320
+            u[a], u[b - 1] = -0.0, 1e-320
+            out.append(u)
+        tails = np.full(n, -0.0)
+        tails[4000:4100] = rng.choice(TestWindowSupBytes.VALUES, size=100)
+        lone = np.zeros(n)
+        lone[4321] = -0.0
+        return out + [tails, lone, np.zeros(n)]
+
+    def test_cropped_filter_matches_uncropped_and_brute_force(self):
+        # the filter runs only where a window meets the span of nonzero bits;
+        # against scipy's filter on the whole shifted array (values and sign
+        # bits) and a brute-force max over each zero-padded window (values)
+        n, rng = 9001, np.random.default_rng(12)
+        for u in self._supports(n, rng):
+            for ml, mh in self.FILTER_WINDOWS:
+                wl, wh = max(ml, -n), min(mh, n)
+                count, c = wh - wl + 1, max(wl, 0) + min(wh, 0)
+                assert count > _FILTER_CUTOVER
+                shifted = _shift_int(u, c)
+                whole = maximum_filter1d(shifted, count, mode="constant", cval=0.0, origin=c - wl - count // 2)
+                padded = np.concatenate([np.zeros(n), u, np.zeros(n)])
+                brute = sliding_window_view(padded, count)[n + wl : 2 * n + wl].max(axis=1)
+                got = _window_int_max(u, ml, mh)
+                assert np.array_equal(got, whole) and np.array_equal(np.signbit(got), np.signbit(whole)), (ml, mh)
+                assert np.array_equal(got, brute), (ml, mh)
+
     def test_shift_beyond_the_grid_pads_at_most_n(self):
         # a drift of 1e12 nodes reads only zeros; no 1e12-node padding is built
         u = np.arange(1.0, 6.0)

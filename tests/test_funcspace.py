@@ -63,6 +63,32 @@ class TestLpNorm:
         assert got != math.fsum(terms)
         assert got != float(np.sum(np.array(terms)))
 
+    @staticmethod
+    def _written_out(x, dx, p):
+        """Every sample's term, on the whole grid, summed left to right."""
+        terms = np.abs(x) * dx if p == 1.0 else x * x * dx if p == 2.0 else np.abs(x) ** p * dx
+        total = float(np.cumsum(terms)[-1])
+        return total if p == 1.0 else math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_zero_tails_skipped_with_the_same_bits(self, p):
+        # leading and trailing runs of +0 and -0, subnormals inside and at the
+        # ends, all zeros, and both ends nonzero (no span scan)
+        n, rng = 257, np.random.default_rng(5)
+        values = np.array([0.0, -0.0, 1e-320, -1e-320, 5e-324, 1e-160, -0.75, 2.5])
+        g = make_grid(-1.0, 1.0, n)
+        cases = [np.zeros(n), np.full(n, -0.0), rng.standard_normal(n)]
+        for a, b in ((0, n), (0, 40), (200, n), (100, 101), (30, 220)):
+            for fill in (0.0, -0.0):
+                for _ in range(4):
+                    x = np.full(n, fill)
+                    x[a:b] = rng.choice(values, size=b - a)
+                    cases.append(x)
+        for x in cases:
+            got = lp_norm(GridFunction(g, x), PNorm(p))
+            want = self._written_out(x, g.dx, p)
+            assert got.hex() == want.hex(), (x[x != 0], p)
+
     def test_ramp_l1_converges_to_half(self):
         # rectangle rule for int_0^1 x dx is exactly N/(2(N-1))
         vals = []
@@ -219,6 +245,32 @@ class TestGridFunction:
     def test_immutable(self, bump_small):
         with pytest.raises(ValueError):
             bump_small.samples[0] = 1.0
+
+    @pytest.mark.parametrize("lower, upper, n, center, radius", [
+        (-4.0, 4.0, 801, 0.3, 1.1),       # inside the grid
+        (-4.0, 4.0, 801, -9.0, 2.0),      # centre and support left of the grid
+        (-4.0, 4.0, 801, 5.0, 1.5),       # centre off the grid, support reaching in
+        (-4.0, 4.0, 801, 0.0, 50.0),      # radius wider than the grid
+        (-4.0, 4.0, 801, -3.0, 1.0),      # support ending at the lower edge
+        (-4.0, 4.0, 801, 3.5, 0.5),       # support ending at the upper edge
+        (-1.0, 1.0, 2, 0.0, 0.5),         # two nodes, none inside
+        (1.0, 1.0 + 1e-15, 101, 1.0 + 4.5e-16, 1e-16),  # nodes too dense for their floats
+    ])
+    def test_bump_on_its_support_matches_whole_grid(self, lower, upper, n, center, radius):
+        # evaluated only on the nodes of [c - r, c + r], against every node
+        g = make_grid(lower, upper, n)
+        u = (g.nodes() - center) / radius
+        want = np.zeros(n)
+        inside = np.abs(u) < 1.0
+        with np.errstate(over="ignore", under="ignore"):
+            want[inside] = 2.0 * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+        got = bump(g, center=center, radius=radius, height=2.0).samples
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert not got.flags.writeable
+
+    def test_bump_nan_center_is_zero(self):
+        g = make_grid(-1.0, 1.0, 11)
+        assert np.array_equal(bump(g, center=math.nan).samples, np.zeros(11))
 
     def test_bump_support(self, grid_small):
         f = bump(grid_small, center=1.0, radius=2.0, height=3.0)

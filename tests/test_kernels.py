@@ -87,6 +87,20 @@ class TestHeatConvolve:
         f = GridFunction(g, np.random.default_rng(0).standard_normal(101))
         assert np.array_equal(heat_convolve(f, 0.0).samples, f.samples)
 
+    @pytest.mark.parametrize("extra", [-40, -1, 0, 1, 40])
+    def test_plan_bytes_around_the_grid_width(self, extra):
+        # kernels narrower than, as wide as and wider than the grid give the
+        # bits of the centred slice of the full convolution, signs of zeros
+        # included
+        t, dx = 4.0, 0.25
+        w = _heat_weights(t, dx)
+        n, half = len(w) + extra, len(w) // 2
+        rng = np.random.default_rng(len(w) + extra)
+        arr = rng.choice([0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0], size=n)
+        got, want = _heat_plan(t, dx)(arr), np.convolve(arr, w)[half : half + n]
+        assert got.shape == (n,)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_kernel_wider_than_grid(self):
         # 8 sqrt(t) / dx = 256 offsets per side on 257 nodes: the kernel is
         # about twice as wide as the grid; the result is the zero extension
@@ -199,6 +213,15 @@ class TestApplyMember:
             apply_members(gauss_family, (0.5, 0.2), -0.1, bump_small)
         with pytest.raises(UsageError):
             apply_members(gauss_family, (0.5, 1.5), 0.1, bump_small)
+
+    def test_nan_time_is_a_usage_error(self, grid_small, bump_small, gauss_family, cp_family):
+        for fam in (gauss_family, cp_family):
+            with pytest.raises(UsageError, match="time"):
+                apply_member(fam, 0.5, math.nan, bump_small)
+            with pytest.raises(UsageError, match="time"):
+                apply_members(fam, (0.5, 0.25), math.nan, bump_small)
+        with pytest.raises(UsageError, match="heat time"):
+            heat_convolve(bump_small, math.nan)
 
     def test_linearity(self, grid_small, gauss_family, cp_family, make_smooth):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ class TestCounterexampleScan:
         assert all(r >= 1.5 for r in ratios)
         assert all(b > a for (_, a), (_, b) in zip(table, table[1:]))
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_scan_holds_under_three_grid_arrays(self, p):
+        # each step reads its pole, each norm its step result, and nothing
+        # outlives its use: the traced peak stays under three grid-long
+        # float arrays (about four at p = 1.5 and three at p = 2 when the
+        # filter, lp_norm and the scan worked on the whole grid)
+        g = make_grid(-3.0, 3.0, 240001)
+        eps = [1e-2, 1e-3, 1e-4]
+        counterexample_scan(g, p, 0.5, eps)  # imports scipy and fills the plan cache
+        tracemalloc.start()
+        try:
+            counterexample_scan(g, p, 0.5, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * g.n_nodes
+
     def test_bounded_control_stays_bounded(self, norm2):
         # shifts of a bounded profile keep a bounded supremum
         g = make_grid(-3.0, 3.0, 24001)
@@ -236,7 +254,8 @@ class TestCounterexampleScan:
         assert lp_norm(out, norm2) == lp_norm(f_eps, norm2)
 
     @pytest.mark.parametrize("lower, upper, n_nodes", [
-        (-3.0, 3.0, 24001), (-0.7, 2.3, 3001), (-1.0, 1.0, 801), (1.5, 3.0, 101), (-5.0, -0.999, 4003)])
+        (-3.0, 3.0, 24001), (-0.7, 2.3, 3001), (-1.0, 1.0, 801), (1.5, 3.0, 101), (-5.0, -0.999, 4003),
+        (1.0 - 1e-15, 1.0 + 1e-15, 201)])  # nodes too dense for their floats around x = 1
     @pytest.mark.parametrize("p", [1.25, 2.0])
     def test_pole_matches_where_formula(self, lower, upper, n_nodes, p):
         # the capped pole computed on the whole grid with np.where, against
