@@ -42,7 +42,7 @@ QUOTIENT_TOL = 1e-9
 
 def geometric_schedule(h0: float = 0.1, halvings: int = 6) -> list[float]:
     """Strictly decreasing step schedule h0, h0/2, ..., h0/2^halvings."""
-    if h0 <= 0 or halvings < 0:
+    if not h0 > 0 or halvings < 0:
         raise UsageError("schedule needs h0 > 0 and halvings >= 0")
     return [h0 * 0.5**k for k in range(halvings + 1)]
 
@@ -336,7 +336,7 @@ def ball_samples(
     White noise is mollified by one heat step of size dx^2 (keeping samples
     grid-resolved), scaled to a uniformly drawn norm in (0, radius].
     """
-    if radius <= 0 or count < 1:
+    if not radius > 0 or count < 1:
         raise UsageError("ball sampling needs radius > 0 and count >= 1")
     rng = np.random.default_rng(seed)
     out = []

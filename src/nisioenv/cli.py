@@ -25,7 +25,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -78,13 +78,18 @@ class ExperimentConfig:
     grid: funcspace.Grid
     norm: PNorm
     family: kernels.KernelFamily
-    initial: GridFunction
+    _initial: Callable[[], GridFunction] = field(repr=False)
     t: float
     tol_rel: float
     n_max: int
     seed: int
     output_dir: str
     options: dict = field(default_factory=dict)
+
+    @cached_property
+    def initial(self) -> GridFunction:
+        """The initial data, checked at load and evaluated on first read."""
+        return self._initial()
 
     def envelope_params(self) -> envelope.EnvelopeParams:
         return envelope.EnvelopeParams(norm=self.norm, tol_rel=self.tol_rel, n_max=self.n_max)
@@ -196,29 +201,34 @@ def build_family(spec: dict) -> kernels.KernelFamily:
         raise ConfigurationError(f"invalid `family.` specification: {exc}") from exc
 
 
-def build_initial(spec: dict, grid: funcspace.Grid) -> GridFunction:
+def build_initial(spec: dict, grid: funcspace.Grid) -> Callable[[], GridFunction]:
+    """Check the `initial.` section on the grid and return the function that
+    evaluates it, which then cannot fail: a bump is finite for finite
+    parameters, a Gaussian once 2 sigma^2 is a positive float, and a ramp,
+    monotone along the grid, once it is at both end nodes. A CSV is read."""
     kind = _require(spec, "kind", "initial.")
     params = _object(spec, "params", "initial.") if "params" in spec else {}
     if kind == "bump":
-        return funcspace.bump(
+        return partial(
+            funcspace.bump,
             grid,
             center=_number(params, "center", "initial.params.", 0.0),
-            radius=_number(params, "radius", "initial.params.", 1.0),
+            radius=_positive(params, "radius", "initial.params.", 1.0),
             height=_number(params, "height", "initial.params.", 1.0),
         )
     if kind == "gaussian":
-        return funcspace.gaussian_profile(
-            grid,
-            center=_number(params, "center", "initial.params.", 0.0),
-            sigma=_number(params, "sigma", "initial.params.", 1.0),
-            height=_number(params, "height", "initial.params.", 1.0),
-        )
+        center = _number(params, "center", "initial.params.", 0.0)
+        sigma = _positive(params, "sigma", "initial.params.", 1.0)
+        if not 0.0 < 2.0 * (sigma * sigma) < math.inf:  # the profile's denominator, as it rounds it
+            raise ConfigurationError(f"key `initial.params.sigma`: 2 sigma^2 leaves the float range, got {sigma}")
+        return partial(funcspace.gaussian_profile, grid, center=center, sigma=sigma,
+                       height=_number(params, "height", "initial.params.", 1.0))
     if kind == "ramp":
-        return funcspace.ramp(
-            grid,
-            slope=_number(params, "slope", "initial.params.", 1.0),
-            intercept=_number(params, "intercept", "initial.params.", 0.0),
-        )
+        slope = _number(params, "slope", "initial.params.", 1.0)
+        intercept = _number(params, "intercept", "initial.params.", 0.0)
+        if not all(math.isfinite(slope * x + intercept) for x in (grid.lower, float(grid.nodes(grid.n_nodes - 1)[0]))):
+            raise ConfigurationError("keys `initial.params.slope` and `intercept`: the ramp leaves the float range")
+        return partial(funcspace.ramp, grid, slope=slope, intercept=intercept)
     if kind == "custom_csv":
         path = _require(params, "path", "initial.params.")
         if not isinstance(path, str):
@@ -228,7 +238,7 @@ def build_initial(spec: dict, grid: funcspace.Grid) -> GridFunction:
         f = funcspace.read_csv(path)
         if f.grid != grid:
             raise ConfigurationError("key `initial.params.path`: CSV grid does not match the configured grid")
-        return f
+        return lambda: f
     raise ConfigurationError(f"key `initial.kind` must be one of bump, gaussian, ramp, custom_csv; got {kind!r}")
 
 
@@ -274,7 +284,7 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(raw)
     return ExperimentConfig(
         raw=raw, grid=grid, norm=norm, family=family,
-        initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
+        _initial=initial, t=t, tol_rel=tol_rel, n_max=n_max, seed=seed,
         output_dir=output_dir, options=options,
     )
 

@@ -22,10 +22,10 @@ from .funcspace import (
     GridFunction,
     PNorm,
     _SNAP_TOL,
-    _clamp_shift,
+    _clamped_split,
     _nonzero_span,
     _shift_split,
-    _zero_shifts,
+    _ZeroPadded,
     lp_norm,
 )
 from .kernels import (
@@ -85,7 +85,7 @@ class Partition:
 
     @staticmethod
     def dyadic(t: float, level: int) -> "Partition":
-        if t <= 0:
+        if not t > 0:
             raise UsageError(f"partition horizon must be > 0, got {t}")
         if level < 0:
             raise UsageError("dyadic level must be >= 0")
@@ -158,12 +158,12 @@ class EnvelopeResult:
 # either at a node inside the window or at one of the two window endpoints.
 
 
-def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
-    """(reach, int_max) for the max over the integer offsets ml..mh on n
+def _int_max_plan(n: int, ml: int, mh: int) -> tuple[list[tuple[int, int, float]], Callable]:
+    """(reads, int_max) for the max over the integer offsets ml..mh on n
     nodes: out[i] = max(u[i+ml .. i+mh], zero-padded). The offsets are
-    clamped to [-n, n], which drops only all-zero terms; reach is the
-    farthest shift the max reads, and int_max maps the `_zero_shifts` of u,
-    covering reach, to a fresh array.
+    clamped to [-n, n], which drops only all-zero terms; reads are the
+    farthest shifts the max reads, as splits, and int_max maps u held in a
+    `_ZeroPadded` as wide as they need to a fresh array.
 
     Up to `_FILTER_CUTOVER` offsets a doubling fold reads the contiguous run
     of u from offset wl on: after each pass run[j] is the max over k
@@ -178,25 +178,25 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
     that slice, reads past its ends give cval +0, as the samples there do,
     and each output of the filter depends only on the values in its window.
     """
-    wl, wh = _clamp_shift(ml, n), _clamp_shift(mh, n)
+    wl, wh = min(max(ml, -n), n), min(max(mh, -n), n)
     count = wh - wl + 1
     if count <= _FILTER_CUTOVER:
-        def fold(shift) -> np.ndarray:
-            run, k = shift(wl, n + count - 1), 1
+        def fold(u: _ZeroPadded) -> np.ndarray:
+            run, k = u.shift(wl, n + count - 1), 1
             while 2 * k < count:
                 run, k = np.maximum(run[:-k], run[k:]), 2 * k
             return np.maximum(run[:n], run[count - k : count - k + n])
 
-        return max(abs(wl), abs(wh)), fold
+        return [(wl, wl, 0.0), (wh, wh, 0.0)], fold
     c = max(wl, 0) + min(wh, 0)
     vl, vh = wl - c, wh - c  # the window's offsets on v = shift(c): vl <= 0 <= vh
 
-    def filtered(shift) -> np.ndarray:
+    def filtered(u: _ZeroPadded) -> np.ndarray:
         # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB,
         # and only windows past the cutover (the blow-up scans) need it.
         from scipy.ndimage import maximum_filter1d
 
-        v, out = shift(c), np.zeros(n)
+        v, out = u.shift(c), np.zeros(n)
         span = _nonzero_span(v.view(np.int64) != 0)  # -0 has nonzero bits
         if span is None:
             return out
@@ -205,7 +205,7 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[int, Callable]:
                          origin=c - wl - count // 2)
         return out
 
-    return abs(c), filtered
+    return [(c, c, 0.0)], filtered
 
 
 def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -217,28 +217,29 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarra
     integer max already and is left out. The rest are folded as
     max(max of the endpoints, integer max): np.maximum keeps its second
     operand on a tie between +0 and -0, so this order gives the bits of the
-    max over all candidates. Every shift is a view of one zero-padded copy
-    of u, clamped to [-n, n] (farther shifts read only zeros); the offsets,
-    the endpoint splits and the padding width are worked out here, once."""
+    max over all candidates. Every shift is a view of u held in one
+    `_ZeroPadded`, clamped to [-n, n] (farther shifts read only zeros); the
+    offsets, the endpoint splits and the padding width are worked out here,
+    once."""
     ml = math.ceil(lo / dx - _SNAP_TOL)
     mh = math.floor(hi / dx + _SNAP_TOL)
-    ends = [(_clamp_shift(k, n), _clamp_shift(k + 1, n), frac)
-            for k, frac in (_shift_split(lo, dx), _shift_split(hi, dx)) if frac or not ml <= k <= mh]
-    reach = max([abs(k) for k, _, _ in ends] + [abs(k1) for _, k1, frac in ends if frac], default=0)
-    int_max = None
+    splits = [(_shift_split(end, dx), _clamped_split(end, dx, n)) for end in (lo, hi)]
+    ends = [split for (k, frac), split in splits if frac or not ml <= k <= mh]
+    reads, int_max = ends, None
     if ml <= mh:
-        int_reach, int_max = _int_max_plan(n, ml, mh)
-        reach = max(reach, int_reach)
+        int_reads, int_max = _int_max_plan(n, ml, mh)
+        reads = ends + int_reads
+    width = _ZeroPadded.width_for(reads)
 
     def window(u: np.ndarray) -> np.ndarray:
-        shift = _zero_shifts(u, reach)
+        held = _ZeroPadded(width, n, u)
         top = None
-        for k, k1, frac in ends:  # the arithmetic of `_interp_shift_arr`
-            cand = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
+        for split in ends:
+            cand = held.interp(split)
             top = cand if top is None else np.maximum(top, cand)
         if int_max is None:  # no node in the window: both endpoints are candidates
             return top
-        out = int_max(shift)
+        out = int_max(held)
         return out if top is None else np.maximum(top, out, out=out)
 
     return window
@@ -322,9 +323,9 @@ def nisio_dyadic(
     independently constructed iterates. Non-convergence at n_max is reported,
     not raised.
     """
-    if t <= 0:
+    if not t > 0:
         raise UsageError(f"time horizon must be > 0, got {t}")
-    if tol_rel <= 0:
+    if not tol_rel > 0:
         raise UsageError(f"tol_rel must be > 0, got {tol_rel}")
     f_norm = lp_norm(f, norm)
     threshold = tol_rel * f_norm

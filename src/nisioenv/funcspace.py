@@ -195,44 +195,12 @@ def _node_span(grid: Grid, lo: float, hi: float) -> tuple[int, int]:
     return start, max(index(hi, 3.0), start + 1)
 
 
-def _shift_int(arr: np.ndarray, k: int) -> np.ndarray:
-    """out[i] = arr[i + k], zero where i + k falls outside the array."""
-    n = arr.shape[0]
-    out = np.zeros(n)
-    if k >= 0:
-        if k < n:
-            out[: n - k] = arr[k:]
-    else:
-        if -k < n:
-            out[-k:] = arr[: n + k]
-    return out
-
-
-def _clamp_shift(k: int, n: int) -> int:
-    """k clamped to [-n, n]: on n nodes a shift by n or more reads only zeros."""
-    return min(max(k, -n), n)
-
-
 def _clamped_split(delta: float, dx: float, n: int) -> tuple[int, int, float]:
     """(k, k1, frac) of a shift by delta on n nodes: the split of
-    `_shift_split` with k and k1 = k + 1 each clamped to [-n, n], so the
-    shift reads (1 - frac) * shift k + frac * shift k1 from a zero padding
-    of at most n."""
+    `_shift_split` with k and k1 = k + 1 each clamped to [-n, n], since on n
+    nodes a shift by n or more reads only zeros."""
     k, frac = _shift_split(delta, dx)
-    return _clamp_shift(k, n), _clamp_shift(k + 1, n), frac
-
-
-def _zero_shifts(arr: np.ndarray, reach: int):
-    """k -> the samples of `_shift_int(arr, k)` for |k| <= reach, each a view
-    of one copy of arr zero-padded by reach on both sides (of arr itself when
-    reach is 0). `size` > n extends the view to the samples of the next
-    shifts, up to shift reach. The views are read-only by convention."""
-    n = arr.shape[0]
-    padded = arr
-    if reach:
-        padded = np.zeros(n + 2 * reach)
-        padded[reach : reach + n] = arr
-    return lambda k, size=n: padded[reach + k : reach + k + size]
+    return min(max(k, -n), n), min(max(k + 1, -n), n), frac
 
 
 def _shift_split(delta: float, dx: float) -> tuple[int, float]:
@@ -249,12 +217,53 @@ def _shift_split(delta: float, dx: float) -> tuple[int, float]:
     return k, frac
 
 
-def _interp_shift_arr(arr: np.ndarray, delta: float, dx: float) -> np.ndarray:
-    k, frac = _shift_split(delta, dx)
-    if frac == 0.0:
-        return _shift_int(arr, k)
-    # Nonnegative weights keep the map monotone and order-preserving exactly.
-    return (1.0 - frac) * _shift_int(arr, k) + frac * _shift_int(arr, k + 1)
+class _ZeroPadded:
+    """Samples on n nodes inside one zero padding, the one source of every
+    zero-extended shift: shift k reads out[i] = samples[i + k], zero where
+    i + k falls off the nodes. `samples` is the writable interior, the given
+    array itself when the padding is 0."""
+
+    def __init__(self, width: int, n: int, arr: np.ndarray | None = None):
+        self.width, self.n = width, n
+        if width or arr is None:
+            self.padded = np.zeros(n + 2 * width)
+            if arr is not None:
+                self.padded[width : width + n] = arr
+        else:
+            self.padded = arr
+        self.samples = self.shift(0)
+        self._tmp = None
+
+    @staticmethod
+    def width_for(splits) -> int:
+        """The padding the shifts of `_clamped_split` splits (k, k1, frac) read:
+        the largest |k|, and |k1| where frac is not 0; offset m is (m, m, 0.0)."""
+        return max([abs(k) for k, _, _ in splits] + [abs(k1) for _, k1, frac in splits if frac], default=0)
+
+    def shift(self, k: int, size: int | None = None) -> np.ndarray:
+        """Shift k, |k| at most the width, as a view (read-only by convention);
+        `size` > n extends it to the next shifts, up to shift width."""
+        start = self.width + k
+        return self.padded[start : start + (size or self.n)]
+
+    def interp(self, split: tuple[int, int, float], out: np.ndarray | None = None) -> np.ndarray:
+        """The shift of a split (k, k1, frac), (1 - frac) * shift k + frac *
+        shift k1, written into `out` and returned, else fresh; shift k, a view,
+        when frac is 0 and no `out` is given. The weights are nonnegative, so
+        the map is monotone and order-preserving exactly."""
+        k, k1, frac = split
+        if frac == 0.0:
+            if out is None:
+                return self.shift(k)
+            out[:] = self.shift(k)
+            return out
+        if out is None:
+            out = np.empty(self.n)
+        elif self._tmp is None:
+            self._tmp = np.empty(self.n)
+        np.multiply(1.0 - frac, self.shift(k), out=out)
+        out += np.multiply(frac, self.shift(k1), out=self._tmp)
+        return out
 
 
 def interp_shift(f: GridFunction, delta: float) -> GridFunction:
@@ -263,7 +272,10 @@ def interp_shift(f: GridFunction, delta: float) -> GridFunction:
     Linear and monotone in f; exact (pure reindex) when delta is a node
     multiple. Out-of-range queries are absorbed by the zero extension.
     """
-    return GridFunction(f.grid, _interp_shift_arr(f.samples, float(delta), f.grid.dx))
+    n = f.grid.n_nodes
+    split = _clamped_split(float(delta), f.grid.dx, n)
+    held = _ZeroPadded(_ZeroPadded.width_for([split]), n, f.samples)
+    return GridFunction._wrap(f.grid, held.interp(split, np.empty(n)))
 
 
 def pointwise_max(fs: list[GridFunction]) -> GridFunction:
@@ -285,29 +297,19 @@ def bump(grid: Grid, center: float = 0.0, radius: float = 1.0, height: float = 1
     """Smooth compactly supported bump, height at the center, zero for |x-c| >= r.
 
     The classical C_c^infinity profile exp(1 - 1/(1 - u^2)) with u = (x-c)/r.
-    Only the nodes of [c - r, c + r] are evaluated; a range of nodes has the
-    bits of the same slice of all of them, and u is nondecreasing along the
-    grid, so the end nodes of the range, at u <= -1 and u >= 1, show that no
-    node beyond it is inside. Where they do not (nodes too dense for their
-    floats, a NaN center or radius), every node is evaluated.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ConfigurationError("bump radius must be positive")
-    n = grid.n_nodes
-    start, stop = _node_span(grid, center - radius, center + radius)
-    u = (grid.nodes(start, stop) - center) / radius
-    if (start > 0 and not u[0] <= -1.0) or (stop < n and not u[-1] >= 1.0):
-        start, stop = 0, n
-        u = (grid.nodes() - center) / radius
-    vals = np.zeros(n)
+    u = (grid.nodes() - center) / radius
+    vals = np.zeros(grid.n_nodes)
     inside = np.abs(u) < 1.0
     with np.errstate(over="ignore", under="ignore"):
-        vals[start:stop][inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+        vals[inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
     return GridFunction._wrap(grid, vals)
 
 
 def gaussian_profile(grid: Grid, center: float = 0.0, sigma: float = 1.0, height: float = 1.0) -> GridFunction:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigurationError("gaussian sigma must be positive")
     x = grid.nodes()
     return GridFunction(grid, height * np.exp(-((x - center) ** 2) / (2.0 * sigma**2)))

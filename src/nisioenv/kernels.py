@@ -28,8 +28,7 @@ from .funcspace import (
     GridFunction,
     PNorm,
     _clamped_split,
-    _shift_int,
-    _zero_shifts,
+    _ZeroPadded,
 )
 
 __all__ = [
@@ -225,7 +224,8 @@ def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
     def walk(arr: np.ndarray) -> np.ndarray:
         out = arr
         for _ in range(k):
-            out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
+            cur = _ZeroPadded(1, arr.shape[0], out)  # a step reads the shifts by one node
+            out = (1.0 - 2.0 * a) * out + a * (cur.shift(1) + cur.shift(-1))
         return out
 
     return walk
@@ -246,7 +246,7 @@ def heat_convolve(f: GridFunction, t: float) -> GridFunction:
 def _poisson_weights(rate: float) -> np.ndarray:
     """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL.
     Cached per rate and read-only."""
-    if rate < 0:
+    if not rate >= 0:
         raise UsageError(f"Poisson rate must be >= 0, got {rate}")
     cap = int(rate + 12.0 * math.sqrt(rate) + 40.0)
     w = [math.exp(-rate)]
@@ -263,57 +263,36 @@ def _poisson_weights(rate: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
-def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple[tuple[int, int, float, float], ...]]:
-    """The shifted reads of one convolution with mu on n nodes: per atom
-    (k, k1, frac, w) with the split of `_clamped_split`, and the zero
-    padding the reads need."""
-    rows = []
-    pad = 0
-    for y, w in mu.atoms:
-        k, k1, frac = _clamped_split(y, dx, n)
-        pad = max(pad, abs(k), abs(k1) if frac else 0)
-        rows.append((k, k1, frac, w))
-    return pad, tuple(rows)
+def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple]:
+    """The shifted reads of one convolution with mu on n nodes: per atom the
+    split of `_clamped_split` and the weight, and the padding they read."""
+    rows = tuple((_clamped_split(y, dx, n), w) for y, w in mu.atoms)
+    return _ZeroPadded.width_for([split for split, _ in rows]), rows
 
 
-class _JumpMixer:
-    """Convolutions with mu on n nodes, for one call: a zero-padded buffer
-    whose interior view `src` holds the samples to mix, and two scratch
-    rows. Nothing here outlives the call that made it."""
+def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callable[[np.ndarray], np.ndarray]]:
+    """(src, mix) for convolutions with mu on n nodes, given its
+    `_jump_stencil`, for one call: src holds the samples to mix (write them
+    into src.samples) inside the zero padding the jumps read, and mix(out)
+    writes sum_j w_j * src(x + y_j) into out and returns it, the terms added
+    to zeros atom by atom. Nothing here outlives the call that made it."""
+    width, rows = stencil
+    src, term = _ZeroPadded(width, n), np.empty(n)
 
-    def __init__(self, stencil: tuple[int, tuple[tuple[int, int, float, float], ...]], n: int):
-        self.pad, self.stencil = stencil
-        self.padded = np.zeros(n + 2 * self.pad)
-        self.src = self.padded[self.pad : self.pad + n]
-        self.term, self.tmp = np.empty(n), np.empty(n)
-
-    def mix(self, out: np.ndarray) -> np.ndarray:
-        """out = sum_j w_j * src(x + y_j), returned. Every shift is a view of
-        the padded buffer, each term has the arithmetic of
-        `_interp_shift_arr`, and the terms are added to zeros atom by atom."""
-        n, pad, padded = out.shape[0], self.pad, self.padded
-        for j, (k, k1, frac, w) in enumerate(self.stencil):
-            term = out if j == 0 else self.term
-            lo = padded[pad + k : pad + k + n]
-            if frac == 0.0:
-                np.multiply(w, lo, out=term)
+    def mix(out: np.ndarray) -> np.ndarray:
+        for j, (split, w) in enumerate(rows):
+            dst = out if j == 0 else term
+            if split[2] == 0.0:  # a whole-node jump: one pass over its view
+                np.multiply(w, src.shift(split[0]), out=dst)
             else:
-                np.multiply(1.0 - frac, lo, out=term)
-                term += np.multiply(frac, padded[pad + k1 : pad + k1 + n], out=self.tmp)
-                term *= w
+                src.interp(split, out=dst)
+                dst *= w
             # the first term is added to +0.0 where it is made: the bits of a
             # zero-filled sum, one pass fewer
-            out += 0.0 if j == 0 else term
+            out += 0.0 if j == 0 else dst
         return out
 
-
-def _jump_mix_arr(arr: np.ndarray, mu: JumpDistribution, dx: float) -> np.ndarray:
-    """One convolution with mu: sum_j w_j * f(x + y_j), bit-identical to
-    adding w_j * interp_shift(f, y_j) to zeros atom by atom."""
-    n = arr.shape[0]
-    mixer = _JumpMixer(_jump_stencil(mu, dx, n), n)
-    mixer.src[:] = arr
-    return mixer.mix(np.empty(n))
+    return src, mix
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +327,12 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
     base = _translation_plan(fam, t, dx)
     if base is not None:
         splits = [_clamped_split(lam * t, dx, n) for lam in lams]
-        reach = max((max(abs(k), abs(k1)) for k, k1, _ in splits), default=0)
+        width = _ZeroPadded.width_for(splits)
 
         def fill(rows: np.ndarray, arr: np.ndarray) -> None:
-            shift = _zero_shifts(base(arr), reach)
-            for row, (k, k1, frac) in zip(rows, splits):  # the arithmetic of `_interp_shift_arr`
-                row[:] = shift(k) if frac == 0.0 else (1.0 - frac) * shift(k) + frac * shift(k1)
+            moved = _ZeroPadded(width, n, base(arr))
+            for row, split in zip(rows, splits):
+                moved.interp(split, out=row)
     else:
         weights = [_poisson_weights(lam * t) for lam in lams]
         depth = max((len(w) for w in weights), default=1)
@@ -366,10 +345,10 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
                 np.multiply(w[0], arr, out=row)
             if depth == 1:
                 return
-            mixer, power, term = _JumpMixer(stencil, n), np.empty(n), np.empty(n)
-            mixer.src[:] = arr
+            (src, mix), power, term = _jump_mixer(stencil, n), np.empty(n), np.empty(n)
+            src.samples[:] = arr
             for j in range(1, depth):
-                mixer.src[:] = mixer.mix(power)
+                src.samples[:] = mix(power)
                 for row, w in zip(rows, weights):
                     if j < len(w):
                         row += np.multiply(w[j], power, out=term)
@@ -434,7 +413,10 @@ def _second_difference(arr: np.ndarray, dx: float) -> np.ndarray:
 def _generator_parts(fam: KernelFamily, arr: np.ndarray, dx: float) -> tuple[np.ndarray | None, np.ndarray]:
     """(A f, B f) of the member generators A f + lam * B f; A f is None when zero."""
     if isinstance(fam, CompoundPoisson):
-        return None, _jump_mix_arr(arr, fam.mu, dx) - arr
+        n = arr.shape[0]
+        src, mix = _jump_mixer(_jump_stencil(fam.mu, dx, n), n)
+        src.samples[:] = arr
+        return None, mix(np.empty(n)) - arr
     d1 = _first_difference(arr, dx)
     if isinstance(fam, GaussianDrift):
         return 0.5 * _second_difference(arr, dx), d1
@@ -489,7 +471,7 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
     c(h) = exp((lam_bar - lam_lo) h), from Jensen's inequality.
     PureShift has no such operator; calling it is a usage error.
     """
-    if h <= 0:
+    if not h > 0:
         raise UsageError(f"upper bound horizon must be > 0, got {h}")
     factor = upper_bound_norm_factor(fam, h, norm)
     powed = np.abs(f.samples) ** norm.p

@@ -19,7 +19,7 @@ import numpy as np
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
 from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
-from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_stencil, _JumpMixer
+from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_mixer, _jump_stencil
 
 __all__ = [
     "hjb_upwind",
@@ -92,9 +92,9 @@ def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.nda
 def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) -> GridFunction:
     """Upwind finite-difference solution of the envelope PDE at time t, in
     `_upwind_steps` steps of `hjb_step`."""
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
-    if lambda_bar < 0:
+    if not lambda_bar >= 0:
         raise UsageError(f"lambda_bar must be >= 0, got {lambda_bar}")
     if not (0.0 < cfl <= 1.0):
         raise UsageError(f"cfl must lie in (0, 1], got {cfl}")
@@ -120,23 +120,23 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
     """
     if not isinstance(fam, CompoundPoisson):
         raise UsageError("ode_reference is defined for compound Poisson families only")
-    if dt <= 0:
+    if not dt > 0:
         raise UsageError(f"dt must be > 0, got {dt}")
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
     steps = _rk4_steps(t, dt)
     dt = t / steps
     n = f0.grid.n_nodes
-    mixer = _JumpMixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
-    stage, lset = mixer.src, fam.lambda_set
+    src, mix = _jump_mixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
+    stage, lset = src.samples, fam.lambda_set
     k1, k2, k3, k4 = np.empty((4, n))
     finite = np.empty(n, dtype=bool)
 
     def rhs(k: np.ndarray) -> None:
         """k = sup_lam lam * (mu * s - s) for the samples s in `stage`."""
-        np.subtract(mixer.mix(k), stage, out=k)
+        np.subtract(mix(k), stage, out=k)
         lset.sup_scaled(k, out=k)
         if not np.isfinite(k, out=finite).all():
             raise UsageError("an RK4 stage of ode_reference is not finite")

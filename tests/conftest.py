@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from nisioenv import (
@@ -15,6 +17,7 @@ from nisioenv import (
     make_grid,
 )
 from nisioenv.calculus import _random_smooth
+from nisioenv.funcspace import _SNAP_TOL
 from nisioenv.kernels import sup_generator
 
 
@@ -72,3 +75,32 @@ def step_J_calls(monkeypatch):
     monkeypatch.setattr(envelope, "step_J", counted)
     monkeypatch.setattr(calculus, "step_J", counted)
     return calls
+
+
+# Zero-extended shifts written out, the references for the package's one
+# shift primitive: each is a fresh array, with nothing clamped or padded.
+
+
+def _shift_int(arr, k):
+    """out[i] = arr[i + k], zero where i + k falls outside the array."""
+    n = arr.shape[0]
+    out = np.zeros(n)
+    if 0 <= k < n:
+        out[: n - k] = arr[k:]
+    elif 0 < -k < n:
+        out[-k:] = arr[: n + k]
+    return out
+
+
+def _interp_shift_arr(arr, delta, dx):
+    """x -> f(x + delta) by linear interpolation between the two node
+    shifts around delta / dx, zero outside the grid; a fraction within
+    _SNAP_TOL of an integer snaps to it."""
+    s = delta / dx
+    k = math.floor(s)
+    frac = s - k
+    if frac > 1.0 - _SNAP_TOL:
+        k, frac = k + 1, 0.0
+    if frac < _SNAP_TOL:
+        return _shift_int(arr, k)
+    return (1.0 - frac) * _shift_int(arr, k) + frac * _shift_int(arr, k + 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisioenv import cli, envelope
+from nisioenv import cli, envelope, funcspace
 from nisioenv.cli import load_config, main, run, verify_suite
 from nisioenv.errors import ConfigurationError
 from nisioenv.funcspace import bump, make_grid, write_csv
@@ -447,6 +447,42 @@ class TestRunOtherSubcommands:
         monkeypatch.setattr(envelope, "upper_bound_C", counting)
         assert run(subcommand, write_config(tmp_path, base_config(tmp_path / "out"))) == 0
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("initial", [
+        None,
+        {"kind": "custom_csv", "params": {"path": "missing.csv"}},
+        {"kind": "bump", "params": {"radius": 0.0}},
+        {"kind": "gaussian", "params": {"sigma": 1e200}},
+        {"kind": "gaussian", "params": {"sigma": 1e-200}},
+        {"kind": "ramp", "params": {"slope": 1e308}},
+        {"kind": "ramp", "params": {"slope": -1e308, "intercept": -1e308}},
+    ])
+    @pytest.mark.parametrize("subcommand", ["counterexample", "verify"])
+    def test_unread_initial_data_checked_not_evaluated(self, tmp_path, monkeypatch, capsys, subcommand, initial):
+        # neither subcommand reads the initial data: no bump is evaluated on
+        # the config's grid, yet every check on it still runs at load time,
+        # so an invalid one exits 2 with nothing written
+        grids = []
+        real = funcspace.bump
+
+        def counting(grid, *args, **kwargs):
+            grids.append(grid)
+            return real(grid, *args, **kwargs)
+
+        monkeypatch.setattr(funcspace, "bump", counting)
+        out = tmp_path / "out"
+        cfg = base_config(out, counterexample={"t": 0.5, "epsilons": [1e-1, 1e-2]})
+        cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
+        cfg["grid"] = {"lower": -3.0, "upper": 3.0, "n_nodes": 2401}
+        if initial is not None:
+            cfg["initial"] = initial
+        code = run(subcommand, write_config(tmp_path, cfg))
+        if initial is None:
+            assert code in (0, 1) and out.exists()
+        else:
+            assert code == 2 and not out.exists()
+            assert "configuration error" in capsys.readouterr().err
+        assert not [g for g in grids if g == make_grid(-3.0, 3.0, 2401)]
 
     def test_shipped_runs_leave_scipy_unloaded(self, tmp_path):
         # scipy is imported on first use, by a window supremum past

@@ -6,6 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
+from conftest import _interp_shift_arr, _shift_int
 from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
     _CP_INTERIOR,
@@ -20,8 +21,6 @@ from nisioenv.envelope import (
 from nisioenv.funcspace import (
     _SNAP_TOL,
     GridFunction,
-    _interp_shift_arr,
-    _shift_int,
     bump,
     interp_shift,
     lp_norm,
@@ -35,7 +34,6 @@ from nisioenv.kernels import (
     LambdaValues,
     PureShift,
     _heat_weights,
-    _jump_mix_arr,
     _poisson_weights,
     apply_member,
     heat_convolve,
@@ -272,7 +270,7 @@ def _cp_member_one_by_one(fam, lam, h, f):
     acc = weights[0] * f.samples
     cur = f.samples
     for w in weights[1:]:
-        cur = _jump_mix_arr(cur, fam.mu, f.grid.dx)
+        cur = _mix_written_out(cur, fam.mu, f.grid.dx)
         acc = acc + w * cur
     return acc
 
@@ -378,12 +376,22 @@ def _plan_arrays(obj, seen=None):
 
 _MU2 = JumpDistribution(((-0.73, 0.4), (0.2, 0.6)))  # a fractional and a whole-node offset on dx = 0.1
 _MU3 = JumpDistribution(((0.3, 0.25), (-1.15, 0.35), (0.055, 0.4)))
+# jumps of 0 nodes, of exactly +n nodes (20.1 on 201 nodes of dx = 0.1), half
+# a node inside -n, beyond -n, and whole-node and fractional ones
+_MU_FAR = JumpDistribution(((0.0, 0.2), (20.1, 0.2), (-20.05, 0.2), (-25.0, 0.2), (0.37, 0.1), (-0.2, 0.1)))
 PLAN_FAMILIES = {
     "gauss-interval": GaussianDrift(LambdaInterval(-0.7, 1.1)),
     "gauss-list": GaussianDrift(LambdaValues((-0.8, 0.25, 1.1))),
     "shift-interval": PureShift(LambdaInterval(-1.0, 0.6)),
     "cp-interval": CompoundPoisson(LambdaInterval(0.0, 1.3), _MU2),
     "cp-list": CompoundPoisson(LambdaValues((0.0, 0.5, 2.0)), _MU3),
+    # at h = 0.5, 0.25, ... on dx = 0.1: drifts of 0 nodes, exactly -+n
+    # nodes and half a node inside them at h = 0.5, and beyond them
+    "shift-list-far": PureShift(LambdaValues((-40.2, -40.1, 0.0, 0.6, 40.1, 40.2, 97.3))),
+    "gauss-list-far": GaussianDrift(LambdaValues((-61.0, -40.2, 0.0, 40.1))),
+    "shift-interval-far": PureShift(LambdaInterval(-55.0, 40.2)),
+    "gauss-interval-far": GaussianDrift(LambdaInterval(-40.1, 77.7)),
+    "cp-list-far": CompoundPoisson(LambdaValues((0.5, 2.0)), _MU_FAR),
 }
 
 

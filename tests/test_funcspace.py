@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _interp_shift_arr
 from nisioenv import ConfigurationError, PNorm, UsageError
 from nisioenv.funcspace import (
     GridFunction,
@@ -142,6 +143,19 @@ class TestInterpShift:
         g = make_grid(0.0, 1.0, 11)
         f = GridFunction(g, np.ones(11))
         assert np.all(interp_shift(f, 5.0).samples == 0.0)
+
+    # on 81 nodes of dx = 0.1: 0 nodes, whole and fractional shifts, exactly
+    # +-n nodes (+-8.1), half a node inside them, and beyond them
+    @pytest.mark.parametrize("delta", [0.0, 0.3, -0.37, 8.1, -8.1, 8.05, -8.05, 9.0, -12.34, 1e12])
+    def test_matches_written_out_bits(self, delta):
+        g = make_grid(-4.0, 4.0, 81)
+        rng = np.random.default_rng(8)
+        u = np.where(rng.random(81) < 0.3, rng.standard_normal(81),
+                     rng.choice([0.0, -0.0, 1e-320, -1e-320], size=81))
+        f = GridFunction(g, u)
+        got, want = interp_shift(f, delta).samples, _interp_shift_arr(u, delta, g.dx)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.shares_memory(got, f.samples)
 
     @given(delta=st.floats(min_value=-3.0, max_value=3.0), seed=st.integers(0, 100))
     @settings(max_examples=40, deadline=None)

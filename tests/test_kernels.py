@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import _interp_shift_arr
 from nisioenv import ConfigurationError, PNorm, UsageError
-from nisioenv.funcspace import GridFunction, bump, gaussian_profile, interp_shift, lp_norm, make_grid, ramp
+from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid, ramp
 from nisioenv.kernels import (
     CompoundPoisson,
     GaussianDrift,
@@ -15,7 +16,8 @@ from nisioenv.kernels import (
     _first_difference,
     _heat_plan,
     _heat_weights,
-    _jump_mix_arr,
+    _jump_mixer,
+    _jump_stencil,
     _poisson_weights,
     _second_difference,
     apply_member,
@@ -121,7 +123,10 @@ class TestFixedWeights:
     """The jump stencil and the cached weights change no byte."""
 
     # fractional, snapped (1.0 is 100.00000000000001 nodes of 0.01), negative,
-    # zero, and far beyond the grid on either side
+    # zero, and far beyond the grid on either side; then, on 2 001 nodes, a
+    # lone jump of 0 nodes, jumps of exactly +-n nodes (+-20.01), half a node
+    # inside them, one node inside them, and whole-node and fractional jumps
+    # beyond them
     @pytest.mark.parametrize("atoms", [
         ((0.37, 1.0),),
         ((1.0, 1.0),),
@@ -129,20 +134,27 @@ class TestFixedWeights:
         ((0.0, 0.25), (-0.013, 0.75)),
         ((1e12, 0.5), (-1e12, 0.5)),
         ((1e12, 0.2), (0.0123, 0.3), (-1e12, 0.5)),
+        ((0.0, 1.0),),
+        ((20.01, 0.3), (-20.01, 0.3), (0.0, 0.4)),
+        ((20.005, 0.5), (-20.005, 0.5)),
+        ((-20.0, 0.25), (20.0, 0.25), (25.0, 0.25), (-31.337, 0.25)),
     ])
     def test_jump_mix_matches_sum_of_shifts(self, atoms):
         # on normal data, and on +-0 and +-1e-320 data, where the sum starting
-        # from +0 decides the sign of a zero
+        # from +0 decides the sign of a zero; the same mixer twice, as the
+        # member rows and the RK4 stages reuse it
         g = make_grid(-10.0, 10.0, 2001)
         rng = np.random.default_rng(5)
         mu = JumpDistribution(atoms)
+        src, mix = _jump_mixer(_jump_stencil(mu, g.dx, 2001), 2001)
         for u in (rng.standard_normal(2001), rng.choice([0.0, -0.0, 1e-320, -1e-320, 1.0], size=2001)):
-            f = GridFunction(g, u)
             expected = np.zeros(2001)
             for y, w in mu.atoms:
-                expected += w * interp_shift(f, y).samples
-            got = _jump_mix_arr(f.samples, mu, g.dx)
+                expected += w * _interp_shift_arr(u, y, g.dx)
+            src.samples[:] = u
+            got = mix(np.empty(2001))
             assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+            assert np.array_equal(src.samples, u)
 
     def test_cached_weights_are_read_only(self):
         for w in (_poisson_weights(0.7), _poisson_weights(0.0), _heat_weights(0.5, 0.01)):

@@ -4,18 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nisioenv import ConfigurationError, UsageError
+from conftest import _interp_shift_arr
+from nisioenv import ConfigurationError, PNorm, UsageError
 from nisioenv.cli import monotone_stepper_violation
-from nisioenv.envelope import step_J
-from nisioenv.funcspace import GridFunction, _interp_shift_arr, bump, gaussian_profile, lp_norm, make_grid
+from nisioenv.envelope import nisio_dyadic, step_J
+from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid
 from nisioenv.kernels import (
     CompoundPoisson,
+    GaussianDrift,
     JumpDistribution,
     LambdaInterval,
     LambdaValues,
     PureShift,
     apply_member,
     sup_generator,
+    upper_bound_C,
 )
 from nisioenv.reference import (
     compare,
@@ -26,6 +29,27 @@ from nisioenv.reference import (
     pole_initial_condition,
     scan_epsilons,
 )
+
+NAN = float("nan")
+_CP = CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((0.1, 1.0),)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: hjb_upwind(f, NAN, 1.0), id="hjb-t"),
+    pytest.param(lambda f: hjb_upwind(f, 0.5, NAN), id="hjb-lambda_bar"),
+    pytest.param(lambda f: ode_reference(_CP, f, NAN, 0.01), id="ode-t"),
+    pytest.param(lambda f: ode_reference(_CP, f, 0.5, NAN), id="ode-dt"),
+    pytest.param(lambda f: upper_bound_C(GaussianDrift(LambdaInterval(-1.0, 1.0)), NAN, f, PNorm(2.0)),
+                 id="upper_bound_C-h"),
+    pytest.param(lambda f: nisio_dyadic(_CP, 0.5, f, NAN, 3, PNorm(2.0)), id="nisio-tol_rel"),
+    pytest.param(lambda f: nisio_dyadic(_CP, NAN, f, 1e-3, 3, PNorm(2.0)), id="nisio-t"),
+])
+def test_nan_argument_is_usage_error(call):
+    # a NaN fails every comparison, so each check must be `not x > 0` or
+    # `not x >= 0`: not a ConfigurationError naming config keys, a ValueError
+    # from int(nan), or a silent run to n_max
+    with pytest.raises(UsageError, match="nan"):
+        call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
 
 
 class TestHjbUpwind:
@@ -151,6 +175,9 @@ class TestOdeReference:
         ((-0.37, 1.0),),
         ((0.2, 0.45), (-0.73, 0.55)),
         ((0.3, 0.25), (-1.15, 0.35), (0.055, 0.4)),
+        ((0.0, 1.0),),  # on 201 nodes: 0 nodes, exactly -+n nodes, half a node inside +n, beyond
+        ((-20.1, 0.3), (0.0, 0.3), (20.05, 0.2), (31.0, 0.2)),
+        ((20.1, 0.5), (-22.22, 0.25), (0.1, 0.25)),
     ])
     @pytest.mark.parametrize("lambda_set", [LambdaValues((0.0, 0.6, 1.4)), LambdaInterval(0.3, 1.2)])
     def test_bit_identical_to_rk4_written_out(self, atoms, lambda_set):
