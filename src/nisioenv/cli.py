@@ -362,8 +362,9 @@ def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     else:
         drop_tol = -(1e-9 + 4.0 * cfg.grid.dx**2 * cfg.initial.max_abs())
     worst_drop = min(res.min_increments) if res.min_increments else 0.0
+    margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
     return [
-        CheckResult("upper_bound_certificate", res.upper_bound_margin <= tol, res.upper_bound_margin, tol),
+        CheckResult("upper_bound_certificate", margin is not None and margin <= tol, margin, tol),
         CheckResult("dyadic_monotone_increase", worst_drop >= drop_tol, worst_drop, drop_tol),
     ]
 
@@ -468,19 +469,28 @@ def _check_steps(kind: str, steps: int, cap: int, keys: str) -> None:
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     """Parse and range-check the options of one subcommand before anything is
     written; returns its handler with the parsed values bound."""
+    if subcommand not in ("counterexample", "verify"):  # the subcommands that read the initial data
+        with np.errstate(over="ignore"):  # an overflow is the error reported here
+            f_norm = lp_norm(cfg.initial, cfg.norm)
+        if not math.isfinite(f_norm):
+            raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
     if subcommand == "envelope":
         kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
+        kernels._check_jump_rate(cfg.family, cfg.t, "`time.t`")
         return _cmd_envelope
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
-        return partial(_cmd_generator, h0=_positive(opts, "h0", "generator.", 0.1),
-                       k_steps=_count(opts, "k_steps", "generator.", 6))
+        h0 = _positive(opts, "h0", "generator.", 0.1)
+        kernels._check_jump_rate(cfg.family, h0, "`generator.h0`")
+        return partial(_cmd_generator, h0=h0, k_steps=_count(opts, "k_steps", "generator.", 6))
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
         calculus._simpson_weights(quad_nodes, cfg.t)  # the composite Simpson node rule
         _check_steps("integral path", calculus._integral_path(quad_nodes, cfg.n_max)[1], _MAX_PATH_STEPS,
                      "`derivative.quad_nodes` and `time.n_max`")
+        longest = (cfg.t + calculus.geometric_schedule()[-1]) / (1 << cfg.n_max)  # a step of S(t + h)f
+        kernels._check_jump_rate(cfg.family, longest, "`time.t` and `time.n_max`")
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
@@ -499,6 +509,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
         _check_steps("RK4", reference._rk4_steps(cfg.t, dt), _MAX_RK4_STEPS, "`time.t` / `ode.dt`")
+        kernels._check_jump_rate(cfg.family, cfg.t, "`time.t`")
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":

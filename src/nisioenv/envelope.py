@@ -56,10 +56,10 @@ _FILTER_CUTOVER = 4096
 # interval, whose one-step supremum has no closed form.
 _CP_INTERIOR = 9
 
-# Step plans kept, one per (family, h, dx, n). A plan holds what does not
-# depend on the samples (weights, offsets, splits, padding widths), never a
-# grid-long buffer. All steps of a dyadic level share one gap up to
-# rounding, so a run misses a few times per level.
+# Step plans kept, one per (family, h, dx, n): the package's one cache. A
+# plan holds what does not depend on the samples (weights, offsets, splits,
+# padding widths, computed as it is built), never a grid-long buffer. A
+# dyadic level has one gap up to rounding, so a run misses a few per level.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -124,10 +124,10 @@ class EnvelopeResult:
     @cached_property
     def upper_bound_margin(self) -> float | None:
         """The certificate: the worst nodewise excess of the final iterate
-        over C(t)f, None for families without a C(t). Computed on first read."""
+        over C(t)f, None without a finite C(t)f. Computed on first read."""
         try:
             bound = self._upper_bound()
-        except UsageError:  # no C(t): pure shift, or Gaussian drift at p = 1
+        except UsageError:  # pure shift, Gaussian drift at p = 1, or C(t)f past the float range
             return None
         return float(np.max(self.final.samples - bound.samples))
 
@@ -275,9 +275,9 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     are resolved exactly at interpolant level by a window maximum of that
     function; an interval of Poisson intensities is sampled at both endpoints
     plus `_CP_INTERIOR` interior points. Sampled members share their family's
-    linear part (see `apply_members`), and their nodewise max is taken over
-    the member arrays. The work is planned once per (family, h, dx, n) by
-    `_step_plan`; each call computes on arrays and wraps its fresh result
+    linear part (see `kernels._member_plan`), and their nodewise max is taken
+    over the member arrays. The work is planned once per (family, h, dx, n)
+    by `_step_plan`; each call computes on arrays and wraps its fresh result
     without a copy.
     """
     if not h > 0:

@@ -16,8 +16,8 @@ partition composition (where one exists).
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -41,7 +41,6 @@ __all__ = [
     "KernelFamily",
     "heat_convolve",
     "apply_member",
-    "apply_members",
     "sup_generator",
     "upper_bound_C",
     "upper_bound_norm_factor",
@@ -54,13 +53,6 @@ SERIES_TOL = 1e-12
 # Heat kernel support, in standard deviations; the dropped Gaussian mass is
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
-
-# Entries kept by the caches of fixed weights, whose arrays are read-only.
-# All steps of a dyadic level share one gap up to rounding, so a run misses
-# a few times per level. A heat kernel holds about 16 sqrt(t)/dx floats, so
-# fewer of them are kept than of the short Poisson series and jump stencils.
-_HEAT_CACHE_SIZE = 64
-_SERIES_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -186,19 +178,16 @@ KernelFamily = GaussianDrift | CompoundPoisson | PureShift
 _SAMPLED_KERNEL_MIN_VAR = 2.25
 
 
-@functools.lru_cache(maxsize=_HEAT_CACHE_SIZE)
 def _heat_weights(t: float, dx: float) -> np.ndarray:
     """Sampled Gaussian kernel at node offsets, renormalized to unit mass.
 
     Truncated at HEAT_KERNEL_WIDTH standard deviations; weights are the
-    probabilities attached to integer node offsets -J..J. Cached per (t, dx)
-    and read-only.
+    probabilities attached to integer node offsets -J..J.
     """
     half = max(1, math.ceil(HEAT_KERNEL_WIDTH * math.sqrt(t) / dx))
     offsets = np.arange(-half, half + 1) * dx
     w = np.exp(-(offsets**2) / (2.0 * t))
     w /= w.sum()
-    w.flags.writeable = False
     return w
 
 
@@ -242,14 +231,16 @@ def heat_convolve(f: GridFunction, t: float) -> GridFunction:
 # Poisson series
 
 
-@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _poisson_weights(rate: float) -> np.ndarray:
     """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL.
-    Cached per rate and read-only."""
+    The series starts from e^-rate, which must be a normal float: a rate
+    above about 708 raises UsageError."""
     if not rate >= 0:
         raise UsageError(f"Poisson rate must be >= 0, got {rate}")
-    cap = int(rate + 12.0 * math.sqrt(rate) + 40.0)
     w = [math.exp(-rate)]
+    if not w[0] >= sys.float_info.min:
+        raise UsageError(f"Poisson rate {rate:g} is too large: its first weight e^-rate is not a normal float")
+    cap = int(rate + 12.0 * math.sqrt(rate) + 40.0)
     cum = w[0]
     n = 0
     while cum < 1.0 - SERIES_TOL and n < cap:
@@ -258,11 +249,9 @@ def _poisson_weights(rate: float) -> np.ndarray:
         cum += w[-1]
     arr = np.array(w)
     arr /= arr.sum()
-    arr.flags.writeable = False
     return arr
 
 
-@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _jump_stencil(mu: JumpDistribution, dx: float, n: int) -> tuple[int, tuple]:
     """The shifted reads of one convolution with mu on n nodes: per atom the
     split of `_clamped_split` and the weight, and the padding they read."""
@@ -313,12 +302,14 @@ def _translation_plan(fam: KernelFamily, t: float, dx: float) -> Callable[[np.nd
 
 def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int
                  ) -> Callable[[np.ndarray], np.ndarray]:
-    """arr -> the samples of `apply_members` for samples arr on n nodes, a
-    fresh array with one row per lam; it raises UsageError unless every entry
-    is finite. What does not depend on arr is worked out here, once: the
-    checks on t and on every lam; for translates the heat step and the split
-    of every shift, for compound Poisson the Poisson weights and the jump
-    stencil."""
+    """arr -> the members lams of one family at time t applied to samples
+    arr on n nodes, a fresh array with one row per lam; it raises UsageError
+    unless every entry is finite. The members share their linear part (one
+    heat convolution, or one chain of jump powers mu^{*k} f), computed once
+    per call, and each row is bit-identical to its member alone. What does
+    not depend on arr is worked out here, once: the checks on t and on every
+    lam; for translates the heat step and the split of every shift, for
+    compound Poisson the Poisson weights and the jump stencil."""
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     for lam in lams:
@@ -363,23 +354,20 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
     return rows_of
 
 
-def apply_members(fam: KernelFamily, lams: Sequence[float], t: float, f: GridFunction) -> list[GridFunction]:
-    """Apply several members of one family at time t to f, one result per lam.
-
-    The linear part the members share is computed once: one heat convolution
-    for Gaussian drift, one chain of jump powers mu^{*k} f for compound
-    Poisson. Each result is bit-identical to applying its member alone, and
-    t = 0 returns copies of f on every path. All weights involved are
-    nonnegative, so every member is linear, monotone, and fixes constants
-    away from the boundary.
-    """
-    rows = _member_plan(fam, lams, t, f.grid.dx, f.grid.n_nodes)(f.samples)
-    return [GridFunction(f.grid, row) for row in rows]
+def _check_jump_rate(fam: KernelFamily, h: float, keys: str) -> None:
+    """A compound Poisson step h reads Poisson(lam h) weights, the largest
+    rate at the top intensity: raise ConfigurationError, naming the lambda
+    keys and `keys`, when `_poisson_weights` cannot give them."""
+    if isinstance(fam, CompoundPoisson):
+        try:
+            _poisson_weights(fam.lambda_set.sup_abs * h)
+        except UsageError as exc:
+            raise ConfigurationError(f"`family.lambda_interval` / `family.lambda_list` and {keys}: {exc}") from None
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
     """Apply one member semigroup at time t to f; t = 0 returns f exactly."""
-    return apply_members(fam, (lam,), t, f)[0]
+    return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, f.grid.dx, f.grid.n_nodes)(f.samples)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +462,8 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
     if not h > 0:
         raise UsageError(f"upper bound horizon must be > 0, got {h}")
     factor = upper_bound_norm_factor(fam, h, norm)
+    dx, n = f.grid.dx, f.grid.n_nodes
+    heat = _translation_plan(fam, h, dx)  # None for compound Poisson
     powed = np.abs(f.samples) ** norm.p
-    if isinstance(fam, GaussianDrift):
-        moved = _heat_plan(h, f.grid.dx)(powed)
-    else:
-        moved = apply_member(fam, fam.lambda_set.sup_abs, h, GridFunction(f.grid, powed)).samples
-    return GridFunction(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))
+    moved = heat(powed) if heat is not None else _member_plan(fam, (fam.lambda_set.sup_abs,), h, dx, n)(powed)[0]
+    return GridFunction._wrap(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))

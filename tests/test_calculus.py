@@ -127,17 +127,6 @@ class TestDirectionalDerivative:
             rel = lp_norm(q - ref, norm2) / max(lp_norm(ref, norm2), 1e-300)
             assert rel < 1e-10
 
-    def test_plus_quotients_monotone_and_sides_ordered(self, norm2, gauss_family, grid_small, make_smooth):
-        rng = np.random.default_rng(11)
-        params = params_for(norm2, n_max=3)
-        schedule = geometric_schedule(0.2, 3)
-        for _ in range(5):
-            x, y = make_smooth(grid_small, rng), make_smooth(grid_small, rng)
-            probe = directional_derivative(gauss_family, 0.25, x, y, schedule, params)
-            assert probe.quotient_monotone
-            assert probe.monotonicity_violation <= 1e-9
-            assert np.max(probe.minus.samples - probe.plus.samples) <= 1e-9
-
 
 class TestDerivativeIdentity:
     def test_time_zero_matches_generator(self, norm2, gauss_family):
@@ -313,18 +302,6 @@ class TestGrowthBound:
 
 
 class TestStructuralRegressions:
-    def test_quotient_scaling(self, norm2, gauss_family):
-        # sublinearity: quotients commute with positive scaling
-        g = make_grid(-8.0, 8.0, 513)
-        f = bump(g, radius=1.0)
-        params = params_for(norm2, n_max=4)
-        h = 0.2
-        q1 = (_S(gauss_family, h, f, params, level=4) - f) / h
-        c = 2.5
-        qc = (_S(gauss_family, h, c * f, params, level=4) - c * f) / h
-        rel = lp_norm(qc - c * q1, norm2) / lp_norm(qc, norm2)
-        assert rel <= 1e-10
-
     def test_closedness_regression(self, norm2, gauss_family):
         # quotient at fixed h of converging bump dilations converges to the
         # quotient of the limit, uniformly over the sequence

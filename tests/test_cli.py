@@ -172,19 +172,35 @@ class TestInvalidConfigsWriteNothing:
         assert not out.exists()
         assert f"at most {getattr(cli, cap)} " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand, path, value, keys", [
-        ("compare-ode", "ode.dt", 1e-320, ("`ode.dt`", "`time.t`")),  # t / dt is inf
-        ("compare-hjb", "time.t", 1e306, ("`time.t`", "`grid`")),  # t / dt overflows the upwind count
+    @pytest.mark.parametrize("subcommand, edits, words", [
+        # t / dt is inf; t / dt overflows the upwind count
+        ("compare-ode", {"ode.dt": 1e-320}, ("not a finite count", "`ode.dt`", "`time.t`")),
+        ("compare-hjb", {"time.t": 1e306}, ("not a finite count", "`time.t`", "`grid`")),
+        # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
+        *[(sub, {"initial.params": {"radius": 1e-300, "height": 1e308}}, ("`initial`", "`norm.p`"))
+          for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
+        # the Poisson weights of the largest compound Poisson step start from
+        # e^-(lambda h) = 0: at h = t, at generator.h0, and for derivative at
+        # (t + h) / 2^n_max, h its forward quotient's step
+        ("envelope", {"family.lambda_list": [800.0], "time.t": 1.0},
+         ("Poisson rate 800", "`family.lambda_list`", "`time.t`")),
+        ("compare-ode", {"family.lambda_list": [0.0, 800.0], "time.t": 1.0}, ("Poisson rate 800", "`time.t`")),
+        ("generator", {"family.lambda_list": [0.0, 1.0], "generator.h0": 800.0, "generator.k_steps": 0},
+         ("Poisson rate 800", "`family.lambda_list`", "`generator.h0`")),
+        ("derivative", {"family.lambda_list": [0.0, 710.0], "time.t": 1.0, "time.n_max": 0},
+         ("Poisson rate 711.1", "`time.t`", "`time.n_max`")),
     ])
-    def test_step_count_beyond_float_range(self, tmp_path, capsys, subcommand, path, value, keys):
+    def test_beyond_float_range(self, tmp_path, capsys, subcommand, edits, words):
         out = tmp_path / "out"
         cfg = base_config(out)
-        if subcommand == "compare-ode":
+        if subcommand == "compare-ode" or any(path.startswith("family.") for path in edits):
             cfg["family"] = dict(CP_FAMILY)
-        assert run(subcommand, write_config(tmp_path, _set(cfg, path, value))) == 2
+        for path, value in edits.items():
+            _set(cfg, path, value)
+        assert run(subcommand, write_config(tmp_path, cfg)) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "not a finite count" in err and all(key in err for key in keys)
+        assert all(word in err for word in words)
 
     def test_grid_spacing_underflow(self, tmp_path, capsys):
         # dx^2 of 2.5e-301 underflows to 0; the step formula divides by it
@@ -315,6 +331,19 @@ class TestRunEnvelope:
         assert code == 2
         assert not out.exists()
         assert "p > 1" in capsys.readouterr().err
+
+    def test_bound_beyond_float_range_fails_the_certificate(self, tmp_path):
+        # ||f||_2 is finite, but C(t)f = e^700 f overflows: nothing is
+        # certified, so the certificate fails with a null margin
+        out = tmp_path / "out"
+        cfg = base_config(out, family={"family": "compound_poisson", "lambda_list": [0.0, 700.0],
+                                       "jump_atoms": [[0.0, 1.0]]})
+        cfg["initial"]["params"]["height"] = 1e150
+        cfg["time"]["t"] = 1.0
+        assert run("envelope", write_config(tmp_path, cfg)) == 1
+        assert json.loads((out / "envelope_result.json").read_text())["upper_bound_margin"] is None
+        check = json.loads((out / "report.json").read_text())["checks"][0]
+        assert check["name"] == "upper_bound_certificate" and not check["passed"] and check["measured"] is None
 
     def test_sections_of_other_subcommands_allowed(self, tmp_path):
         # `envelope` reads no option section, so keys only `compare-ode` reads stay allowed

@@ -220,14 +220,6 @@ def _shifted(u, delta, dx):
 
 
 class TestStepJ:
-    def test_singleton_bit_exact(self):
-        g = make_grid(-8.0, 8.0, 801)
-        f = bump(g, radius=1.0)
-        fam = GaussianDrift(LambdaValues((0.4,)))
-        a = step_J(fam, 0.3, f)
-        b = apply_member(fam, 0.4, 0.3, f)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_constant_fixed_interior(self):
         g = make_grid(-8.0, 8.0, 801)
         const = GridFunction(g, 1.5 * np.ones(801))
@@ -472,17 +464,6 @@ class TestApplyPartition:
         f = bump(g, radius=1.0)
         pi = Partition((0.0, 0.3))
         assert np.array_equal(apply_partition(gauss_family, pi, f).samples, step_J(gauss_family, 0.3, f).samples)
-
-    def test_refinement_monotone_compound_poisson(self, cp_family):
-        # the compound Poisson one-steps compose exactly (shared jump powers,
-        # truncated weights), so nesting increases the iterates to ~1e-12
-        g = make_grid(-10.0, 10.0, 2001)
-        f = bump(g, radius=1.0)
-        pi1 = Partition((0.0, 0.5))
-        pi2 = Partition((0.0, 0.25, 0.5))
-        v1 = apply_partition(cp_family, pi1, f)
-        v2 = apply_partition(cp_family, pi2, f)
-        assert np.max(v1.samples - v2.samples) <= 1e-9
 
     def test_refinement_monotone_gaussian_scheme_tolerance(self, gauss_family):
         # the Gaussian one-steps resample between sub-steps, so nesting holds

@@ -201,14 +201,6 @@ class TestPointwiseMax:
         fs = [GridFunction(g, v) for v in ([0, 1, 2], [2, 0, 1], [1, 2, 0])]
         assert np.array_equal(pointwise_max(fs).samples, [2.0, 2.0, 2.0])
 
-    def test_least_upper_bound_under_removal(self, grid_small, make_smooth):
-        rng = np.random.default_rng(13)
-        fs = [make_smooth(grid_small, rng) for _ in range(4)]
-        full = pointwise_max(fs)
-        for i in range(4):
-            rest = pointwise_max(fs[:i] + fs[i + 1 :])
-            assert np.max(rest.samples - full.samples) <= 0.0
-
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             pointwise_max([])

@@ -62,21 +62,6 @@ class TestHjbUpwind:
         exact = GridFunction(g, math.sqrt(s0 / (s0 + t)) * np.exp(-g.nodes() ** 2 / (2.0 * (s0 + t))))
         assert compare(sol, exact, norm2).rel_err < 1e-3
 
-    def test_constants_interior(self):
-        g = make_grid(-8.0, 8.0, 401)
-        const = GridFunction(g, np.ones(401))
-        sol = hjb_upwind(const, 0.01, 1.0)
-        sl = g.interior_slice(0.25)
-        assert np.max(np.abs(sol.samples[sl] - 1.0)) < 1e-12
-
-    def test_monotone_on_random_pairs(self):
-        g = make_grid(-8.0, 8.0, 257)
-        rng = np.random.default_rng(31)
-        viol = monotone_stepper_violation(
-            lambda u, dt, dx: hjb_step(u, dt, dx, 1.0), g, rng, pairs=10, dt=0.4 * g.dx**2, steps=30
-        )
-        assert viol <= 1e-12
-
     def test_mutated_downwind_sign_breaks_monotonicity(self):
         # mutation check: advecting from the wrong side puts a negative weight
         # on a neighbor node, which the monotonicity probe must catch
