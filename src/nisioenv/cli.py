@@ -354,13 +354,9 @@ def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     funcspace.write_csv(res.final, outdir / "final.csv")
     _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
     tol = 1e-6 * (1.0 + cfg.initial.max_abs())
-    # compound Poisson one-steps compose exactly (shared jump powers), so the
-    # dyadic iterates increase to roundoff; the Gaussian steps resample between
-    # sub-steps and are monotone only up to the O(dx^2) interpolation commutator
-    if isinstance(cfg.family, CompoundPoisson):
-        drop_tol = -1e-9
-    else:
-        drop_tol = -(1e-9 + 4.0 * cfg.grid.dx**2 * cfg.initial.max_abs())
+    # exact one-steps (compound Poisson: shared jump powers) make the iterates increase to roundoff;
+    # steps resampling translates are monotone only up to the O(dx^2) interpolation commutator
+    drop_tol = -1e-9 if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * cfg.initial.max_abs())
     worst_drop = min(res.min_increments) if res.min_increments else 0.0
     margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
     return [
@@ -466,6 +462,15 @@ def _check_steps(kind: str, steps: int, cap: int, keys: str) -> None:
             f"{keys} ask for {steps} {kind} steps; at most {cap} (the cap on the work a config can ask for)")
 
 
+def _plan_largest_step(cfg: ExperimentConfig, h: float, keys: str) -> None:
+    """Plan a dyadic run's largest step h before anything is written (the run reuses
+    the cached plan); a step it cannot plan names the keys it depends on."""
+    try:
+        envelope._step_plan(cfg.family, h, cfg.grid.dx, cfg.grid.n_nodes)
+    except UsageError as exc:
+        raise ConfigurationError(f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}: {exc}") from None
+
+
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     """Parse and range-check the options of one subcommand before anything is
     written; returns its handler with the parsed values bound."""
@@ -476,12 +481,12 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
     if subcommand == "envelope":
         kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
-        kernels._check_jump_rate(cfg.family, cfg.t, "`time.t`")
+        _plan_largest_step(cfg, cfg.t, "`time.t`")
         return _cmd_envelope
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
         h0 = _positive(opts, "h0", "generator.", 0.1)
-        kernels._check_jump_rate(cfg.family, h0, "`generator.h0`")
+        _plan_largest_step(cfg, h0, "`generator.h0`")
         return partial(_cmd_generator, h0=h0, k_steps=_count(opts, "k_steps", "generator.", 6))
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
@@ -490,7 +495,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         _check_steps("integral path", calculus._integral_path(quad_nodes, cfg.n_max)[1], _MAX_PATH_STEPS,
                      "`derivative.quad_nodes` and `time.n_max`")
         longest = (cfg.t + calculus.geometric_schedule()[-1]) / (1 << cfg.n_max)  # a step of S(t + h)f
-        kernels._check_jump_rate(cfg.family, longest, "`time.t` and `time.n_max`")
+        _plan_largest_step(cfg, longest, "`time.t`, `time.n_max`")
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
@@ -502,6 +507,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
         _check_steps("upwind", reference._upwind_steps(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
                      _MAX_UPWIND_STEPS, "`time.t`, `grid`, `family` and `hjb.cfl`")
+        _plan_largest_step(cfg, cfg.t, "`time.t`")
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
                        oracle=lambda c: reference.hjb_upwind(c.initial, c.t, c.family.lambda_set.sup_abs, cfl=cfl))
     if subcommand == "compare-ode":
@@ -509,7 +515,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
         _check_steps("RK4", reference._rk4_steps(cfg.t, dt), _MAX_RK4_STEPS, "`time.t` / `ode.dt`")
-        kernels._check_jump_rate(cfg.family, cfg.t, "`time.t`")
+        _plan_largest_step(cfg, cfg.t, "`time.t`")
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":

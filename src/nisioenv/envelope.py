@@ -32,7 +32,6 @@ from .kernels import (
     KernelFamily,
     LambdaValues,
     _member_plan,
-    _translation_plan,
     upper_bound_C,
 )
 
@@ -257,7 +256,7 @@ def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> Callable[[np.n
     if isinstance(lset, LambdaValues):
         lams = lset.values
     else:
-        base = _translation_plan(fam, h, dx)
+        base = fam._profile_plan(h, dx)
         if base is not None:
             window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
             return lambda arr: window(base(arr))

@@ -9,9 +9,11 @@ Three families, each indexed by an uncertainty set Lambda:
 * ``PureShift`` -- translation semigroup f(x + lam*t); it admits no upper
   bound operator, which is what the blow-up scan in `reference` exploits.
 
-Alongside each family: the closed-form supremum of its member generators
-over Lambda, and the explicit upper-bound operator C(h) that dominates every
-partition composition (where one exists).
+Each family type owns how it acts: `_profile_plan` (the function whose
+translates its members are; None for compound Poisson), `_generator_terms`
+(A f, B f of its member generators A + lam B), `_growth_factor` (c(h) of the
+upper-bound operator C(h) dominating every partition composition; UsageError
+where none exists) and `_exact_steps` (do its members compose exactly?).
 """
 
 from __future__ import annotations
@@ -147,11 +149,25 @@ class JumpDistribution:
 
 @dataclass(frozen=True)
 class GaussianDrift:
+    _exact_steps = False  # its one-step suprema resample translates
     lambda_set: LambdaSet
+
+    def _profile_plan(self, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
+        return _heat_plan(t, dx)
+
+    def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[np.ndarray | None, np.ndarray]:
+        return 0.5 * _second_difference(arr, dx), _first_difference(arr, dx)
+
+    def _growth_factor(self, h: float, norm: PNorm) -> float:
+        lam_bar = self.lambda_set.sup_abs
+        if norm.p == 1.0 and lam_bar > 0.0:
+            raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
+        return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
 class CompoundPoisson:
+    _exact_steps = True  # its members compose exactly on the grid
     lambda_set: LambdaSet
     mu: JumpDistribution
 
@@ -159,10 +175,32 @@ class CompoundPoisson:
         if self.lambda_set.inf < 0:
             raise ConfigurationError("compound Poisson intensities must be >= 0")
 
+    def _profile_plan(self, t: float, dx: float) -> None:
+        return None
+
+    def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[None, np.ndarray]:
+        n = arr.shape[0]
+        src, mix = _jump_mixer(_jump_stencil(self.mu, dx, n), n)
+        src.samples[:] = arr
+        return None, mix(np.empty(n)) - arr
+
+    def _growth_factor(self, h: float, norm: PNorm) -> float:
+        return math.exp((self.lambda_set.sup_abs - self.lambda_set.inf) * h)
+
 
 @dataclass(frozen=True)
 class PureShift:
+    _exact_steps = False  # its one-step suprema resample translates
     lambda_set: LambdaSet
+
+    def _profile_plan(self, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda arr: arr  # to be read only
+
+    def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[None, np.ndarray]:
+        return None, _first_difference(arr, dx)
+
+    def _growth_factor(self, h: float, norm: PNorm) -> float:
+        raise UsageError("no envelope bound available for the pure shift family (see reference.counterexample_scan)")
 
 
 KernelFamily = GaussianDrift | CompoundPoisson | PureShift
@@ -288,18 +326,6 @@ def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callab
 # Member application
 
 
-def _translation_plan(fam: KernelFamily, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """arr -> samples u with S_lam(t)f(x) = u(x + lam*t) for every member, for
-    samples arr of f: f smoothed by the heat kernel of variance t for Gaussian
-    drift, arr itself for pure shift (to be read only), and None for compound
-    Poisson, whose members are not translates."""
-    if isinstance(fam, CompoundPoisson):
-        return None
-    if isinstance(fam, GaussianDrift):
-        return _heat_plan(t, dx)
-    return lambda arr: arr
-
-
 def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int
                  ) -> Callable[[np.ndarray], np.ndarray]:
     """arr -> the members lams of one family at time t applied to samples
@@ -315,7 +341,7 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
     for lam in lams:
         if not fam.lambda_set.contains(lam):
             raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-    base = _translation_plan(fam, t, dx)
+    base = fam._profile_plan(t, dx)
     if base is not None:
         splits = [_clamped_split(lam * t, dx, n) for lam in lams]
         width = _ZeroPadded.width_for(splits)
@@ -354,17 +380,6 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
     return rows_of
 
 
-def _check_jump_rate(fam: KernelFamily, h: float, keys: str) -> None:
-    """A compound Poisson step h reads Poisson(lam h) weights, the largest
-    rate at the top intensity: raise ConfigurationError, naming the lambda
-    keys and `keys`, when `_poisson_weights` cannot give them."""
-    if isinstance(fam, CompoundPoisson):
-        try:
-            _poisson_weights(fam.lambda_set.sup_abs * h)
-        except UsageError as exc:
-            raise ConfigurationError(f"`family.lambda_interval` / `family.lambda_list` and {keys}: {exc}") from None
-
-
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
     """Apply one member semigroup at time t to f; t = 0 returns f exactly."""
     return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, f.grid.dx, f.grid.n_nodes)(f.samples)[0])
@@ -398,19 +413,6 @@ def _second_difference(arr: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _generator_parts(fam: KernelFamily, arr: np.ndarray, dx: float) -> tuple[np.ndarray | None, np.ndarray]:
-    """(A f, B f) of the member generators A f + lam * B f; A f is None when zero."""
-    if isinstance(fam, CompoundPoisson):
-        n = arr.shape[0]
-        src, mix = _jump_mixer(_jump_stencil(fam.mu, dx, n), n)
-        src.samples[:] = arr
-        return None, mix(np.empty(n)) - arr
-    d1 = _first_difference(arr, dx)
-    if isinstance(fam, GaussianDrift):
-        return 0.5 * _second_difference(arr, dx), d1
-    return None, d1
-
-
 def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     """Nodewise supremum of the member generators over the uncertainty set.
 
@@ -418,7 +420,7 @@ def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
     `sup_scaled`); rounding is monotone, so adding A f after the max gives
     the same bits as the max over the members.
     """
-    a, b = _generator_parts(fam, f.samples, f.grid.dx)
+    a, b = fam._generator_terms(f.samples, f.grid.dx)
     top = fam.lambda_set.sup_scaled(b)
     return GridFunction._wrap(f.grid, top if a is None else a + top)
 
@@ -429,23 +431,16 @@ def sup_generator(fam: KernelFamily, f: GridFunction) -> GridFunction:
 
 def upper_bound_norm_factor(fam: KernelFamily, h: float, norm: PNorm) -> float:
     """c(h) in C(h)f = c(h) * (M(h)|f|^p)^(1/p), also the exact norm growth
-    ||C(h)f||_p / ||f||_p since M(h) conserves mass. The one place that
-    decides which families have a C(h): raises UsageError for the others,
-    and ConfigurationError when c(h) lies beyond the float range."""
-    lam_bar = fam.lambda_set.sup_abs
+    ||C(h)f||_p / ||f||_p since M(h) conserves mass, as each family gives
+    it: raises UsageError for a family without a C(h), and
+    ConfigurationError when c(h) lies beyond the float range."""
     try:
-        if isinstance(fam, GaussianDrift):
-            if norm.p == 1.0 and lam_bar > 0.0:
-                raise UsageError("Gaussian drift upper bound needs p > 1 (conjugate exponent is infinite at p = 1)")
-            return math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-        if isinstance(fam, CompoundPoisson):
-            return math.exp((lam_bar - fam.lambda_set.inf) * h)
+        return fam._growth_factor(h, norm)
     except OverflowError:
         raise ConfigurationError(
-            f"the C(h) growth factor at h = {h:g} with lambda bound {lam_bar:g} overflows the float range "
-            "(it grows with `family.lambda_interval` / `family.lambda_list` and `time.t`, and for a Gaussian "
+            f"the C(h) growth factor at h = {h:g} with lambda bound {fam.lambda_set.sup_abs:g} overflows the float "
+            "range (it grows with `family.lambda_interval` / `family.lambda_list` and `time.t`, and for a Gaussian "
             "drift as `norm.p` falls to 1)") from None
-    raise UsageError("no envelope bound available for the pure shift family (see reference.counterexample_scan)")
 
 
 def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> GridFunction:
@@ -463,7 +458,7 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
         raise UsageError(f"upper bound horizon must be > 0, got {h}")
     factor = upper_bound_norm_factor(fam, h, norm)
     dx, n = f.grid.dx, f.grid.n_nodes
-    heat = _translation_plan(fam, h, dx)  # None for compound Poisson
+    heat = fam._profile_plan(h, dx)  # None for compound Poisson
     powed = np.abs(f.samples) ** norm.p
     moved = heat(powed) if heat is not None else _member_plan(fam, (fam.lambda_set.sup_abs,), h, dx, n)(powed)[0]
     return GridFunction._wrap(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))
