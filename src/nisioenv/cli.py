@@ -49,13 +49,17 @@ from .kernels import (
 # uses (the pure-shift scan), the default dyadic level (a level-L run makes
 # 2^(L+1) - 1 one-step suprema), the time steps of each oracle (no shipped
 # config or benchmark job needs more than 1000 RK4 or 5911 upwind steps),
-# and the steps of the integral identity's path, twice the finest mesh
-# 2^(L+1) at _MAX_LEVEL (every quad_nodes up to 2^(L+1) + 1 fits).
+# the steps of the integral identity's path, twice the finest mesh 2^(L+1)
+# at _MAX_LEVEL (every quad_nodes up to 2^(L+1) + 1 fits), and the
+# generator's halvings of h0: each is one more dyadic run, and each cancels
+# one more bit of f in (S(h)f - f)/h, so 26 leave half a double's 52 (the
+# order study of the generator gate uses 9).
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
 _MAX_RK4_STEPS = 100_000
 _MAX_UPWIND_STEPS = 100_000
 _MAX_PATH_STEPS = 2 << (_MAX_LEVEL + 1)
+_MAX_HALVINGS = 26
 
 SUBCOMMANDS = (
     "envelope",
@@ -353,10 +357,12 @@ def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
     _write_json(outdir / "envelope_result.json", res.to_json_dict())
     funcspace.write_csv(res.final, outdir / "final.csv")
     _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
-    tol = 1e-6 * (1.0 + cfg.initial.max_abs())
-    # exact one-steps (compound Poisson: shared jump powers) make the iterates increase to roundoff;
-    # steps resampling translates are monotone only up to the O(dx^2) interpolation commutator
-    drop_tol = -1e-9 if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * cfg.initial.max_abs())
+    top = cfg.initial.max_abs()
+    tol = 1e-6 * (1.0 + top)
+    # exact one-steps (compound Poisson: shared jump powers) make the iterates increase to roundoff,
+    # relative to max|f| as J_h(cf) = c J_h f for c > 0; steps resampling translates are monotone
+    # only up to the O(dx^2) interpolation commutator
+    drop_tol = -1e-9 * top if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * top)
     worst_drop = min(res.min_increments) if res.min_increments else 0.0
     margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
     return [
@@ -467,7 +473,7 @@ def _plan_largest_step(cfg: ExperimentConfig, h: float, keys: str) -> None:
     the cached plan); a step it cannot plan names the keys it depends on."""
     try:
         envelope._step_plan(cfg.family, h, cfg.grid.dx, cfg.grid.n_nodes)
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:  # an OverflowError: a window lam*h past the float range
         raise ConfigurationError(f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}: {exc}") from None
 
 
@@ -486,16 +492,17 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
         h0 = _positive(opts, "h0", "generator.", 0.1)
+        k_steps = _count(opts, "k_steps", "generator.", 6, most=_MAX_HALVINGS)
         _plan_largest_step(cfg, h0, "`generator.h0`")
-        return partial(_cmd_generator, h0=h0, k_steps=_count(opts, "k_steps", "generator.", 6))
+        return partial(_cmd_generator, h0=h0, k_steps=k_steps)
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
         calculus._simpson_weights(quad_nodes, cfg.t)  # the composite Simpson node rule
         _check_steps("integral path", calculus._integral_path(quad_nodes, cfg.n_max)[1], _MAX_PATH_STEPS,
                      "`derivative.quad_nodes` and `time.n_max`")
-        longest = (cfg.t + calculus.geometric_schedule()[-1]) / (1 << cfg.n_max)  # a step of S(t + h)f
-        _plan_largest_step(cfg, longest, "`time.t`, `time.n_max`")
+        h = calculus.geometric_schedule()[-1]  # the forward quotient's step: the largest is one of S(t + h)f
+        _plan_largest_step(cfg, max(envelope.Partition.dyadic(cfg.t + h, cfg.n_max).gaps()), "`time.t`, `time.n_max`")
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))

@@ -48,13 +48,21 @@ __all__ = [
     "upper_bound_norm_factor",
 ]
 
-# Poisson series truncation: drop a tail of at most this probability mass,
-# then renormalize the retained weights so constants stay fixed points.
+# Poisson series truncation: keep terms until their running sum reaches
+# 1 - SERIES_TOL, then renormalize them so constants stay fixed points. The
+# sum carries the rounding of its K terms and additions, so the dropped mass
+# is at most SERIES_TOL + 3K * 2^-53 (1.3e-12 at rate 708, K = 904).
 SERIES_TOL = 1e-12
 
 # Heat kernel support, in standard deviations; the dropped Gaussian mass is
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
+
+# Cap on the weights of one sampled heat kernel, 2^16 + 1 (512 KiB): 28 times
+# the widest any test builds, 2 319 (t = 0.5 on dx = 10/2048); the widest of
+# any benchmark job has 1 161 (t = 0.5 on dx = 20/2048). A variance of 1e12 on
+# the shipped Gaussian grid would ask for 1.6e9 weights (12 GiB).
+_MAX_HEAT_WEIGHTS = 65_537
 
 
 @dataclass(frozen=True)
@@ -220,9 +228,14 @@ def _heat_weights(t: float, dx: float) -> np.ndarray:
     """Sampled Gaussian kernel at node offsets, renormalized to unit mass.
 
     Truncated at HEAT_KERNEL_WIDTH standard deviations; weights are the
-    probabilities attached to integer node offsets -J..J.
+    probabilities attached to integer node offsets -J..J. More than
+    _MAX_HEAT_WEIGHTS of them raise UsageError.
     """
-    half = max(1, math.ceil(HEAT_KERNEL_WIDTH * math.sqrt(t) / dx))
+    reach = HEAT_KERNEL_WIDTH * math.sqrt(t) / dx
+    if not reach <= _MAX_HEAT_WEIGHTS // 2:  # also inf and NaN
+        raise UsageError(f"heat kernel of variance {t:g} on spacing {dx:g} needs {2 * reach + 1:.3g} weights; "
+                         f"at most {_MAX_HEAT_WEIGHTS} (the cap on one kernel)")
+    half = max(1, math.ceil(reach))
     offsets = np.arange(-half, half + 1) * dx
     w = np.exp(-(offsets**2) / (2.0 * t))
     w /= w.sum()
@@ -270,9 +283,10 @@ def heat_convolve(f: GridFunction, t: float) -> GridFunction:
 
 
 def _poisson_weights(rate: float) -> np.ndarray:
-    """Truncated, renormalized Poisson(rate) weights with tail mass <= SERIES_TOL.
-    The series starts from e^-rate, which must be a normal float: a rate
-    above about 708 raises UsageError."""
+    """Truncated, renormalized Poisson(rate) weights whose K terms drop a
+    tail mass of at most SERIES_TOL + 3K * 2^-53 (see SERIES_TOL). The
+    series starts from e^-rate, which must be a normal float: a rate above
+    about 708 raises UsageError."""
     if not rate >= 0:
         raise UsageError(f"Poisson rate must be >= 0, got {rate}")
     w = [math.exp(-rate)]

@@ -189,6 +189,16 @@ class TestInvalidConfigsWriteNothing:
          ("Poisson rate 800", "`family.lambda_list`", "`generator.h0`")),
         ("derivative", {"family.lambda_list": [0.0, 710.0], "time.t": 1.0, "time.n_max": 0},
          ("Poisson rate 711.1", "`time.t`", "`time.n_max`")),
+        # a heat kernel of variance 1e12 would need 5e8 weights (4 GB): at
+        # generator.h0, and at t with no drift (C(t) has the factor 1)
+        ("generator", {"generator.h0": 1e12}, ("heat kernel", "`grid`", "`generator.h0`")),
+        ("envelope", {"time.t": 1e12, "family": {"family": "gaussian_drift", "lambda_interval": [0.0, 0.0]}},
+         ("heat kernel", "`grid`", "`time.t`")),
+        # a pure shift window lam * h0 = 1e310 leaves the float range
+        ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
+         ("`family.lambda_interval`", "`generator.h0`")),
+        # 1100 halvings of h0 = 0.1 reach a step of 0
+        ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "at most 26 ")),
     ])
     def test_beyond_float_range(self, tmp_path, capsys, subcommand, edits, words):
         out = tmp_path / "out"
@@ -331,6 +341,22 @@ class TestRunEnvelope:
         assert code == 2
         assert not out.exists()
         assert "p > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("height", [1.0, 1e8, 1e-8])
+    def test_compound_poisson_drop_tolerance_scales_with_height(self, tmp_path, height):
+        # J_h(c f) = c J_h f for c > 0: the worst dyadic drop scales with the
+        # height of f (about -2.1e-12 at height 1), and so does its tolerance
+        out = tmp_path / "out"
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "compare_ode_compound_poisson.json").read_text())
+        cfg["family"]["lambda_interval"] = [0.2, 3.0]
+        del cfg["family"]["lambda_list"]
+        cfg["time"]["n_max"] = 6
+        cfg["initial"]["params"]["height"] = height
+        cfg["output_dir"] = str(out)
+        run("envelope", write_config(tmp_path, cfg))
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        drop = checks["dyadic_monotone_increase"]
+        assert drop["passed"] and drop["tolerance"] == -1e-9 * height
 
     def test_bound_beyond_float_range_fails_the_certificate(self, tmp_path):
         # ||f||_2 is finite, but C(t)f = e^700 f overflows: nothing is

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ from nisioenv import ConfigurationError, PNorm, UsageError
 from nisioenv.envelope import step_J
 from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid, ramp
 from nisioenv.kernels import (
+    HEAT_KERNEL_WIDTH,
+    SERIES_TOL,
+    _MAX_HEAT_WEIGHTS,
     CompoundPoisson,
     GaussianDrift,
     JumpDistribution,
@@ -106,6 +110,18 @@ class TestHeatConvolve:
         assert got.shape == (n,)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_kernel_past_the_cap_is_usage_error(self):
+        # the widest kernel the cap admits is built; one offset more per side,
+        # a variance of 1e12 (1.6e9 weights) and an infinite one raise first
+        f = bump(make_grid(-10.0, 10.0, 2049), radius=1.0)
+        half = _MAX_HEAT_WEIGHTS // 2
+        assert len(_heat_weights((half * f.grid.dx / HEAT_KERNEL_WIDTH) ** 2, f.grid.dx)) == _MAX_HEAT_WEIGHTS
+        with pytest.raises(UsageError, match="heat kernel"):
+            _heat_weights(((half + 1) * f.grid.dx / HEAT_KERNEL_WIDTH) ** 2, f.grid.dx)
+        for t in (1e12, math.inf):
+            with pytest.raises(UsageError, match=f"at most {_MAX_HEAT_WEIGHTS} "):
+                heat_convolve(f, t)
+
     def test_kernel_wider_than_grid(self):
         # 8 sqrt(t) / dx = 256 offsets per side on 257 nodes: the kernel is
         # about twice as wide as the grid; the result is the zero extension
@@ -180,6 +196,20 @@ class TestFixedWeights:
         k = np.arange(len(w))
         exact = np.exp(-708.0 + k * math.log(708.0) - np.array([math.lgamma(j + 1.0) for j in k]))
         assert np.max(np.abs(w - exact)) < 1e-12 and 1.0 - np.sum(exact) < 2e-12
+
+    @pytest.mark.parametrize("rate", [700.0, 708.0])
+    def test_poisson_tail_within_its_bound(self, rate):
+        # the Poisson law written out in logarithms, in 40-digit decimals: in
+        # floats its exponent k ln(rate) - rate - ln k!, whose terms reach
+        # 6 000, rounds each weight by about 1e-12, as much as the whole tail
+        k_terms = len(_poisson_weights(rate))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            r, log_fact, kept = decimal.Decimal(rate), decimal.Decimal(0), decimal.Decimal(0)
+            for k in range(k_terms):
+                log_fact += decimal.Decimal(max(k, 1)).ln()
+                kept += (k * r.ln() - r - log_fact).exp()
+        assert 0 < 1 - kept <= SERIES_TOL + 3 * k_terms * 2.0**-53
 
 
 class TestApplyMember:
