@@ -41,9 +41,9 @@ QUOTIENT_TOL = 1e-9
 
 
 def geometric_schedule(h0: float = 0.1, halvings: int = 6) -> list[float]:
-    """Strictly decreasing step schedule h0, h0/2, ..., h0/2^halvings."""
-    if not h0 > 0 or halvings < 0:
-        raise UsageError("schedule needs h0 > 0 and halvings >= 0")
+    """Decreasing step schedule h0, h0/2, ..., h0/2^halvings; its last step must be > 0 in floats."""
+    if not h0 > 0 or halvings < 0 or not h0 * 0.5**halvings > 0:
+        raise UsageError(f"schedule needs h0 > 0, halvings >= 0 and h0 / 2^halvings > 0, got {h0:g} and {halvings}")
     return [h0 * 0.5**k for k in range(halvings + 1)]
 
 
@@ -256,18 +256,11 @@ def derivative_identity_check(
     return IdentityReport(h, g_fp, g_fm, g_pm, identity_tol, passed)
 
 
-def _simpson_weights(n_nodes: int, t: float) -> np.ndarray:
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise UsageError(f"quad_nodes must be odd and >= 3 (composite Simpson), got {n_nodes}")
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (t / (n_nodes - 1)) / 3.0
-
-
 def _integral_path(quad_nodes: int, level: int) -> tuple[int, int]:
     """(m, M) of the integral identity's path: M = m*(quad_nodes - 1) uniform
     steps, m = ceil(2^(level+1)/(quad_nodes - 1)) of them between two nodes."""
+    if quad_nodes < 3 or quad_nodes % 2 == 0:
+        raise UsageError(f"quad_nodes must be odd and >= 3 (composite Simpson), got {quad_nodes}")
     m = -(-(2 << level) // (quad_nodes - 1))
     return m, m * (quad_nodes - 1)
 
@@ -292,11 +285,13 @@ def integral_identity_check(
     """
     params = envelope_params
     h_dir = geometric_schedule()[-1]
-    weights = _simpson_weights(quad_nodes, t)
+    m, steps = _integral_path(quad_nodes, params.n_max)
+    weights = np.ones(quad_nodes)  # composite Simpson
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    weights = weights * (t / (quad_nodes - 1)) / 3.0
     direction = sup_generator(fam, f)
     if t == 0.0:  # S(0)f - f vanishes
         return 0.0
-    m, steps = _integral_path(quad_nodes, params.n_max)
     gaps = Partition(tuple(t * k / steps for k in range(steps + 1))).gaps()
 
     acc = weights[0] * direction.samples
@@ -321,7 +316,7 @@ def integral_identity_check(
 
 def _random_smooth(grid, rng) -> GridFunction:
     """Grid-resolved random function: white noise mollified by one dx^2 heat step."""
-    return GridFunction(grid, _heat_plan(grid.dx**2, grid.dx)(rng.standard_normal(grid.n_nodes)))
+    return GridFunction(grid, _heat_plan(grid.dx**2, grid.dx, grid.n_nodes).run(rng.standard_normal(grid.n_nodes)))
 
 
 def ball_samples(

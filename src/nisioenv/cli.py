@@ -45,21 +45,13 @@ from .kernels import (
     PureShift,
 )
 
-# Caps on the work a config can ask for: the largest grid any shipped config
-# uses (the pure-shift scan), the default dyadic level (a level-L run makes
-# 2^(L+1) - 1 one-step suprema), the time steps of each oracle (no shipped
-# config or benchmark job needs more than 1000 RK4 or 5911 upwind steps),
-# the steps of the integral identity's path, twice the finest mesh 2^(L+1)
-# at _MAX_LEVEL (every quad_nodes up to 2^(L+1) + 1 fits), and the
-# generator's halvings of h0: each is one more dyadic run, and each cancels
-# one more bit of f in (S(h)f - f)/h, so 26 leave half a double's 52 (the
-# order study of the generator gate uses 9).
+# Caps on one config. Its memory: the largest grid any shipped config uses (the pure-shift scan)
+# and the default dyadic level (a level-L run makes 2^(L+1) - 1 one-step suprema). Its time: the
+# node operations `_check_work` predicts, twice the heaviest of any shipped run or benchmark job
+# (3.78e10, `generator` on counterexample_shift.json; it stops at converged levels, in 4.9 s).
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
-_MAX_RK4_STEPS = 100_000
-_MAX_UPWIND_STEPS = 100_000
-_MAX_PATH_STEPS = 2 << (_MAX_LEVEL + 1)
-_MAX_HALVINGS = 26
+_MAX_WORK = 8e10
 
 SUBCOMMANDS = (
     "envelope",
@@ -168,7 +160,7 @@ def _count(mapping: dict, key: str, context: str, default=None, least: int = 0, 
         raise ConfigurationError(f"key `{context}{key}` must be an integer >= {least}, got {val}")
     if val > most:
         raise ConfigurationError(
-            f"key `{context}{key}` must be at most {most} (the cap on the work a config can ask for), got {val:.12g}")
+            f"key `{context}{key}` must be at most {most} (a cap on memory), got {val:.12g}")
     return int(val)
 
 
@@ -462,19 +454,31 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
     return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
 
 
-def _check_steps(kind: str, steps: int, cap: int, keys: str) -> None:
-    if steps > cap:
-        raise ConfigurationError(
-            f"{keys} ask for {steps} {kind} steps; at most {cap} (the cap on the work a config can ask for)")
-
-
-def _plan_largest_step(cfg: ExperimentConfig, h: float, keys: str) -> None:
-    """Plan a dyadic run's largest step h before anything is written (the run reuses
-    the cached plan); a step it cannot plan names the keys it depends on."""
+def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, calls: float, runs: Callable,
+                passes: float = 0.0, hint: str = "") -> None:
+    """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
+    operations (see `kernels._Plan`): first the `calls` one-step suprema and
+    an oracle's array `passes`, then the first gap of each of the `runs()`
+    (horizon, steps, repeats) planned for `fam`, largest first; the finest
+    partition is built once all of it fits. `hint` is added when the passes
+    are infinite."""
+    work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK) + calls * kernels._CALL_WORK
+    keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
-        envelope._step_plan(cfg.family, h, cfg.grid.dx, cfg.grid.n_nodes)
+        if work <= _MAX_WORK:
+            runs = sorted(runs(), key=lambda run: run[0] / run[1])
+            for horizon, steps, repeats in reversed(runs):
+                work += steps * repeats * envelope._step_plan(fam, horizon / steps, cfg.grid.dx, cfg.grid.n_nodes).work
+                if work > _MAX_WORK:
+                    break
+            else:
+                horizon, steps, _ = runs[0]
+                envelope.Partition(tuple(horizon * k / steps for k in range(steps + 1)))
     except (UsageError, OverflowError) as exc:  # an OverflowError: a window lam*h past the float range
-        raise ConfigurationError(f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}: {exc}") from None
+        raise ConfigurationError(f"{keys}: {exc}") from None
+    if work > _MAX_WORK:
+        raise ConfigurationError(f"{keys} ask for at least {work:.3g} node operations; "
+                                 f"at most {_MAX_WORK:.3g} (the work budget){hint if passes == math.inf else ''}")
 
 
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
@@ -485,24 +489,28 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             f_norm = lp_norm(cfg.initial, cfg.norm)
         if not math.isfinite(f_norm):
             raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
+    t, top, keys = cfg.t, 1 << cfg.n_max, "`time.t`, `time.n_max`"
+    levels = [(t, 1 << level, 1) for level in range(cfg.n_max + 1)]
     if subcommand == "envelope":
-        kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
-        _plan_largest_step(cfg, cfg.t, "`time.t`")
+        kernels.upper_bound_norm_factor(cfg.family, t, cfg.norm)  # `envelope` certifies against C(t)
+        _check_work(cfg, cfg.family, keys, 2.0 * top, lambda: levels + [(t, 1, 1)])  # C(t)f: a level-0 step
         return _cmd_envelope
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
         h0 = _positive(opts, "h0", "generator.", 0.1)
-        k_steps = _count(opts, "k_steps", "generator.", 6, most=_MAX_HALVINGS)
-        _plan_largest_step(cfg, h0, "`generator.h0`")
+        k_steps = _count(opts, "k_steps", "generator.", 6)
+        n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
+        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`",
+                    (k_steps + 1.0) * ((2 << n) - 1),
+                    lambda: [(h, 1 << k, 1) for h in calculus.geometric_schedule(h0, k_steps) for k in range(n + 1)])
         return partial(_cmd_generator, h0=h0, k_steps=k_steps)
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
-        calculus._simpson_weights(quad_nodes, cfg.t)  # the composite Simpson node rule
-        _check_steps("integral path", calculus._integral_path(quad_nodes, cfg.n_max)[1], _MAX_PATH_STEPS,
-                     "`derivative.quad_nodes` and `time.n_max`")
-        h = calculus.geometric_schedule()[-1]  # the forward quotient's step: the largest is one of S(t + h)f
-        _plan_largest_step(cfg, max(envelope.Partition.dyadic(cfg.t + h, cfg.n_max).gaps()), "`time.t`, `time.n_max`")
+        path = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
+        h = calculus.geometric_schedule()[-1]  # the forward quotient's step
+        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys, 4.0 * top + 2.0 * path,
+                    lambda: [(t, top, 3), (t + h, top, 1), (t, path, 2)])  # S(t) thrice, S(t + h), two integral paths
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
@@ -512,17 +520,17 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
-        _check_steps("upwind", reference._upwind_steps(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
-                     _MAX_UPWIND_STEPS, "`time.t`, `grid`, `family` and `hjb.cfl`")
-        _plan_largest_step(cfg, cfg.t, "`time.t`")
+        _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", 2.0 * top - 1, lambda: levels,
+                    reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
+                    "; the upwind steps are not a finite count: lower the drift bound or `time.t`, or coarsen `grid`")
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
                        oracle=lambda c: reference.hjb_upwind(c.initial, c.t, c.family.lambda_set.sup_abs, cfl=cfl))
     if subcommand == "compare-ode":
         if not isinstance(cfg.family, CompoundPoisson):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
-        _check_steps("RK4", reference._rk4_steps(cfg.t, dt), _MAX_RK4_STEPS, "`time.t` / `ode.dt`")
-        _plan_largest_step(cfg, cfg.t, "`time.t`")
+        _check_work(cfg, cfg.family, keys + ", `ode.dt`", 2.0 * top - 1, lambda: levels,
+                    reference._rk4_passes(cfg.family, t, dt))
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":
@@ -533,7 +541,10 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             if not isinstance(opts["epsilons"], list):
                 raise ConfigurationError("key `counterexample.epsilons` must be a list")
             epsilons = [_finite(e, "counterexample.epsilons") for e in opts["epsilons"]]
-        return partial(_cmd_counterexample, t=t, epsilons=reference.scan_epsilons(cfg.grid, t, epsilons))
+        epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
+        _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`", len(epsilons),
+                    lambda: [(t, 1, len(epsilons))], len(epsilons) * reference._SCAN_PASSES)
+        return partial(_cmd_counterexample, t=t, epsilons=epsilons)
     if scale not in ("small", "full"):
         raise ConfigurationError(f"scale must be small or full, got {scale!r}")
     return partial(_cmd_verify, scale=scale)

@@ -18,22 +18,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import UsageError
-from .funcspace import (
-    GridFunction,
-    PNorm,
-    _SNAP_TOL,
-    _clamped_split,
-    _nonzero_span,
-    _shift_split,
-    _ZeroPadded,
-    lp_norm,
-)
-from .kernels import (
-    KernelFamily,
-    LambdaValues,
-    _member_plan,
-    upper_bound_C,
-)
+from .funcspace import (GridFunction, PNorm, _SNAP_TOL, _clamped_split, _nonzero_span, _shift_split, _ZeroPadded,
+                        lp_norm)
+from .kernels import _CALL_WORK, KernelFamily, LambdaValues, _member_plan, _Plan, upper_bound_C
 
 __all__ = [
     "Partition",
@@ -207,7 +194,7 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[list[tuple[int, int, float]
     return [(c, c, 0.0)], filtered
 
 
-def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
+def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
     """u -> a fresh array: at each node x, the sup of the interpolant of u
     over the window [x + lo, x + hi], for samples u on n nodes of spacing dx.
 
@@ -241,7 +228,9 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarra
         out = int_max(held)
         return out if top is None else np.maximum(top, out, out=out)
 
-    return window
+    # the padded copy, each end, the last max and the fold's passes (the filter's: the fold's at the cutover)
+    folded = max(0, min(mh - ml + 1, 2 * n + 1, _FILTER_CUTOVER))
+    return _Plan(window, (3 + 4 * len(ends)) * (n + _CALL_WORK) + folded.bit_length() * (n + folded + _CALL_WORK))
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +238,20 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> Callable[[np.ndarra
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """arr -> the samples of `step_J` at step h for samples arr on n nodes
-    of spacing dx, a fresh array. Cached per (family, h, dx, n)."""
+def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> _Plan:
+    """The `_Plan` of `step_J` at step h on n nodes of spacing dx: arr -> a
+    fresh array, and its work. Cached per (family, h, dx, n)."""
     lset = fam.lambda_set
     if isinstance(lset, LambdaValues):
         lams = lset.values
     else:
-        base = fam._profile_plan(h, dx)
+        base = fam._profile_plan(h, dx, n)
         if base is not None:
             window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
-            return lambda arr: window(base(arr))
+            return _Plan(lambda arr: window.run(base.run(arr)), base.work + window.work)
         lams = [float(v) for v in lset.samples(_CP_INTERIOR)]
     rows = _member_plan(fam, lams, h, dx, n)
-    return lambda arr: np.maximum.reduce(rows(arr))
+    return _Plan(lambda arr: np.maximum.reduce(rows.run(arr)), rows.work + len(lams) * (n + _CALL_WORK))
 
 
 def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
@@ -281,7 +270,7 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     """
     if not h > 0:
         raise UsageError(f"step size must be > 0, got {h}")
-    return GridFunction._wrap(f.grid, _step_plan(fam, h, f.grid.dx, f.grid.n_nodes)(f.samples))
+    return GridFunction._wrap(f.grid, _step_plan(fam, h, f.grid.dx, f.grid.n_nodes).run(f.samples))
 
 
 def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction) -> GridFunction:

@@ -18,6 +18,7 @@ where none exists) and `_exact_steps` (do its members compose exactly?).
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from collections.abc import Callable, Sequence
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import (
-    GridFunction,
-    PNorm,
-    _clamped_split,
-    _ZeroPadded,
-)
+from .funcspace import GridFunction, PNorm, _clamped_split, _ZeroPadded
 
 __all__ = [
     "LambdaInterval",
@@ -58,11 +54,20 @@ SERIES_TOL = 1e-12
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
 
+# Cap on one member plan's rows, members * nodes: 11 on 2 400 001 nodes (211 MB), 1 100 times
+# the widest of any test (24 001) or benchmark job (22 011); 200 there would need 3.6 GiB.
+_MAX_MEMBER_SAMPLES = 11 * 2_400_001
+
 # Cap on the weights of one sampled heat kernel, 2^16 + 1 (512 KiB): 28 times
 # the widest any test builds, 2 319 (t = 0.5 on dx = 10/2048); the widest of
 # any benchmark job has 1 161 (t = 0.5 on dx = 20/2048). A variance of 1e12 on
 # the shipped Gaussian grid would ask for 1.6e9 weights (12 GiB).
 _MAX_HEAT_WEIGHTS = 65_537
+
+# A plan: `run` maps arr -> fresh samples; `work` is the node operations of one call: n +
+# `_CALL_WORK` (an array call's overhead, about 2 us at 1 ns each) per array pass over n nodes.
+_Plan = collections.namedtuple("_Plan", "run work")
+_CALL_WORK = 2_000
 
 
 @dataclass(frozen=True)
@@ -160,8 +165,8 @@ class GaussianDrift:
     _exact_steps = False  # its one-step suprema resample translates
     lambda_set: LambdaSet
 
-    def _profile_plan(self, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
-        return _heat_plan(t, dx)
+    def _profile_plan(self, t: float, dx: float, n: int) -> _Plan:
+        return _heat_plan(t, dx, n)
 
     def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[np.ndarray | None, np.ndarray]:
         return 0.5 * _second_difference(arr, dx), _first_difference(arr, dx)
@@ -183,7 +188,7 @@ class CompoundPoisson:
         if self.lambda_set.inf < 0:
             raise ConfigurationError("compound Poisson intensities must be >= 0")
 
-    def _profile_plan(self, t: float, dx: float) -> None:
+    def _profile_plan(self, t: float, dx: float, n: int) -> None:
         return None
 
     def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[None, np.ndarray]:
@@ -201,8 +206,8 @@ class PureShift:
     _exact_steps = False  # its one-step suprema resample translates
     lambda_set: LambdaSet
 
-    def _profile_plan(self, t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda arr: arr  # to be read only
+    def _profile_plan(self, t: float, dx: float, n: int) -> _Plan:
+        return _Plan(lambda arr: arr, 0)  # to be read only
 
     def _generator_terms(self, arr: np.ndarray, dx: float) -> tuple[None, np.ndarray]:
         return None, _first_difference(arr, dx)
@@ -242,11 +247,11 @@ def _heat_weights(t: float, dx: float) -> np.ndarray:
     return w
 
 
-def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
+def _heat_plan(t: float, dx: float, n: int) -> _Plan:
     """arr -> new samples: arr convolved with the heat kernel of variance t
-    on spacing dx. The branch and its weights are chosen here, once."""
+    on n nodes of spacing dx. The branch and its weights are chosen here, once."""
     if t == 0.0:
-        return np.copy
+        return _Plan(np.copy, n + _CALL_WORK)
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
         w = _heat_weights(t, dx)
@@ -254,8 +259,8 @@ def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
         # same dot products on the same operands, but returns len(w) samples
         # when the kernel is wider than the grid: slice the full one there
         half = len(w) // 2
-        return lambda arr: (np.convolve(arr, w, "same") if len(w) <= arr.shape[0]
-                            else np.convolve(arr, w)[half : half + arr.shape[0]])
+        return _Plan(lambda arr: (np.convolve(arr, w, "same") if len(w) <= arr.shape[0]
+                                  else np.convolve(arr, w)[half : half + arr.shape[0]]), len(w) * n + _CALL_WORK)
     # grid-unresolved variance: three-point steps with the exact variance,
     # nonnegative weights (s <= dx^2), constants preserved by construction
     k = max(1, math.ceil(t / dx2))
@@ -268,14 +273,14 @@ def _heat_plan(t: float, dx: float) -> Callable[[np.ndarray], np.ndarray]:
             out = (1.0 - 2.0 * a) * out + a * (cur.shift(1) + cur.shift(-1))
         return out
 
-    return walk
+    return _Plan(walk, 6 * k * (n + _CALL_WORK))  # six passes per walk step
 
 
 def heat_convolve(f: GridFunction, t: float) -> GridFunction:
     """Convolve with the heat kernel of variance t (zero extension outside)."""
     if not t >= 0:
         raise UsageError(f"heat time must be >= 0, got {t}")
-    return GridFunction(f.grid, _heat_plan(t, f.grid.dx)(f.samples))
+    return GridFunction(f.grid, _heat_plan(t, f.grid.dx, f.grid.n_nodes).run(f.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +345,39 @@ def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callab
 # Member application
 
 
-def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int
-                 ) -> Callable[[np.ndarray], np.ndarray]:
+def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int) -> _Plan:
     """arr -> the members lams of one family at time t applied to samples
     arr on n nodes, a fresh array with one row per lam; it raises UsageError
     unless every entry is finite. The members share their linear part (one
     heat convolution, or one chain of jump powers mu^{*k} f), computed once
     per call, and each row is bit-identical to its member alone. What does
-    not depend on arr is worked out here, once: the checks on t and on every
-    lam; for translates the heat step and the split of every shift, for
-    compound Poisson the Poisson weights and the jump stencil."""
+    not depend on arr is worked out here, once: the checks on t, the rows'
+    size and every lam; for translates the heat step and the split of every
+    shift, for compound Poisson the Poisson weights and the jump stencil."""
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
+    if len(lams) * n > _MAX_MEMBER_SAMPLES:
+        raise UsageError(f"{len(lams)} members on {n} nodes: more than {_MAX_MEMBER_SAMPLES} samples "
+                         "(the cap on one plan's rows)")
     for lam in lams:
         if not fam.lambda_set.contains(lam):
             raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-    base = fam._profile_plan(t, dx)
+    base = fam._profile_plan(t, dx, n)
     if base is not None:
         splits = [_clamped_split(lam * t, dx, n) for lam in lams]
         width = _ZeroPadded.width_for(splits)
 
         def fill(rows: np.ndarray, arr: np.ndarray) -> None:
-            moved = _ZeroPadded(width, n, base(arr))
+            moved = _ZeroPadded(width, n, base.run(arr))
             for row, split in zip(rows, splits):
                 moved.interp(split, out=row)
+        work = base.work + (2 + 3 * len(lams)) * (n + _CALL_WORK)
     else:
         weights = [_poisson_weights(lam * t) for lam in lams]
         depth = max((len(w) for w in weights), default=1)
         stencil = _jump_stencil(fam.mu, dx, n)
+        # a power of mu makes up to four passes per atom and one copy, each row two per term
+        work = (len(lams) + (depth - 1) * (4 * len(fam.mu.atoms) + 1 + 2 * len(lams))) * (n + _CALL_WORK)
 
         def fill(rows: np.ndarray, arr: np.ndarray) -> None:
             # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0;
@@ -391,12 +401,12 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
             raise UsageError("member samples must all be finite")
         return rows
 
-    return rows_of
+    return _Plan(rows_of, work + 2 * len(lams) * (n + _CALL_WORK))
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
     """Apply one member semigroup at time t to f; t = 0 returns f exactly."""
-    return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, f.grid.dx, f.grid.n_nodes)(f.samples)[0])
+    return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, f.grid.dx, f.grid.n_nodes).run(f.samples)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +482,8 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
         raise UsageError(f"upper bound horizon must be > 0, got {h}")
     factor = upper_bound_norm_factor(fam, h, norm)
     dx, n = f.grid.dx, f.grid.n_nodes
-    heat = fam._profile_plan(h, dx)  # None for compound Poisson
+    heat = fam._profile_plan(h, dx, n)  # None for compound Poisson
     powed = np.abs(f.samples) ** norm.p
-    moved = heat(powed) if heat is not None else _member_plan(fam, (fam.lambda_set.sup_abs,), h, dx, n)(powed)[0]
+    moved = (heat.run(powed) if heat is not None
+             else _member_plan(fam, (fam.lambda_set.sup_abs,), h, dx, n).run(powed)[0])
     return GridFunction._wrap(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))

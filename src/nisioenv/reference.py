@@ -19,7 +19,8 @@ import numpy as np
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
 from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
-from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_mixer, _jump_stencil
+from .kernels import (CompoundPoisson, KernelFamily, LambdaInterval, LambdaValues, PureShift, _jump_mixer,
+                      _jump_stencil)
 
 __all__ = [
     "hjb_upwind",
@@ -33,32 +34,30 @@ __all__ = [
 ]
 
 
-def _step_count(ratio: float, rounding, kind: str, keys: str) -> int:
-    """max(1, rounding(ratio)); ConfigurationError naming the config keys
-    when the ratio is not finite (a subnormal step, or a count past the
-    float range)."""
-    if not math.isfinite(ratio):
-        raise ConfigurationError(f"{keys} ask for {ratio} {kind} steps, not a finite count")
-    return max(1, rounding(ratio))
-
-
-def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
-    """Steps `hjb_upwind` takes to reach t > 0: the step obeys
-    dt <= cfl * min(dx^2, dx/lam_bar); it is chosen as
-    cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient
-    nonnegative, so the scheme is monotone for any cfl in (0, 1].
-    ConfigurationError when that step is 0 in floats: lam_bar / dx overflows."""
+def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
+    """Steps `hjb_upwind` takes to reach t > 0: the step obeys dt <= cfl * min(dx^2, dx/lam_bar); it is
+    cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient nonnegative, so the scheme is
+    monotone for any cfl in (0, 1]; inf when lam_bar / dx or t / dt overflows."""
     dt = cfl / (1.0 / (dx * dx) + lambda_bar / dx)
-    if not dt > 0.0:
-        raise ConfigurationError(
-            f"the upwind step for lambda bound {lambda_bar:g} on dx = {dx:g} is 0 in floats; "
-            "lower `family.lambda_interval` / `family.lambda_list` or coarsen `grid`")
-    return _step_count(t / dt, math.ceil, "upwind", "`time.t`, `grid`, `family` and `hjb.cfl`")
+    ratio = t / dt if dt > 0.0 else math.inf
+    return max(1, math.ceil(ratio)) if ratio < math.inf else ratio
 
 
-def _rk4_steps(t: float, dt: float) -> int:
-    """Steps `ode_reference` takes to reach t > 0: t / dt rounded, at least one."""
-    return _step_count(t / dt, round, "RK4", "`time.t` / `ode.dt`")
+def _upwind_passes(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
+    """Array passes of `hjb_upwind` over the grid: 14 per step (see `kernels._Plan`)."""
+    return 14.0 * _upwind_steps(t, dx, lambda_bar, cfl)
+
+
+def _rk4_steps(t: float, dt: float) -> float:
+    """Steps `ode_reference` takes to reach t > 0: t / dt rounded, at least one; inf past the float range."""
+    return max(1, round(t / dt)) if t / dt < math.inf else math.inf
+
+
+def _rk4_passes(fam: CompoundPoisson, t: float, dt: float) -> float:
+    """Array passes of `ode_reference` over the grid: per step four stages of 4 per atom, 2 per
+    parameter of the sup (an interval's two ends) and 6 more, and 14 for the update."""
+    params = len(fam.lambda_set.values) if isinstance(fam.lambda_set, LambdaValues) else 2
+    return _rk4_steps(t, dt) * (4 * (4 * len(fam.mu.atoms) + 2 * params + 6) + 14)
 
 
 def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -101,7 +100,8 @@ def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) 
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
     dx = f0.grid.dx
-    steps = _upwind_steps(t, dx, lambda_bar, cfl)
+    if (steps := _upwind_steps(t, dx, lambda_bar, cfl)) == math.inf:
+        raise UsageError(f"the upwind step count to t = {t:g} on dx = {dx:g} at lambda bound {lambda_bar:g} is inf")
     dt = t / steps
     u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
     for _ in range(steps):
@@ -126,7 +126,8 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
         raise UsageError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
-    steps = _rk4_steps(t, dt)
+    if (steps := _rk4_steps(t, dt)) == math.inf:
+        raise UsageError(f"the RK4 step count t / dt = {t:g} / {dt:g} is inf")
     dt = t / steps
     n = f0.grid.n_nodes
     src, mix = _jump_mixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
@@ -218,6 +219,11 @@ def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> 
     return list(epsilons)
 
 
+# The blow-up scan's uncertain shift, and its array passes per epsilon besides the step: the pole (8) and the norm (4)
+_SCAN_FAMILY = PureShift(LambdaInterval(-1.0, 1.0))
+_SCAN_PASSES = 12
+
+
 def counterexample_scan(
     grid: Grid,
     p: float,
@@ -232,11 +238,10 @@ def counterexample_scan(
     `scan_epsilons`.
     """
     epsilons = scan_epsilons(grid, t, epsilons)
-    fam = PureShift(LambdaInterval(-1.0, 1.0))
     norm = PNorm(p)
     table = []
     for eps in epsilons:  # each pole is freed once its step has read it, each step once normed
-        table.append((float(eps), lp_norm(step_J(fam, t, pole_initial_condition(grid, p, eps)), norm)))
+        table.append((float(eps), lp_norm(step_J(_SCAN_FAMILY, t, pole_initial_condition(grid, p, eps)), norm)))
     return table
 
 

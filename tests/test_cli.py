@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nisioenv import cli, envelope, funcspace
 from nisioenv.cli import load_config, main, run, verify_suite
-from nisioenv.errors import ConfigurationError
+from nisioenv.errors import ConfigurationError, UsageError
 from nisioenv.funcspace import bump, make_grid, write_csv
 from nisioenv.kernels import GaussianDrift
 
@@ -157,25 +157,60 @@ class TestInvalidConfigsWriteNothing:
             with pytest.raises(ConfigurationError, match=f"at most {cap} "):
                 load_config(write_config(tmp_path, _set(json.loads(json.dumps(cfg)), leaf, cap + 1)))
 
-    @pytest.mark.parametrize("subcommand, path, value, cap", [
-        ("compare-ode", "ode.dt", 1e-9, "_MAX_RK4_STEPS"),  # 2.5e8 RK4 steps
-        ("compare-hjb", "time.t", 1e6, "_MAX_UPWIND_STEPS"),  # 1.2e9 upwind steps
-        ("derivative", "derivative.quad_nodes", 1_000_001, "_MAX_PATH_STEPS"),  # 1e6 path steps
+    @pytest.mark.parametrize("subcommand, edits, keys", [
+        # 2 400 001 nodes, t = 1e-3 and n_max 12: the level-0 heat kernel alone
+        # has 60 717 weights, 1.5e11 node operations (about 2 h for the run)
+        ("envelope", {"grid": {"lower": -10.0, "upper": 10.0, "n_nodes": 2_400_001}, "time.t": 1e-3,
+                      "time.n_max": 12, "time.tol_rel": 1e-12}, ("`time.t`", "`time.n_max`")),
+        # 3 000 epsilons of the blow-up scan on 2 400 001 nodes
+        ("counterexample", {"grid": {"lower": -3.0, "upper": 3.0, "n_nodes": 2_400_001},
+                            "counterexample": {"t": 0.5, "epsilons": [1e-2 * 0.998**k for k in range(3000)]}},
+         ("`counterexample.epsilons`",)),
+        ("compare-ode", {"ode.dt": 1e-9}, ("`ode.dt`", "`time.t`")),  # 2.5e8 RK4 steps
+        ("compare-hjb", {"time.t": 1e6}, ("`time.t`", "`hjb.cfl`")),  # 1.2e9 upwind steps
+        ("derivative", {"derivative.quad_nodes": 1_000_001}, ("`derivative.quad_nodes`",)),  # 2e6 path steps
+        ("derivative", {"derivative.quad_nodes": 10**12 + 1}, ("`derivative.quad_nodes`",)),
+        ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`",)),
     ])
-    def test_oracle_step_caps(self, tmp_path, capsys, subcommand, path, value, cap):
+    def test_work_budget(self, tmp_path, capsys, subcommand, edits, keys):
+        # nothing is built past the budget: the generator's schedule and the
+        # step plans come after the call count fits, the partitions after the work
         out = tmp_path / "out"
         cfg = base_config(out)
         if subcommand == "compare-ode":
             cfg["family"] = dict(CP_FAMILY)
-        code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
-        assert code == 2
+        if subcommand == "counterexample":
+            cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
+        for path, value in edits.items():
+            _set(cfg, path, value)
+        assert run(subcommand, write_config(tmp_path, cfg)) == 2
         assert not out.exists()
-        assert f"at most {getattr(cli, cap)} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "(the work budget)" in err and "`grid`" in err and all(key in err for key in keys)
+
+    def test_shipped_runs_fit_the_budget_with_margin(self, monkeypatch):
+        # every subcommand a shipped config accepts fits half the budget: the
+        # heaviest, generator on the 2 400 001-node scan grid, predicts 3.78e10
+        monkeypatch.setattr(cli, "_MAX_WORK", cli._MAX_WORK / 2)
+        accepted = set()
+        for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+            for sub in cli.SUBCOMMANDS:
+                try:
+                    cli._subcommand_job(load_config(path), sub, "small")
+                except (ConfigurationError, UsageError) as exc:
+                    assert "(the work budget)" not in str(exc), (path.stem, sub, exc)
+                    continue
+                accepted.add((path.stem, sub))
+        assert accepted == {("envelope_gaussian", sub) for sub in ("envelope", "generator", "derivative",
+                                                                    "compare-hjb", "verify")} | {
+            ("compare_ode_compound_poisson", sub) for sub in ("envelope", "generator", "derivative",
+                                                               "compare-ode", "verify")} | {
+            ("counterexample_shift", sub) for sub in ("generator", "derivative", "counterexample", "verify")}
 
     @pytest.mark.parametrize("subcommand, edits, words", [
-        # t / dt is inf; t / dt overflows the upwind count
-        ("compare-ode", {"ode.dt": 1e-320}, ("not a finite count", "`ode.dt`", "`time.t`")),
-        ("compare-hjb", {"time.t": 1e306}, ("not a finite count", "`time.t`", "`grid`")),
+        # t / dt is inf; t / dt overflows the upwind count: work past the budget
+        ("compare-ode", {"ode.dt": 1e-320}, ("(the work budget)", "`ode.dt`", "`time.t`")),
+        ("compare-hjb", {"time.t": 1e306}, ("(the work budget)", "`time.t`", "`grid`")),
         # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
         *[(sub, {"initial.params": {"radius": 1e-300, "height": 1e308}}, ("`initial`", "`norm.p`"))
           for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
@@ -197,8 +232,15 @@ class TestInvalidConfigsWriteNothing:
         # a pure shift window lam * h0 = 1e310 leaves the float range
         ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
          ("`family.lambda_interval`", "`generator.h0`")),
-        # 1100 halvings of h0 = 0.1 reach a step of 0
-        ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "at most 26 ")),
+        # 1100 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in
+        # four rounds to (0, 0, 0, 5e-324, 5e-324): the finest partition is built
+        ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
+        ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
+        ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
+        # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
+        ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
+                      "grid": {"lower": -10.0, "upper": 10.0, "n_nodes": 2_400_001}, "time.t": 1e-5,
+                      "time.n_max": 0}, ("`family.lambda_list`", "`grid`", "the cap on one plan's rows")),
     ])
     def test_beyond_float_range(self, tmp_path, capsys, subcommand, edits, words):
         out = tmp_path / "out"
@@ -222,7 +264,7 @@ class TestInvalidConfigsWriteNothing:
 
     @pytest.mark.parametrize("subcommand, bound, t, message", [
         ("envelope", 60.0, 0.5, "C(h) growth factor"),  # exp((q-1) t lam^2 / 2) = exp(900)
-        ("compare-hjb", 1e307, 0.25, "upwind step"),  # lam / dx overflows, the step is 0
+        ("compare-hjb", 1e307, 0.25, "(the work budget); the upwind steps are not a finite count"),  # lam / dx = inf
     ])
     def test_drift_bound_beyond_float_range(self, tmp_path, capsys, subcommand, bound, t, message):
         out = tmp_path / "out"

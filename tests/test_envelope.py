@@ -59,13 +59,13 @@ class TestPartition:
 
 
 def _window_sup_arr(u, lo, hi, dx):
-    return _window_plan(lo, hi, dx, u.shape[0])(u)
+    return _window_plan(lo, hi, dx, u.shape[0]).run(u)
 
 
 def _window_int_max(u, ml, mh):
     """The window supremum with whole-node ends on dx = 1: both ends snap to
     the integer offsets, so it is the integer max alone."""
-    return _window_plan(ml, mh, 1.0, u.shape[0])(u)
+    return _window_plan(ml, mh, 1.0, u.shape[0]).run(u)
 
 
 class TestWindowSup:

@@ -106,7 +106,7 @@ class TestHeatConvolve:
         n, half = len(w) + extra, len(w) // 2
         rng = np.random.default_rng(len(w) + extra)
         arr = rng.choice([0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0], size=n)
-        got, want = _heat_plan(t, dx)(arr), np.convolve(arr, w)[half : half + n]
+        got, want = _heat_plan(t, dx, n).run(arr), np.convolve(arr, w)[half : half + n]
         assert got.shape == (n,)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -430,7 +430,7 @@ class TestUpperBound:
         p = norm.p
         if isinstance(fam, GaussianDrift):
             factor = math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-            smoothed = _heat_plan(h, f.grid.dx)(np.abs(f.samples) ** p)
+            smoothed = _heat_plan(h, f.grid.dx, f.grid.n_nodes).run(np.abs(f.samples) ** p)
             return factor * np.maximum(smoothed, 0.0) ** (1.0 / p)
         moved = apply_member(fam, lam_bar, h, GridFunction(f.grid, np.abs(f.samples) ** p))
         return math.exp((lam_bar - fam.lambda_set.inf) * h) * np.maximum(moved.samples, 0.0) ** (1.0 / p)

@@ -52,6 +52,17 @@ def test_nan_argument_is_usage_error(call):
         call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: hjb_upwind(f, 0.5, 1e308), id="hjb-zero-step"),  # lam / dx = inf on dx = 0.1
+    pytest.param(lambda f: hjb_upwind(f, 1e308, 1.0), id="hjb-t"),  # t / dt = 1.2e310
+    pytest.param(lambda f: ode_reference(_CP, f, 0.5, 1e-320), id="ode-dt"),
+])
+def test_infinite_step_count_is_usage_error(call):
+    # not an OverflowError from int(inf)
+    with pytest.raises(UsageError, match="step count"):
+        call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
+
+
 class TestHjbUpwind:
     def test_zero_drift_matches_heat_closed_form(self, norm2):
         # lam = 0 reduces to the heat equation; N(0, s0) widens to N(0, s0+t)
