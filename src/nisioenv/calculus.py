@@ -112,12 +112,14 @@ def generator_fd(
 class DerivativeProbe:
     """One-sided directional derivative estimates of the envelope at x.
 
-    plus/minus are the smallest-h difference quotients from above/below; the
-    convexity of the computed operator forces the plus quotients to be
-    nodewise non-increasing as h decreases (and minus non-decreasing), which
-    is recorded in quotient_monotone / monotonicity_violation.
+    base is S(t)x at the fixed level of the quotients; plus/minus are the
+    smallest-h difference quotients from above/below; the convexity of the
+    computed operator forces the plus quotients to be nodewise non-increasing
+    as h decreases (and minus non-decreasing), which is recorded in
+    quotient_monotone / monotonicity_violation.
     """
 
+    base: GridFunction
     plus: GridFunction
     minus: GridFunction
     gap: float
@@ -167,20 +169,20 @@ def directional_derivative(
     """
     _check_schedule(h_schedule)
     params = envelope_params
+    level = params.n_max
+    base = _S(fam, t, x, params, level=level)  # shared by both sides
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
         return DerivativeProbe(
-            plus=ycopy, minus=ycopy, gap=0.0,
+            base=base, plus=ycopy, minus=ycopy, gap=0.0,
             quotient_monotone=True, monotonicity_violation=0.0, quotients_plus=[ycopy],
         )
-    level = params.n_max
-    base = _S(fam, t, x, params, level=level)  # shared by both sides
     q_plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
     q_minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
     plus, minus = q_plus[-1], q_minus[-1]
     violation = max(v_plus, v_minus)
     return DerivativeProbe(
-        plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
+        base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
         quotient_monotone=violation <= QUOTIENT_TOL,
         monotonicity_violation=violation,
         quotients_plus=q_plus,
@@ -230,18 +232,9 @@ def derivative_identity_check(
     schedule = h_schedule or geometric_schedule()
     _check_schedule(schedule)
     h = schedule[-1]
-    level = params.n_max
-    target_dir = sup_generator(fam, f)
-
-    st = _S(fam, t, f, params, level=level)
-    st_h = _S(fam, t + h, f, params, level=level)
-    forward = (st_h - st) / h
-
-    if t == 0.0:  # S(0) is the identity: both derivatives are the direction
-        plus = minus = target_dir
-    else:
-        plus = (_S(fam, t, f + h * target_dir, params, level=level) - st) / h
-        minus = (st - _S(fam, t, f - h * target_dir, params, level=level)) / h
+    probe = directional_derivative(fam, t, f, sup_generator(fam, f), [h], params)
+    plus, minus = probe.plus, probe.minus
+    forward = (_S(fam, t + h, f, params, level=params.n_max) - probe.base) / h
 
     scale = max(
         lp_norm(forward, params.norm),

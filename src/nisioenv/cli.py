@@ -454,19 +454,20 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
     return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
 
 
-def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, calls: float, runs: Callable,
+def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, runs: Callable,
                 passes: float = 0.0, hint: str = "") -> None:
     """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
-    operations (see `kernels._Plan`): first the `calls` one-step suprema and
-    an oracle's array `passes`, then the first gap of each of the `runs()`
-    (horizon, steps, repeats) planned for `fam`, largest first; the finest
+    operations (see `kernels._Plan`): first an oracle's array `passes` and the
+    one-step suprema of the `runs()` (horizon, steps, repeats) planned for
+    `fam`, then the first gap of each run, largest first; the finest
     partition is built once all of it fits. `hint` is added when the passes
     are infinite."""
-    work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK) + calls * kernels._CALL_WORK
+    work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK)
     keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
+        runs = sorted(runs(), key=lambda run: run[0] / run[1])
+        work += sum(steps * repeats for _, steps, repeats in runs) * kernels._CALL_WORK
         if work <= _MAX_WORK:
-            runs = sorted(runs(), key=lambda run: run[0] / run[1])
             for horizon, steps, repeats in reversed(runs):
                 work += steps * repeats * envelope._step_plan(fam, horizon / steps, cfg.grid.dx, cfg.grid.n_nodes).work
                 if work > _MAX_WORK:
@@ -493,7 +494,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     levels = [(t, 1 << level, 1) for level in range(cfg.n_max + 1)]
     if subcommand == "envelope":
         kernels.upper_bound_norm_factor(cfg.family, t, cfg.norm)  # `envelope` certifies against C(t)
-        _check_work(cfg, cfg.family, keys, 2.0 * top, lambda: levels + [(t, 1, 1)])  # C(t)f: a level-0 step
+        _check_work(cfg, cfg.family, keys, lambda: levels + [(t, 1, 1)])  # C(t)f: a level-0 step
         return _cmd_envelope
     if subcommand == "generator":
         opts = cfg.options.get("generator", {})
@@ -501,7 +502,6 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         k_steps = _count(opts, "k_steps", "generator.", 6)
         n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
         _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`",
-                    (k_steps + 1.0) * ((2 << n) - 1),
                     lambda: [(h, 1 << k, 1) for h in calculus.geometric_schedule(h0, k_steps) for k in range(n + 1)])
         return partial(_cmd_generator, h0=h0, k_steps=k_steps)
     if subcommand == "derivative":
@@ -509,7 +509,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
         path = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
         h = calculus.geometric_schedule()[-1]  # the forward quotient's step
-        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys, 4.0 * top + 2.0 * path,
+        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,
                     lambda: [(t, top, 3), (t + h, top, 1), (t, path, 2)])  # S(t) thrice, S(t + h), two integral paths
         return partial(_cmd_derivative, quad_nodes=quad_nodes,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
@@ -520,7 +520,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
-        _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", 2.0 * top - 1, lambda: levels,
+        _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", lambda: levels,
                     reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
                     "; the upwind steps are not a finite count: lower the drift bound or `time.t`, or coarsen `grid`")
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
@@ -529,7 +529,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         if not isinstance(cfg.family, CompoundPoisson):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
-        _check_work(cfg, cfg.family, keys + ", `ode.dt`", 2.0 * top - 1, lambda: levels,
+        _check_work(cfg, cfg.family, keys + ", `ode.dt`", lambda: levels,
                     reference._rk4_passes(cfg.family, t, dt))
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
@@ -542,7 +542,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
                 raise ConfigurationError("key `counterexample.epsilons` must be a list")
             epsilons = [_finite(e, "counterexample.epsilons") for e in opts["epsilons"]]
         epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
-        _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`", len(epsilons),
+        _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`",
                     lambda: [(t, 1, len(epsilons))], len(epsilons) * reference._SCAN_PASSES)
         return partial(_cmd_counterexample, t=t, epsilons=epsilons)
     if scale not in ("small", "full"):

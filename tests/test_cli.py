@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisioenv import cli, envelope, funcspace
-from nisioenv.cli import load_config, main, run, verify_suite
+from nisioenv.cli import load_config, main, run
 from nisioenv.errors import ConfigurationError, UsageError
 from nisioenv.funcspace import bump, make_grid, write_csv
 from nisioenv.kernels import GaussianDrift
@@ -98,7 +99,106 @@ def _set(cfg, path, value):
     return cfg
 
 
-CP_FAMILY = {"family": "compound_poisson", "lambda_list": [0.0, 1.0], "jump_atoms": [[1.0, 1.0]]}
+# presets of the edits below
+CP = {"family": {"family": "compound_poisson", "lambda_list": [0.0, 1.0], "jump_atoms": [[1.0, 1.0]]}}
+SHIFT = {"family": {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}}
+SCAN = {**SHIFT, "grid": {"lower": -3.0, "upper": 3.0, "n_nodes": 2401}}
+HUGE_GRID = {"grid": {"lower": -10.0, "upper": 10.0, "n_nodes": 2_400_001}}
+BUDGET = "(the work budget)"
+NAN, INF = float("nan"), float("inf")
+
+# Every config that must exit 2 with nothing written, one row each: (subcommand, edits of base_config applied in
+# order, a dotted key setting one leaf, words stderr must hold besides "configuration error")
+EXIT_2 = [
+    # non-finite, non-integer, out-of-range and wrongly typed leaves
+    *[("envelope", {path: value}, (f"`{path}`",)) for path, value in [
+        ("time.t", NAN), ("time.t", INF), ("time.t", -INF), ("time.t", -1.0), ("time.tol_rel", NAN),
+        ("initial.params.radius", NAN), ("grid.upper", INF), ("norm.p", NAN), ("grid.n_nodes", 257.9),
+        ("grid.n_nodes", 3), ("grid.n_nodes", 1e300), ("time.n_max", 2.7), ("time.n_max", 13), ("seeds", 0.5)]],
+    *[("envelope", {**CP, "family.jump_atoms": [atom]}, ("`family.jump_atoms`",))
+      for atom in ([1.0, NAN], [NAN, 1.0])],
+    *[("envelope", {"initial": {"kind": "custom_csv", "params": {"path": path}}}, ("`initial.params.path`",))
+      for path in (5, [], None)],
+    # counterexample never reads the initial data, yet every check on it runs when the config loads
+    ("counterexample", {**SCAN, "initial": {"kind": "custom_csv", "params": {"path": "no-such-initial.csv"}}},
+     ("`initial.params.path`", "file not found")),
+    # keys the parser does not read (jump_atoms is read for compound_poisson only)
+    ("envelope", {"time.nmax": 2}, ("time.nmax",)),
+    ("envelope", {"initial.params.radiuss": 2.0}, ("initial.params.radiuss",)),
+    ("envelope", {"family.jump_atoms": [[1.0, 1.0]]}, ("family.jump_atoms",)),
+    ("generator", {"generator.k_step": 3}, ("generator.k_step",)),
+    # the options of each subcommand
+    ("generator", {"generator.h0": "x"}, ("`generator.h0`",)),
+    ("generator", {"generator.h0": -1}, ("`generator.h0`",)),
+    ("generator", {"generator.k_steps": 2.5}, ("`generator.k_steps`",)),
+    ("derivative", {"derivative.quad_nodes": 4}, ("quad_nodes must be odd",)),
+    ("derivative", {"derivative.quad_nodes": 1}, ("quad_nodes must be odd",)),
+    ("derivative", {"derivative.integral_tol": NAN}, ("`derivative.integral_tol`",)),
+    ("compare-hjb", {"hjb.cfl": 2.0}, ("`hjb.cfl`",)),
+    ("compare-hjb", {"compare.boundary_margin": 0.5}, ("`compare.boundary_margin`",)),
+    ("compare-ode", {**CP, "ode.dt": 0}, ("`ode.dt`",)),
+    ("counterexample", {**SCAN, "counterexample.epsilons": [0.01, 0.1]}, ("strictly decreasing",)),
+    ("counterexample", {**SCAN, "counterexample.epsilons": ["x"]}, ("`counterexample.epsilons`",)),
+    ("counterexample", {**SCAN, "counterexample.t": 1.0}, ("scan time t",)),
+    ("verify", {"generator": [1]}, ("`generator`",)),
+    # the default ladder resolves one decade on 601 nodes, and 1e-6 is below 4 dx
+    ("counterexample", {**SCAN, "grid.n_nodes": 601}, ("under-resolved",)),
+    ("counterexample", {**SHIFT, "counterexample": {"t": 0.5, "epsilons": [1e-6]}}, ("under-resolved",)),
+    # no envelope bound for a pure shift or a Gaussian drift at p = 1, and compare-ode on a Gaussian drift
+    ("envelope", SHIFT, ("no envelope bound available", "counterexample")),
+    ("envelope", {"norm.p": 1}, ("p > 1",)),
+    ("compare-ode", {}, ("compare-ode needs compound_poisson",)),
+    # work past the budget, refused before anything is built past it: 2 400 001 nodes at t = 1e-3 and n_max 12
+    # (the level-0 heat kernel alone has 60 717 weights, about 2 h for the run), 3 000 epsilons of the blow-up
+    # scan, 2.5e8 RK4 steps, 1.2e9 upwind steps, and 2e6 and 2e12 integral path steps
+    ("envelope", {**HUGE_GRID, "time.t": 1e-3, "time.n_max": 12, "time.tol_rel": 1e-12},
+     (BUDGET, "`grid`", "`time.t`", "`time.n_max`")),
+    ("counterexample", {**SHIFT, "grid": {"lower": -3.0, "upper": 3.0, "n_nodes": 2_400_001},
+                        "counterexample": {"t": 0.5, "epsilons": [1e-2 * 0.998**k for k in range(3000)]}},
+     (BUDGET, "`grid`", "`counterexample.epsilons`")),
+    ("compare-ode", {**CP, "ode.dt": 1e-9}, (BUDGET, "`grid`", "`ode.dt`", "`time.t`")),
+    ("compare-hjb", {"time.t": 1e6}, (BUDGET, "`grid`", "`time.t`", "`hjb.cfl`")),
+    ("derivative", {"derivative.quad_nodes": 1_000_001}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
+    ("derivative", {"derivative.quad_nodes": 10**12 + 1}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
+    # t / dt is inf; t / dt overflows the upwind count; lam / dx is inf in the upwind step
+    ("compare-ode", {**CP, "ode.dt": 1e-320}, (BUDGET, "`ode.dt`", "`time.t`")),
+    ("compare-hjb", {"time.t": 1e306}, (BUDGET, "`time.t`", "`grid`")),
+    ("compare-hjb", {"family.lambda_interval": [-1e307, 1e307]},
+     (BUDGET + "; the upwind steps are not a finite count", "`family.lambda_interval`")),
+    # dx^2 of 2.5e-301 underflows to 0, and the C(h) factor exp((q-1) t lam^2 / 2) is exp(900)
+    ("compare-hjb", {"grid": {"lower": 0.0, "upper": 1e-300, "n_nodes": 5}}, ("dx^2 underflows",)),
+    ("envelope", {"family.lambda_interval": [-60.0, 60.0], "time.t": 0.5},
+     ("C(h) growth factor", "`family.lambda_interval`")),
+    # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
+    *[(sub, {**(CP if sub == "compare-ode" else {}), "initial.params": {"radius": 1e-300, "height": 1e308}},
+       ("`initial`", "`norm.p`")) for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
+    # the Poisson weights of the largest compound Poisson step start from e^-(lambda h) = 0: at h = t, at
+    # generator.h0, and for derivative at (t + h) / 2^n_max, h its forward quotient's step
+    ("envelope", {**CP, "family.lambda_list": [800.0], "time.t": 1.0},
+     ("Poisson rate 800", "`family.lambda_list`", "`time.t`")),
+    ("compare-ode", {**CP, "family.lambda_list": [0.0, 800.0], "time.t": 1.0}, ("Poisson rate 800", "`time.t`")),
+    ("generator", {**CP, "generator.h0": 800.0, "generator.k_steps": 0},
+     ("Poisson rate 800", "`family.lambda_list`", "`generator.h0`")),
+    ("derivative", {**CP, "family.lambda_list": [0.0, 710.0], "time.t": 1.0, "time.n_max": 0},
+     ("Poisson rate 711.1", "`time.t`", "`time.n_max`")),
+    # a heat kernel of variance 1e12 would need 5e8 weights (4 GB): at generator.h0, and at t with no drift
+    ("generator", {"generator.h0": 1e12}, ("heat kernel", "`grid`", "`generator.h0`")),
+    ("envelope", {"time.t": 1e12, "family": {"family": "gaussian_drift", "lambda_interval": [0.0, 0.0]}},
+     ("heat kernel", "`grid`", "`time.t`")),
+    # a pure shift window lam * h0 = 1e310 leaves the float range
+    ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
+     ("`family.lambda_interval`", "`generator.h0`")),
+    # 1100 and 10^12 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in four rounds to
+    # (0, 0, 0, 5e-324, 5e-324): neither the schedule nor the finest partition is built
+    ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
+    ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
+    ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
+    ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
+    # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
+    ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
+                  **HUGE_GRID, "time.t": 1e-5, "time.n_max": 0},
+     ("`family.lambda_list`", "`grid`", "the cap on one plan's rows")),
+]
 
 # leaves of base_config for the wrong-type fuzz; the path leaf is set on a
 # custom_csv initial condition
@@ -113,37 +213,18 @@ NOT_A_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allo
 
 
 class TestInvalidConfigsWriteNothing:
-    @pytest.mark.parametrize("path, value", [
-        ("time.t", float("nan")),
-        ("time.t", float("inf")),
-        ("time.t", float("-inf")),
-        ("time.tol_rel", float("nan")),
-        ("initial.params.radius", float("nan")),
-        ("grid.upper", float("inf")),
-        ("norm.p", float("nan")),
-        ("grid.n_nodes", 257.9),
-        ("grid.n_nodes", 3),
-        ("grid.n_nodes", 1e300),
-        ("time.n_max", 2.7),
-        ("time.n_max", 13),
-        ("seeds", 0.5),
-        ("family.jump_atoms", [[1.0, float("nan")]]),
-        ("family.jump_atoms", [[float("nan"), 1.0]]),
-        ("initial.params.path", 5),
-        ("initial.params.path", []),
-        ("initial.params.path", None),
-    ])
-    def test_non_finite_and_non_integer(self, tmp_path, capsys, path, value):
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        if path.startswith("family."):
-            cfg["family"] = dict(CP_FAMILY)
-        if path == "initial.params.path":
-            cfg["initial"] = {"kind": "custom_csv"}
-        code = run("envelope", write_config(tmp_path, _set(cfg, path, value)))
-        assert code == 2
-        assert not out.exists()
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("subcommand, edits, words", EXIT_2,
+                             ids=[f"{sub}:{','.join(edits)}" for sub, edits, _ in EXIT_2])
+    def test_exit_2(self, tmp_path, monkeypatch, capsys, subcommand, edits, words):
+        monkeypatch.chdir(tmp_path)  # the rows' relative paths resolve in an empty directory
+        cfg = base_config("out")
+        for path, value in copy.deepcopy(edits).items():  # a preset's dicts stay as written
+            _set(cfg, path, value)
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", "out"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
+        assert all(word in err for word in ("configuration error", *words)), err
 
     def test_work_caps(self, tmp_path):
         # every shipped config and the largest admitted values load; one more
@@ -156,37 +237,6 @@ class TestInvalidConfigsWriteNothing:
         for leaf, cap in (("grid.n_nodes", cli._MAX_NODES), ("time.n_max", cli._MAX_LEVEL)):
             with pytest.raises(ConfigurationError, match=f"at most {cap} "):
                 load_config(write_config(tmp_path, _set(json.loads(json.dumps(cfg)), leaf, cap + 1)))
-
-    @pytest.mark.parametrize("subcommand, edits, keys", [
-        # 2 400 001 nodes, t = 1e-3 and n_max 12: the level-0 heat kernel alone
-        # has 60 717 weights, 1.5e11 node operations (about 2 h for the run)
-        ("envelope", {"grid": {"lower": -10.0, "upper": 10.0, "n_nodes": 2_400_001}, "time.t": 1e-3,
-                      "time.n_max": 12, "time.tol_rel": 1e-12}, ("`time.t`", "`time.n_max`")),
-        # 3 000 epsilons of the blow-up scan on 2 400 001 nodes
-        ("counterexample", {"grid": {"lower": -3.0, "upper": 3.0, "n_nodes": 2_400_001},
-                            "counterexample": {"t": 0.5, "epsilons": [1e-2 * 0.998**k for k in range(3000)]}},
-         ("`counterexample.epsilons`",)),
-        ("compare-ode", {"ode.dt": 1e-9}, ("`ode.dt`", "`time.t`")),  # 2.5e8 RK4 steps
-        ("compare-hjb", {"time.t": 1e6}, ("`time.t`", "`hjb.cfl`")),  # 1.2e9 upwind steps
-        ("derivative", {"derivative.quad_nodes": 1_000_001}, ("`derivative.quad_nodes`",)),  # 2e6 path steps
-        ("derivative", {"derivative.quad_nodes": 10**12 + 1}, ("`derivative.quad_nodes`",)),
-        ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`",)),
-    ])
-    def test_work_budget(self, tmp_path, capsys, subcommand, edits, keys):
-        # nothing is built past the budget: the generator's schedule and the
-        # step plans come after the call count fits, the partitions after the work
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        if subcommand == "compare-ode":
-            cfg["family"] = dict(CP_FAMILY)
-        if subcommand == "counterexample":
-            cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
-        for path, value in edits.items():
-            _set(cfg, path, value)
-        assert run(subcommand, write_config(tmp_path, cfg)) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "(the work budget)" in err and "`grid`" in err and all(key in err for key in keys)
 
     def test_shipped_runs_fit_the_budget_with_margin(self, monkeypatch):
         # every subcommand a shipped config accepts fits half the budget: the
@@ -206,114 +256,6 @@ class TestInvalidConfigsWriteNothing:
             ("compare_ode_compound_poisson", sub) for sub in ("envelope", "generator", "derivative",
                                                                "compare-ode", "verify")} | {
             ("counterexample_shift", sub) for sub in ("generator", "derivative", "counterexample", "verify")}
-
-    @pytest.mark.parametrize("subcommand, edits, words", [
-        # t / dt is inf; t / dt overflows the upwind count: work past the budget
-        ("compare-ode", {"ode.dt": 1e-320}, ("(the work budget)", "`ode.dt`", "`time.t`")),
-        ("compare-hjb", {"time.t": 1e306}, ("(the work budget)", "`time.t`", "`grid`")),
-        # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
-        *[(sub, {"initial.params": {"radius": 1e-300, "height": 1e308}}, ("`initial`", "`norm.p`"))
-          for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
-        # the Poisson weights of the largest compound Poisson step start from
-        # e^-(lambda h) = 0: at h = t, at generator.h0, and for derivative at
-        # (t + h) / 2^n_max, h its forward quotient's step
-        ("envelope", {"family.lambda_list": [800.0], "time.t": 1.0},
-         ("Poisson rate 800", "`family.lambda_list`", "`time.t`")),
-        ("compare-ode", {"family.lambda_list": [0.0, 800.0], "time.t": 1.0}, ("Poisson rate 800", "`time.t`")),
-        ("generator", {"family.lambda_list": [0.0, 1.0], "generator.h0": 800.0, "generator.k_steps": 0},
-         ("Poisson rate 800", "`family.lambda_list`", "`generator.h0`")),
-        ("derivative", {"family.lambda_list": [0.0, 710.0], "time.t": 1.0, "time.n_max": 0},
-         ("Poisson rate 711.1", "`time.t`", "`time.n_max`")),
-        # a heat kernel of variance 1e12 would need 5e8 weights (4 GB): at
-        # generator.h0, and at t with no drift (C(t) has the factor 1)
-        ("generator", {"generator.h0": 1e12}, ("heat kernel", "`grid`", "`generator.h0`")),
-        ("envelope", {"time.t": 1e12, "family": {"family": "gaussian_drift", "lambda_interval": [0.0, 0.0]}},
-         ("heat kernel", "`grid`", "`time.t`")),
-        # a pure shift window lam * h0 = 1e310 leaves the float range
-        ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
-         ("`family.lambda_interval`", "`generator.h0`")),
-        # 1100 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in
-        # four rounds to (0, 0, 0, 5e-324, 5e-324): the finest partition is built
-        ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
-        ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
-        ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
-        # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
-        ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
-                      "grid": {"lower": -10.0, "upper": 10.0, "n_nodes": 2_400_001}, "time.t": 1e-5,
-                      "time.n_max": 0}, ("`family.lambda_list`", "`grid`", "the cap on one plan's rows")),
-    ])
-    def test_beyond_float_range(self, tmp_path, capsys, subcommand, edits, words):
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        if subcommand == "compare-ode" or any(path.startswith("family.") for path in edits):
-            cfg["family"] = dict(CP_FAMILY)
-        for path, value in edits.items():
-            _set(cfg, path, value)
-        assert run(subcommand, write_config(tmp_path, cfg)) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert all(word in err for word in words)
-
-    def test_grid_spacing_underflow(self, tmp_path, capsys):
-        # dx^2 of 2.5e-301 underflows to 0; the step formula divides by it
-        out = tmp_path / "out"
-        cfg = base_config(out, grid={"lower": 0.0, "upper": 1e-300, "n_nodes": 5})
-        assert run("compare-hjb", write_config(tmp_path, cfg)) == 2
-        assert not out.exists()
-        assert "dx^2 underflows" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand, bound, t, message", [
-        ("envelope", 60.0, 0.5, "C(h) growth factor"),  # exp((q-1) t lam^2 / 2) = exp(900)
-        ("compare-hjb", 1e307, 0.25, "(the work budget); the upwind steps are not a finite count"),  # lam / dx = inf
-    ])
-    def test_drift_bound_beyond_float_range(self, tmp_path, capsys, subcommand, bound, t, message):
-        out = tmp_path / "out"
-        cfg = _set(_set(base_config(out), "family.lambda_interval", [-bound, bound]), "time.t", t)
-        assert run(subcommand, write_config(tmp_path, cfg)) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert message in err and "`family.lambda_interval`" in err
-
-    @pytest.mark.parametrize("subcommand, path, value", [
-        ("generator", "generator.h0", "x"),
-        ("generator", "generator.h0", -1),
-        ("generator", "generator.k_steps", 2.5),
-        ("derivative", "derivative.quad_nodes", 4),
-        ("derivative", "derivative.quad_nodes", 1),
-        ("derivative", "derivative.integral_tol", float("nan")),
-        ("compare-hjb", "hjb.cfl", 2.0),
-        ("compare-hjb", "compare.boundary_margin", 0.5),
-        ("compare-ode", "ode.dt", 0),
-        ("counterexample", "counterexample.epsilons", [0.01, 0.1]),
-        ("counterexample", "counterexample.epsilons", ["x"]),
-        ("counterexample", "counterexample.t", 1.0),
-        ("verify", "generator", [1]),
-        ("counterexample", "grid.n_nodes", 601),  # the default ladder resolves one decade
-    ])
-    def test_subcommand_options(self, tmp_path, subcommand, path, value):
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        if subcommand == "compare-ode":
-            cfg["family"] = dict(CP_FAMILY)
-        if subcommand == "counterexample":
-            cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
-            cfg["grid"] = {"lower": -3.0, "upper": 3.0, "n_nodes": 2401}
-        code = run(subcommand, write_config(tmp_path, _set(cfg, path, value)))
-        assert code == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("subcommand, path, value", [
-        ("envelope", "time.nmax", 2),
-        ("envelope", "initial.params.radiuss", 2.0),
-        ("envelope", "family.jump_atoms", [[1.0, 1.0]]),  # read for compound_poisson only
-        ("generator", "generator.k_step", 3),
-    ])
-    def test_unknown_key_in_section(self, tmp_path, capsys, subcommand, path, value):
-        out = tmp_path / "out"
-        code = run(subcommand, write_config(tmp_path, _set(base_config(out), path, value)))
-        assert code == 2
-        assert not out.exists()
-        assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["-4.5,abc", "-4.5,nan", "-4.5,inf"])
     def test_custom_csv_bad_data(self, tmp_path, capsys, row):
@@ -365,24 +307,6 @@ class TestRunEnvelope:
         assert header == "level,steps,h,increment_lp,norm_lp"
         summary = capsys.readouterr().out
         assert "[envelope] PASS" in summary
-
-    def test_pure_shift_rejected_with_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
-        code = run("envelope", write_config(tmp_path, cfg))
-        assert code == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "no envelope bound available" in err and "counterexample" in err
-
-    def test_gaussian_p1_rejected_with_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out, norm={"p": 1})
-        code = run("envelope", write_config(tmp_path, cfg))
-        assert code == 2
-        assert not out.exists()
-        assert "p > 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("height", [1.0, 1e8, 1e-8])
     def test_compound_poisson_drop_tolerance_scales_with_height(self, tmp_path, height):
@@ -437,14 +361,6 @@ class TestRunEnvelope:
         r2 = (out2 / "report.json").read_bytes()
         assert r1 == r2
 
-    def test_no_artifacts_on_config_error(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = base_config(out)
-        cfg["time"]["t"] = -1.0
-        code = run("envelope", write_config(tmp_path, cfg))
-        assert code == 2
-        assert not out.exists()
-
 
 class TestRunOtherSubcommands:
     def test_generator(self, tmp_path):
@@ -497,11 +413,6 @@ class TestRunOtherSubcommands:
         cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 7}
         assert run("compare-ode", write_config(tmp_path, cfg)) == 0
 
-    def test_compare_ode_wrong_family_exit_2(self, tmp_path):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(out))
-        assert run("compare-ode", path) == 2
-
     def test_counterexample(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, counterexample={"t": 0.5, "epsilons": [1e-1, 1e-2]})
@@ -521,14 +432,6 @@ class TestRunOtherSubcommands:
         assert run("counterexample", write_config(tmp_path, cfg)) in (0, 1)
         rows = (out / "scan.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.1, 0.01]
-
-    def test_counterexample_under_resolved_exit_2(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = base_config(out, counterexample={"t": 0.5, "epsilons": [1e-6]})
-        cfg["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
-        code = run("counterexample", write_config(tmp_path, cfg))
-        assert code == 2
-        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, calls", [("envelope", 1), ("compare-hjb", 0), ("verify", 0)])
     def test_certificate_computed_when_read(self, tmp_path, monkeypatch, subcommand, calls):
@@ -655,12 +558,6 @@ class TestVerifySuite:
     def test_invariant(self, invariant, seed):
         failed = [c for c in invariant.run(cli._verify_context("small", seed)) if not c.passed]
         assert not failed, failed
-
-    def test_small_scale_all_pass(self):
-        report = verify_suite("small", seed=0)
-        failed = [c.name for c in report.checks if not c.passed]
-        assert not failed, failed
-        assert len(report.checks) >= 20
 
     def test_invalid_scale(self, tmp_path, capsys):
         out = tmp_path / "out"
