@@ -255,6 +255,51 @@ class TestStepJ:
             step_J(gauss_family, 0.0, bump_small)
 
 
+def _cp_member_one_by_one(fam, lam, h, f):
+    """One Poisson series for one member, its jump powers rebuilt from f."""
+    weights = _poisson_weights(lam * h)
+    acc = weights[0] * f.samples
+    cur = f.samples
+    for w in weights[1:]:
+        cur = _mix_written_out(cur, fam.mu, f.grid.dx)
+        acc = acc + w * cur
+    return acc
+
+
+class TestSharedMembers:
+    """step_J shares each family's linear part across the sampled members;
+    the result must equal the members applied one by one, bit for bit."""
+
+    mu = JumpDistribution(((-0.7, 0.3), (1.0, 0.7)))
+
+    @pytest.mark.parametrize("h", [1.0, 0.37])
+    def test_cp_interval(self, h):
+        g = make_grid(-10.0, 10.0, 2001)
+        f = bump(g, radius=1.0)
+        fam = CompoundPoisson(LambdaInterval(0.0, 1.0), self.mu)
+        lams = [float(v) for v in np.linspace(0.0, 1.0, 11)]
+        expected = np.maximum.reduce([_cp_member_one_by_one(fam, lam, h, f) for lam in lams])
+        assert np.array_equal(step_J(fam, h, f).samples, expected)
+
+    @pytest.mark.parametrize("h", [1.0, 0.37])
+    def test_cp_list_several_positive_intensities(self, h):
+        g = make_grid(-10.0, 10.0, 2001)
+        f = bump(g, radius=1.0)
+        fam = CompoundPoisson(LambdaValues((0.0, 0.5, 1.3, 2.0)), self.mu)
+        expected = np.maximum.reduce([_cp_member_one_by_one(fam, lam, h, f) for lam in fam.lambda_set.values])
+        assert np.array_equal(step_J(fam, h, f).samples, expected)
+
+    # h = 1e-5 is below 2.25 dx^2, so the heat step takes the random-walk branch
+    @pytest.mark.parametrize("h", [0.3, 1e-5])
+    def test_gaussian_list(self, h):
+        g = make_grid(-8.0, 8.0, 801)
+        f = bump(g, radius=1.0)
+        fam = GaussianDrift(LambdaValues((-0.8, 0.25, 1.1)))
+        expected = np.maximum.reduce(
+            [interp_shift(heat_convolve(f, h), lam * h).samples for lam in fam.lambda_set.values])
+        assert np.array_equal(step_J(fam, h, f).samples, expected)
+
+
 def _mix_written_out(arr, mu, dx):
     """One convolution with mu: w_j times each interpolated shift, added to
     zeros atom by atom."""
