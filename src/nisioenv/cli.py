@@ -251,9 +251,9 @@ def load_config(path) -> ExperimentConfig:
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        raw = json.loads(cfg_path.read_text(), object_hook=_Section)
-    except json.JSONDecodeError as exc:
+    try:  # a ValueError: bad JSON or text that is not UTF-8; a RecursionError: nesting too deep
+        raw = json.loads(cfg_path.read_text(encoding="utf-8"), object_hook=_Section)
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -308,33 +308,6 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    subcommand: str
-    config_echo: dict
-    checks: list[CheckResult]
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config_echo,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "provenance": {"version": __version__, "seed": self.seed},
-            "passed": self.passed,
-        }
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
-    echo["seeds"] = cfg.seed
-    return echo
-
-
 def _write_json(path: Path, doc: dict) -> None:
     """The one JSON artifact format: sorted keys, two-space indent, final newline."""
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -374,13 +347,11 @@ def _cmd_generator(cfg: ExperimentConfig, outdir: Path, h0: float, k_steps: int)
     ]
 
 
-def _cmd_derivative(
-    cfg: ExperimentConfig, outdir: Path, quad_nodes: int, identity_tol: float, integral_tol: float
-) -> list[CheckResult]:
+def _cmd_derivative(cfg: ExperimentConfig, outdir: Path, quad_nodes: int, path_steps: int, identity_tol: float,
+                    integral_tol: float) -> list[CheckResult]:
     params = cfg.envelope_params()
     report = calculus.derivative_identity_check(cfg.family, cfg.t, cfg.initial, params, identity_tol=identity_tol)
     deviation = calculus.integral_identity_check(cfg.family, cfg.t, cfg.initial, quad_nodes, params)
-    _, path_steps = calculus._integral_path(quad_nodes, params.n_max)
     doc = {"t": cfg.t, "gaps": report.gaps(), "integral_deviation": deviation,
            "integral_path_steps": path_steps,
            "identity_tol": identity_tol, "integral_tol": integral_tol,
@@ -414,36 +385,24 @@ def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path, t: float, epsilons:
 
 
 def _cmd_verify(cfg: ExperimentConfig, outdir: Path, scale: str) -> list[CheckResult]:
-    report = verify_suite(scale, seed=cfg.seed)
-    probes = sampled_probes(scale, seed=cfg.seed)
-    _write_json(outdir / "probes.json", probes)
-    checks = list(report.checks)
-    # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the
-    # operator norm is dominated by the norm growth of C(t)
+    """Every registered invariant in order, then the Lipschitz, directional
+    and growth probes of the drift family, all on one context (the probes
+    seed their own generator)."""
     ctx = _verify_context(scale, cfg.seed)
-    lip_cap = 2.0 * kernels.upper_bound_norm_factor(ctx.gauss, probes["t"], ctx.norm)
-    ok = bool(probes["pass"]) and probes["L_estimate"] <= lip_cap
-    checks.append(CheckResult("calculus.sampled_probes", ok, probes["L_estimate"], lip_cap))
-    return checks
-
-
-def sampled_probes(scale: str = "small", seed: int = 0) -> dict:
-    """Lipschitz / directional-gap / growth probe report for the drift family."""
-    ctx = _verify_context(scale, seed)
+    checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
     fam, f0, params, t = ctx.gauss, ctx.f0, ctx.params, 0.25
-    lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=seed)
+    lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=cfg.seed)
     probe = calculus.directional_derivative(
         fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
     M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], params)
-    passed = lip.lemma_ok and probe.quotient_monotone and math.isfinite(lip.L)
-    return {
-        "t": t,
-        "gap": probe.gap,
-        "L_estimate": lip.L,
-        "M": M,
-        "omega": omega,
-        "pass": bool(passed),
-    }
+    passed = bool(lip.lemma_ok and probe.quotient_monotone and math.isfinite(lip.L))
+    _write_json(outdir / "probes.json", {"t": t, "gap": probe.gap, "L_estimate": lip.L, "M": M, "omega": omega,
+                                         "pass": passed})
+    # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the
+    # operator norm is dominated by the norm growth of C(t)
+    lip_cap = 2.0 * kernels.upper_bound_norm_factor(fam, t, ctx.norm)
+    checks.append(CheckResult("calculus.sampled_probes", passed and lip.L <= lip_cap, lip.L, lip_cap))
+    return checks
 
 
 def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
@@ -511,7 +470,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         h = calculus.geometric_schedule()[-1]  # the forward quotient's step
         _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,
                     lambda: [(t, top, 3), (t + h, top, 1), (t, path, 2)])  # S(t) thrice, S(t + h), two integral paths
-        return partial(_cmd_derivative, quad_nodes=quad_nodes,
+        return partial(_cmd_derivative, quad_nodes=quad_nodes, path_steps=path,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
     if subcommand == "compare-hjb":
@@ -563,27 +522,33 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
             cfg.seed = _count({"seed": seed}, "seed", "--")
         job = _subcommand_job(cfg, subcommand, scale)
         _check_keys(cfg.raw)
+        outdir = Path(cfg.output_dir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # the path is, or runs through, a file
+            raise ConfigurationError(f"key `output_dir` / `--out`: cannot make the directory: {exc}") from None
     except (ConfigurationError, UsageError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     checks = job(cfg, outdir)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
-    report = Report(subcommand=subcommand, config_echo=_config_echo(cfg), checks=checks, seed=cfg.seed)
-    _write_json(outdir / "report.json", report.to_json_dict())
+    passed = all(c.passed for c in checks)
+    echo = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
+    _write_json(outdir / "report.json", {"subcommand": subcommand, "config": {**echo, "seeds": cfg.seed},
+                                         "checks": [c.to_json_dict() for c in checks],
+                                         "provenance": {"version": __version__, "seed": cfg.seed}, "passed": passed})
     _write_json(outdir / "timings.json", {"stage_ms": {subcommand: elapsed_ms}})
     n_pass = sum(1 for c in checks if c.passed)
-    print(f"[{subcommand}] {'PASS' if report.passed else 'FAIL'} ({n_pass}/{len(checks)} checks) -> {outdir}")
-    return 0 if report.passed else 1
+    print(f"[{subcommand}] {'PASS' if passed else 'FAIL'} ({n_pass}/{len(checks)} checks) -> {outdir}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
-# Verification suite: one ordered registry of invariants. `verify_suite` runs
-# every entry in order on one shared generator; the tests run each entry on a
+# Verification suite: one ordered registry of invariants. `verify` runs
+# every entry in order on one shared context; the tests run each entry on a
 # context of its own.
 
 
@@ -646,13 +611,6 @@ def _invariant(*checks, verdict: bool = False):
         _INVARIANTS.append(_Invariant(measure, checks, verdict))
         return measure
     return register
-
-
-def verify_suite(scale: str = "small", seed: int = 0) -> Report:
-    """Run every registered invariant at the given scale on one seeded generator."""
-    ctx = _verify_context(scale, seed)
-    checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
-    return Report(subcommand="verify", config_echo={"scale": scale}, checks=checks, seed=seed)
 
 
 def _excess(f: GridFunction, g: GridFunction) -> float:

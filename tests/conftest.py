@@ -15,6 +15,7 @@ from nisioenv import (
     calculus,
     envelope,
     make_grid,
+    reference,
 )
 from nisioenv.calculus import _random_smooth
 from nisioenv.funcspace import _SNAP_TOL
@@ -72,8 +73,8 @@ def step_J_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(envelope, "step_J", counted)
-    monkeypatch.setattr(calculus, "step_J", counted)
+    for module in (envelope, calculus, reference):
+        monkeypatch.setattr(module, "step_J", counted)
     return calls
 
 

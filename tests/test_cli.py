@@ -226,6 +226,31 @@ class TestInvalidConfigsWriteNothing:
         assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
         assert all(word in err for word in ("configuration error", *words)), err
 
+    @pytest.mark.parametrize("text", [b'{"grid": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf-8", "nested-100000-deep"])
+    def test_unreadable_config_text(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["envelope", "--config", "config.json", "--out", "out"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
+        assert "configuration error: config is not valid JSON" in err, err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_path_through_a_file(self, tmp_path, monkeypatch, capsys, out):
+        # the directory is made in the pre-flight: a path that is, or runs
+        # through, a file is a configuration error, and the file is kept
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        config = write_config(tmp_path, base_config("out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["envelope", "--config", str(config), "--out", out])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "configuration error: key `output_dir` / `--out`" in err, err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
+
     def test_work_caps(self, tmp_path):
         # every shipped config and the largest admitted values load; one more
         # is a configuration error that names the cap
@@ -362,7 +387,41 @@ class TestRunEnvelope:
         assert r1 == r2
 
 
+# Runs on base_config at n_max 5 and tol_rel 1e-300 (every level runs) plus the edits: (subcommand, edits, whether
+# the one-step calls counted equal the pre-flight's prediction). `envelope` prices C(t)f as one more level-0 step
+# (63 of 64); with tol_rel 1e-4, `generator` stops at converged levels (257 of 441).
+COUNTED = [
+    ("envelope", {}, False),
+    ("compare-hjb", {}, True),
+    ("generator", {}, True),
+    ("generator", {"time.tol_rel": 1e-4}, False),
+    ("derivative", {}, True),
+    ("derivative", CP, True),
+    ("compare-ode", CP, True),
+    ("counterexample", {**SCAN, "counterexample": {"t": 0.5, "epsilons": [0.1, 0.01]}}, True),
+]
+
+
 class TestRunOtherSubcommands:
+    @pytest.mark.parametrize("subcommand, edits, exact", COUNTED,
+                             ids=[f"{sub}:{','.join(edits)}" for sub, edits, _ in COUNTED])
+    def test_counted_steps_within_prediction(self, tmp_path, monkeypatch, step_J_calls, subcommand, edits, exact):
+        predicted = []
+        real = cli._check_work
+
+        def recording(cfg, fam, keys, runs, *args):
+            predicted.append(sum(steps * repeats for _, steps, repeats in runs()))
+            return real(cfg, fam, keys, runs, *args)
+
+        monkeypatch.setattr(cli, "_check_work", recording)
+        cfg = base_config(tmp_path / "out")
+        for path, value in {"time.n_max": 5, "time.tol_rel": 1e-300, **copy.deepcopy(edits)}.items():
+            _set(cfg, path, value)
+        assert run(subcommand, write_config(tmp_path, cfg)) in (0, 1)
+        assert len(predicted) == 1
+        counted = len(step_J_calls)
+        assert counted == predicted[0] if exact else counted <= predicted[0], (counted, predicted)
+
     def test_generator(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, generator={"h0": 0.05, "k_steps": 3})
@@ -565,10 +624,14 @@ class TestVerifySuite:
         assert not out.exists()
         assert "scale must be small or full" in capsys.readouterr().err
 
-    def test_verify_subcommand(self, tmp_path):
+    def test_verify_subcommand(self, tmp_path, monkeypatch):
+        made = []  # the contexts built: one per run, shared by the invariants and the probes
+        real = cli._verify_context
+        monkeypatch.setattr(cli, "_verify_context", lambda *args: made.append(args) or real(*args))
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
         assert run("verify", path, scale="small") == 0
+        assert made == [("small", 0)]
         doc = json.loads((out / "report.json").read_text())
         assert doc["passed"] is True
         assert [c["name"] for c in doc["checks"]] == [name for name, _ in VERIFY_CHECKS]
