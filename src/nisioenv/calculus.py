@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeParams, Partition, apply_partition, nisio_dyadic, step_J
+from .envelope import EnvelopeParams, Partition, _dyadic_level, nisio_dyadic, step_J
 from .errors import UsageError
 from .funcspace import GridFunction, lp_norm
 from .kernels import KernelFamily, _heat_plan, sup_generator
@@ -58,7 +58,7 @@ def _S(
     if t == 0.0:
         return GridFunction(f.grid, f.samples.copy())
     if level is not None:
-        return apply_partition(fam, Partition.dyadic(t, level), f)
+        return _dyadic_level(fam, t, level, f)
     return nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, params.norm).final
 
 
@@ -88,7 +88,9 @@ def generator_fd(
 ) -> GeneratorEstimate:
     """Difference quotients of the envelope at f against the supremum generator.
 
-    Each S(h)f is a dyadic envelope run whose time step is at most h/4. A
+    Each S(h)f is a dyadic envelope run whose time step is at most h/4. The
+    runs go smallest h first on one trajectory (see `nisio_dyadic`'s
+    `chains`): level L at h starts from level L - 1 at h/2. A
     non-decreasing tail in the error table is reported, never raised.
     """
     params = envelope_params
@@ -96,12 +98,13 @@ def generator_fd(
     target = sup_generator(fam, f)
     quotients: list[GridFunction] = []
     errors: list[float] = []
-    for h in schedule:
-        res = nisio_dyadic(fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm, n_min=2)
+    chains: dict = {}
+    for h in reversed(schedule):
+        res = nisio_dyadic(fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm, n_min=2, chains=chains)
         q = (res.final - f) / h
         quotients.append(q)
         errors.append(compare(q, target, params.norm).abs_err)
-    return GeneratorEstimate(schedule, quotients, errors)
+    return GeneratorEstimate(schedule, quotients[::-1], errors[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +399,24 @@ def growth_bound_estimate(
     f_samples: list[GridFunction],
     envelope_params: EnvelopeParams,
 ) -> tuple[float, float]:
-    """Least-squares fit of log sup_f ||S(t)f||/||f|| against t; returns (M, omega)."""
+    """Least-squares fit of log sup_f ||S(t)f||/||f|| against t; returns (M, omega).
+
+    The horizons of one f run in the order given on one trajectory (see
+    `nisio_dyadic`'s `chains`), so a horizon that doubles the one before
+    starts each level from it."""
     if len(t_grid) < 2:
         raise UsageError("growth fit needs at least two horizons")
     params = envelope_params
     norm = params.norm
-    log_ratios = []
-    for t in t_grid:
-        ratio = 0.0
-        for f in f_samples:
-            base = lp_norm(f, norm)
-            if base < 1e-12:
-                continue
-            ratio = max(ratio, lp_norm(_S(fam, t, f, params), norm) / base)
-        log_ratios.append(math.log(max(ratio, 1e-300)))
+    ratios = [0.0] * len(t_grid)
+    for f in f_samples:
+        base = lp_norm(f, norm)
+        if base < 1e-12:
+            continue
+        chains: dict = {}
+        for i, t in enumerate(t_grid):
+            image = f if t == 0.0 else nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, norm, chains=chains).final
+            ratios[i] = max(ratios[i], lp_norm(image, norm) / base)
+    log_ratios = [math.log(max(ratio, 1e-300)) for ratio in ratios]
     omega, log_m = np.polyfit(np.asarray(t_grid, dtype=float), np.asarray(log_ratios), 1)
     return float(math.exp(log_m)), float(omega)

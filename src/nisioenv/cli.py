@@ -47,8 +47,9 @@ from .kernels import (
 
 # Caps on one config. Its memory: the largest grid any shipped config uses (the pure-shift scan)
 # and the default dyadic level (a level-L run makes 2^(L+1) - 1 one-step suprema). Its time: the
-# node operations `_check_work` predicts, twice the heaviest of any shipped run or benchmark job
-# (3.78e10, `generator` on counterexample_shift.json; it stops at converged levels, in 4.9 s).
+# node operations `_check_work` predicts, 3.2 times the heaviest of any shipped run or benchmark job
+# (2.52e10, `derivative` on counterexample_shift.json, which runs every level; `generator` there
+# predicts 2.16e10 and stops at converged levels).
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
 _MAX_WORK = 8e10
@@ -62,6 +63,17 @@ SUBCOMMANDS = (
     "counterexample",
     "verify",
 )
+
+# The files each subcommand writes besides report.json and timings.json.
+_ARTIFACTS = {
+    "envelope": ("envelope_result.json", "final.csv", "convergence.csv"),
+    "generator": ("generator.csv",),
+    "derivative": ("derivative_report.json",),
+    "compare-hjb": ("comparison.json", "envelope.csv", "hjb.csv"),
+    "compare-ode": ("comparison.json", "envelope.csv", "ode.csv"),
+    "counterexample": ("scan.csv",),
+    "verify": ("probes.json",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +430,9 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, run
     """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
     operations (see `kernels._Plan`): first an oracle's array `passes` and the
     one-step suprema of the `runs()` (horizon, steps, repeats) planned for
-    `fam`, then the first gap of each run, largest first; the finest
-    partition is built once all of it fits. `hint` is added when the passes
-    are infinite."""
+    `fam`, then the step horizon / steps of each run, largest first; the
+    finest step must be > 0 once all of it fits. `hint` is added when the
+    passes are infinite."""
     work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK)
     keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
@@ -433,7 +445,8 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, run
                     break
             else:
                 horizon, steps, _ = runs[0]
-                envelope.Partition(tuple(horizon * k / steps for k in range(steps + 1)))
+                if not horizon / steps > 0:
+                    raise UsageError(f"the finest step {horizon:g} / {steps} rounds to 0")
     except (UsageError, OverflowError) as exc:  # an OverflowError: a window lam*h past the float range
         raise ConfigurationError(f"{keys}: {exc}") from None
     if work > _MAX_WORK:
@@ -460,8 +473,13 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         h0 = _positive(opts, "h0", "generator.", 0.1)
         k_steps = _count(opts, "k_steps", "generator.", 6)
         n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
-        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`",
-                    lambda: [(h, 1 << k, 1) for h in calculus.geometric_schedule(h0, k_steps) for k in range(n + 1)])
+
+        def runs():  # smallest h first: level L >= 1 at h takes only its last half when the h before took the first
+            hs = calculus.geometric_schedule(h0, k_steps)[::-1]
+            return [(s, 1 << (L - 1), 1) if L and s / (1 << (L - 1)) == h / (1 << L) else (h, 1 << L, 1)
+                    for s, h in zip([math.inf, *hs], hs) for L in range(n + 1)]
+
+        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", runs)
         return partial(_cmd_generator, h0=h0, k_steps=k_steps)
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
@@ -470,6 +488,10 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         h = calculus.geometric_schedule()[-1]  # the forward quotient's step
         _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,
                     lambda: [(t, top, 3), (t + h, top, 1), (t, path, 2)])  # S(t) thrice, S(t + h), two integral paths
+        try:  # below the normal floats, a step t / M > 0 does not keep the path's times t k / M apart
+            envelope.Partition(tuple(t * k / path for k in range(path + 1)))
+        except UsageError as exc:
+            raise ConfigurationError(f"`derivative.quad_nodes`, {keys}: the integral path: {exc}") from None
         return partial(_cmd_derivative, quad_nodes=quad_nodes, path_steps=path,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
@@ -523,6 +545,10 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
         job = _subcommand_job(cfg, subcommand, scale)
         _check_keys(cfg.raw)
         outdir = Path(cfg.output_dir)
+        taken = [name for name in ("report.json", "timings.json", *_ARTIFACTS[subcommand]) if (outdir / name).is_dir()]
+        if taken:
+            raise ConfigurationError(f"key `output_dir` / `--out`: {outdir} holds a directory where a file is written: "
+                                     f"{', '.join(taken)}")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # the path is, or runs through, a file

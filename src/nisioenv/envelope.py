@@ -45,7 +45,7 @@ _CP_INTERIOR = 9
 # Step plans kept, one per (family, h, dx, n): the package's one cache. A
 # plan holds what does not depend on the samples (weights, offsets, splits,
 # padding widths, computed as it is built), never a grid-long buffer. A
-# dyadic level has one gap up to rounding, so a run misses a few per level.
+# dyadic level has one step size, t / 2^L, so a run misses once per level.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -293,6 +293,20 @@ def _boundary_leakage(f: GridFunction, norm: PNorm) -> float:
     return lp_norm(GridFunction._wrap(f.grid, masked), norm)
 
 
+def _dyadic_level(fam: KernelFamily, t: float, level: int, f: GridFunction,
+                  start: GridFunction | None = None) -> GridFunction:
+    """T_level(t)f: 2^level one-step suprema of exactly t / 2^level from f.
+    `start`, when given, is the iterate after the first 2^(level-1) of those
+    steps, T_(level-1)(t/2)f, and only the other half is taken; it is held
+    no longer than the chain needs it."""
+    h, steps = t / (1 << level), 1 << level
+    if start is not None:
+        f, start, steps = start, None, steps >> 1
+    for _ in range(steps):
+        f = step_J(fam, h, f)
+    return f
+
+
 def nisio_dyadic(
     fam: KernelFamily,
     t: float,
@@ -302,14 +316,23 @@ def nisio_dyadic(
     norm: PNorm,
     *,
     n_min: int = 0,
+    chains: dict | None = None,
 ) -> EnvelopeResult:
     """Envelope approximation along nested dyadic partitions of [0, t].
 
     Computes T_n f for n = 0, 1, ... until the L^p increment between levels
     drops below tol_rel * ||f||_p (not before level n_min) or n_max is hit.
-    Levels are computed fresh from f, so monotonicity diagnostics compare
-    independently constructed iterates. Non-convergence at n_max is reported,
-    not raised.
+    Level n is its own chain of 2^n steps of exactly t / 2^n from f, so
+    monotonicity diagnostics compare independently constructed iterates.
+    Non-convergence at n_max is reported, not raised.
+
+    `chains` shares one trajectory between runs at increasing horizons: it
+    maps (h, m) to J_h^m f, the iterates that the run before left. Level
+    n >= 1 starts from the entry (t / 2^n, 2^(n-1)) when there is one (the
+    run at t/2 made it, at level n - 1) and takes the other 2^(n-1) steps,
+    so every iterate has the bits of an own run. Entries are dropped once
+    read, the rest when this run ends; the run then leaves its own levels
+    below n_max, the ones a run at 2t can read.
     """
     if not t > 0:
         raise UsageError(f"time horizon must be > 0, got {t}")
@@ -317,6 +340,10 @@ def nisio_dyadic(
         raise UsageError(f"tol_rel must be > 0, got {tol_rel}")
     f_norm = lp_norm(f, norm)
     threshold = tol_rel * f_norm
+    held = {}
+    if chains is not None:
+        held = chains.copy()
+        chains.clear()
 
     rows: list[tuple[int, float, float]] = []
     drops: list[float] = []
@@ -325,7 +352,10 @@ def nisio_dyadic(
     converged = False
     level = 0
     for level in range(n_max + 1):
-        current = apply_partition(fam, Partition.dyadic(t, level), f)
+        h = t / (1 << level)
+        current = _dyadic_level(fam, t, level, f, held.pop((h, 1 << (level - 1)), None) if level else None)
+        if chains is not None and level < n_max:
+            chains[h, 1 << level] = current
         if prev is None:
             rows.append((level, lp_norm(current, norm), math.nan))
         else:

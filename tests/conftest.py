@@ -65,13 +65,13 @@ def member_generator():
 
 @pytest.fixture
 def step_J_calls(monkeypatch):
-    """List that gains one entry per one-step supremum, at every name binding step_J."""
+    """List that gains the step size of each one-step supremum, at every name binding step_J."""
     calls = []
     real = envelope.step_J
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(fam, h, f):
+        calls.append(h)
+        return real(fam, h, f)
 
     for module in (envelope, calculus, reference):
         monkeypatch.setattr(module, "step_J", counted)

@@ -15,7 +15,7 @@ from nisioenv.calculus import (
     integral_identity_check,
     lipschitz_probe,
 )
-from nisioenv.envelope import EnvelopeParams, step_J
+from nisioenv.envelope import EnvelopeParams, nisio_dyadic, step_J
 from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid
 from nisioenv.kernels import (
     CompoundPoisson,
@@ -23,6 +23,7 @@ from nisioenv.kernels import (
     JumpDistribution,
     LambdaInterval,
     LambdaValues,
+    PureShift,
     sup_generator,
 )
 from nisioenv.reference import compare
@@ -82,6 +83,41 @@ class TestGeneratorFd:
         f = bump(g, radius=2.0)
         est = generator_fd(gauss_family, f, 0.05, 4, params_for(norm2, n_max=5))
         assert all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
+
+
+class TestSharedTrajectories:
+    # the runs share one trajectory over the horizons; each result has the bits of runs of its own
+
+    @pytest.mark.parametrize("fam", [GaussianDrift(LambdaInterval(-1.0, 1.0)), CP_INTERVAL,
+                                     PureShift(LambdaInterval(-1.0, 1.0))], ids=["gauss", "cp-interval", "shift"])
+    def test_generator_matches_runs_of_its_own(self, norm2, fam, step_J_calls):
+        g = make_grid(-8.0, 8.0, 257)
+        f = bump(g, radius=1.0)
+        params = params_for(norm2, n_max=4, tol_rel=1e-4)
+        est = generator_fd(fam, f, 0.1, 4, params)
+        shared = len(step_J_calls)
+        target = sup_generator(fam, f)
+        for h, q, err in zip(est.h_schedule, est.quotients, est.errors_vs_B, strict=True):
+            own = (nisio_dyadic(fam, h, f, params.tol_rel, params.n_max, norm2, n_min=2).final - f) / h
+            assert np.array_equal(q.samples, own.samples)
+            assert err == compare(own, target, norm2).abs_err
+        assert shared < len(step_J_calls) - shared
+
+    def test_growth_fit_matches_unshared_loop(self, norm2, gauss_family, step_J_calls):
+        g = make_grid(-8.0, 8.0, 257)
+        fs = [bump(g, radius=1.0), gaussian_profile(g, sigma=0.8)]
+        params, t_grid = params_for(norm2, n_max=4, tol_rel=1e-4), [0.125, 0.25, 0.5]
+        fit = growth_bound_estimate(gauss_family, t_grid, fs, params)
+        shared = len(step_J_calls)
+        log_ratios = []
+        for t in t_grid:
+            ratio = 0.0
+            for f in fs:
+                ratio = max(ratio, lp_norm(_S(gauss_family, t, f, params), norm2) / lp_norm(f, norm2))
+            log_ratios.append(math.log(ratio))
+        omega, log_m = np.polyfit(np.asarray(t_grid), np.asarray(log_ratios), 1)
+        assert fit == (float(math.exp(log_m)), float(omega))
+        assert shared < len(step_J_calls) - shared
 
 
 class TestDirectionalDerivative:

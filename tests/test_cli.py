@@ -188,12 +188,15 @@ EXIT_2 = [
     # a pure shift window lam * h0 = 1e310 leaves the float range
     ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
      ("`family.lambda_interval`", "`generator.h0`")),
-    # 1100 and 10^12 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in four rounds to
-    # (0, 0, 0, 5e-324, 5e-324): neither the schedule nor the finest partition is built
+    # 1100 and 10^12 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in four rounds to a step of
+    # 0; at t = 1.2e-322 the step t / 32 of the integral path rounds to 5e-324, but its times t k / 32, 0.75 k
+    # units of 5e-324, round together at k = 2 and 3
     ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
     ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
-    ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
-    ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "partition times")),
+    ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "rounds to 0")),
+    ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "rounds to 0")),
+    ("derivative", {"time.t": 1.2e-322, "time.n_max": 2},
+     ("`derivative.quad_nodes`", "`time.t`", "`time.n_max`", "partition times")),
     # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
     ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
                   **HUGE_GRID, "time.t": 1e-5, "time.n_max": 0},
@@ -251,6 +254,21 @@ class TestInvalidConfigsWriteNothing:
         assert (tmp_path / "afile").read_text() == "kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
 
+    @pytest.mark.parametrize("subcommand, name", [("envelope", "report.json"), ("envelope", "final.csv"),
+                                                  ("generator", "timings.json")])
+    def test_output_dir_holding_a_directory_named_like_an_artifact(self, tmp_path, monkeypatch, capsys,
+                                                                   subcommand, name):
+        # found before the run, not when the artifact is written after it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / name).mkdir(parents=True)
+        config = write_config(tmp_path, base_config("out"))
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", str(config), "--out", "out"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "configuration error: key `output_dir` / `--out`" in err and name in err, err
+        assert [path.name for path in (tmp_path / "out").iterdir()] == [name]
+        assert not any((tmp_path / "out" / name).iterdir())
+
     def test_work_caps(self, tmp_path):
         # every shipped config and the largest admitted values load; one more
         # is a configuration error that names the cap
@@ -265,7 +283,7 @@ class TestInvalidConfigsWriteNothing:
 
     def test_shipped_runs_fit_the_budget_with_margin(self, monkeypatch):
         # every subcommand a shipped config accepts fits half the budget: the
-        # heaviest, generator on the 2 400 001-node scan grid, predicts 3.78e10
+        # heaviest, derivative on the 2 400 001-node scan grid, predicts 2.52e10
         monkeypatch.setattr(cli, "_MAX_WORK", cli._MAX_WORK / 2)
         accepted = set()
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
@@ -389,7 +407,7 @@ class TestRunEnvelope:
 
 # Runs on base_config at n_max 5 and tol_rel 1e-300 (every level runs) plus the edits: (subcommand, edits, whether
 # the one-step calls counted equal the pre-flight's prediction). `envelope` prices C(t)f as one more level-0 step
-# (63 of 64); with tol_rel 1e-4, `generator` stops at converged levels (257 of 441).
+# (63 of 64); with tol_rel 1e-4, `generator` stops at converged levels (139 of 255).
 COUNTED = [
     ("envelope", {}, False),
     ("compare-hjb", {}, True),
@@ -418,6 +436,8 @@ class TestRunOtherSubcommands:
         for path, value in {"time.n_max": 5, "time.tol_rel": 1e-300, **copy.deepcopy(edits)}.items():
             _set(cfg, path, value)
         assert run(subcommand, write_config(tmp_path, cfg)) in (0, 1)
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(
+            ("report.json", "timings.json", *cli._ARTIFACTS[subcommand]))
         assert len(predicted) == 1
         counted = len(step_J_calls)
         assert counted == predicted[0] if exact else counted <= predicted[0], (counted, predicted)
@@ -637,6 +657,8 @@ class TestVerifySuite:
         assert [c["name"] for c in doc["checks"]] == [name for name, _ in VERIFY_CHECKS]
         assert [c["tolerance"] for c in doc["checks"]] == pytest.approx([tol for _, tol in VERIFY_CHECKS],
                                                                          rel=1e-12, abs=0.0)
+        assert sorted(path.name for path in out.iterdir()) == sorted(("report.json", "timings.json",
+                                                                     *cli._ARTIFACTS["verify"]))
         probes = json.loads((out / "probes.json").read_text())
         assert set(probes) == {"t", "gap", "L_estimate", "M", "omega", "pass"}
         assert probes["pass"] is True

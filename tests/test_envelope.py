@@ -527,6 +527,35 @@ class TestNisioDyadic:
         res = nisio_dyadic(gauss_family, 0.5, f, 1e-14, 3, norm2)
         assert not res.converged and res.levels_used == 3
 
+    def test_one_exact_step_size_per_level(self, gauss_family, norm2, step_J_calls):
+        # at t = 0.1 the times t k / 2^L of a dyadic partition round apart by ulps; a level's steps do not
+        f = bump(make_grid(-8.0, 8.0, 401), radius=1.0)
+        nisio_dyadic(gauss_family, 0.1, f, 1e-300, 4, norm2)
+        assert step_J_calls == [0.1 / 2**level for level in range(5) for _ in range(2**level)]
+        assert len(set(Partition.dyadic(0.1, 4).gaps())) > 1
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_exact_partition_times_give_the_same_bits(self, gauss_family, norm2, level):
+        # at t = 0.5 every time t k / 2^L is exact, so the partition's gaps are the level's step
+        f = bump(make_grid(-8.0, 8.0, 401), radius=1.0)
+        res = nisio_dyadic(gauss_family, 0.5, f, 1e-300, level, norm2)
+        assert res.levels_used == level
+        assert np.array_equal(res.final.samples, apply_partition(gauss_family, Partition.dyadic(0.5, level), f).samples)
+
+    def test_chains_share_the_half_horizon(self, gauss_family, norm2, step_J_calls):
+        # level L at 0.1 starts from level L - 1 at 0.05; each run leaves only its own levels below n_max
+        f = bump(make_grid(-8.0, 8.0, 401), radius=1.0)
+        chains: dict = {}
+        nisio_dyadic(gauss_family, 0.05, f, 1e-300, 3, norm2, chains=chains)
+        assert sorted(chains) == sorted((0.05 / 2**level, 2**level) for level in range(3))
+        del step_J_calls[:]
+        res = nisio_dyadic(gauss_family, 0.1, f, 1e-300, 3, norm2, chains=chains)
+        assert step_J_calls == [0.1, 0.05, 0.025, 0.025, 0.0125, 0.0125, 0.0125, 0.0125]
+        assert sorted(chains) == sorted((0.1 / 2**level, 2**level) for level in range(3))
+        own = nisio_dyadic(gauss_family, 0.1, f, 1e-300, 3, norm2)
+        assert np.array_equal(res.final.samples, own.final.samples)
+        assert res.iterates_norms == own.iterates_norms and res.min_increments == own.min_increments
+
     def test_random_partitions_never_exceed_final(self, cp_family, norm2):
         # the Gaussian drift case is verify's envelope.random_partition_no_exceedance
         g = make_grid(-10.0, 10.0, 1001)
