@@ -498,6 +498,12 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     if subcommand == "compare-hjb":
         if not isinstance(cfg.family, GaussianDrift):
             raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
+        lams = cfg.family.lambda_set.candidates
+        if lams[0] != -lams[-1]:  # the oracle's Hamiltonian max|lam| |u_x| is sup lam u_x on [-max|lam|, max|lam|]
+            raise ConfigurationError(
+                "key `family.lambda_interval` / `family.lambda_list`: compare-hjb needs a drift set symmetric about "
+                f"0 (min = -max), got min {lams[0]:g} and max {lams[-1]:g}: its oracle solves "
+                "u_t = u_xx / 2 + max|lam| |u_x|")
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
@@ -793,6 +799,20 @@ def _envelope_construction(ctx):
     single = GaussianDrift(LambdaValues((0.4,)))
     direct = kernels.apply_member(single, 0.4, 0.3, ctx.f0)
     return nested, exceed, 0.0 if np.array_equal(envelope.step_J(single, 0.3, ctx.f0).samples, direct.samples) else 1.0
+
+
+@_invariant(("envelope.equivalent_generators_converge", 1.0 / 16.0))
+def _equivalent_generators_converge(ctx):
+    # the members' generators are affine in lam, so the lists {0.2, 3} and
+    # {0.2, 1.6, 3} have one supremum generator, hence one envelope: the gap
+    # of their iterates falls at first order, 16x from level 2 to level 6
+    # (82x measured). Levels between are not gated: with lam in [0, 1] the
+    # gap can reach exactly 0 at one level and not at the next
+    f, mu = funcspace.bump(make_grid(-8.0, 8.0, 257), radius=1.0), JumpDistribution(((1.0, 1.0),))
+    ends, three = (CompoundPoisson(LambdaValues(lams), mu) for lams in ((0.2, 3.0), (0.2, 1.6, 3.0)))
+    gaps = [lp_norm(calculus._S(ends, 1.0, f, ctx.params, level) - calculus._S(three, 1.0, f, ctx.params, level),
+                    ctx.norm) for level in (2, 6)]
+    return (gaps[1] / max(gaps[0], 1e-300),)
 
 
 # calculus: quotient orderings and scaling

@@ -38,10 +38,6 @@ __all__ = [
 # `verify --scale full` reach the filter.
 _FILTER_CUTOVER = 4096
 
-# Interior intensities sampled, besides both endpoints, on a compound Poisson
-# interval, whose one-step supremum has no closed form.
-_CP_INTERIOR = 9
-
 # Step plans kept, one per (family, h, dx, n): the package's one cache. A
 # plan holds what does not depend on the samples (weights, offsets, splits,
 # padding widths, computed as it is built), never a grid-long buffer. A
@@ -242,16 +238,12 @@ def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> _Plan:
     """The `_Plan` of `step_J` at step h on n nodes of spacing dx: arr -> a
     fresh array, and its work. Cached per (family, h, dx, n)."""
     lset = fam.lambda_set
-    if isinstance(lset, LambdaValues):
-        lams = lset.values
-    else:
-        base = fam._profile_plan(h, dx, n)
-        if base is not None:
-            window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
-            return _Plan(lambda arr: window.run(base.run(arr)), base.work + window.work)
-        lams = [float(v) for v in lset.samples(_CP_INTERIOR)]
-    rows = _member_plan(fam, lams, h, dx, n)
-    return _Plan(lambda arr: np.maximum.reduce(rows.run(arr)), rows.work + len(lams) * (n + _CALL_WORK))
+    base = None if isinstance(lset, LambdaValues) else fam._profile_plan(h, dx, n)
+    if base is not None:  # an interval of translates: the window maximum
+        window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
+        return _Plan(lambda arr: window.run(base.run(arr)), base.work + window.work)
+    rows = _member_plan(fam, lset.candidates, h, dx, n)  # a compound Poisson interval: its two ends
+    return _Plan(lambda arr: np.maximum.reduce(rows.run(arr)), rows.work + len(lset.candidates) * (n + _CALL_WORK))
 
 
 def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
@@ -261,12 +253,14 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     Finite sets take the nodewise max over the members. On an interval,
     members that are translates of one function (Gaussian drift, pure shift)
     are resolved exactly at interpolant level by a window maximum of that
-    function; an interval of Poisson intensities is sampled at both endpoints
-    plus `_CP_INTERIOR` interior points. Sampled members share their family's
-    linear part (see `kernels._member_plan`), and their nodewise max is taken
-    over the member arrays. The work is planned once per (family, h, dx, n)
-    by `_step_plan`; each call computes on arrays and wraps its fresh result
-    without a copy.
+    function; an interval of Poisson intensities steps over its two ends, as
+    the list of them does. Its member generators A + lam B are affine in lam,
+    so the interval and its ends have one supremum generator, and a convex
+    C_0-semigroup is determined by its generator: the two have one envelope.
+    The members share their family's linear part (see `kernels._member_plan`),
+    and their nodewise max is taken over the member arrays. The work is
+    planned once per (family, h, dx, n) by `_step_plan`; each call computes
+    on arrays and wraps its fresh result without a copy.
     """
     if not h > 0:
         raise UsageError(f"step size must be > 0, got {h}")

@@ -54,8 +54,8 @@ SERIES_TOL = 1e-12
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
 
-# Cap on one member plan's rows, members * nodes: 11 on 2 400 001 nodes (211 MB), 1 100 times
-# the widest of any test (24 001) or benchmark job (22 011); 200 there would need 3.6 GiB.
+# Cap on one member plan's rows, members * nodes: 11 on 2 400 001 nodes (211 MB), 1 100 times the widest of any
+# test (24 001), 6 400 times that of any benchmark job (4 098, two drifts); 200 members there would need 3.6 GiB.
 _MAX_MEMBER_SAMPLES = 11 * 2_400_001
 
 # Cap on the weights of one sampled heat kernel, 2^16 + 1 (512 KiB): 28 times
@@ -70,8 +70,31 @@ _Plan = collections.namedtuple("_Plan", "run work")
 _CALL_WORK = 2_000
 
 
+class _LambdaSet:
+    """What both kinds of uncertainty set read off their `candidates`, in increasing order."""
+
+    @property
+    def sup_abs(self) -> float:
+        return max(abs(v) for v in self.candidates)
+
+    @property
+    def inf(self) -> float:
+        return self.candidates[0]
+
+    def sup_scaled(self, g: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+        """Nodewise max of lam*g over the candidates, folded in their order, into `out` when given (it may be
+        g); `rows`, when given, holds two scratch rows, so that a call given both allocates nothing."""
+        *head, last = self.candidates
+        acc = None
+        for i, lam in enumerate(head):
+            term = np.multiply(lam, g, out=None if rows is None else rows[min(i, 1)])
+            acc = term if acc is None else np.maximum(acc, term, out=acc)
+        top = np.multiply(last, g, out=out)  # g is read for the last time
+        return top if acc is None else np.maximum(acc, top, out=top)
+
+
 @dataclass(frozen=True)
-class LambdaInterval:
+class LambdaInterval(_LambdaSet):
     """Closed interval [lo, hi] of drift/intensity parameters."""
 
     lo: float
@@ -81,29 +104,21 @@ class LambdaInterval:
         if not (self.lo <= self.hi) or not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ConfigurationError(f"lambda interval needs finite lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def sup_abs(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
-
-    @property
-    def inf(self) -> float:
-        return self.lo
-
     def contains(self, lam: float) -> bool:
         tol = 1e-12 * (1.0 + abs(lam))
         return self.lo - tol <= lam <= self.hi + tol
 
+    @property
+    def candidates(self) -> tuple[float, ...]:
+        """Its two ends, hi alone when lo == hi: lam*g is linear in lam, so its sup over [lo, hi] is at an end."""
+        return (self.lo, self.hi) if self.lo < self.hi else (self.hi,)
+
     def samples(self, n_interior: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n_interior + 2)
 
-    def sup_scaled(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Nodewise sup over lam in [lo, hi] of lam*g, attained at an endpoint;
-        into `out` when given (it may be g)."""
-        return np.maximum(self.lo * g, self.hi * g, out=out)
-
 
 @dataclass(frozen=True)
-class LambdaValues:
+class LambdaValues(_LambdaSet):
     """Finite set of parameters, kept sorted."""
 
     values: tuple[float, ...]
@@ -116,25 +131,14 @@ class LambdaValues:
             raise ConfigurationError("lambda values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def sup_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
-    @property
-    def inf(self) -> float:
-        return self.values[0]
-
     def contains(self, lam: float) -> bool:
         tol = 1e-12 * (1.0 + abs(lam))
         return any(abs(lam - v) <= tol for v in self.values)
 
-    def sup_scaled(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Nodewise max over the values of lam*g; into `out` when given (it
-        may be g)."""
-        prods = np.empty((len(self.values), g.shape[0]))
-        for row, v in zip(prods, self.values):
-            np.multiply(v, g, out=row)
-        return np.maximum.reduce(prods, out=out)
+    @property
+    def candidates(self) -> tuple[float, ...]:
+        """Every value, as a list's one-step suprema take every member."""
+        return self.values
 
 
 LambdaSet = LambdaInterval | LambdaValues

@@ -19,8 +19,7 @@ import numpy as np
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
 from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
-from .kernels import (CompoundPoisson, KernelFamily, LambdaInterval, LambdaValues, PureShift, _jump_mixer,
-                      _jump_stencil)
+from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_mixer, _jump_stencil
 
 __all__ = [
     "hjb_upwind",
@@ -55,9 +54,8 @@ def _rk4_steps(t: float, dt: float) -> float:
 
 def _rk4_passes(fam: CompoundPoisson, t: float, dt: float) -> float:
     """Array passes of `ode_reference` over the grid: per step four stages of 4 per atom, 2 per
-    parameter of the sup (an interval's two ends) and 6 more, and 14 for the update."""
-    params = len(fam.lambda_set.values) if isinstance(fam.lambda_set, LambdaValues) else 2
-    return _rk4_steps(t, dt) * (4 * (4 * len(fam.mu.atoms) + 2 * params + 6) + 14)
+    candidate of the sup (an interval's two ends) and 4 more, and 16 for the update and its check."""
+    return _rk4_steps(t, dt) * (4 * (4 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 4) + 16)
 
 
 def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -114,9 +112,12 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
 
     B is bounded and globally Lipschitz, so the trajectory is the unique
     solution of the Cauchy problem and must match the envelope. The jump
-    stencil, one zero-padded stage buffer and the four stage rows are made
-    once per run; each stage has the operations, in the order, of
-    `sup_generator` and the textbook RK4 update, so the bits are theirs.
+    stencil, one zero-padded stage buffer, the four stage rows and two
+    scratch rows of the sup are made once per run; each stage has the
+    operations, in the order, of `sup_generator` and the textbook RK4
+    update, so the bits are theirs. Finiteness is checked once per step, on
+    u: a non-finite stage reaches u through a positive coefficient, and a
+    non-finite u stays so.
     """
     if not isinstance(fam, CompoundPoisson):
         raise UsageError("ode_reference is defined for compound Poisson families only")
@@ -133,33 +134,34 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
     src, mix = _jump_mixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
     stage, lset = src.samples, fam.lambda_set
     k1, k2, k3, k4 = np.empty((4, n))
-    finite = np.empty(n, dtype=bool)
+    rows, finite = np.empty((2, n)), np.empty(n, dtype=bool)
 
     def rhs(k: np.ndarray) -> None:
         """k = sup_lam lam * (mu * s - s) for the samples s in `stage`."""
         np.subtract(mix(k), stage, out=k)
-        lset.sup_scaled(k, out=k)
-        if not np.isfinite(k, out=finite).all():
-            raise UsageError("an RK4 stage of ode_reference is not finite")
+        lset.sup_scaled(k, out=k, rows=rows)
 
     u = f0.samples.copy()
-    for _ in range(steps):
-        stage[:] = u
-        rhs(k1)
-        np.add(u, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-        rhs(k2)
-        np.add(u, np.multiply(0.5 * dt, k2, out=stage), out=stage)
-        rhs(k3)
-        np.add(u, np.multiply(dt, k3, out=stage), out=stage)
-        rhs(k4)
-        # u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= dt / 6.0
-        u += k1
+    with np.errstate(over="ignore", invalid="ignore"):  # a stage past the float range is reported from u
+        for _ in range(steps):
+            stage[:] = u
+            rhs(k1)
+            np.add(u, np.multiply(0.5 * dt, k1, out=stage), out=stage)
+            rhs(k2)
+            np.add(u, np.multiply(0.5 * dt, k2, out=stage), out=stage)
+            rhs(k3)
+            np.add(u, np.multiply(dt, k3, out=stage), out=stage)
+            rhs(k4)
+            # u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            u += k1
+            if not np.isfinite(u, out=finite).all():
+                raise UsageError("an RK4 stage of ode_reference is not finite")
     return GridFunction._wrap(f0.grid, u)
 
 

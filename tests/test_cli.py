@@ -148,6 +148,11 @@ EXIT_2 = [
     ("envelope", SHIFT, ("no envelope bound available", "counterexample")),
     ("envelope", {"norm.p": 1}, ("p > 1",)),
     ("compare-ode", {}, ("compare-ode needs compound_poisson",)),
+    # the upwind oracle solves u_t = u_xx / 2 + max|lam| |u_x|, the envelope PDE of a symmetric drift set only
+    ("compare-hjb", {"family.lambda_interval": [0.0, 1.0]},
+     ("`family.lambda_interval`", "symmetric", "min 0 and max 1")),
+    ("compare-hjb", {"family": {"family": "gaussian_drift", "lambda_list": [0.5]}},
+     ("`family.lambda_list`", "symmetric", "min 0.5 and max 0.5")),
     # work past the budget, refused before anything is built past it: 2 400 001 nodes at t = 1e-3 and n_max 12
     # (the level-0 heat kernel alone has 60 717 weights, about 2 h for the run), 3 000 epsilons of the blow-up
     # scan, 2.5e8 RK4 steps, 1.2e9 upwind steps, and 2e6 and 2e12 integral path steps
@@ -492,6 +497,18 @@ class TestRunOtherSubcommands:
         cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 7}
         assert run("compare-ode", write_config(tmp_path, cfg)) == 0
 
+    def test_compare_ode_interval_is_its_endpoint_list(self, tmp_path):
+        # a compound Poisson interval steps over its two ends, and the oracle's sup is over them too
+        outs = {}
+        for kind in ("lambda_interval", "lambda_list"):
+            outs[kind] = out = tmp_path / kind
+            cfg = base_config(out, ode={"dt": 1e-2}, family={"family": "compound_poisson", kind: [0.2, 3.0],
+                                                             "jump_atoms": [[0.37, 0.6], [-0.8, 0.4]]})
+            cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 5}
+            assert run("compare-ode", write_config(tmp_path, cfg, f"{kind}.json")) in (0, 1)
+        for name in ("envelope.csv", "comparison.json", "ode.csv"):
+            assert (outs["lambda_interval"] / name).read_bytes() == (outs["lambda_list"] / name).read_bytes(), name
+
     def test_counterexample(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, counterexample={"t": 0.5, "epsilons": [1e-1, 1e-2]})
@@ -621,6 +638,7 @@ VERIFY_CHECKS = [
     ("envelope.refinement_monotone_cp", 1e-09),
     ("envelope.random_partition_no_exceedance", 9.916552644963352e-05),
     ("envelope.singleton_step_bitexact", 0.0),
+    ("envelope.equivalent_generators_converge", 0.0625),
     ("calculus.plus_quotient_monotone", 1e-09),
     ("calculus.minus_below_plus", 1e-09),
     ("calculus.quotient_scaling", 1e-10),

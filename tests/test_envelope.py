@@ -9,7 +9,6 @@ from scipy.ndimage import maximum_filter1d
 from conftest import _interp_shift_arr, _shift_int
 from nisioenv import PNorm, UsageError
 from nisioenv.envelope import (
-    _CP_INTERIOR,
     _FILTER_CUTOVER,
     Partition,
     _step_plan,
@@ -277,8 +276,7 @@ class TestSharedMembers:
         g = make_grid(-10.0, 10.0, 2001)
         f = bump(g, radius=1.0)
         fam = CompoundPoisson(LambdaInterval(0.0, 1.0), self.mu)
-        lams = [float(v) for v in np.linspace(0.0, 1.0, 11)]
-        expected = np.maximum.reduce([_cp_member_one_by_one(fam, lam, h, f) for lam in lams])
+        expected = np.maximum(_cp_member_one_by_one(fam, 0.0, h, f), _cp_member_one_by_one(fam, 1.0, h, f))
         assert np.array_equal(step_J(fam, h, f).samples, expected)
 
     @pytest.mark.parametrize("h", [1.0, 0.37])
@@ -347,7 +345,7 @@ def _step_written_out(fam, h, f):
     if isinstance(lset, LambdaInterval) and not isinstance(fam, CompoundPoisson):
         base = _heat_written_out(f.samples, h, f.grid.dx) if isinstance(fam, GaussianDrift) else f.samples
         return GridFunction(f.grid, _window_sup_written_out(base, lset.lo * h, lset.hi * h, f.grid.dx))
-    lams = lset.values if isinstance(lset, LambdaValues) else [float(v) for v in lset.samples(_CP_INTERIOR)]
+    lams = lset.values if isinstance(lset, LambdaValues) else (lset.lo, lset.hi)  # a CP interval: its two ends
     return GridFunction(f.grid, np.maximum.reduce([_member_written_out(fam, lam, h, f) for lam in lams]))
 
 
@@ -449,10 +447,11 @@ class TestStepPlans:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_member_raises(self, sign):
         # the Poisson series of a constant at the float range overflows in
-        # the member rows; the one-step supremum must not hide it
+        # the member row of lam = 0.34 (not in those of 0.3 or 1); the
+        # one-step supremum must not hide it
         g = make_grid(-5.0, 5.0, 101)
         f = GridFunction(g, np.full(101, sign * np.finfo(float).max))
-        fam = CompoundPoisson(LambdaInterval(0.0, 1.0), JumpDistribution(((1.0, 1.0),)))
+        fam = CompoundPoisson(LambdaInterval(0.34, 1.0), JumpDistribution(((1.0, 1.0),)))
         with pytest.raises(UsageError, match="member samples must all be finite"), np.errstate(over="ignore"):
             step_J(fam, 1.0, f)
 
@@ -569,6 +568,44 @@ class TestNisioDyadic:
             pi = Partition((0.0, *times, 0.5))
             val = apply_partition(cp_family, pi, f)
             assert np.max(val.samples - res.final.samples) <= slack
+
+
+class TestCompoundPoissonInterval:
+    """A compound Poisson interval steps over its two ends: its member
+    generators are affine in lam, so the interval and its ends have one
+    supremum generator, hence one envelope."""
+
+    mu = JumpDistribution(((0.37, 0.6), (-0.8, 0.4)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.2, 3.0), (0.5, 0.5)])
+    def test_same_bits_as_its_endpoint_list(self, norm2, lo, hi):
+        interval = CompoundPoisson(LambdaInterval(lo, hi), self.mu)
+        ends = CompoundPoisson(LambdaValues((lo, hi)), self.mu)
+        f = _signed_zero_data(make_grid(-10.0, 10.0, 201), 5)
+        for h in (1.0, 0.37):
+            a, b = step_J(interval, h, f).samples, step_J(ends, h, f).samples
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), h
+        f = bump(make_grid(-10.0, 10.0, 401), radius=1.0)
+        ra, rb = (nisio_dyadic(fam, 0.5, f, 1e-300, 5, norm2) for fam in (interval, ends))
+        assert np.array_equal(ra.final.samples, rb.final.samples)
+        assert ra.iterates_norms == rb.iterates_norms and ra.min_increments == rb.min_increments
+
+    def test_converges_with_the_sampled_chain(self, norm2):
+        # 11 intensities of [0.2, 3], its ends and 9 evenly spaced between,
+        # have the interval's supremum generator too: the gap between the two
+        # level-L iterates falls faster than first order (10.9x from level 4
+        # to 6 here); at least 8x over two levels is required
+        mu = JumpDistribution(((1.0, 1.0),))
+        ends = CompoundPoisson(LambdaInterval(0.2, 3.0), mu)
+        sampled = CompoundPoisson(LambdaValues(tuple(float(v) for v in np.linspace(0.2, 3.0, 11))), mu)
+        f = bump(make_grid(-8.0, 8.0, 257), radius=1.0)
+        gaps = []
+        for level in (4, 6):
+            u, h = f, 1.0 / 2**level
+            for _ in range(2**level):
+                u = step_J(sampled, h, u)
+            gaps.append(lp_norm(nisio_dyadic(ends, 1.0, f, 1e-300, level, norm2).final - u, norm2))
+        assert 0.0 < 8.0 * gaps[1] <= gaps[0], gaps
 
 
 class TestUpperBoundCertificate:
