@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeParams, Partition, _dyadic_level, nisio_dyadic, step_J
+from .envelope import EnvelopeParams, _chain, nisio_dyadic
 from .errors import UsageError
 from .funcspace import GridFunction, lp_norm
 from .kernels import KernelFamily, _heat_plan, sup_generator
@@ -58,7 +58,7 @@ def _S(
     if t == 0.0:
         return GridFunction(f.grid, f.samples.copy())
     if level is not None:
-        return _dyadic_level(fam, t, level, f)
+        return _chain(fam, t / (1 << level), 1 << level, f)
     return nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, params.norm).final
 
 
@@ -273,11 +273,11 @@ def integral_identity_check(
 
     The integral runs over composite Simpson nodes in [0, t]; each integrand
     is the plus quotient with h_dir, the smallest step of
-    `geometric_schedule()`. All nodes lie on one path of M uniform one-step
-    suprema from f (and one from f + h_dir*direction; see `_integral_path` for
-    M), so node j is the prefix of j*m steps and the end of the path gives
-    S(t)f. The mesh t/M is at most t/2^(n_max+1), half the fixed-level mesh of
-    the derivative identity. Returns 0 when ||S(t)f - f||_p is below 1e-12.
+    `geometric_schedule()`. Each path, from f and from f + h_dir*direction,
+    walks the Simpson intervals as chains of m steps of exactly t/M (see
+    `_integral_path` for m and M), so node j is the prefix of j*m steps and
+    the path from f ends at S(t)f. The step t/M is at most t/2^(n_max+1),
+    half the fixed-level step. Returns 0 when ||S(t)f - f||_p is below 1e-12.
     """
     params = envelope_params
     h_dir = geometric_schedule()[-1]
@@ -288,15 +288,13 @@ def integral_identity_check(
     direction = sup_generator(fam, f)
     if t == 0.0:  # S(0)f - f vanishes
         return 0.0
-    gaps = Partition(tuple(t * k / steps for k in range(steps + 1))).gaps()
+    h = t / steps
 
     acc = weights[0] * direction.samples
     base, moved = f, f + h_dir * direction
-    for k, gap in enumerate(gaps, 1):
-        base = step_J(fam, gap, base)
-        moved = step_J(fam, gap, moved)
-        if k % m == 0:
-            acc = acc + weights[k // m] * ((moved - base) / h_dir).samples
+    for weight in weights[1:]:
+        base, moved = _chain(fam, h, m, base), _chain(fam, h, m, moved)
+        acc = acc + weight * ((moved - base) / h_dir).samples
 
     lhs = base - f
     denom = lp_norm(lhs, params.norm)

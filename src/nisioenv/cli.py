@@ -425,28 +425,28 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
     return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
 
 
-def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, runs: Callable,
+def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, chains: Callable,
                 passes: float = 0.0, hint: str = "") -> None:
     """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
     operations (see `kernels._Plan`): first an oracle's array `passes` and the
-    one-step suprema of the `runs()` (horizon, steps, repeats) planned for
-    `fam`, then the step horizon / steps of each run, largest first; the
-    finest step must be > 0 once all of it fits. `hint` is added when the
-    passes are infinite."""
+    one-step suprema of the `chains()` (h, m, repeats), each `repeats` chains
+    of m steps of exactly h planned for `fam`, then the step of each chain,
+    largest first. Once all of it fits, the finest h must be a normal float:
+    below that, h keeps too few bits for m steps of it to add up to m h.
+    `hint` is added when the passes are infinite."""
     work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK)
     keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
-        runs = sorted(runs(), key=lambda run: run[0] / run[1])
-        work += sum(steps * repeats for _, steps, repeats in runs) * kernels._CALL_WORK
+        chains = sorted(chains())
+        work += sum(m * repeats for _, m, repeats in chains) * kernels._CALL_WORK
         if work <= _MAX_WORK:
-            for horizon, steps, repeats in reversed(runs):
-                work += steps * repeats * envelope._step_plan(fam, horizon / steps, cfg.grid.dx, cfg.grid.n_nodes).work
+            for h, m, repeats in reversed(chains):
+                work += m * repeats * envelope._step_plan(fam, h, cfg.grid.dx, cfg.grid.n_nodes).work
                 if work > _MAX_WORK:
                     break
             else:
-                horizon, steps, _ = runs[0]
-                if not horizon / steps > 0:
-                    raise UsageError(f"the finest step {horizon:g} / {steps} rounds to 0")
+                if not chains[0][0] >= sys.float_info.min:
+                    raise UsageError(f"the finest step {chains[0][0]:g} rounds to 0 or below the normal floats")
     except (UsageError, OverflowError) as exc:  # an OverflowError: a window lam*h past the float range
         raise ConfigurationError(f"{keys}: {exc}") from None
     if work > _MAX_WORK:
@@ -463,7 +463,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         if not math.isfinite(f_norm):
             raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
     t, top, keys = cfg.t, 1 << cfg.n_max, "`time.t`, `time.n_max`"
-    levels = [(t, 1 << level, 1) for level in range(cfg.n_max + 1)]
+    levels = [(t / (1 << level), 1 << level, 1) for level in range(cfg.n_max + 1)]
     if subcommand == "envelope":
         kernels.upper_bound_norm_factor(cfg.family, t, cfg.norm)  # `envelope` certifies against C(t)
         _check_work(cfg, cfg.family, keys, lambda: levels + [(t, 1, 1)])  # C(t)f: a level-0 step
@@ -474,24 +474,20 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         k_steps = _count(opts, "k_steps", "generator.", 6)
         n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
 
-        def runs():  # smallest h first: level L >= 1 at h takes only its last half when the h before took the first
+        def chains():  # smallest h first: level L >= 1 at h runs only its last half when the h before left the first
             hs = calculus.geometric_schedule(h0, k_steps)[::-1]
-            return [(s, 1 << (L - 1), 1) if L and s / (1 << (L - 1)) == h / (1 << L) else (h, 1 << L, 1)
+            return [(h / (1 << L), 1 << (L - 1) if L and s / (1 << (L - 1)) == h / (1 << L) else 1 << L, 1)
                     for s, h in zip([math.inf, *hs], hs) for L in range(n + 1)]
 
-        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", runs)
+        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", chains)
         return partial(_cmd_generator, h0=h0, k_steps=k_steps)
     if subcommand == "derivative":
         opts = cfg.options.get("derivative", {})
         quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
         path = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
         h = calculus.geometric_schedule()[-1]  # the forward quotient's step
-        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,
-                    lambda: [(t, top, 3), (t + h, top, 1), (t, path, 2)])  # S(t) thrice, S(t + h), two integral paths
-        try:  # below the normal floats, a step t / M > 0 does not keep the path's times t k / M apart
-            envelope.Partition(tuple(t * k / path for k in range(path + 1)))
-        except UsageError as exc:
-            raise ConfigurationError(f"`derivative.quad_nodes`, {keys}: the integral path: {exc}") from None
+        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,  # S(t) thrice, S(t + h), two integral paths
+                    lambda: [(t / top, top, 3), ((t + h) / top, top, 1), (t / path, path, 2)])
         return partial(_cmd_derivative, quad_nodes=quad_nodes, path_steps=path,
                        identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
                        integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))

@@ -287,16 +287,10 @@ def _boundary_leakage(f: GridFunction, norm: PNorm) -> float:
     return lp_norm(GridFunction._wrap(f.grid, masked), norm)
 
 
-def _dyadic_level(fam: KernelFamily, t: float, level: int, f: GridFunction,
-                  start: GridFunction | None = None) -> GridFunction:
-    """T_level(t)f: 2^level one-step suprema of exactly t / 2^level from f.
-    `start`, when given, is the iterate after the first 2^(level-1) of those
-    steps, T_(level-1)(t/2)f, and only the other half is taken; it is held
-    no longer than the chain needs it."""
-    h, steps = t / (1 << level), 1 << level
-    if start is not None:
-        f, start, steps = start, None, steps >> 1
-    for _ in range(steps):
+def _chain(fam: KernelFamily, h: float, m: int, f: GridFunction) -> GridFunction:
+    """J_h^m f: m one-step suprema of exactly h from f. f is held no longer
+    than its first step needs it."""
+    for _ in range(m):
         f = step_J(fam, h, f)
     return f
 
@@ -316,17 +310,17 @@ def nisio_dyadic(
 
     Computes T_n f for n = 0, 1, ... until the L^p increment between levels
     drops below tol_rel * ||f||_p (not before level n_min) or n_max is hit.
-    Level n is its own chain of 2^n steps of exactly t / 2^n from f, so
-    monotonicity diagnostics compare independently constructed iterates.
-    Non-convergence at n_max is reported, not raised.
+    Level n is its own chain J_h^m f, m = 2^n steps of exactly h = t / 2^n
+    (`_chain`), so monotonicity diagnostics compare independently
+    constructed iterates. Non-convergence at n_max is reported, not raised.
 
     `chains` shares one trajectory between runs at increasing horizons: it
     maps (h, m) to J_h^m f, the iterates that the run before left. Level
-    n >= 1 starts from the entry (t / 2^n, 2^(n-1)) when there is one (the
-    run at t/2 made it, at level n - 1) and takes the other 2^(n-1) steps,
-    so every iterate has the bits of an own run. Entries are dropped once
-    read, the rest when this run ends; the run then leaves its own levels
-    below n_max, the ones a run at 2t can read.
+    n >= 1 takes the chain (h, 2^(n-1)) from it when that key is there (the
+    run at t/2 made it, at level n - 1) and runs the other 2^(n-1) steps;
+    otherwise it runs (h, 2^n) from f. Every iterate so has the bits of an
+    own run. Entries are dropped once read, the rest when this run ends; the
+    run then leaves its own levels below n_max, the ones a run at 2t can read.
     """
     if not t > 0:
         raise UsageError(f"time horizon must be > 0, got {t}")
@@ -346,10 +340,12 @@ def nisio_dyadic(
     converged = False
     level = 0
     for level in range(n_max + 1):
-        h = t / (1 << level)
-        current = _dyadic_level(fam, t, level, f, held.pop((h, 1 << (level - 1)), None) if level else None)
+        h, m = t / (1 << level), 1 << level
+        half = (h, m >> 1)  # never held at level 0: no run leaves a chain of 0 steps
+        # a popped start goes straight to `_chain`, which frees it with its first step
+        current = _chain(fam, h, m >> 1, held.pop(half)) if half in held else _chain(fam, h, m, f)
         if chains is not None and level < n_max:
-            chains[h, 1 << level] = current
+            chains[h, m] = current
         if prev is None:
             rows.append((level, lp_norm(current, norm), math.nan))
         else:

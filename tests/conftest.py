@@ -12,7 +12,6 @@ from nisioenv import (
     LambdaValues,
     PNorm,
     bump,
-    calculus,
     envelope,
     make_grid,
     reference,
@@ -65,7 +64,8 @@ def member_generator():
 
 @pytest.fixture
 def step_J_calls(monkeypatch):
-    """List that gains the step size of each one-step supremum, at every name binding step_J."""
+    """List that gains the step size of each one-step supremum, at every name binding step_J: `envelope`,
+    whose chains every level and integral path runs, and `reference`, whose blow-up scan steps once per epsilon."""
     calls = []
     real = envelope.step_J
 
@@ -73,7 +73,7 @@ def step_J_calls(monkeypatch):
         calls.append(h)
         return real(fam, h, f)
 
-    for module in (envelope, calculus, reference):
+    for module in (envelope, reference):
         monkeypatch.setattr(module, "step_J", counted)
     return calls
 

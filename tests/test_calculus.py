@@ -230,19 +230,17 @@ class TestIntegralIdentity:
     @pytest.mark.parametrize("family", ["gauss", "cp"])
     @pytest.mark.parametrize("quad_nodes, level", [(5, 3), (7, 3), (9, 1)])
     def test_equals_prefixes_of_one_mesh(self, norm2, gauss_family, bump_small, family, quad_nodes, level):
-        # reference: each Simpson node j marched afresh from f over the first
-        # j*m gaps of the mesh t*k/M, M = m*(quad_nodes - 1) and
+        # reference: each Simpson node j marched afresh from f by j*m steps of
+        # exactly t/M, M = m*(quad_nodes - 1) and
         # m = ceil(2^(level+1)/(quad_nodes - 1))
         fam = gauss_family if family == "gauss" else CP_INTERVAL
         f, t, h_dir = bump_small, 0.5, geometric_schedule()[-1]
         m = math.ceil(2 ** (level + 1) / (quad_nodes - 1))
         steps = m * (quad_nodes - 1)
-        times = [t * k / steps for k in range(steps + 1)]
-        gaps = [b - a for a, b in zip(times, times[1:])]
 
         def march(g, count):
-            for gap in gaps[:count]:
-                g = step_J(fam, gap, g)
+            for _ in range(count):
+                g = step_J(fam, t / steps, g)
             return g
 
         weights = np.ones(quad_nodes)
@@ -257,6 +255,11 @@ class TestIntegralIdentity:
         lhs = march(f, steps) - f
         expected = lp_norm(lhs - GridFunction(f.grid, acc), norm2) / lp_norm(lhs, norm2)
         assert integral_identity_check(fam, t, f, quad_nodes, params_for(norm2, n_max=level)) == expected
+
+    def test_one_step_size(self, norm2, gauss_family, bump_small, step_J_calls):
+        # M = 18 steps of exactly t/18 on each path; the times t*k/18 would give 6 distinct gaps at t = 0.1
+        integral_identity_check(gauss_family, 0.1, bump_small, 7, params_for(norm2, n_max=3))
+        assert len(step_J_calls) == 2 * 18 and set(step_J_calls) == {0.1 / 18}
 
     def test_zero_data_deviation_zero(self, norm2, gauss_family, grid_small):
         zero = GridFunction(grid_small, np.zeros(grid_small.n_nodes))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -194,14 +195,20 @@ EXIT_2 = [
     ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
      ("`family.lambda_interval`", "`generator.h0`")),
     # 1100 and 10^12 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in four rounds to a step of
-    # 0; at t = 1.2e-322 the step t / 32 of the integral path rounds to 5e-324, but its times t k / 32, 0.75 k
-    # units of 5e-324, round together at k = 2 and 3
+    # 0; at t = 1.2e-322 the steps t / 16 and t / 32 round to 1e-323 and 5e-324, below the normal floats, so 16
+    # and 32 of them run to 1.6e-322, 1.35 t (the last levels and the integral path); `generator.h0` 1e-310 and
+    # a scan time of 1e-320 are steps below the normal floats too
     ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
     ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
     ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "rounds to 0")),
     ("derivative", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "rounds to 0")),
     ("derivative", {"time.t": 1.2e-322, "time.n_max": 2},
-     ("`derivative.quad_nodes`", "`time.t`", "`time.n_max`", "partition times")),
+     ("`derivative.quad_nodes`", "`time.t`", "`time.n_max`", "below the normal floats")),
+    *[(sub, {"time.n_max": 5, "time.t": 1.2e-322}, ("`time.t`", "`time.n_max`", "below the normal floats"))
+      for sub in ("envelope", "compare-hjb")],
+    ("compare-ode", {**CP, "time.n_max": 5, "time.t": 1.2e-322}, ("`time.t`", "below the normal floats")),
+    ("generator", {"generator.h0": 1e-310, "generator.k_steps": 0}, ("`generator.h0`", "below the normal floats")),
+    ("counterexample", {"counterexample.t": 1e-320, **SCAN}, ("`counterexample.t`", "below the normal floats")),
     # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
     ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
                   **HUGE_GRID, "time.t": 1e-5, "time.n_max": 0},
@@ -411,8 +418,9 @@ class TestRunEnvelope:
 
 
 # Runs on base_config at n_max 5 and tol_rel 1e-300 (every level runs) plus the edits: (subcommand, edits, whether
-# the one-step calls counted equal the pre-flight's prediction). `envelope` prices C(t)f as one more level-0 step
-# (63 of 64); with tol_rel 1e-4, `generator` stops at converged levels (139 of 255).
+# the one-step calls counted equal the pre-flight's prediction, step size by step size, or are a part of it).
+# `envelope` prices C(t)f as one more level-0 step (63 of 64); with tol_rel 1e-4, `generator` stops at converged
+# levels (139 of 255).
 COUNTED = [
     ("envelope", {}, False),
     ("compare-hjb", {}, True),
@@ -432,9 +440,11 @@ class TestRunOtherSubcommands:
         predicted = []
         real = cli._check_work
 
-        def recording(cfg, fam, keys, runs, *args):
-            predicted.append(sum(steps * repeats for _, steps, repeats in runs()))
-            return real(cfg, fam, keys, runs, *args)
+        def recording(cfg, fam, keys, chains, *args):
+            predicted.append(Counter())  # one-step calls per step size
+            for h, m, repeats in chains():
+                predicted[-1][h] += m * repeats
+            return real(cfg, fam, keys, chains, *args)
 
         monkeypatch.setattr(cli, "_check_work", recording)
         cfg = base_config(tmp_path / "out")
@@ -445,7 +455,9 @@ class TestRunOtherSubcommands:
             ("report.json", "timings.json", *cli._ARTIFACTS[subcommand]))
         assert len(predicted) == 1
         counted = len(step_J_calls)
-        assert counted == predicted[0] if exact else counted <= predicted[0], (counted, predicted)
+        assert counted == predicted[0].total() if exact else counted <= predicted[0].total(), (counted, predicted)
+        steps = Counter(step_J_calls)  # and each step size as often as predicted, or no more often
+        assert steps == predicted[0] if exact else steps <= predicted[0], (steps, predicted)
 
     def test_generator(self, tmp_path):
         out = tmp_path / "out"
