@@ -234,6 +234,13 @@ class TestOdeReference:
             ode_reference(gauss_family, bump(g, radius=0.3), 0.5, 1e-2)
 
 
+def _where_pole(x: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """The capped pole on the nodes x, written out over all of them."""
+    a, absx = 1.0 / (2.0 * p), np.abs(x)
+    want = np.where(absx >= eps, np.where(absx > 0, absx, eps) ** (-a), eps ** (-a))
+    return np.where(absx <= 1.0, want, 0.0)
+
+
 class TestCounterexampleScan:
     def test_norm_ratios_exceed_rate(self):
         g = make_grid(-3.0, 3.0, 240001)
@@ -276,6 +283,38 @@ class TestCounterexampleScan:
         assert np.array_equal(out.samples, f_eps.samples)
         assert lp_norm(out, norm2) == lp_norm(f_eps, norm2)
 
+    def test_pole_holds_under_two_grid_arrays(self):
+        # the zeroed grid and the nodes of [-1, 1], a third of it here: no
+        # mask, gathered copy or whole-grid |x| (2.42 grid arrays with them)
+        g = make_grid(-3.0, 3.0, 240001)
+        tracemalloc.start()
+        try:
+            pole_initial_condition(g, 1.5, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * g.n_nodes
+
+    @pytest.mark.parametrize("p, eps", [
+        (0.0, 0.01), (-1.0, 0.01), (0.5, 0.01), (math.inf, 0.01), (NAN, 0.01),
+        (2.0, 0.0), (2.0, -0.01), (2.0, math.inf), (2.0, NAN)])
+    def test_pole_rejects_bad_arguments(self, p, eps):
+        # not a ZeroDivisionError (eps = 0, p = 0), a complex power (eps < 0),
+        # a pole that grows away from 0 (p < 0) or all zeros (eps = inf)
+        with pytest.raises(UsageError, match="finite p >= 1 and a finite eps > 0"):
+            pole_initial_condition(make_grid(-3.0, 3.0, 601), p, eps)
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_scan_matches_written_out_scan(self, p):
+        # the table, float bits included, of the np.where pole, its step and
+        # its norm, at epsilons off a node and on one
+        g = make_grid(-3.0, 3.0, 240001)
+        x = g.nodes()
+        epsilons = [float(x[120400]) + g.dx / 3.0, float(x[120040]), float(x[120008]) - g.dx / 3.0]
+        fam, norm = PureShift(LambdaInterval(-1.0, 1.0)), PNorm(p)
+        want = [(eps, lp_norm(step_J(fam, 0.5, GridFunction(g, _where_pole(x, p, eps))), norm)) for eps in epsilons]
+        assert counterexample_scan(g, p, 0.5, epsilons) == want
+
     @pytest.mark.parametrize("lower, upper, n_nodes", [
         (-3.0, 3.0, 24001), (-0.7, 2.3, 3001), (-1.0, 1.0, 801), (1.5, 3.0, 101), (-5.0, -0.999, 4003),
         (1.0 - 1e-15, 1.0 + 1e-15, 201)])  # nodes too dense for their floats around x = 1
@@ -284,12 +323,10 @@ class TestCounterexampleScan:
         # the capped pole computed on the whole grid with np.where, against
         # the pole that raises only the nodes eps <= |x| <= 1 to a power
         g = make_grid(lower, upper, n_nodes)
-        a, x = 1.0 / (2.0 * p), g.nodes()
+        x = g.nodes()
         node = float(np.min(np.abs(x[np.abs(x) > 0.05]), initial=0.3))
         for eps in (node, node + g.dx / 3.0, 0.01, 2.0):  # on a node, off it, and wider than [-1, 1]
-            absx = np.abs(x)
-            want = np.where(absx >= eps, np.where(absx > 0, absx, eps) ** (-a), eps ** (-a))
-            want = np.where(absx <= 1.0, want, 0.0)
+            want = _where_pole(x, p, eps)
             got = pole_initial_condition(g, p, eps).samples
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), eps
 
