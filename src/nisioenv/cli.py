@@ -494,12 +494,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
     if subcommand == "compare-hjb":
         if not isinstance(cfg.family, GaussianDrift):
             raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
-        lams = cfg.family.lambda_set.candidates
-        if lams[0] != -lams[-1]:  # the oracle's Hamiltonian max|lam| |u_x| is sup lam u_x on [-max|lam|, max|lam|]
-            raise ConfigurationError(
-                "key `family.lambda_interval` / `family.lambda_list`: compare-hjb needs a drift set symmetric about "
-                f"0 (min = -max), got min {lams[0]:g} and max {lams[-1]:g}: its oracle solves "
-                "u_t = u_xx / 2 + max|lam| |u_x|")
+        lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
         if cfl > 1.0:
             raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
@@ -507,7 +502,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
                     reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
                     "; the upwind steps are not a finite count: lower the drift bound or `time.t`, or coarsen `grid`")
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
-                       oracle=lambda c: reference.hjb_upwind(c.initial, c.t, c.family.lambda_set.sup_abs, cfl=cfl))
+                       oracle=lambda c: reference.hjb_upwind(c.initial, c.t, lams[0], lams[-1], cfl=cfl))
     if subcommand == "compare-ode":
         if not isinstance(cfg.family, CompoundPoisson):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
@@ -836,9 +831,9 @@ def _quotient_orderings_and_scaling(ctx):
 
 @_invariant(("reference.hjb_monotone", 1e-12), ("reference.hjb_constants_interior", 1e-12))
 def _hjb_monotone_and_constants(ctx):
-    viol = monotone_stepper_violation(lambda u, dt, dx: reference.hjb_step(u, dt, dx, 1.0), ctx.grid, ctx.rng,
-                                      max(5, ctx.reps // 4), dt=0.4 * ctx.grid.dx**2, steps=20)
-    sol = reference.hjb_upwind(GridFunction(ctx.grid, np.ones(ctx.grid.n_nodes)), 0.01, 1.0)
+    viol = monotone_stepper_violation(lambda u, dt, dx: reference.hjb_step(u, dt, dx, -1.0, 1.0), ctx.grid,
+                                      ctx.rng, max(5, ctx.reps // 4), dt=0.4 * ctx.grid.dx**2, steps=20)
+    sol = reference.hjb_upwind(GridFunction(ctx.grid, np.ones(ctx.grid.n_nodes)), 0.01, -1.0, 1.0)
     return viol, float(np.max(np.abs(sol.samples[ctx.grid.interior_slice(0.25)] - 1.0)))
 
 

@@ -1,6 +1,6 @@
 """Independent oracles and the negative result.
 
-* A monotone explicit upwind solver for du/dt = 1/2 u_xx + lam_bar |u_x|,
+* A monotone explicit upwind solver for du/dt = 1/2 u_xx + sup_lam lam u_x,
   the PDE satisfied by the drift-uncertain Gaussian envelope.
 * A classical RK4 integrator for du/dt = Bu with the bounded compound
   Poisson supremum generator (the Picard-Lindeloef regime).
@@ -34,17 +34,17 @@ __all__ = [
 
 
 def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
-    """Steps `hjb_upwind` takes to reach t > 0: the step obeys dt <= cfl * min(dx^2, dx/lam_bar); it is
-    cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil coefficient nonnegative, so the scheme is
-    monotone for any cfl in (0, 1]; inf when lam_bar / dx or t / dt overflows."""
+    """Steps `hjb_upwind` takes to reach t > 0, for lam_bar the largest |lam| of the drift set: the step obeys
+    dt <= cfl * min(dx^2, dx/lam_bar); it is cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil weight
+    nonnegative, so the scheme is monotone for any cfl in (0, 1]; inf when lam_bar / dx or t / dt overflows."""
     dt = cfl / (1.0 / (dx * dx) + lambda_bar / dx)
     ratio = t / dt if dt > 0.0 else math.inf
     return max(1, math.ceil(ratio)) if ratio < math.inf else ratio
 
 
 def _upwind_passes(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
-    """Array passes of `hjb_upwind` over the grid: 14 per step (see `kernels._Plan`)."""
-    return 14.0 * _upwind_steps(t, dx, lambda_bar, cfl)
+    """Array passes of `hjb_upwind` over the grid: 10 per step whatever the drift set (see `_upwind_step`)."""
+    return 10.0 * _upwind_steps(t, dx, lambda_bar, cfl)
 
 
 def _rk4_steps(t: float, dt: float) -> float:
@@ -58,52 +58,69 @@ def _rk4_passes(fam: CompoundPoisson, t: float, dt: float) -> float:
     return _rk4_steps(t, dt) * (4 * (4 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 4) + 16)
 
 
-def hjb_step(u: np.ndarray, dt: float, dx: float, lambda_bar: float, out: np.ndarray | None = None) -> np.ndarray:
-    """One explicit Euler step of the upwind scheme, zero Dirichlet boundary.
+def _upwind_stencil(dt: float, dx: float, lo: float, hi: float) -> tuple:
+    """The weights of one upwind step on the drift set [lo, hi], worked out once per run: c2 = dt / (2 dx^2) on
+    a + b, and for each end c the weight |c| dt / dx on the difference it is upwind of, a = u[i+1] - u[i] (row 0)
+    for c >= 0 and b = u[i-1] - u[i] (row 1) for c < 0, as (row written, weight, row read) in an order that reads
+    each row before it is written; the floor of their max is 0 when 0 lies in [lo, hi], else -inf."""
+    ends = [(0, abs(hi) * dt / dx, int(hi < 0.0)), (1, abs(lo) * dt / dx, int(lo < 0.0))]
+    return 0.5 * dt / (dx * dx), ends[::-1] if lo >= 0.0 else ends, 0.0 if lo <= 0.0 <= hi else -math.inf
 
-    Diffusion by central differences; lam_bar |u_x| by the monotone upwind
-    form lam_bar * max(D+ u, -D- u, 0). Writes into `out` when given (it
-    must not share memory with u) and returns it.
-    """
-    if out is None:
-        out = np.empty_like(u)
-    mid = u[1:-1]
-    upw = u[2:] - mid
-    diff = np.subtract(u[:-2], mid)
-    np.maximum(upw, diff, out=upw)
-    np.maximum(upw, 0.0, out=upw)
-    upw *= lambda_bar
-    upw /= dx
-    np.multiply(2.0, mid, out=diff)
-    np.subtract(u[2:], diff, out=diff)
-    diff += u[:-2]
-    diff *= 0.5
-    diff /= dx * dx
-    diff += upw
-    diff *= dt
-    np.add(mid, diff, out=out[1:-1])
+
+def _upwind_step(u: np.ndarray, out: np.ndarray, rows: np.ndarray, c2: float, ends: list, floor: float) -> np.ndarray:
+    """out[1:-1] = u[1:-1] + (c2 (a + b) + max(hi term, lo term, floor)) on the `_upwind_stencil`, in 10 array
+    passes over the two scratch rows (a, b) and out, which must not share memory with u."""
+    mid, (a, b), s = u[1:-1], rows, out[1:-1]
+    np.subtract(u[2:], mid, out=a)
+    np.subtract(u[:-2], mid, out=b)
+    np.add(a, b, out=s)
+    s *= c2
+    for dst, c, src in ends:
+        np.multiply(c, rows[src], out=rows[dst])
+    np.maximum(a, b, out=a)
+    np.maximum(a, floor, out=a)
+    s += a
+    np.add(mid, s, out=s)
     out[0] = out[-1] = 0.0
     return out
 
 
-def hjb_upwind(f0: GridFunction, t: float, lambda_bar: float, cfl: float = 0.9) -> GridFunction:
-    """Upwind finite-difference solution of the envelope PDE at time t, in
-    `_upwind_steps` steps of `hjb_step`."""
+def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """One explicit Euler step of the upwind scheme for u_t = u_xx / 2 + sup_{lam in [lo, hi]} lam u_x (the
+    single drift lo when hi is None), zero Dirichlet boundary.
+
+    Diffusion by central differences; the Hamiltonian by the monotone
+    upwind form, the max over the ends c of c D+u for c >= 0 and |c| (-D-u)
+    for c < 0, and of 0 when 0 lies in [lo, hi]. Writes into `out` when
+    given (it must not share memory with u) and returns it.
+    """
+    if out is None:
+        out = np.empty_like(u)
+    return _upwind_step(u, out, np.empty((2, u.size - 2)), *_upwind_stencil(dt, dx, lo, lo if hi is None else hi))
+
+
+def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float | None = None, cfl: float = 0.9) -> GridFunction:
+    """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (the single
+    drift lo when hi is None; a list has the supremum generator of its hull [min, max]), in `_upwind_steps`
+    steps of `hjb_step` whose stencil, two scratch rows and output row are made once per run."""
+    hi = lo if hi is None else hi
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
-    if not lambda_bar >= 0:
-        raise UsageError(f"lambda_bar must be >= 0, got {lambda_bar}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise UsageError(f"the drift set needs finite lo <= hi, got [{lo}, {hi}]")
     if not (0.0 < cfl <= 1.0):
         raise UsageError(f"cfl must lie in (0, 1], got {cfl}")
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
-    dx = f0.grid.dx
+    dx, lambda_bar = f0.grid.dx, max(abs(lo), abs(hi))
     if (steps := _upwind_steps(t, dx, lambda_bar, cfl)) == math.inf:
         raise UsageError(f"the upwind step count to t = {t:g} on dx = {dx:g} at lambda bound {lambda_bar:g} is inf")
     dt = t / steps
+    stencil, rows = _upwind_stencil(dt, dx, lo, hi), np.empty((2, f0.grid.n_nodes - 2))
     u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
     for _ in range(steps):
-        u, nxt = hjb_step(u, dt, dx, lambda_bar, out=nxt), u
+        u, nxt = _upwind_step(u, nxt, rows, *stencil), u
     return GridFunction._wrap(f0.grid, u)
 
 

@@ -50,7 +50,7 @@ def test_c01_envelope_vs_hjb_oracle():
         grid = make_grid(-10.0, 10.0, n_nodes)
         f = bump(grid, radius=1.0)
         res = nisio_dyadic(GAUSS, 0.5, f, 1e-4, n_max, NORM2)
-        oracle = hjb_upwind(f, 0.5, 1.0, cfl=0.9)
+        oracle = hjb_upwind(f, 0.5, -1.0, 1.0, cfl=0.9)
         dists.append(compare(res.final, oracle, NORM2, 0.05).rel_err)
     ok = dists[0] <= 5e-2 and dists[1] < dists[0]
     report(1, ok, f"rel L2 vs HJB {dists[0]:.3e} <= 5e-2, refined {dists[1]:.3e} decreases")

@@ -149,11 +149,6 @@ EXIT_2 = [
     ("envelope", SHIFT, ("no envelope bound available", "counterexample")),
     ("envelope", {"norm.p": 1}, ("p > 1",)),
     ("compare-ode", {}, ("compare-ode needs compound_poisson",)),
-    # the upwind oracle solves u_t = u_xx / 2 + max|lam| |u_x|, the envelope PDE of a symmetric drift set only
-    ("compare-hjb", {"family.lambda_interval": [0.0, 1.0]},
-     ("`family.lambda_interval`", "symmetric", "min 0 and max 1")),
-    ("compare-hjb", {"family": {"family": "gaussian_drift", "lambda_list": [0.5]}},
-     ("`family.lambda_list`", "symmetric", "min 0.5 and max 0.5")),
     # work past the budget, refused before anything is built past it: 2 400 001 nodes at t = 1e-3 and n_max 12
     # (the level-0 heat kernel alone has 60 717 weights, about 2 h for the run), 3 000 epsilons of the blow-up
     # scan, 2.5e8 RK4 steps, 1.2e9 upwind steps, and 2e6 and 2e12 integral path steps
@@ -496,6 +491,18 @@ class TestRunOtherSubcommands:
         assert run("compare-hjb", path) == 0
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["rel_err"] <= 5e-2
+
+    @pytest.mark.parametrize("family", [{"lambda_interval": [0.0, 1.0]}, {"lambda_list": [0.5]}],
+                             ids=["interval-0-1", "list-0.5"])
+    def test_compare_hjb_asymmetric_drift_set(self, tmp_path, family):
+        # the oracle solves the envelope PDE of the set's hull [min, max], so a
+        # drift set not symmetric about 0 passes on the shipped settings
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "envelope_gaussian.json").read_text())
+        cfg["family"] = {"family": "gaussian_drift", **family}
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-hjb", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 0
+        assert json.loads((tmp_path / "out" / "comparison.json").read_text())["rel_err"] < 5e-2
 
     def test_compare_ode(self, tmp_path):
         out = tmp_path / "out"

@@ -35,8 +35,8 @@ _CP = CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((0.1, 1.0),)))
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda f: hjb_upwind(f, NAN, 1.0), id="hjb-t"),
-    pytest.param(lambda f: hjb_upwind(f, 0.5, NAN), id="hjb-lambda_bar"),
+    pytest.param(lambda f: hjb_upwind(f, NAN, -1.0, 1.0), id="hjb-t"),
+    pytest.param(lambda f: hjb_upwind(f, 0.5, -1.0, NAN), id="hjb-lambda_bar"),
     pytest.param(lambda f: ode_reference(_CP, f, NAN, 0.01), id="ode-t"),
     pytest.param(lambda f: ode_reference(_CP, f, 0.5, NAN), id="ode-dt"),
     pytest.param(lambda f: upper_bound_C(GaussianDrift(LambdaInterval(-1.0, 1.0)), NAN, f, PNorm(2.0)),
@@ -53,14 +53,19 @@ def test_nan_argument_is_usage_error(call):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda f: hjb_upwind(f, 0.5, 1e308), id="hjb-zero-step"),  # lam / dx = inf on dx = 0.1
-    pytest.param(lambda f: hjb_upwind(f, 1e308, 1.0), id="hjb-t"),  # t / dt = 1.2e310
+    pytest.param(lambda f: hjb_upwind(f, 0.5, -1e308, 1e308), id="hjb-zero-step"),  # lam / dx = inf on dx = 0.1
+    pytest.param(lambda f: hjb_upwind(f, 1e308, -1.0, 1.0), id="hjb-t"),  # t / dt = 1.2e310
     pytest.param(lambda f: ode_reference(_CP, f, 0.5, 1e-320), id="ode-dt"),
 ])
 def test_infinite_step_count_is_usage_error(call):
     # not an OverflowError from int(inf)
     with pytest.raises(UsageError, match="step count"):
         call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
+
+
+# drift sets [lo, hi]: symmetric ones by their lambda_bar, then one that reads only D+u and one only D-u
+HULLS = [(-lam, lam) for lam in (0.0, 0.7, 1.0, 1.3)] + [(0.2, 0.9), (-1.3, -0.4)]
+HULL_IDS = [str(hi) if lo == -hi else f"{lo},{hi}" for lo, hi in HULLS]
 
 
 class TestHjbUpwind:
@@ -87,30 +92,65 @@ class TestHjbUpwind:
         viol = monotone_stepper_violation(broken_step, g, rng, pairs=10, dt=0.4 * g.dx**2, steps=30)
         assert viol > 1e-12
 
-    @pytest.mark.parametrize("lambda_bar", [0.0, 0.7, 1.0, 1.3])
-    def test_step_bit_identical_to_formula(self, lambda_bar):
-        # the in-place step against the scheme written out with temporaries
+    @pytest.mark.parametrize("lo, hi", HULLS, ids=HULL_IDS)
+    def test_step_bit_identical_to_formula(self, lo, hi):
+        # the in-place step against its coefficient form written out with
+        # temporaries: the weight |c| dt / dx of each end c on the difference
+        # it is upwind of, and 0 in the max when [lo, hi] holds it
         rng = np.random.default_rng(8)
         u = rng.standard_normal(301)
         dt, dx = 1e-4, 2.0 / 75.0
-        upw = np.maximum.reduce([u[2:] - u[1:-1], u[:-2] - u[1:-1], np.zeros(299)])
+        a, b = u[2:] - u[1:-1], u[:-2] - u[1:-1]
+        ends = [abs(c) * dt / dx * (a if c >= 0.0 else b) for c in (hi, lo)]
+        floor = 0.0 if lo <= 0.0 <= hi else -np.inf
         expected = np.zeros(301)
-        expected[1:-1] = u[1:-1] + dt * (0.5 * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx) + lambda_bar * upw / dx)
-        assert np.array_equal(hjb_step(u, dt, dx, lambda_bar), expected)
+        expected[1:-1] = u[1:-1] + (0.5 * dt / (dx * dx) * (a + b) + np.maximum(np.maximum(*ends), floor))
+        assert np.array_equal(hjb_step(u, dt, dx, lo, hi), expected)
 
     @pytest.mark.parametrize("lambda_bar", [0.0, 0.7, 1.0, 1.3])
-    def test_steps_bit_identical_to_hjb_step_loop(self, lambda_bar):
-        # hjb_upwind reuses its buffers; each step must equal hjb_step's
+    def test_step_near_textbook_formula(self, lambda_bar):
+        # the coefficient form is the textbook step of a symmetric set in
+        # exact arithmetic; in floats the two differ by a few roundings, on
+        # data of six decades of scale and on signed zeros and subnormals
+        rng = np.random.default_rng(9)
+        dt, dx = 1e-4, 2.0 / 75.0
+        data = [10.0**k * rng.standard_normal(301) for k in range(-3, 3)]
+        data.append(rng.choice([0.0, -0.0, 1e-320, -1e-320], 301))
+        for u in data:
+            upw = np.maximum.reduce([u[2:] - u[1:-1], u[:-2] - u[1:-1], np.zeros(299)])
+            textbook = np.zeros(301)
+            textbook[1:-1] = u[1:-1] + dt * (0.5 * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+                                             + lambda_bar * upw / dx)
+            gap = np.max(np.abs(hjb_step(u, dt, dx, -lambda_bar, lambda_bar) - textbook))
+            assert gap <= 4.0 * np.spacing(np.max(np.abs(u))), (gap, np.max(np.abs(u)))
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_single_drift_converges_to_shifted_heat(self, c):
+        # u_t = u_xx / 2 + c u_x is solved by (G_t * f)(x + c t); the upwind
+        # difference is first order in dx, so halving dx about halves the error
+        s, t = 0.5, 0.5
+        errs = []
+        for n in (161, 321):
+            g = make_grid(-8.0, 8.0, n)
+            x = g.nodes()
+            sol = hjb_upwind(GridFunction(g, np.exp(-x**2 / (2.0 * s))), t, c)
+            exact = math.sqrt(s / (s + t)) * np.exp(-((x + c * t) ** 2) / (2.0 * (s + t)))
+            errs.append(np.max(np.abs(sol.samples - exact)))
+        assert errs[0] < 2e-2 and errs[0] / errs[1] >= 1.6, errs
+
+    @pytest.mark.parametrize("lo, hi", HULLS[:4] + HULLS[-1:], ids=HULL_IDS[:4] + HULL_IDS[-1:])
+    def test_steps_bit_identical_to_hjb_step_loop(self, lo, hi):
+        # hjb_upwind makes its stencil and buffers once; each step must equal hjb_step's
         g = make_grid(-4.0, 4.0, 301)  # dx = 2/75, not a power of two
         rng = np.random.default_rng(7)
         for f in (bump(g, radius=1.0), GridFunction(g, rng.standard_normal(301))):
             t = 0.01
-            dt_max = 0.9 / (1.0 / g.dx**2 + lambda_bar / g.dx)
+            dt_max = 0.9 / (1.0 / g.dx**2 + max(abs(lo), abs(hi)) / g.dx)
             steps = math.ceil(t / dt_max)
             u = f.samples
             for _ in range(steps):
-                u = hjb_step(u, t / steps, g.dx, lambda_bar)
-            assert np.array_equal(hjb_upwind(f, t, lambda_bar).samples, u)
+                u = hjb_step(u, t / steps, g.dx, lo, hi)
+            assert np.array_equal(hjb_upwind(f, t, lo, hi).samples, u)
 
     def test_parameter_validation(self):
         g = make_grid(-1.0, 1.0, 101)
@@ -121,6 +161,8 @@ class TestHjbUpwind:
             hjb_upwind(f, 0.1, 1.0, cfl=1.5)
         with pytest.raises(UsageError):
             hjb_upwind(f, -0.1, 1.0)
+        with pytest.raises(UsageError, match="lo <= hi"):
+            hjb_upwind(f, 0.1, 1.0, -1.0)
 
 
 class TestOdeReference:
