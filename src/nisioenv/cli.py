@@ -426,17 +426,17 @@ def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
 
 
 def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, chains: Callable,
-                passes: float = 0.0, hint: str = "") -> None:
+                passes: Callable = lambda: 0) -> None:
     """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
-    operations (see `kernels._Plan`): first an oracle's array `passes` and the
-    one-step suprema of the `chains()` (h, m, repeats), each `repeats` chains
-    of m steps of exactly h planned for `fam`, then the step of each chain,
-    largest first. Once all of it fits, the finest h must be a normal float:
-    below that, h keeps too few bits for m steps of it to add up to m h.
-    `hint` is added when the passes are infinite."""
-    work = passes * (cfg.grid.n_nodes + kernels._CALL_WORK)
+    operations (see `kernels._Plan`): first an oracle's array `passes()` and
+    the one-step suprema of the `chains()` (h, m, repeats), each `repeats`
+    chains of m steps of exactly h planned for `fam`, then the step of each
+    chain, largest first. Once all of it fits, the finest h must be a normal
+    float: below that, h keeps too few bits for m steps of it to add up to m h.
+    A rule that `passes()` or `chains()` breaks is the same error."""
     keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
+        work = passes() * (cfg.grid.n_nodes + kernels._CALL_WORK)
         chains = sorted(chains())
         work += sum(m * repeats for _, m, repeats in chains) * kernels._CALL_WORK
         if work <= _MAX_WORK:
@@ -451,7 +451,7 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, cha
         raise ConfigurationError(f"{keys}: {exc}") from None
     if work > _MAX_WORK:
         raise ConfigurationError(f"{keys} ask for at least {work:.3g} node operations; "
-                                 f"at most {_MAX_WORK:.3g} (the work budget){hint if passes == math.inf else ''}")
+                                 f"at most {_MAX_WORK:.3g} (the work budget)")
 
 
 def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
@@ -496,11 +496,8 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
         lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
         cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
-        if cfl > 1.0:
-            raise ConfigurationError(f"key `hjb.cfl` must lie in (0, 1], got {cfl}")
         _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", lambda: levels,
-                    reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl),
-                    "; the upwind steps are not a finite count: lower the drift bound or `time.t`, or coarsen `grid`")
+                    lambda: reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
                        oracle=lambda c: reference.hjb_upwind(c.initial, c.t, lams[0], lams[-1], cfl=cfl))
     if subcommand == "compare-ode":
@@ -508,7 +505,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
         dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
         _check_work(cfg, cfg.family, keys + ", `ode.dt`", lambda: levels,
-                    reference._rk4_passes(cfg.family, t, dt))
+                    lambda: reference._rk4_passes(cfg.family, t, dt))
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":
@@ -521,7 +518,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
             epsilons = [_finite(e, "counterexample.epsilons") for e in opts["epsilons"]]
         epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
         _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`",
-                    lambda: [(t, 1, len(epsilons))], len(epsilons) * reference._SCAN_PASSES)
+                    lambda: [(t, 1, len(epsilons))], lambda: len(epsilons) * reference._SCAN_PASSES)
         return partial(_cmd_counterexample, t=t, epsilons=epsilons)
     if scale not in ("small", "full"):
         raise ConfigurationError(f"scale must be small or full, got {scale!r}")

@@ -58,15 +58,15 @@ class Grid:
 
 def make_grid(lower: float, upper: float, n_nodes: int) -> Grid:
     """Build a uniform grid; rejects degenerate intervals, n_nodes < 2 and a
-    spacing whose square is not a normal float."""
+    spacing whose square is not a normal float, so a width past the floats."""
     if not (upper > lower):
         raise ConfigurationError(f"grid needs upper > lower, got [{lower}, {upper}]")
     if n_nodes < 2:
         raise ConfigurationError(f"grid needs n_nodes >= 2, got {n_nodes}")
     dx = (upper - lower) / (n_nodes - 1)
-    if not dx * dx >= sys.float_info.min:  # the difference and step formulas divide by dx^2
-        raise ConfigurationError(
-            f"grid spacing dx = {dx:g} on [{lower}, {upper}] is too fine: dx^2 underflows the float range")
+    if not sys.float_info.min <= dx * dx <= sys.float_info.max:  # the difference and step formulas use dx^2
+        word = "fine: dx^2 underflows" if dx < 1.0 else "coarse: dx^2 overflows"
+        raise ConfigurationError(f"grid spacing dx = {dx:g} on [{lower}, {upper}] is too {word} the float range")
     return Grid(float(lower), float(upper), int(n_nodes), dx)
 
 

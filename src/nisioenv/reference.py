@@ -33,13 +33,18 @@ __all__ = [
 ]
 
 
-def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
-    """Steps `hjb_upwind` takes to reach t > 0, for lam_bar the largest |lam| of the drift set: the step obeys
+def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
+    """Steps `hjb_upwind` takes to reach t >= 0, for lam_bar the largest |lam| of the drift set: the step obeys
     dt <= cfl * min(dx^2, dx/lam_bar); it is cfl / (1/dx^2 + lam_bar/dx), which also keeps every stencil weight
-    nonnegative, so the scheme is monotone for any cfl in (0, 1]; inf when lam_bar / dx or t / dt overflows."""
+    nonnegative, so the scheme is monotone for any cfl in (0, 1]. The oracle's one step rule: a UsageError for a
+    cfl outside (0, 1] and for a count that is not finite (lam_bar / dx or t / dt overflows)."""
+    if not 0.0 < cfl <= 1.0:
+        raise UsageError(f"cfl must lie in (0, 1], got {cfl}")
     dt = cfl / (1.0 / (dx * dx) + lambda_bar / dx)
-    ratio = t / dt if dt > 0.0 else math.inf
-    return max(1, math.ceil(ratio)) if ratio < math.inf else ratio
+    if not (dt > 0.0 and t / dt < math.inf):
+        raise UsageError(f"the upwind step count to t = {t:g} on dx = {dx:g} at lambda bound {lambda_bar:g} "
+                         "is not finite")
+    return max(1, math.ceil(t / dt))
 
 
 def _upwind_passes(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
@@ -47,15 +52,21 @@ def _upwind_passes(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
     return 10.0 * _upwind_steps(t, dx, lambda_bar, cfl)
 
 
-def _rk4_steps(t: float, dt: float) -> float:
-    """Steps `ode_reference` takes to reach t > 0: t / dt rounded, at least one; inf past the float range."""
-    return max(1, round(t / dt)) if t / dt < math.inf else math.inf
+def _rk4_steps(t: float, dt: float) -> int:
+    """Steps `ode_reference` takes to reach t >= 0: t / dt rounded, at least one. The oracle's one step rule: a
+    UsageError for a dt that is not > 0 and for a count that is not finite."""
+    if not dt > 0:
+        raise UsageError(f"dt must be > 0, got {dt}")
+    if not t / dt < math.inf:
+        raise UsageError(f"the RK4 step count t / dt = {t:g} / {dt:g} is not finite")
+    return max(1, round(t / dt))
 
 
 def _rk4_passes(fam: CompoundPoisson, t: float, dt: float) -> float:
     """Array passes of `ode_reference` over the grid: per step four stages of 4 per atom, 2 per
-    candidate of the sup (an interval's two ends) and 4 more, and 16 for the update and its check."""
-    return _rk4_steps(t, dt) * (4 * (4 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 4) + 16)
+    candidate of the sup (an interval's two ends) and 4 more, and 16 for the update and its check; a float, so
+    a count near the float range prices as inf, not as an int too large to format."""
+    return _rk4_steps(t, dt) * (4.0 * (4 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 4) + 16)
 
 
 def _upwind_stencil(dt: float, dx: float, lo: float, hi: float) -> tuple:
@@ -85,39 +96,31 @@ def _upwind_step(u: np.ndarray, out: np.ndarray, rows: np.ndarray, c2: float, en
     return out
 
 
-def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
+def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = None) -> np.ndarray:
     """One explicit Euler step of the upwind scheme for u_t = u_xx / 2 + sup_{lam in [lo, hi]} lam u_x (the
     single drift lo when hi is None), zero Dirichlet boundary.
 
     Diffusion by central differences; the Hamiltonian by the monotone
     upwind form, the max over the ends c of c D+u for c >= 0 and |c| (-D-u)
-    for c < 0, and of 0 when 0 lies in [lo, hi]. Writes into `out` when
-    given (it must not share memory with u) and returns it.
+    for c < 0, and of 0 when 0 lies in [lo, hi].
     """
-    if out is None:
-        out = np.empty_like(u)
-    return _upwind_step(u, out, np.empty((2, u.size - 2)), *_upwind_stencil(dt, dx, lo, lo if hi is None else hi))
+    hi = lo if hi is None else hi  # the single-drift form, which perfbench/micro.py calls
+    return _upwind_step(u, np.empty_like(u), np.empty((2, u.size - 2)), *_upwind_stencil(dt, dx, lo, hi))
 
 
-def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float | None = None, cfl: float = 0.9) -> GridFunction:
-    """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (the single
-    drift lo when hi is None; a list has the supremum generator of its hull [min, max]), in `_upwind_steps`
-    steps of `hjb_step` whose stencil, two scratch rows and output row are made once per run."""
-    hi = lo if hi is None else hi
+def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = 0.9) -> GridFunction:
+    """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (a list has the
+    supremum generator of its hull [min, max]), in `_upwind_steps` steps of `hjb_step` whose stencil, two scratch
+    rows and output row are made once per run."""
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise UsageError(f"the drift set needs finite lo <= hi, got [{lo}, {hi}]")
-    if not (0.0 < cfl <= 1.0):
-        raise UsageError(f"cfl must lie in (0, 1], got {cfl}")
+    steps = _upwind_steps(t, f0.grid.dx, max(abs(lo), abs(hi)), cfl)
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
-    dx, lambda_bar = f0.grid.dx, max(abs(lo), abs(hi))
-    if (steps := _upwind_steps(t, dx, lambda_bar, cfl)) == math.inf:
-        raise UsageError(f"the upwind step count to t = {t:g} on dx = {dx:g} at lambda bound {lambda_bar:g} is inf")
     dt = t / steps
-    stencil, rows = _upwind_stencil(dt, dx, lo, hi), np.empty((2, f0.grid.n_nodes - 2))
+    stencil, rows = _upwind_stencil(dt, f0.grid.dx, lo, hi), np.empty((2, f0.grid.n_nodes - 2))
     u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
     for _ in range(steps):
         u, nxt = _upwind_step(u, nxt, rows, *stencil), u
@@ -138,14 +141,11 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
     """
     if not isinstance(fam, CompoundPoisson):
         raise UsageError("ode_reference is defined for compound Poisson families only")
-    if not dt > 0:
-        raise UsageError(f"dt must be > 0, got {dt}")
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
+    steps = _rk4_steps(t, dt)
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
-    if (steps := _rk4_steps(t, dt)) == math.inf:
-        raise UsageError(f"the RK4 step count t / dt = {t:g} / {dt:g} is inf")
     dt = t / steps
     n = f0.grid.n_nodes
     src, mix = _jump_mixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)

@@ -161,13 +161,19 @@ EXIT_2 = [
     ("compare-hjb", {"time.t": 1e6}, (BUDGET, "`grid`", "`time.t`", "`hjb.cfl`")),
     ("derivative", {"derivative.quad_nodes": 1_000_001}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
     ("derivative", {"derivative.quad_nodes": 10**12 + 1}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
-    # t / dt is inf; t / dt overflows the upwind count; lam / dx is inf in the upwind step
-    ("compare-ode", {**CP, "ode.dt": 1e-320}, (BUDGET, "`ode.dt`", "`time.t`")),
-    ("compare-hjb", {"time.t": 1e306}, (BUDGET, "`time.t`", "`grid`")),
+    # 1e308 RK4 steps are a finite count whose passes overflow to inf
+    ("compare-ode", {**CP, "time.t": 1e300, "ode.dt": 1e-8}, (BUDGET, "`ode.dt`", "`time.t`")),
+    # the oracles' step rules: t / dt is inf; t / dt overflows the upwind count; lam / dx is inf in the upwind step
+    ("compare-ode", {**CP, "ode.dt": 1e-320}, ("RK4 step count", "is not finite", "`ode.dt`", "`time.t`")),
+    ("compare-hjb", {"time.t": 1e306}, ("upwind step count", "is not finite", "`time.t`", "`grid`")),
     ("compare-hjb", {"family.lambda_interval": [-1e307, 1e307]},
-     (BUDGET + "; the upwind steps are not a finite count", "`family.lambda_interval`")),
+     ("upwind step count", "is not finite", "`family.lambda_interval`")),
     # dx^2 of 2.5e-301 underflows to 0, and the C(h) factor exp((q-1) t lam^2 / 2) is exp(900)
     ("compare-hjb", {"grid": {"lower": 0.0, "upper": 1e-300, "n_nodes": 5}}, ("dx^2 underflows",)),
+    # dx^2 overflows: dx = 3.9e297, and dx = inf on a width past the float range, where node 0 is NaN
+    ("envelope", {"grid.lower": -8.0, "grid.upper": 1e300, "grid.n_nodes": 257}, ("dx^2 overflows",)),
+    *[(sub, {"grid.lower": -1e308, "grid.upper": 1e308}, ("dx^2 overflows",))
+      for sub in ("compare-hjb", "counterexample", "derivative")],
     ("envelope", {"family.lambda_interval": [-60.0, 60.0], "time.t": 0.5},
      ("C(h) growth factor", "`family.lambda_interval`")),
     # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
@@ -495,14 +501,17 @@ class TestRunOtherSubcommands:
     @pytest.mark.parametrize("family", [{"lambda_interval": [0.0, 1.0]}, {"lambda_list": [0.5]}],
                              ids=["interval-0-1", "list-0.5"])
     def test_compare_hjb_asymmetric_drift_set(self, tmp_path, family):
-        # the oracle solves the envelope PDE of the set's hull [min, max], so a
-        # drift set not symmetric about 0 passes on the shipped settings
+        # the oracle solves the envelope PDE of the set's hull [min, max], so a drift set not
+        # symmetric about 0 passes on the shipped settings; a second run writes the same bytes
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "envelope_gaussian.json").read_text())
         cfg["family"] = {"family": "gaussian_drift", **family}
-        with pytest.raises(SystemExit) as exc:
-            main(["compare-hjb", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")])
-        assert exc.value.code == 0
-        assert json.loads((tmp_path / "out" / "comparison.json").read_text())["rel_err"] < 5e-2
+        for out in ("out1", "out2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compare-hjb", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / out)])
+            assert exc.value.code == 0
+        assert json.loads((tmp_path / "out1" / "comparison.json").read_text())["rel_err"] < 5e-2
+        for name in ("hjb.csv", "comparison.json"):
+            assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes(), name
 
     def test_compare_ode(self, tmp_path):
         out = tmp_path / "out"
@@ -527,6 +536,16 @@ class TestRunOtherSubcommands:
             assert run("compare-ode", write_config(tmp_path, cfg, f"{kind}.json")) in (0, 1)
         for name in ("envelope.csv", "comparison.json", "ode.csv"):
             assert (outs["lambda_interval"] / name).read_bytes() == (outs["lambda_list"] / name).read_bytes(), name
+
+    def test_compare_ode_jump_atom_beyond_the_grid(self, tmp_path):
+        # an atom at 1e12 reads only zero padding: its stencil index is clamped
+        # to the grid size, so no padding of 1e14 nodes is built
+        out = tmp_path / "out"
+        cfg = base_config(out, ode={"dt": 1e-2}, family={"family": "compound_poisson", "lambda_list": [0.0, 1.0],
+                                                         "jump_atoms": [[1.0, 0.5], [1e12, 0.5]]})
+        cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 5}
+        assert run("compare-ode", write_config(tmp_path, cfg)) in (0, 1)
+        assert json.loads((out / "report.json").read_text())["checks"]
 
     def test_counterexample(self, tmp_path):
         out = tmp_path / "out"

@@ -40,6 +40,13 @@ class TestMakeGrid:
             make_grid(1.0, 1.0, 10)
         with pytest.raises(ConfigurationError):
             make_grid(2.0, 1.0, 10)
+        # dx^2 must be a normal float: 2.5e-601 underflows, 1.5e595 overflows, and so does dx = inf on a
+        # width past the float range
+        for lower, upper, n_nodes, words in ((0.0, 1e-300, 5, "underflows"), (-8.0, 1e300, 257, "overflows"),
+                                             (-1e308, 1e308, 5, "overflows")):
+            with pytest.raises(ConfigurationError, match=f"dx\\^2 {words}"):
+                make_grid(lower, upper, n_nodes)
+        assert make_grid(-1e154, 1e154, 3).dx == 1e154  # dx^2 = 1e308 is normal
 
 
 class TestLpNorm:

@@ -21,6 +21,8 @@ from nisioenv.kernels import (
     upper_bound_C,
 )
 from nisioenv.reference import (
+    _rk4_steps,
+    _upwind_steps,
     compare,
     counterexample_scan,
     hjb_step,
@@ -52,15 +54,32 @@ def test_nan_argument_is_usage_error(call):
         call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda f: hjb_upwind(f, 0.5, -1e308, 1e308), id="hjb-zero-step"),  # lam / dx = inf on dx = 0.1
-    pytest.param(lambda f: hjb_upwind(f, 1e308, -1.0, 1.0), id="hjb-t"),  # t / dt = 1.2e310
-    pytest.param(lambda f: ode_reference(_CP, f, 0.5, 1e-320), id="ode-dt"),
-])
-def test_infinite_step_count_is_usage_error(call):
-    # not an OverflowError from int(inf)
-    with pytest.raises(UsageError, match="step count"):
+# each oracle call beside the call of its step function, which states the rule the call breaks: a count that
+# is not finite, then a cfl or dt out of range at t = 0.5 and at t = 0 (the rule is checked before t = 0 returns)
+STEP_RULES = [
+    pytest.param(lambda f: hjb_upwind(f, 0.5, -1e308, 1e308), lambda: _upwind_steps(0.5, 0.1, 1e308, 0.9),
+                 id="hjb-zero-step"),  # lam / dx = inf on dx = 0.1
+    pytest.param(lambda f: hjb_upwind(f, 1e308, -1.0, 1.0), lambda: _upwind_steps(1e308, 0.1, 1.0, 0.9),
+                 id="hjb-t"),  # t / dt = 1.2e310
+    pytest.param(lambda f: ode_reference(_CP, f, 0.5, 1e-320), lambda: _rk4_steps(0.5, 1e-320), id="ode-dt"),
+    *[pytest.param(lambda f, t=t, cfl=cfl: hjb_upwind(f, t, -1.0, 1.0, cfl=cfl),
+                   lambda t=t, cfl=cfl: _upwind_steps(t, 0.1, 1.0, cfl), id=f"hjb-cfl{cfl:g}-t{t:g}")
+      for cfl in (0.0, 1.5) for t in (0.5, 0.0)],
+    *[pytest.param(lambda f, t=t, dt=dt: ode_reference(_CP, f, t, dt), lambda t=t, dt=dt: _rk4_steps(t, dt),
+                   id=f"ode-dt{dt:g}-t{t:g}")
+      for dt in (0.0, NAN) for t in (0.5, 0.0)],
+]
+
+
+@pytest.mark.parametrize("call, rule", STEP_RULES)
+def test_infinite_step_count_is_usage_error(call, rule):
+    # the oracle raises its step function's UsageError: not an OverflowError from int(inf), and not a check of
+    # its own
+    with pytest.raises(UsageError) as stated:
+        rule()
+    with pytest.raises(UsageError) as raised:
         call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
+    assert str(raised.value) == str(stated.value)
 
 
 # drift sets [lo, hi]: symmetric ones by their lambda_bar, then one that reads only D+u and one only D-u
@@ -74,7 +93,7 @@ class TestHjbUpwind:
         g = make_grid(-10.0, 10.0, 2001)
         s0, t = 0.5, 0.5
         f = gaussian_profile(g, sigma=math.sqrt(s0))
-        sol = hjb_upwind(f, t, 0.0)
+        sol = hjb_upwind(f, t, 0.0, 0.0)
         exact = GridFunction(g, math.sqrt(s0 / (s0 + t)) * np.exp(-g.nodes() ** 2 / (2.0 * (s0 + t))))
         assert compare(sol, exact, norm2).rel_err < 1e-3
 
@@ -133,7 +152,7 @@ class TestHjbUpwind:
         for n in (161, 321):
             g = make_grid(-8.0, 8.0, n)
             x = g.nodes()
-            sol = hjb_upwind(GridFunction(g, np.exp(-x**2 / (2.0 * s))), t, c)
+            sol = hjb_upwind(GridFunction(g, np.exp(-x**2 / (2.0 * s))), t, c, c)
             exact = math.sqrt(s / (s + t)) * np.exp(-((x + c * t) ** 2) / (2.0 * (s + t)))
             errs.append(np.max(np.abs(sol.samples - exact)))
         assert errs[0] < 2e-2 and errs[0] / errs[1] >= 1.6, errs
@@ -156,11 +175,7 @@ class TestHjbUpwind:
         g = make_grid(-1.0, 1.0, 101)
         f = bump(g, radius=0.3)
         with pytest.raises(UsageError):
-            hjb_upwind(f, 0.1, 1.0, cfl=0.0)
-        with pytest.raises(UsageError):
-            hjb_upwind(f, 0.1, 1.0, cfl=1.5)
-        with pytest.raises(UsageError):
-            hjb_upwind(f, -0.1, 1.0)
+            hjb_upwind(f, -0.1, 1.0, 1.0)
         with pytest.raises(UsageError, match="lo <= hi"):
             hjb_upwind(f, 0.1, 1.0, -1.0)
 
