@@ -377,10 +377,14 @@ def _cmd_derivative(cfg: ExperimentConfig, outdir: Path, quad_nodes: int, path_s
 
 
 def _cmd_compare(cfg: ExperimentConfig, outdir: Path, oracle, name: str, check: str, tol: float,
-                 margin: float) -> list[CheckResult]:
-    """The envelope against the oracle solution `oracle(cfg)`, written as `<name>.csv`."""
+                 margin: float, stage_ms: dict) -> list[CheckResult]:
+    """The envelope against the oracle solution `oracle(cfg)`, written as `<name>.csv`; the time of each goes
+    into `stage_ms` as the spans `envelope` and `oracle`."""
+    t0 = time.perf_counter()
     res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
+    t1 = time.perf_counter()
     solution = oracle(cfg)
+    stage_ms.update(envelope=(t1 - t0) * 1000.0, oracle=(time.perf_counter() - t1) * 1000.0)
     comp = reference.compare(res.final, solution, cfg.norm, margin)
     _write_json(outdir / "comparison.json", comp.to_json_dict(margin))
     funcspace.write_csv(res.final, outdir / "envelope.csv")
@@ -454,9 +458,10 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, cha
                                  f"at most {_MAX_WORK:.3g} (the work budget)")
 
 
-def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
+def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str, stage_ms: dict):
     """Parse and range-check the options of one subcommand before anything is
-    written; returns its handler with the parsed values bound."""
+    written; returns its handler with the parsed values bound, and `stage_ms`
+    to those that time their own stages (`compare-hjb`, `compare-ode`)."""
     if subcommand not in ("counterexample", "verify"):  # the subcommands that read the initial data
         with np.errstate(over="ignore"):  # an overflow is the error reported here
             f_norm = lp_norm(cfg.initial, cfg.norm)
@@ -499,6 +504,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", lambda: levels,
                     lambda: reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
         return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
+                       stage_ms=stage_ms,
                        oracle=lambda c: reference.hjb_upwind(c.initial, c.t, lams[0], lams[-1], cfl=cfl))
     if subcommand == "compare-ode":
         if not isinstance(cfg.family, CompoundPoisson):
@@ -507,6 +513,7 @@ def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str):
         _check_work(cfg, cfg.family, keys + ", `ode.dt`", lambda: levels,
                     lambda: reference._rk4_passes(cfg.family, t, dt))
         return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
+                       stage_ms=stage_ms,
                        oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
     if subcommand == "counterexample":
         opts = cfg.options.get("counterexample", {})
@@ -530,13 +537,14 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
     if subcommand not in SUBCOMMANDS:
         print(f"configuration error: unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
+    stage_ms = {}  # the spans a handler times within its run, next to the subcommand's total
     try:  # the one place where a rule broken by the config becomes exit 2
         cfg = load_config(config_path)
         if out_dir is not None:
             cfg.output_dir = str(out_dir)
         if seed is not None:
             cfg.seed = _count({"seed": seed}, "seed", "--")
-        job = _subcommand_job(cfg, subcommand, scale)
+        job = _subcommand_job(cfg, subcommand, scale, stage_ms)
         _check_keys(cfg.raw)
         outdir = Path(cfg.output_dir)
         taken = [name for name in ("report.json", "timings.json", *_ARTIFACTS[subcommand]) if (outdir / name).is_dir()]
@@ -560,7 +568,7 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
     _write_json(outdir / "report.json", {"subcommand": subcommand, "config": {**echo, "seeds": cfg.seed},
                                          "checks": [c.to_json_dict() for c in checks],
                                          "provenance": {"version": __version__, "seed": cfg.seed}, "passed": passed})
-    _write_json(outdir / "timings.json", {"stage_ms": {subcommand: elapsed_ms}})
+    _write_json(outdir / "timings.json", {"stage_ms": {subcommand: elapsed_ms, **stage_ms}})
     n_pass = sum(1 for c in checks if c.passed)
     print(f"[{subcommand}] {'PASS' if passed else 'FAIL'} ({n_pass}/{len(checks)} checks) -> {outdir}")
     return 0 if passed else 1

@@ -199,16 +199,20 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
     integer max already and is left out. The rest are folded as
     max(max of the endpoints, integer max): np.maximum keeps its second
     operand on a tie between +0 and -0, so this order gives the bits of the
-    max over all candidates. Every shift is a view of u held in one
-    `_ZeroPadded`, clamped to [-n, n] (farther shifts read only zeros); the
-    offsets, the endpoint splits and the padding width are worked out here,
-    once."""
+    max over all candidates. A window with the one offset m (a sub-cell
+    window) maxes shift m into the endpoints' max in place, or copies it.
+    Every shift is a view of u held in one `_ZeroPadded`, clamped to [-n, n]
+    (farther shifts read only zeros); the offsets, the endpoint splits and
+    the padding width are worked out here, once."""
     ml = math.ceil(lo / dx - _SNAP_TOL)
     mh = math.floor(hi / dx + _SNAP_TOL)
     splits = [(_shift_split(end, dx), _clamped_split(end, dx, n)) for end in (lo, hi)]
     ends = [split for (k, frac), split in splits if frac or not ml <= k <= mh]
-    reads, int_max = ends, None
-    if ml <= mh:
+    reads, int_max, one = ends, None, None
+    if ml == mh:
+        one = min(max(ml, -n), n)
+        reads = ends + [(one, one, 0.0)]
+    elif ml < mh:
         int_reads, int_max = _int_max_plan(n, ml, mh)
         reads = ends + int_reads
     width = _ZeroPadded.width_for(reads)
@@ -216,16 +220,18 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
     def window(u: np.ndarray) -> np.ndarray:
         held = _ZeroPadded(width, n, u)
         top = None
-        for split in ends:
-            cand = held.interp(split)
-            top = cand if top is None else np.maximum(top, cand)
+        for split in ends:  # each end into a fresh array, which the maxes below may write
+            cand = held.interp(split, np.empty(n))
+            top = cand if top is None else np.maximum(top, cand, out=top)
+        if one is not None:
+            return held.shift(one).copy() if top is None else np.maximum(top, held.shift(one), out=top)
         if int_max is None:  # no node in the window: both endpoints are candidates
             return top
         out = int_max(held)
         return out if top is None else np.maximum(top, out, out=out)
 
     # the padded copy, each end, the last max and the fold's passes (the filter's: the fold's at the cutover)
-    folded = max(0, min(mh - ml + 1, 2 * n + 1, _FILTER_CUTOVER))
+    folded = max(0, min(mh - ml + 1, 2 * n + 1, _FILTER_CUTOVER)) if ml < mh else 0
     return _Plan(window, (3 + 4 * len(ends)) * (n + _CALL_WORK) + folded.bit_length() * (n + folded + _CALL_WORK))
 
 
@@ -260,11 +266,9 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     The members share their family's linear part (see `kernels._member_plan`),
     and their nodewise max is taken over the member arrays. The work is
     planned once per (family, h, dx, n) by `_step_plan`; each call computes
-    on arrays and wraps its fresh result without a copy.
+    on arrays and wraps its fresh result without a copy: a chain of one step.
     """
-    if not h > 0:
-        raise UsageError(f"step size must be > 0, got {h}")
-    return GridFunction._wrap(f.grid, _step_plan(fam, h, f.grid.dx, f.grid.n_nodes).run(f.samples))
+    return _chain(fam, h, 1, f)
 
 
 def apply_partition(fam: KernelFamily, pi: Partition, f: GridFunction) -> GridFunction:
@@ -288,11 +292,19 @@ def _boundary_leakage(f: GridFunction, norm: PNorm) -> float:
 
 
 def _chain(fam: KernelFamily, h: float, m: int, f: GridFunction) -> GridFunction:
-    """J_h^m f: m one-step suprema of exactly h from f. f is held no longer
-    than its first step needs it."""
-    for _ in range(m):
-        f = step_J(fam, h, f)
-    return f
+    """J_h^m f: m >= 1 one-step suprema of exactly h > 0 from f, on one step
+    plan. Each step's fresh array is checked finite, the last one as it is
+    wrapped. f is held no longer than its first step needs it."""
+    if not h > 0:
+        raise UsageError(f"step size must be > 0, got {h}")
+    grid, arr = f.grid, f.samples
+    run = _step_plan(fam, h, grid.dx, grid.n_nodes).run
+    del f
+    for _ in range(m - 1):
+        arr = run(arr)
+        if not np.isfinite(arr).all():
+            raise UsageError("samples must all be finite")
+    return GridFunction._wrap(grid, run(arr))
 
 
 def nisio_dyadic(

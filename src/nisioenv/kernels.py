@@ -325,17 +325,20 @@ def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callab
     `_jump_stencil`, for one call: src holds the samples to mix (write them
     into src.samples) inside the zero padding the jumps read, and mix(out)
     writes sum_j w_j * src(x + y_j) into out and returns it, the terms added
-    to zeros atom by atom. Nothing here outlives the call that made it."""
+    to zeros atom by atom. Each atom's views of src and its weights are
+    worked out here, once; nothing here outlives the call that made it."""
     width, rows = stencil
-    src, term = _ZeroPadded(width, n), np.empty(n)
+    src, term, tmp = _ZeroPadded(width, n), np.empty(n), np.empty(n)
+    reads = [(w, frac, 1.0 - frac, src.shift(k), src.shift(k1) if frac else None) for (k, k1, frac), w in rows]
 
     def mix(out: np.ndarray) -> np.ndarray:
-        for j, (split, w) in enumerate(rows):
+        for j, (w, frac, near_w, near, far) in enumerate(reads):
             dst = out if j == 0 else term
-            if split[2] == 0.0:  # a whole-node jump: one pass over its view
-                np.multiply(w, src.shift(split[0]), out=dst)
-            else:
-                src.interp(split, out=dst)
+            if frac == 0.0:  # a whole-node jump: one pass over its view
+                np.multiply(w, near, out=dst)
+            else:  # the interpolated shift of `_ZeroPadded.interp`, then its weight
+                np.multiply(near_w, near, out=dst)
+                dst += np.multiply(frac, far, out=tmp)
                 dst *= w
             # the first term is added to +0.0 where it is made: the bits of a
             # zero-filled sum, one pass fewer
@@ -380,20 +383,21 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
         weights = [_poisson_weights(lam * t) for lam in lams]
         depth = max((len(w) for w in weights), default=1)
         stencil = _jump_stencil(fam.mu, dx, n)
-        # a power of mu makes up to four passes per atom and one copy, each row two per term
-        work = (len(lams) + (depth - 1) * (4 * len(fam.mu.atoms) + 1 + 2 * len(lams))) * (n + _CALL_WORK)
+        # two paddings and f copied in; a power of mu makes up to five passes per atom, each row two per term
+        work = (len(lams) + 3 + (depth - 1) * (5 * len(fam.mu.atoms) + 2 * len(lams))) * (n + _CALL_WORK)
 
         def fill(rows: np.ndarray, arr: np.ndarray) -> None:
-            # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0;
-            # only the current power mu^{*j} f is kept
+            # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0; each
+            # power is mixed from the padding of the one before into the other
             for row, w in zip(rows, weights):
                 np.multiply(w[0], arr, out=row)
             if depth == 1:
                 return
-            (src, mix), power, term = _jump_mixer(stencil, n), np.empty(n), np.empty(n)
+            (src, mix), (dst, mix_dst), term = _jump_mixer(stencil, n), _jump_mixer(stencil, n), np.empty(n)
             src.samples[:] = arr
             for j in range(1, depth):
-                src.samples[:] = mix(power)
+                power = mix(dst.samples)
+                (src, mix), (dst, mix_dst) = (dst, mix_dst), (src, mix)
                 for row, w in zip(rows, weights):
                     if j < len(w):
                         row += np.multiply(w[j], power, out=term)

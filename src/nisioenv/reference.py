@@ -63,10 +63,10 @@ def _rk4_steps(t: float, dt: float) -> int:
 
 
 def _rk4_passes(fam: CompoundPoisson, t: float, dt: float) -> float:
-    """Array passes of `ode_reference` over the grid: per step four stages of 4 per atom, 2 per
-    candidate of the sup (an interval's two ends) and 4 more, and 16 for the update and its check; a float, so
-    a count near the float range prices as inf, not as an int too large to format."""
-    return _rk4_steps(t, dt) * (4.0 * (4 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 4) + 16)
+    """Array passes of `ode_reference` over the grid: per step four stages of up to 5 per atom (the jump mix), 1
+    for mu * s - s and 2 per candidate of the sup (an interval's two ends), 6 for three stage sums and 9 for the
+    update and its check; a float, so a count near the float range prices as inf, not an int too large to format."""
+    return _rk4_steps(t, dt) * (4.0 * (5 * len(fam.mu.atoms) + 2 * len(fam.lambda_set.candidates) + 1) + 15)
 
 
 def _upwind_stencil(dt: float, dx: float, lo: float, hi: float) -> tuple:
@@ -78,12 +78,18 @@ def _upwind_stencil(dt: float, dx: float, lo: float, hi: float) -> tuple:
     return 0.5 * dt / (dx * dx), ends[::-1] if lo >= 0.0 else ends, 0.0 if lo <= 0.0 <= hi else -math.inf
 
 
-def _upwind_step(u: np.ndarray, out: np.ndarray, rows: np.ndarray, c2: float, ends: list, floor: float) -> np.ndarray:
+def _upwind_views(u: np.ndarray, out: np.ndarray) -> tuple:
+    """The rows one upwind step from u into out reads and writes: u[1:-1], u[2:], u[:-2] and out[1:-1]."""
+    return u[1:-1], u[2:], u[:-2], out[1:-1]
+
+
+def _upwind_step(views: tuple, rows: np.ndarray, c2: float, ends: list, floor: float) -> None:
     """out[1:-1] = u[1:-1] + (c2 (a + b) + max(hi term, lo term, floor)) on the `_upwind_stencil`, in 10 array
-    passes over the two scratch rows (a, b) and out, which must not share memory with u."""
-    mid, (a, b), s = u[1:-1], rows, out[1:-1]
-    np.subtract(u[2:], mid, out=a)
-    np.subtract(u[:-2], mid, out=b)
+    passes over the two scratch rows (a, b) and out, given the `_upwind_views` of u and out, which must not
+    share memory. out's ends are left as they are."""
+    (mid, right, left, s), (a, b) = views, rows
+    np.subtract(right, mid, out=a)
+    np.subtract(left, mid, out=b)
     np.add(a, b, out=s)
     s *= c2
     for dst, c, src in ends:
@@ -92,8 +98,6 @@ def _upwind_step(u: np.ndarray, out: np.ndarray, rows: np.ndarray, c2: float, en
     np.maximum(a, floor, out=a)
     s += a
     np.add(mid, s, out=s)
-    out[0] = out[-1] = 0.0
-    return out
 
 
 def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = None) -> np.ndarray:
@@ -105,13 +109,17 @@ def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = 
     for c < 0, and of 0 when 0 lies in [lo, hi].
     """
     hi = lo if hi is None else hi  # the single-drift form, which perfbench/micro.py calls
-    return _upwind_step(u, np.empty_like(u), np.empty((2, u.size - 2)), *_upwind_stencil(dt, dx, lo, hi))
+    out = np.empty_like(u)
+    out[0] = out[-1] = 0.0
+    _upwind_step(_upwind_views(u, out), np.empty((2, u.size - 2)), *_upwind_stencil(dt, dx, lo, hi))
+    return out
 
 
 def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = 0.9) -> GridFunction:
     """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (a list has the
-    supremum generator of its hull [min, max]), in `_upwind_steps` steps of `hjb_step` whose stencil, two scratch
-    rows and output row are made once per run."""
+    supremum generator of its hull [min, max]), in `_upwind_steps` steps of `hjb_step`. Its stencil, two scratch
+    rows, two zeroed buffers and their row views are made once per run: the first step reads f0 itself, the others
+    alternate between the buffers, whose ends stay 0."""
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -120,11 +128,13 @@ def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = 0.
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
     dt = t / steps
-    stencil, rows = _upwind_stencil(dt, f0.grid.dx, lo, hi), np.empty((2, f0.grid.n_nodes - 2))
-    u, nxt = f0.samples.copy(), np.empty(f0.grid.n_nodes)
-    for _ in range(steps):
-        u, nxt = _upwind_step(u, nxt, rows, *stencil), u
-    return GridFunction._wrap(f0.grid, u)
+    c2, ends, floor = _upwind_stencil(dt, f0.grid.dx, lo, hi)
+    rows, u, nxt = np.empty((2, f0.grid.n_nodes - 2)), np.zeros(f0.grid.n_nodes), np.zeros(f0.grid.n_nodes)
+    _upwind_step(_upwind_views(f0.samples, nxt), rows, c2, ends, floor)
+    forth, back = _upwind_views(nxt, u), _upwind_views(u, nxt)
+    for k in range(1, steps):
+        _upwind_step(forth if k & 1 else back, rows, c2, ends, floor)
+    return GridFunction._wrap(f0.grid, nxt if steps & 1 else u)
 
 
 def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> GridFunction:
@@ -132,7 +142,8 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
 
     B is bounded and globally Lipschitz, so the trajectory is the unique
     solution of the Cauchy problem and must match the envelope. The jump
-    stencil, one zero-padded stage buffer, the four stage rows and two
+    stencil, two zero paddings (u's own, which the first stage mixes, and
+    the stage buffer of the other three), the four stage rows and two
     scratch rows of the sup are made once per run; each stage has the
     operations, in the order, of `sup_generator` and the textbook RK4
     update, so the bits are theirs. Finiteness is checked once per step, on
@@ -148,27 +159,27 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
         return GridFunction(f0.grid, f0.samples.copy())
     dt = t / steps
     n = f0.grid.n_nodes
-    src, mix = _jump_mixer(_jump_stencil(fam.mu, f0.grid.dx, n), n)
-    stage, lset = src.samples, fam.lambda_set
+    stencil = _jump_stencil(fam.mu, f0.grid.dx, n)
+    (held, mix_u), (padded, mix_stage) = _jump_mixer(stencil, n), _jump_mixer(stencil, n)
+    u, stage, lset = held.samples, padded.samples, fam.lambda_set
     k1, k2, k3, k4 = np.empty((4, n))
     rows, finite = np.empty((2, n)), np.empty(n, dtype=bool)
 
-    def rhs(k: np.ndarray) -> None:
-        """k = sup_lam lam * (mu * s - s) for the samples s in `stage`."""
-        np.subtract(mix(k), stage, out=k)
+    def rhs(k: np.ndarray, mix, s: np.ndarray) -> None:
+        """k = sup_lam lam * (mu * s - s) for the samples s that `mix` reads."""
+        np.subtract(mix(k), s, out=k)
         lset.sup_scaled(k, out=k, rows=rows)
 
-    u = f0.samples.copy()
+    u[:] = f0.samples
     with np.errstate(over="ignore", invalid="ignore"):  # a stage past the float range is reported from u
         for _ in range(steps):
-            stage[:] = u
-            rhs(k1)
+            rhs(k1, mix_u, u)
             np.add(u, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-            rhs(k2)
+            rhs(k2, mix_stage, stage)
             np.add(u, np.multiply(0.5 * dt, k2, out=stage), out=stage)
-            rhs(k3)
+            rhs(k3, mix_stage, stage)
             np.add(u, np.multiply(dt, k3, out=stage), out=stage)
-            rhs(k4)
+            rhs(k4, mix_stage, stage)
             # u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
             k2 *= 2.0
             k1 += k2
@@ -179,7 +190,7 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
             u += k1
             if not np.isfinite(u, out=finite).all():
                 raise UsageError("an RK4 stage of ode_reference is not finite")
-    return GridFunction._wrap(f0.grid, u)
+    return GridFunction._wrap(f0.grid, u.copy())
 
 
 # ---------------------------------------------------------------------------

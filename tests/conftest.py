@@ -14,7 +14,6 @@ from nisioenv import (
     bump,
     envelope,
     make_grid,
-    reference,
 )
 from nisioenv.calculus import _random_smooth
 from nisioenv.funcspace import _SNAP_TOL
@@ -64,17 +63,22 @@ def member_generator():
 
 @pytest.fixture
 def step_J_calls(monkeypatch):
-    """List that gains the step size of each one-step supremum, at every name binding step_J: `envelope`,
-    whose chains every level and integral path runs, and `reference`, whose blow-up scan steps once per epsilon."""
+    """List that gains the step size of each one-step supremum: every run of a plan that `envelope._step_plan`
+    returns, whether `step_J` runs it (the blow-up scan, `apply_partition`) or a chain, which looks its plan up
+    once and runs it every step. Plans that the pre-flight only prices are never run, so never counted."""
     calls = []
-    real = envelope.step_J
+    real = envelope._step_plan
 
-    def counted(fam, h, f):
-        calls.append(h)
-        return real(fam, h, f)
+    def counted(fam, h, dx, n):
+        plan = real(fam, h, dx, n)
 
-    for module in (envelope, reference):
-        monkeypatch.setattr(module, "step_J", counted)
+        def run(arr):
+            calls.append(h)
+            return plan.run(arr)
+
+        return plan._replace(run=run)
+
+    monkeypatch.setattr(envelope, "_step_plan", counted)
     return calls
 
 

@@ -302,7 +302,7 @@ class TestInvalidConfigsWriteNothing:
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
             for sub in cli.SUBCOMMANDS:
                 try:
-                    cli._subcommand_job(load_config(path), sub, "small")
+                    cli._subcommand_job(load_config(path), sub, "small", {})
                 except (ConfigurationError, UsageError) as exc:
                     assert "(the work budget)" not in str(exc), (path.stem, sub, exc)
                     continue
@@ -524,6 +524,26 @@ class TestRunOtherSubcommands:
         cfg["grid"] = {"lower": -8.0, "upper": 8.0, "n_nodes": 801}
         cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 7}
         assert run("compare-ode", write_config(tmp_path, cfg)) == 0
+
+    @pytest.mark.parametrize("subcommand, shipped", [("envelope", "envelope_gaussian"),
+                                                     ("compare-hjb", "envelope_gaussian"),
+                                                     ("compare-ode", "compare_ode_compound_poisson")])
+    def test_repeat_in_process_writes_the_same_bytes(self, tmp_path, subcommand, shipped):
+        # the second run reads its step plans from the warm cache; every
+        # artifact but timings.json has the bytes of the first, and a compare
+        # run times its envelope and oracle next to the subcommand's total
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / f"{shipped}.json").read_text())
+        cfg["grid"]["n_nodes"] = (cfg["grid"]["n_nodes"] - 1) // 4 + 1
+        cfg["time"]["n_max"] = 6
+        path, files = write_config(tmp_path, cfg), []
+        for out in ("out1", "out2"):
+            assert run(subcommand, path, out_dir=tmp_path / out) in (0, 1)
+            files.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir() if p.name != "timings.json"})
+            stages = json.loads((tmp_path / out / "timings.json").read_text())["stage_ms"]
+            spans = {"envelope", "oracle"} if subcommand.startswith("compare") else set()
+            assert set(stages) == {subcommand} | spans and all(v >= 0.0 for v in stages.values())
+        assert sorted(files[0]) == sorted(("report.json", *cli._ARTIFACTS[subcommand]))
+        assert files[0] == files[1]
 
     def test_compare_ode_interval_is_its_endpoint_list(self, tmp_path):
         # a compound Poisson interval steps over its two ends, and the oracle's sup is over them too

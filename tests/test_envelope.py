@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
 from conftest import _interp_shift_arr, _shift_int
-from nisioenv import PNorm, UsageError
+from nisioenv import PNorm, UsageError, envelope
 from nisioenv.envelope import (
     _FILTER_CUTOVER,
+    _chain,
     Partition,
     _step_plan,
     _window_plan,
@@ -152,6 +154,25 @@ class TestWindowSupBytes:
             # needs two nodes); from two nodes on it folds row by row
             if n > 1:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (lo / dx, hi / dx)
+
+    @pytest.mark.parametrize("n", [2, 5, 201])
+    def test_single_offset_windows(self, n):
+        # windows whose integer offsets are the one offset m (a sub-cell
+        # window), whose shift is maxed in place into the ends' max or copied:
+        # m = 0 and +-1, m beyond +-n (clamped), ends off the nodes, one or
+        # both ends on node m, and ends a hair inside m -+ 1
+        rng = np.random.default_rng(n)
+        dx = 0.1
+        for m in (0, 1, -1, n + 3, -n - 3):
+            for lo_frac, hi_frac in ((-0.3, 0.4), (0.0, 0.4), (-0.3, 0.0), (0.0, 0.0), (-0.999, 0.999)):
+                lo, hi = (m + lo_frac) * dx, (m + hi_frac) * dx
+                assert math.ceil(lo / dx - _SNAP_TOL) == math.floor(hi / dx + _SNAP_TOL) == m, (m, lo, hi)
+                for _ in range(20):
+                    u = rng.choice(self.VALUES, size=n)
+                    want, got = _window_sup_written_out(u, lo, hi, dx), _window_sup_arr(u, lo, hi, dx)
+                    assert np.array_equal(got, want), (m, lo_frac, hi_frac)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (m, lo_frac, hi_frac)
+                    assert not np.shares_memory(got, u)
 
     @pytest.mark.parametrize("n", [2049, 4100])
     @pytest.mark.parametrize("count", [4095, 4096, 4097])
@@ -443,6 +464,61 @@ class TestStepPlans:
             assert not any(np.shares_memory(x.samples, arr) for arr in held)
         for x, y in itertools.combinations((f, a, b, c), 2):
             assert not np.shares_memory(x.samples, y.samples)
+
+    @pytest.mark.parametrize("name", PLAN_FAMILIES)
+    def test_chain_matches_step_J_loop(self, name):
+        # a chain runs one plan on raw arrays: the bits of a loop of step_J,
+        # in a fresh read-only result
+        fam = PLAN_FAMILIES[name]
+        g = make_grid(-10.0, 10.0, 201)
+        for m in (1, 2, 5):
+            f = _signed_zero_data(g, 8, normal=0.1)
+            want = f
+            for _ in range(m):
+                want = step_J(fam, 0.125, want)
+            got = _chain(fam, 0.125, m, f).samples
+            assert np.array_equal(got, want.samples) and np.array_equal(np.signbit(got), np.signbit(want.samples))
+            assert not got.flags.writeable and not np.shares_memory(got, f.samples)
+
+    def test_chain_checks_every_step_and_frees_its_start(self, monkeypatch, gauss_family):
+        # the start is freed by the chain's first step, and a step that is not
+        # finite raises at once, as step_J's result would
+        g = make_grid(-10.0, 10.0, 201)
+        real, starts, seen = envelope._step_plan, [], []
+
+        def spying(fam, h, dx, n):
+            plan = real(fam, h, dx, n)
+
+            def run(arr):
+                seen.append(starts[-1]() is not None)
+                return np.full(n, np.inf) if len(seen) == 4 else plan.run(arr)
+
+            return plan._replace(run=run)
+
+        def start():
+            f = bump(g, radius=1.0)
+            starts.append(weakref.ref(f.samples))
+            return f
+
+        monkeypatch.setattr(envelope, "_step_plan", spying)
+        _chain(gauss_family, 0.125, 3, start())
+        assert seen == [True, False, False]
+        with pytest.raises(UsageError, match="samples must all be finite"):
+            _chain(gauss_family, 0.125, 5, start())
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("name", ["cp-interval", "cp-list", "cp-list-far"])
+    def test_compound_poisson_plan_carries_no_state(self, name):
+        # the jump powers alternate between two paddings made per call: inputs
+        # A, B, A give A's bits twice, those of the written-out step
+        fam = PLAN_FAMILIES[name]
+        g = make_grid(-10.0, 10.0, 201)
+        run = _step_plan(fam, 0.5, g.dx, g.n_nodes).run
+        a, b = _signed_zero_data(g, 9), _signed_zero_data(g, 10, normal=0.02)
+        first, other, again = run(a.samples), run(b.samples), run(a.samples)
+        for got, want in ((first, _step_written_out(fam, 0.5, a).samples), (again, first),
+                          (other, _step_written_out(fam, 0.5, b).samples)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_member_raises(self, sign):

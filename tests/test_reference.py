@@ -157,19 +157,28 @@ class TestHjbUpwind:
             errs.append(np.max(np.abs(sol.samples - exact)))
         assert errs[0] < 2e-2 and errs[0] / errs[1] >= 1.6, errs
 
-    @pytest.mark.parametrize("lo, hi", HULLS[:4] + HULLS[-1:], ids=HULL_IDS[:4] + HULL_IDS[-1:])
+    @pytest.mark.parametrize("lo, hi", HULLS + [(0.8, 0.8), (-0.6, -0.6)],
+                             ids=HULL_IDS + ["single-0.8", "single--0.6"])
     def test_steps_bit_identical_to_hjb_step_loop(self, lo, hi):
-        # hjb_upwind makes its stencil and buffers once; each step must equal hjb_step's
+        # hjb_upwind makes its stencil and buffers once and steps from f0 into
+        # two zeroed buffers whose ends it never writes; each step must equal
+        # hjb_step's, which zeroes each output's ends. The data: nonzero ends,
+        # which only the first step reads, and +-0 and +-1e-320; the step
+        # counts: that of t = 0.01 and 1 to 6, odd and even
         g = make_grid(-4.0, 4.0, 301)  # dx = 2/75, not a power of two
         rng = np.random.default_rng(7)
-        for f in (bump(g, radius=1.0), GridFunction(g, rng.standard_normal(301))):
-            t = 0.01
-            dt_max = 0.9 / (1.0 / g.dx**2 + max(abs(lo), abs(hi)) / g.dx)
-            steps = math.ceil(t / dt_max)
-            u = f.samples
-            for _ in range(steps):
-                u = hjb_step(u, t / steps, g.dx, lo, hi)
-            assert np.array_equal(hjb_upwind(f, t, lo, hi).samples, u)
+        normal = rng.standard_normal(301)
+        tiny = rng.choice([0.0, -0.0, 1e-320, -1e-320, -1.0, 0.5], size=301)
+        tiny[0], tiny[1], tiny[-2], tiny[-1] = -1.0, -0.0, 1e-320, 0.5
+        dt_max = 0.9 / (1.0 / g.dx**2 + max(abs(lo), abs(hi)) / g.dx)
+        for f in (bump(g, radius=1.0), GridFunction(g, normal), GridFunction(g, tiny)):
+            for t in [0.01] + [k * dt_max * (1.0 - 1e-9) for k in range(1, 7)]:
+                steps = math.ceil(t / dt_max)
+                u = f.samples
+                for _ in range(steps):
+                    u = hjb_step(u, t / steps, g.dx, lo, hi)
+                got = hjb_upwind(f, t, lo, hi).samples
+                assert np.array_equal(got, u) and np.array_equal(np.signbit(got), np.signbit(u)), (t, steps)
 
     def test_parameter_validation(self):
         g = make_grid(-1.0, 1.0, 101)
