@@ -1,14 +1,8 @@
 """Experiment orchestration: configs, subcommands, verification suite, reports.
 
-Subcommands wire the library together on a JSON experiment configuration:
-
-* ``envelope``       dyadic envelope run + upper-bound certificate
-* ``generator``      difference-quotient table against the supremum generator
-* ``derivative``     derivative + integral identity checks
-* ``compare-hjb``    envelope vs. the upwind PDE oracle
-* ``compare-ode``    envelope vs. the RK4 integrator (compound Poisson)
-* ``counterexample`` blow-up scan for the uncertain shift family
-* ``verify``         the full invariant suite at small or full scale
+Subcommands wire the library together on a JSON experiment configuration;
+``SUBCOMMANDS`` declares each once: its pre-flight, the family its oracle
+needs and the files it writes.
 
 Exit codes: 0 all checks passed, 1 a check failed (report still written),
 2 configuration error (nothing written). Reports are byte-identical for
@@ -53,27 +47,7 @@ from .kernels import (
 _MAX_NODES = 2_400_001
 _MAX_LEVEL = 12
 _MAX_WORK = 8e10
-
-SUBCOMMANDS = (
-    "envelope",
-    "generator",
-    "derivative",
-    "compare-hjb",
-    "compare-ode",
-    "counterexample",
-    "verify",
-)
-
-# The files each subcommand writes besides report.json and timings.json.
-_ARTIFACTS = {
-    "envelope": ("envelope_result.json", "final.csv", "convergence.csv"),
-    "generator": ("generator.csv",),
-    "derivative": ("derivative_report.json",),
-    "compare-hjb": ("comparison.json", "envelope.csv", "hjb.csv"),
-    "compare-ode": ("comparison.json", "envelope.csv", "ode.csv"),
-    "counterexample": ("scan.csv",),
-    "verify": ("probes.json",),
-}
+_SCALES = ("small", "full")  # of `verify`
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +80,15 @@ class ExperimentConfig:
 class _Section(dict):
     """A config object that records the keys the parser asks for: every read
     tests `key in section` first, and every other key is unknown (see
-    `_check_keys`)."""
+    `_check_keys`). A key given twice is an error, where JSON keeps the last."""
 
-    def __init__(self, data):
-        super().__init__(data)
+    def __init__(self, pairs):
+        super().__init__(pairs)
         self.asked: set = set()
+        if len(self) < len(pairs):
+            seen: set = set()
+            twice = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ConfigurationError(f"key `{twice}` is given twice in one object")
 
     def __contains__(self, key):
         self.asked.add(key)
@@ -152,11 +130,16 @@ def _finite(val, name: str) -> float:
 
 
 def _number(mapping: dict, key: str, context: str, default=None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise ConfigurationError(f"missing key `{context}{key}`")
+    if default is not None and key not in mapping:
         return default
-    return _finite(mapping[key], context + key)
+    return _finite(_require(mapping, key, context), context + key)
+
+
+def _list(mapping: dict, key: str, context: str, of: str = "") -> list:
+    val = _require(mapping, key, context)
+    if not isinstance(val, list) or not val:
+        raise ConfigurationError(f"key `{context}{key}` must be a nonempty list{of}")
+    return val
 
 
 def _positive(mapping: dict, key: str, context: str, default=None) -> float:
@@ -180,8 +163,7 @@ def build_family(spec: dict) -> kernels.KernelFamily:
     name = _require(spec, "family", "family.")
     if name not in ("gaussian_drift", "compound_poisson", "pure_shift"):
         raise ConfigurationError(f"key `family.family` must be one of gaussian_drift, compound_poisson, pure_shift; got {name!r}")
-    has_interval = "lambda_interval" in spec
-    has_list = "lambda_list" in spec
+    has_interval, has_list = "lambda_interval" in spec, "lambda_list" in spec
     if has_interval == has_list:
         raise ConfigurationError("`family.` needs exactly one of lambda_interval or lambda_list")
     try:
@@ -189,19 +171,14 @@ def build_family(spec: dict) -> kernels.KernelFamily:
             lo, hi = (_finite(v, "family.lambda_interval") for v in spec["lambda_interval"])
             lset: kernels.LambdaSet = LambdaInterval(lo, hi)
         else:
-            values = spec["lambda_list"]
-            if not isinstance(values, list) or not values:
-                raise ConfigurationError("key `family.lambda_list` must be a nonempty list")
+            values = _list(spec, "lambda_list", "family.")
             lset = LambdaValues(tuple(_finite(v, "family.lambda_list") for v in values))
         if name == "gaussian_drift":
             return GaussianDrift(lset)
         if name == "pure_shift":
             return PureShift(lset)
-        atoms = _require(spec, "jump_atoms", "family.")
-        if not isinstance(atoms, list) or not atoms:
-            raise ConfigurationError("key `family.jump_atoms` must be a nonempty list of [offset, weight]")
         mu = JumpDistribution(tuple((_finite(y, "family.jump_atoms"), _finite(w, "family.jump_atoms"))
-                                    for y, w in atoms))
+                                    for y, w in _list(spec, "jump_atoms", "family.", " of [offset, weight]")))
         return CompoundPoisson(lset, mu)
     except ConfigurationError:
         raise
@@ -217,13 +194,9 @@ def build_initial(spec: dict, grid: funcspace.Grid) -> Callable[[], GridFunction
     kind = _require(spec, "kind", "initial.")
     params = _object(spec, "params", "initial.") if "params" in spec else {}
     if kind == "bump":
-        return partial(
-            funcspace.bump,
-            grid,
-            center=_number(params, "center", "initial.params.", 0.0),
-            radius=_positive(params, "radius", "initial.params.", 1.0),
-            height=_number(params, "height", "initial.params.", 1.0),
-        )
+        return partial(funcspace.bump, grid, center=_number(params, "center", "initial.params.", 0.0),
+                       radius=_positive(params, "radius", "initial.params.", 1.0),
+                       height=_number(params, "height", "initial.params.", 1.0))
     if kind == "gaussian":
         center = _number(params, "center", "initial.params.", 0.0)
         sigma = _positive(params, "sigma", "initial.params.", 1.0)
@@ -264,18 +237,17 @@ def load_config(path) -> ExperimentConfig:
     if not cfg_path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:  # a ValueError: bad JSON or text that is not UTF-8; a RecursionError: nesting too deep
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"), object_hook=_Section)
+        raw = json.loads(cfg_path.read_text(encoding="utf-8"), object_pairs_hook=_Section)
+    except ConfigurationError:  # a key given twice
+        raise
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
 
     gspec = _object(raw, "grid", "")
-    grid = make_grid(
-        _number(gspec, "lower", "grid."),
-        _number(gspec, "upper", "grid."),
-        _count(gspec, "n_nodes", "grid.", least=4, most=_MAX_NODES),  # the difference stencils need 4
-    )
+    grid = make_grid(_number(gspec, "lower", "grid."), _number(gspec, "upper", "grid."),
+                     _count(gspec, "n_nodes", "grid.", least=4, most=_MAX_NODES))  # the difference stencils need 4
     norm = PNorm(_number(_object(raw, "norm", ""), "p", "norm."))
     family = build_family(_object(raw, "family", ""))
     initial = build_initial(_object(raw, "initial", ""), grid)
@@ -326,107 +298,11 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the checks and writes its artifacts)
-
-
-def _cmd_envelope(cfg: ExperimentConfig, outdir: Path) -> list[CheckResult]:
-    res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-    _write_json(outdir / "envelope_result.json", res.to_json_dict())
-    funcspace.write_csv(res.final, outdir / "final.csv")
-    _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
-    top = cfg.initial.max_abs()
-    tol = 1e-6 * (1.0 + top)
-    # exact one-steps (compound Poisson: shared jump powers) make the iterates increase to roundoff,
-    # relative to max|f| as J_h(cf) = c J_h f for c > 0; steps resampling translates are monotone
-    # only up to the O(dx^2) interpolation commutator
-    drop_tol = -1e-9 * top if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * top)
-    worst_drop = min(res.min_increments) if res.min_increments else 0.0
-    margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
-    return [
-        CheckResult("upper_bound_certificate", margin is not None and margin <= tol, margin, tol),
-        CheckResult("dyadic_monotone_increase", worst_drop >= drop_tol, worst_drop, drop_tol),
-    ]
-
-
-def _cmd_generator(cfg: ExperimentConfig, outdir: Path, h0: float, k_steps: int) -> list[CheckResult]:
-    est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.envelope_params())
-    _write_rows_csv(outdir / "generator.csv", "h,error_lp", list(zip(est.h_schedule, est.errors_vs_B)))
-    decreasing = all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
-    final_ratio = est.errors_vs_B[-1] / max(est.errors_vs_B[0], 1e-300)
-    return [
-        CheckResult("generator_errors_decreasing", decreasing, final_ratio, 1.0),
-        CheckResult("generator_final_error_ratio", final_ratio <= 0.1, final_ratio, 0.1),
-    ]
-
-
-def _cmd_derivative(cfg: ExperimentConfig, outdir: Path, quad_nodes: int, path_steps: int, identity_tol: float,
-                    integral_tol: float) -> list[CheckResult]:
-    params = cfg.envelope_params()
-    report = calculus.derivative_identity_check(cfg.family, cfg.t, cfg.initial, params, identity_tol=identity_tol)
-    deviation = calculus.integral_identity_check(cfg.family, cfg.t, cfg.initial, quad_nodes, params)
-    doc = {"t": cfg.t, "gaps": report.gaps(), "integral_deviation": deviation,
-           "integral_path_steps": path_steps,
-           "identity_tol": identity_tol, "integral_tol": integral_tol,
-           "pass": bool(report.passed and deviation <= integral_tol)}
-    _write_json(outdir / "derivative_report.json", doc)
-    worst_gap = max(report.gaps().values())
-    return [
-        CheckResult("derivative_identity_gaps", report.passed, worst_gap, identity_tol),
-        CheckResult("integral_identity_deviation", deviation <= integral_tol, deviation, integral_tol),
-    ]
-
-
-def _cmd_compare(cfg: ExperimentConfig, outdir: Path, oracle, name: str, check: str, tol: float,
-                 margin: float, stage_ms: dict) -> list[CheckResult]:
-    """The envelope against the oracle solution `oracle(cfg)`, written as `<name>.csv`; the time of each goes
-    into `stage_ms` as the spans `envelope` and `oracle`."""
-    t0 = time.perf_counter()
-    res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-    t1 = time.perf_counter()
-    solution = oracle(cfg)
-    stage_ms.update(envelope=(t1 - t0) * 1000.0, oracle=(time.perf_counter() - t1) * 1000.0)
-    comp = reference.compare(res.final, solution, cfg.norm, margin)
-    _write_json(outdir / "comparison.json", comp.to_json_dict(margin))
-    funcspace.write_csv(res.final, outdir / "envelope.csv")
-    funcspace.write_csv(solution, outdir / f"{name}.csv")
-    return [CheckResult(check, comp.rel_err <= tol, comp.rel_err, tol)]
-
-
-def _cmd_counterexample(cfg: ExperimentConfig, outdir: Path, t: float, epsilons: list[float]) -> list[CheckResult]:
-    table = reference.counterexample_scan(cfg.grid, cfg.norm.p, t, epsilons)
-    _write_rows_csv(outdir / "scan.csv", "epsilon,norm_lp", table)
-    ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
-    worst = min(ratios) if ratios else math.inf
-    return [CheckResult("counterexample_norm_growth", all(r >= 1.5 for r in ratios), worst, 1.5)]
-
-
-def _cmd_verify(cfg: ExperimentConfig, outdir: Path, scale: str) -> list[CheckResult]:
-    """Every registered invariant in order, then the Lipschitz, directional
-    and growth probes of the drift family, all on one context (the probes
-    seed their own generator)."""
-    ctx = _verify_context(scale, cfg.seed)
-    checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
-    fam, f0, params, t = ctx.gauss, ctx.f0, ctx.params, 0.25
-    lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=cfg.seed)
-    probe = calculus.directional_derivative(
-        fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
-    M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], params)
-    passed = bool(lip.lemma_ok and probe.quotient_monotone and math.isfinite(lip.L))
-    _write_json(outdir / "probes.json", {"t": t, "gap": probe.gap, "L_estimate": lip.L, "M": M, "omega": omega,
-                                         "pass": passed})
-    # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the
-    # operator norm is dominated by the norm growth of C(t)
-    lip_cap = 2.0 * kernels.upper_bound_norm_factor(fam, t, ctx.norm)
-    checks.append(CheckResult("calculus.sampled_probes", passed and lip.L <= lip_cap, lip.L, lip_cap))
-    return checks
-
-
-def _compare_options(cfg: ExperimentConfig, tol_default: float) -> dict:
-    opts = cfg.options.get("compare", {})
-    margin = _number(opts, "boundary_margin", "compare.", 0.05)
-    if not (0.0 <= margin < 0.5):
-        raise ConfigurationError(f"key `compare.boundary_margin` must lie in [0, 0.5), got {margin}")
-    return {"tol": _positive(opts, "tolerance", "compare.", tol_default), "margin": margin}
+# Subcommands. Each pre-flight (cfg, scale, stage_ms) parses and range-checks
+# the options of its subcommand and prices its work before anything is
+# written, and returns the run with those values bound: outdir -> checks,
+# which writes the artifacts. `verify` reads `scale`, and the compare runs put
+# the time of their stages into `stage_ms`.
 
 
 def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, chains: Callable,
@@ -458,78 +334,211 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, cha
                                  f"at most {_MAX_WORK:.3g} (the work budget)")
 
 
-def _subcommand_job(cfg: ExperimentConfig, subcommand: str, scale: str, stage_ms: dict):
-    """Parse and range-check the options of one subcommand before anything is
-    written; returns its handler with the parsed values bound, and `stage_ms`
-    to those that time their own stages (`compare-hjb`, `compare-ode`)."""
-    if subcommand not in ("counterexample", "verify"):  # the subcommands that read the initial data
-        with np.errstate(over="ignore"):  # an overflow is the error reported here
-            f_norm = lp_norm(cfg.initial, cfg.norm)
-        if not math.isfinite(f_norm):
-            raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
-    t, top, keys = cfg.t, 1 << cfg.n_max, "`time.t`, `time.n_max`"
-    levels = [(t / (1 << level), 1 << level, 1) for level in range(cfg.n_max + 1)]
-    if subcommand == "envelope":
-        kernels.upper_bound_norm_factor(cfg.family, t, cfg.norm)  # `envelope` certifies against C(t)
-        _check_work(cfg, cfg.family, keys, lambda: levels + [(t, 1, 1)])  # C(t)f: a level-0 step
-        return _cmd_envelope
-    if subcommand == "generator":
-        opts = cfg.options.get("generator", {})
-        h0 = _positive(opts, "h0", "generator.", 0.1)
-        k_steps = _count(opts, "k_steps", "generator.", 6)
-        n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
+_LEVEL_KEYS = "`time.t`, `time.n_max`"
 
-        def chains():  # smallest h first: level L >= 1 at h runs only its last half when the h before left the first
-            hs = calculus.geometric_schedule(h0, k_steps)[::-1]
-            return [(h / (1 << L), 1 << (L - 1) if L and s / (1 << (L - 1)) == h / (1 << L) else 1 << L, 1)
-                    for s, h in zip([math.inf, *hs], hs) for L in range(n + 1)]
 
-        _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", chains)
-        return partial(_cmd_generator, h0=h0, k_steps=k_steps)
-    if subcommand == "derivative":
-        opts = cfg.options.get("derivative", {})
-        quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
-        path = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
-        h = calculus.geometric_schedule()[-1]  # the forward quotient's step
-        _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + keys,  # S(t) thrice, S(t + h), two integral paths
-                    lambda: [(t / top, top, 3), ((t + h) / top, top, 1), (t / path, path, 2)])
-        return partial(_cmd_derivative, quad_nodes=quad_nodes, path_steps=path,
-                       identity_tol=_positive(opts, "identity_tol", "derivative.", 5e-2),
-                       integral_tol=_positive(opts, "integral_tol", "derivative.", 2e-2))
-    if subcommand == "compare-hjb":
-        if not isinstance(cfg.family, GaussianDrift):
-            raise ConfigurationError("key `family.family`: compare-hjb needs gaussian_drift")
-        lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
-        cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
-        _check_work(cfg, cfg.family, keys + ", `hjb.cfl`", lambda: levels,
-                    lambda: reference._upwind_passes(t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
-        return partial(_cmd_compare, name="hjb", check="envelope_vs_hjb_rel_l2", **_compare_options(cfg, 5e-2),
-                       stage_ms=stage_ms,
-                       oracle=lambda c: reference.hjb_upwind(c.initial, c.t, lams[0], lams[-1], cfl=cfl))
-    if subcommand == "compare-ode":
-        if not isinstance(cfg.family, CompoundPoisson):
-            raise ConfigurationError("key `family.family`: compare-ode needs compound_poisson")
-        dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
-        _check_work(cfg, cfg.family, keys + ", `ode.dt`", lambda: levels,
-                    lambda: reference._rk4_passes(cfg.family, t, dt))
-        return partial(_cmd_compare, name="ode", check="envelope_vs_ode_rel_lp", **_compare_options(cfg, 1e-2),
-                       stage_ms=stage_ms,
-                       oracle=lambda c: reference.ode_reference(c.family, c.initial, c.t, dt))
-    if subcommand == "counterexample":
-        opts = cfg.options.get("counterexample", {})
-        t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
-        epsilons = None
-        if "epsilons" in opts:
-            if not isinstance(opts["epsilons"], list):
-                raise ConfigurationError("key `counterexample.epsilons` must be a list")
-            epsilons = [_finite(e, "counterexample.epsilons") for e in opts["epsilons"]]
-        epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
-        _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`",
-                    lambda: [(t, 1, len(epsilons))], lambda: len(epsilons) * reference._SCAN_PASSES)
-        return partial(_cmd_counterexample, t=t, epsilons=epsilons)
-    if scale not in ("small", "full"):
-        raise ConfigurationError(f"scale must be small or full, got {scale!r}")
-    return partial(_cmd_verify, scale=scale)
+def _levels(cfg: ExperimentConfig) -> list:
+    """The chains (h, m, repeats) of the dyadic levels of `nisio_dyadic`."""
+    return [(cfg.t / (1 << level), 1 << level, 1) for level in range(cfg.n_max + 1)]
+
+
+def _check_initial(cfg: ExperimentConfig) -> None:
+    """The initial data's L^p norm must be finite, for a pre-flight that reads the data."""
+    with np.errstate(over="ignore"):  # an overflow is the error reported here
+        f_norm = lp_norm(cfg.initial, cfg.norm)
+    if not math.isfinite(f_norm):
+        raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
+
+
+def _envelope(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    _check_initial(cfg)
+    kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
+    _check_work(cfg, cfg.family, _LEVEL_KEYS, lambda: _levels(cfg) + [(cfg.t, 1, 1)])  # C(t)f: a level-0 step
+
+    def job(outdir: Path) -> list[CheckResult]:
+        res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
+        _write_json(outdir / "envelope_result.json", res.to_json_dict())
+        funcspace.write_csv(res.final, outdir / "final.csv")
+        _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
+        top = cfg.initial.max_abs()
+        tol = 1e-6 * (1.0 + top)
+        # exact one-steps (compound Poisson: shared jump powers) make the iterates increase to roundoff,
+        # relative to max|f| as J_h(cf) = c J_h f for c > 0; steps resampling translates are monotone
+        # only up to the O(dx^2) interpolation commutator
+        drop_tol = -1e-9 * top if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * top)
+        worst_drop = min(res.min_increments) if res.min_increments else 0.0
+        margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
+        return [CheckResult("upper_bound_certificate", margin is not None and margin <= tol, margin, tol),
+                CheckResult("dyadic_monotone_increase", worst_drop >= drop_tol, worst_drop, drop_tol)]
+    return job
+
+
+def _generator(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    _check_initial(cfg)
+    opts = cfg.options.get("generator", {})
+    h0 = _positive(opts, "h0", "generator.", 0.1)
+    k_steps = _count(opts, "k_steps", "generator.", 6)
+    n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
+
+    def chains():  # smallest h first: level L >= 1 at h runs only its last half when the h before left the first
+        hs = calculus.geometric_schedule(h0, k_steps)[::-1]
+        return [(h / (1 << L), 1 << (L - 1) if L and s / (1 << (L - 1)) == h / (1 << L) else 1 << L, 1)
+                for s, h in zip([math.inf, *hs], hs) for L in range(n + 1)]
+
+    _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", chains)
+
+    def job(outdir: Path) -> list[CheckResult]:
+        est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.envelope_params())
+        _write_rows_csv(outdir / "generator.csv", "h,error_lp", list(zip(est.h_schedule, est.errors_vs_B)))
+        decreasing = all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
+        final_ratio = est.errors_vs_B[-1] / max(est.errors_vs_B[0], 1e-300)
+        return [CheckResult("generator_errors_decreasing", decreasing, final_ratio, 1.0),
+                CheckResult("generator_final_error_ratio", final_ratio <= 0.1, final_ratio, 0.1)]
+    return job
+
+
+def _derivative(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    _check_initial(cfg)
+    opts = cfg.options.get("derivative", {})
+    quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
+    path_steps = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
+    t, top, h = cfg.t, 1 << cfg.n_max, calculus.geometric_schedule()[-1]  # h: the forward quotient's step
+    _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + _LEVEL_KEYS,  # S(t) thrice, S(t + h), two paths
+                lambda: [(t / top, top, 3), ((t + h) / top, top, 1), (t / path_steps, path_steps, 2)])
+    identity_tol = _positive(opts, "identity_tol", "derivative.", 5e-2)
+    integral_tol = _positive(opts, "integral_tol", "derivative.", 2e-2)
+
+    def job(outdir: Path) -> list[CheckResult]:
+        params = cfg.envelope_params()
+        report = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params, identity_tol=identity_tol)
+        deviation = calculus.integral_identity_check(cfg.family, t, cfg.initial, quad_nodes, params)
+        doc = {"t": t, "gaps": report.gaps(), "integral_deviation": deviation, "integral_path_steps": path_steps,
+               "identity_tol": identity_tol, "integral_tol": integral_tol,
+               "pass": bool(report.passed and deviation <= integral_tol)}
+        _write_json(outdir / "derivative_report.json", doc)
+        worst_gap = max(report.gaps().values())
+        return [CheckResult("derivative_identity_gaps", report.passed, worst_gap, identity_tol),
+                CheckResult("integral_identity_deviation", deviation <= integral_tol, deviation, integral_tol)]
+    return job
+
+
+def _compare(cfg: ExperimentConfig, stage_ms: dict, name: str, check: str, tol_default: float,
+             oracle: Callable) -> Callable:
+    """Read the `compare.` options; the run compares the envelope with the oracle solution `oracle()`, written as
+    `<name>.csv`, and puts the time of each into `stage_ms` as the spans `envelope` and `oracle`."""
+    opts = cfg.options.get("compare", {})
+    margin = _number(opts, "boundary_margin", "compare.", 0.05)
+    if not (0.0 <= margin < 0.5):
+        raise ConfigurationError(f"key `compare.boundary_margin` must lie in [0, 0.5), got {margin}")
+    tol = _positive(opts, "tolerance", "compare.", tol_default)
+
+    def job(outdir: Path) -> list[CheckResult]:
+        t0 = time.perf_counter()
+        res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
+        t1 = time.perf_counter()
+        solution = oracle()
+        stage_ms.update(envelope=(t1 - t0) * 1000.0, oracle=(time.perf_counter() - t1) * 1000.0)
+        comp = reference.compare(res.final, solution, cfg.norm, margin)
+        _write_json(outdir / "comparison.json", comp.to_json_dict(margin))
+        funcspace.write_csv(res.final, outdir / "envelope.csv")
+        funcspace.write_csv(solution, outdir / f"{name}.csv")
+        return [CheckResult(check, comp.rel_err <= tol, comp.rel_err, tol)]
+    return job
+
+
+def _compare_hjb(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    _check_initial(cfg)
+    lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
+    cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
+    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `hjb.cfl`", lambda: _levels(cfg),
+                lambda: reference._upwind_passes(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
+    return _compare(cfg, stage_ms, "hjb", "envelope_vs_hjb_rel_l2", 5e-2,
+                    lambda: reference.hjb_upwind(cfg.initial, cfg.t, lams[0], lams[-1], cfl=cfl))
+
+
+def _compare_ode(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    _check_initial(cfg)
+    dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
+    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `ode.dt`", lambda: _levels(cfg),
+                lambda: reference._rk4_passes(cfg.family, cfg.t, dt))
+    return _compare(cfg, stage_ms, "ode", "envelope_vs_ode_rel_lp", 1e-2,
+                    lambda: reference.ode_reference(cfg.family, cfg.initial, cfg.t, dt))
+
+
+def _counterexample(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    opts = cfg.options.get("counterexample", {})
+    t = _number(opts, "t", "counterexample.", min(cfg.t, 0.5))
+    epsilons = ([_finite(e, "counterexample.epsilons") for e in _list(opts, "epsilons", "counterexample.")]
+                if "epsilons" in opts else None)
+    epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
+    _check_work(cfg, reference._SCAN_FAMILY, "`counterexample.t`, `counterexample.epsilons`",
+                lambda: [(t, 1, len(epsilons))], lambda: len(epsilons) * reference._SCAN_PASSES)
+
+    def job(outdir: Path) -> list[CheckResult]:
+        table = reference.counterexample_scan(cfg.grid, cfg.norm.p, t, epsilons)
+        _write_rows_csv(outdir / "scan.csv", "epsilon,norm_lp", table)
+        ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
+        worst = min(ratios) if ratios else math.inf
+        return [CheckResult("counterexample_norm_growth", all(r >= 1.5 for r in ratios), worst, 1.5)]
+    return job
+
+
+def _verify(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
+    """Every registered invariant in order, then the Lipschitz, directional and growth probes of the drift family,
+    all on one context (the probes seed their own generator)."""
+    if scale not in _SCALES:
+        raise ConfigurationError(f"scale must be {' or '.join(_SCALES)}, got {scale!r}")
+
+    def job(outdir: Path) -> list[CheckResult]:
+        ctx = _verify_context(scale, cfg.seed)
+        checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
+        fam, f0, params, t = ctx.gauss, ctx.f0, ctx.params, 0.25
+        lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=cfg.seed)
+        probe = calculus.directional_derivative(
+            fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
+        M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], params)
+        passed = bool(lip.lemma_ok and probe.quotient_monotone and math.isfinite(lip.L))
+        _write_json(outdir / "probes.json", {"t": t, "gap": probe.gap, "L_estimate": lip.L, "M": M, "omega": omega,
+                                             "pass": passed})
+        # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the
+        # operator norm is dominated by the norm growth of C(t)
+        lip_cap = 2.0 * kernels.upper_bound_norm_factor(fam, t, ctx.norm)
+        checks.append(CheckResult("calculus.sampled_probes", passed and lip.L <= lip_cap, lip.L, lip_cap))
+        return checks
+    return job
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    preflight: Callable
+    family: str | None  # the `family.family` its oracle needs
+    artifacts: tuple  # the files it writes besides report.json and timings.json
+
+
+SUBCOMMANDS = {
+    # dyadic envelope run + upper-bound certificate
+    "envelope": _Subcommand(_envelope, None, ("envelope_result.json", "final.csv", "convergence.csv")),
+    # difference-quotient table against the supremum generator
+    "generator": _Subcommand(_generator, None, ("generator.csv",)),
+    # derivative + integral identity checks
+    "derivative": _Subcommand(_derivative, None, ("derivative_report.json",)),
+    # envelope vs. the upwind PDE oracle
+    "compare-hjb": _Subcommand(_compare_hjb, "gaussian_drift", ("comparison.json", "envelope.csv", "hjb.csv")),
+    # envelope vs. the RK4 integrator
+    "compare-ode": _Subcommand(_compare_ode, "compound_poisson", ("comparison.json", "envelope.csv", "ode.csv")),
+    # blow-up scan for the uncertain shift family
+    "counterexample": _Subcommand(_counterexample, None, ("scan.csv",)),
+    # the full invariant suite at small or full scale
+    "verify": _Subcommand(_verify, None, ("probes.json",)),
+}
+
+
+def _preflight(cfg: ExperimentConfig, subcommand: str, scale: str, stage_ms: dict) -> Callable:
+    """Check the family the oracle of `subcommand` needs, then run its pre-flight."""
+    sub = SUBCOMMANDS[subcommand]
+    if sub.family not in (None, cfg.raw["family"]["family"]):
+        raise ConfigurationError(f"key `family.family`: {subcommand} needs {sub.family}")
+    return sub.preflight(cfg, scale, stage_ms)
 
 
 def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "small") -> int:
@@ -544,10 +553,11 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
             cfg.output_dir = str(out_dir)
         if seed is not None:
             cfg.seed = _count({"seed": seed}, "seed", "--")
-        job = _subcommand_job(cfg, subcommand, scale, stage_ms)
+        job = _preflight(cfg, subcommand, scale, stage_ms)
         _check_keys(cfg.raw)
         outdir = Path(cfg.output_dir)
-        taken = [name for name in ("report.json", "timings.json", *_ARTIFACTS[subcommand]) if (outdir / name).is_dir()]
+        taken = [name for name in ("report.json", "timings.json", *SUBCOMMANDS[subcommand].artifacts)
+                 if (outdir / name).is_dir()]
         if taken:
             raise ConfigurationError(f"key `output_dir` / `--out`: {outdir} holds a directory where a file is written: "
                                      f"{', '.join(taken)}")
@@ -560,7 +570,7 @@ def run(subcommand: str, config_path, out_dir=None, seed=None, scale: str = "sma
         return 2
 
     t0 = time.perf_counter()
-    checks = job(cfg, outdir)
+    checks = job(outdir)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     passed = all(c.passed for c in checks)
@@ -856,14 +866,12 @@ def _scan_norms_increase(ctx):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        prog="nisioenv",
-        description="Semigroup envelopes of convolution families on a discretized L^p line.",
-    )
+        prog="nisioenv", description="Semigroup envelopes of convolution families on a discretized L^p line.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON experiment configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
+    parser.add_argument("--scale", choices=_SCALES, default="small")
     args = parser.parse_args(argv)
     sys.exit(run(args.subcommand, args.config, out_dir=args.out, seed=args.seed, scale=args.scale))
 

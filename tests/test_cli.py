@@ -216,16 +216,62 @@ EXIT_2 = [
      ("`family.lambda_list`", "`grid`", "the cap on one plan's rows")),
 ]
 
-# leaves of base_config for the wrong-type fuzz; the path leaf is set on a
-# custom_csv initial condition
-NUMERIC_LEAVES = ["grid.lower", "grid.upper", "grid.n_nodes", "norm.p", "time.t", "time.tol_rel",
-                  "time.n_max", "initial.params.radius", "seeds"]
-STRING_LEAVES = ["output_dir", "initial.params.path"]
+# The wrong-type fuzz and the README's key table take their leaves from the parser: base_config and its variants,
+# each with every option section present as {} so that the parser records what it asks of it, are run through the
+# pre-flight of every subcommand that accepts them.
+VARIANTS = {
+    "base": {}, "cp": CP, "scan": SCAN,
+    "gaussian": {"initial": {"kind": "gaussian", "params": {"sigma": 0.5}}},
+    "ramp": {"initial": {"kind": "ramp", "params": {"slope": 0.5}}},
+}
+_ABSENT = object()
+
+
+def _asked_leaves(section, prefix=""):
+    """(dotted key, value or _ABSENT) of each leaf the parser asked for, in every section it read."""
+    for key in sorted(section.asked):
+        val = section.get(key, _ABSENT)  # dict.get: not a read the section records
+        if not isinstance(val, cli._Section):
+            yield prefix + key, val
+        elif val.asked:  # a section of another subcommand's options is not read
+            yield from _asked_leaves(val, f"{prefix}{key}.")
+
+
+@pytest.fixture(scope="module")
+def asked_leaves(tmp_path_factory):
+    """{subcommand: [(config, leaf, value or _ABSENT)]} over every variant the subcommand's pre-flight accepts."""
+    tmp = tmp_path_factory.mktemp("leaves")
+    write_csv(bump(make_grid(-8.0, 8.0, 513), radius=1.0), tmp / "initial.csv")
+    custom_csv = {"initial": {"kind": "custom_csv", "params": {"path": str(tmp / "initial.csv")}}}
+    cases = {sub: [] for sub in cli.SUBCOMMANDS}
+    for name, edits in {**VARIANTS, "custom_csv": custom_csv}.items():
+        cfg = base_config(tmp / "out", **{key: {} for key in cli._OPTION_KEYS}, **copy.deepcopy(edits))
+        path = write_config(tmp, cfg, f"{name}.json")
+        for sub in cli.SUBCOMMANDS:
+            loaded = load_config(path)  # a fresh record of the keys asked for
+            try:
+                cli._preflight(loaded, sub, "small", {})
+            except (ConfigurationError, UsageError):
+                continue
+            cases[sub] += [(cfg, leaf, val) for leaf, val in _asked_leaves(loaded.raw)]
+    return cases
+
+
 _LISTS = st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3)
 _OBJECTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
-NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5), _LISTS, _OBJECTS)
-NOT_A_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
-                         _LISTS, _OBJECTS)
+_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# a value of another kind than the leaf's: a leaf the config leaves out (its default, or the lambda set not given)
+# draws what no kind of leaf accepts
+WRONG = {"number": st.one_of(st.none(), st.booleans(), st.text(max_size=5), _LISTS, _OBJECTS),
+         "string": st.one_of(st.none(), st.booleans(), _NUMBERS, _LISTS, _OBJECTS),
+         "list": st.one_of(st.none(), st.booleans(), st.text(max_size=5), _NUMBERS, _OBJECTS),
+         "absent": st.one_of(st.none(), st.booleans(), _OBJECTS)}
+
+
+def _kind(val):
+    if val is _ABSENT:
+        return "absent"
+    return {str: "string", list: "list"}.get(type(val), "number")
 
 
 class TestInvalidConfigsWriteNothing:
@@ -252,6 +298,19 @@ class TestInvalidConfigsWriteNothing:
         err = capsys.readouterr().err
         assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
         assert "configuration error: config is not valid JSON" in err, err
+
+    @pytest.mark.parametrize("key, once, twice", [("n_max", '"n_max": 6', '"n_max": 10, "n_max": 3'),
+                                                  ("seeds", '"seeds": 0', '"seeds": 0, "seeds": 1')],
+                             ids=["time.n_max", "seeds"])
+    def test_key_given_twice(self, tmp_path, monkeypatch, capsys, key, once, twice):
+        # JSON keeps the last of two values of one key, so report.json would echo a config unlike the file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(base_config("out")).replace(once, twice))
+        with pytest.raises(SystemExit) as exc:
+            main(["envelope", "--config", "config.json", "--out", "out"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
+        assert f"configuration error: key `{key}` is given twice in one object" in err, err
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_output_path_through_a_file(self, tmp_path, monkeypatch, capsys, out):
@@ -302,7 +361,7 @@ class TestInvalidConfigsWriteNothing:
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
             for sub in cli.SUBCOMMANDS:
                 try:
-                    cli._subcommand_job(load_config(path), sub, "small", {})
+                    cli._preflight(load_config(path), sub, "small", {})
                 except (ConfigurationError, UsageError) as exc:
                     assert "(the work budget)" not in str(exc), (path.stem, sub, exc)
                     continue
@@ -327,20 +386,18 @@ class TestInvalidConfigsWriteNothing:
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
 
-    @given(leaf=st.sampled_from(NUMERIC_LEAVES + STRING_LEAVES), data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_wrongly_typed_leaf(self, leaf, data):
-        value = data.draw(NOT_A_NUMBER if leaf in NUMERIC_LEAVES else NOT_A_STRING, label="value")
+    @pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_wrongly_typed_leaf(self, asked_leaves, subcommand, data):
+        cfg, leaf, val = data.draw(st.sampled_from(asked_leaves[subcommand]), label="leaf")
+        value = data.draw(WRONG[_kind(val)], label="value")
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            out = tmp / "out"
-            cfg = base_config(out)
-            if leaf == "initial.params.path":
-                write_csv(bump(make_grid(-8.0, 8.0, 513), radius=1.0), tmp / "initial.csv")
-                cfg["initial"] = {"kind": "custom_csv", "params": {"path": str(tmp / "initial.csv")}}
-            code = run("envelope", write_config(tmp, _set(cfg, leaf, value)))
-            assert code == 2
-            assert not out.exists()
+            cfg = _set(copy.deepcopy(cfg), leaf, value)
+            cfg["output_dir"] = cfg["output_dir"] if leaf == "output_dir" else str(tmp / "out")
+            assert run(subcommand, write_config(tmp, cfg)) == 2
+            assert not (tmp / "out").exists()
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "x"])
     def test_seed_override(self, tmp_path, capsys, seed):
@@ -349,6 +406,22 @@ class TestInvalidConfigsWriteNothing:
         assert code == 2
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_readme_names_every_key_and_subcommand(asked_leaves):
+    # one row of the key table per leaf the parser asks for, and an option key's row names each subcommand
+    # that reads it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(): line for line in readme.splitlines() if line.startswith("| `")}
+    readers = {}
+    for sub, cases in asked_leaves.items():
+        for _, leaf, _ in cases:
+            readers.setdefault(leaf, set()).add(sub)
+    assert sorted(f"`{leaf}`" for leaf in readers) == sorted(rows)
+    for leaf, subs in readers.items():
+        if leaf.split(".")[0] in cli._OPTION_KEYS:
+            assert all(f"`{sub}`" in rows[f"`{leaf}`"].split("|")[-2] for sub in subs), (leaf, subs)
+    assert all(f"`{sub}`" in readme for sub in cli.SUBCOMMANDS)
 
 
 class TestRunEnvelope:
@@ -453,7 +526,7 @@ class TestRunOtherSubcommands:
             _set(cfg, path, value)
         assert run(subcommand, write_config(tmp_path, cfg)) in (0, 1)
         assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(
-            ("report.json", "timings.json", *cli._ARTIFACTS[subcommand]))
+            ("report.json", "timings.json", *cli.SUBCOMMANDS[subcommand].artifacts))
         assert len(predicted) == 1
         counted = len(step_J_calls)
         assert counted == predicted[0].total() if exact else counted <= predicted[0].total(), (counted, predicted)
@@ -542,7 +615,7 @@ class TestRunOtherSubcommands:
             stages = json.loads((tmp_path / out / "timings.json").read_text())["stage_ms"]
             spans = {"envelope", "oracle"} if subcommand.startswith("compare") else set()
             assert set(stages) == {subcommand} | spans and all(v >= 0.0 for v in stages.values())
-        assert sorted(files[0]) == sorted(("report.json", *cli._ARTIFACTS[subcommand]))
+        assert sorted(files[0]) == sorted(("report.json", *cli.SUBCOMMANDS[subcommand].artifacts))
         assert files[0] == files[1]
 
     def test_compare_ode_interval_is_its_endpoint_list(self, tmp_path):
@@ -734,7 +807,7 @@ class TestVerifySuite:
         assert [c["tolerance"] for c in doc["checks"]] == pytest.approx([tol for _, tol in VERIFY_CHECKS],
                                                                          rel=1e-12, abs=0.0)
         assert sorted(path.name for path in out.iterdir()) == sorted(("report.json", "timings.json",
-                                                                     *cli._ARTIFACTS["verify"]))
+                                                                     *cli.SUBCOMMANDS["verify"].artifacts))
         probes = json.loads((out / "probes.json").read_text())
         assert set(probes) == {"t", "gap", "L_estimate", "M", "omega", "pass"}
         assert probes["pass"] is True
