@@ -232,6 +232,16 @@ KernelFamily = GaussianDrift | CompoundPoisson | PureShift
 # are exact to roughly exp(-2 pi^2 t / dx^2) by Poisson summation.
 _SAMPLED_KERNEL_MIN_VAR = 2.25
 
+# A sampled kernel of at most _HEAT_BLOCKED_MAX_WEIGHTS weights runs as a
+# blocked product (`_blocked_heat_plan`): _HEAT_BLOCK outputs per row, its band
+# matrix at most 32 KiB (97 weights at B = 32). On 2 049 nodes it took 20-30 us
+# against 45-65 us for np.convolve at 39-75 weights (2-vCPU Xeon, OpenBLAS
+# 0.3.31); wider kernels stay on np.convolve, as their band matrices would be
+# larger. At most _HEAT_BLOCK_ROWS rows go to one GEMM, into a 128 KiB buffer.
+_HEAT_BLOCK = 32
+_HEAT_BLOCKED_MAX_WEIGHTS = 97
+_HEAT_BLOCK_ROWS = 512
+
 
 def _heat_weights(t: float, dx: float) -> np.ndarray:
     """Sampled Gaussian kernel at node offsets, renormalized to unit mass.
@@ -251,6 +261,42 @@ def _heat_weights(t: float, dx: float) -> np.ndarray:
     return w
 
 
+def _blocked_heat_plan(w: np.ndarray, n: int) -> _Plan:
+    """arr -> the centred samples of the full convolution of arr with w on n
+    nodes, as one blocked matrix product: output i = b B + r is row b,
+    column r of sum_j rows[b + j] @ band[j], where rows is the samples
+    zero-padded by m // 2 in front, cut into rows of B, and band holds the
+    c = ceil((B + m - 1) / B) blocks of B rows of the band matrix whose row
+    k, column r is w[m - 1 - (k - r)] for 0 <= k - r < m, and 0 elsewhere.
+    Each product is one BLAS GEMM on contiguous operands, the partial sums
+    added in order of j, over at most _HEAT_BLOCK_ROWS rows at a time.
+    Outside its window an output reads only zeros of the band, so a window
+    of +0 samples sums exact zeros from BLAS's +0 start: +0."""
+    m, half, b = len(w), len(w) // 2, _HEAT_BLOCK
+    c, blocks = -(-(b + m - 1) // b), -(-n // b)
+    # b rows of c b + 1 entries, each the reversed weights then zeros: read c b
+    # at a time, row r starts r entries earlier, after r zeros of the row before
+    cols = np.zeros((b, c * b + 1))
+    cols[:, :m] = w[::-1]
+    band = np.ascontiguousarray(cols.reshape(-1)[: b * c * b].reshape(b, c * b).T).reshape(c, b, b)
+
+    def run(arr: np.ndarray) -> np.ndarray:
+        padded = np.zeros((blocks + c - 1) * b)
+        padded[half : half + n] = arr
+        rows, out = padded.reshape(-1, b), np.empty((blocks, b))
+        tmp = np.empty((min(blocks, _HEAT_BLOCK_ROWS), b))
+        for lo in range(0, blocks, _HEAT_BLOCK_ROWS):
+            acc = out[lo : lo + _HEAT_BLOCK_ROWS]
+            k = acc.shape[0]
+            np.matmul(rows[lo : lo + k], band[0], out=acc)
+            for j in range(1, c):
+                acc += np.matmul(rows[lo + j : lo + j + k], band[j], out=tmp[:k])
+        return out.reshape(-1)[:n]
+
+    # the padded multiply-adds of c GEMMs, then the padding, its copy and c - 1 sums
+    return _Plan(run, c * b * blocks * b + (c + 1) * (n + _CALL_WORK))
+
+
 def _heat_plan(t: float, dx: float, n: int) -> _Plan:
     """arr -> new samples: arr convolved with the heat kernel of variance t
     on n nodes of spacing dx. The branch and its weights are chosen here, once."""
@@ -259,6 +305,8 @@ def _heat_plan(t: float, dx: float, n: int) -> _Plan:
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
         w = _heat_weights(t, dx)
+        if len(w) <= _HEAT_BLOCKED_MAX_WEIGHTS:
+            return _blocked_heat_plan(w, n)
         # mode "same" gives the centred samples of the full convolution, the
         # same dot products on the same operands, but returns len(w) samples
         # when the kernel is wider than the grid: slice the full one there

@@ -13,6 +13,7 @@ from nisioenv import (
     PNorm,
     bump,
     envelope,
+    kernels,
     make_grid,
 )
 from nisioenv.calculus import _random_smooth
@@ -109,3 +110,49 @@ def _interp_shift_arr(arr, delta, dx):
     if frac < _SNAP_TOL:
         return _shift_int(arr, k)
     return (1.0 - frac) * _shift_int(arr, k) + frac * _shift_int(arr, k + 1)
+
+
+# The heat step written out: the blocked product with its band matrix built
+# column by column, and np.convolve past the cutoff.
+
+
+def _blocked_written_out(arr, w):
+    """The centred samples of the full convolution of arr with w as the
+    blocked product: the samples after m // 2 zeros, cut into rows of B,
+    row b of the output the sum over j of rows b + j times block j of the
+    band matrix, one matmul per block on up to _HEAT_BLOCK_ROWS rows at a
+    time, added in order of j."""
+    n, m, b, most = arr.shape[0], len(w), kernels._HEAT_BLOCK, kernels._HEAT_BLOCK_ROWS
+    c, blocks = math.ceil((b + m - 1) / b), math.ceil(n / b)
+    band = np.zeros((c * b, b))
+    for r in range(b):
+        band[r : r + m, r] = w[::-1]
+    rows = np.concatenate([np.zeros(m // 2), arr, np.zeros((blocks + c - 1) * b - m // 2 - n)]).reshape(-1, b)
+    pieces = []
+    for lo in range(0, blocks, most):
+        k = min(most, blocks - lo)
+        piece = rows[lo : lo + k] @ band[:b]
+        for j in range(1, c):
+            piece += rows[lo + j : lo + j + k] @ band[j * b : (j + 1) * b]
+        pieces.append(piece)
+    return np.concatenate(pieces).reshape(-1)[:n]
+
+
+def _heat_written_out(arr, t, dx):
+    """The heat step: the sampled kernel, as the blocked product up to
+    kernels._HEAT_BLOCKED_MAX_WEIGHTS weights and as the centred samples of
+    np.convolve's full convolution beyond, or three-point random-walk steps
+    below 2.25 dx^2."""
+    dx2 = dx * dx
+    if t >= 2.25 * dx2:
+        w = kernels._heat_weights(t, dx)
+        if len(w) <= kernels._HEAT_BLOCKED_MAX_WEIGHTS:
+            return _blocked_written_out(arr, w)
+        half = len(w) // 2
+        return np.convolve(arr, w)[half : half + arr.shape[0]]
+    k = max(1, math.ceil(t / dx2))
+    a = 0.5 * (t / k) / dx2
+    out = arr
+    for _ in range(k):
+        out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
+    return out

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
-from conftest import _interp_shift_arr, _shift_int
+from conftest import _heat_written_out, _interp_shift_arr, _shift_int
 from nisioenv import PNorm, UsageError, envelope
 from nisioenv.envelope import (
     _FILTER_CUTOVER,
@@ -34,7 +34,6 @@ from nisioenv.kernels import (
     LambdaInterval,
     LambdaValues,
     PureShift,
-    _heat_weights,
     _poisson_weights,
     apply_member,
     heat_convolve,
@@ -325,22 +324,6 @@ def _mix_written_out(arr, mu, dx):
     out = np.zeros(arr.shape[0])
     for y, w in mu.atoms:
         out += w * _interp_shift_arr(arr, y, dx)
-    return out
-
-
-def _heat_written_out(arr, t, dx):
-    """The heat step: the centred samples of the full convolution with the
-    sampled kernel, or three-point random-walk steps below 2.25 dx^2."""
-    dx2 = dx * dx
-    if t >= 2.25 * dx2:
-        w = _heat_weights(t, dx)
-        half = len(w) // 2
-        return np.convolve(arr, w)[half : half + arr.shape[0]]
-    k = max(1, math.ceil(t / dx2))
-    a = 0.5 * (t / k) / dx2
-    out = arr
-    for _ in range(k):
-        out = (1.0 - 2.0 * a) * out + a * (_shift_int(out, 1) + _shift_int(out, -1))
     return out
 
 

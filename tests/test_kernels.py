@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import _interp_shift_arr
+from conftest import _blocked_written_out, _heat_written_out, _interp_shift_arr
 from nisioenv import ConfigurationError, PNorm, UsageError
 from nisioenv.envelope import step_J
 from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid, ramp
 from nisioenv.kernels import (
     HEAT_KERNEL_WIDTH,
     SERIES_TOL,
+    _CALL_WORK,
+    _HEAT_BLOCK,
+    _HEAT_BLOCK_ROWS,
     _MAX_HEAT_WEIGHTS,
     CompoundPoisson,
     GaussianDrift,
@@ -32,6 +35,10 @@ from nisioenv.kernels import (
     upper_bound_norm_factor,
 )
 
+
+# zeros of either sign, subnormals whose products underflow to zeros of
+# either sign, and +-1
+SIGNED_ZERO_VALUES = [0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0]
 
 _CP_800 = CompoundPoisson(LambdaValues((800.0,)), JumpDistribution(((0.1, 1.0),)))
 
@@ -99,16 +106,64 @@ class TestHeatConvolve:
     @pytest.mark.parametrize("extra", [-40, -1, 0, 1, 40])
     def test_plan_bytes_around_the_grid_width(self, extra):
         # kernels narrower than, as wide as and wider than the grid give the
-        # bits of the centred slice of the full convolution, signs of zeros
-        # included
-        t, dx = 4.0, 0.25
+        # bits of their written-out reference, signs of zeros included: the
+        # blocked product at 65 weights, the centred slice of np.convolve's
+        # full convolution at 129
+        dx = 0.25
+        for t, m in ((1.0, 65), (4.0, 129)):
+            w = _heat_weights(t, dx)
+            n = len(w) + extra
+            rng = np.random.default_rng(len(w) + extra)
+            arr = rng.choice(SIGNED_ZERO_VALUES, size=n)
+            got, want = _heat_plan(t, dx, n).run(arr), _heat_written_out(arr, t, dx)
+            assert len(w) == m and got.shape == (n,)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), t
+
+    @pytest.mark.parametrize("level", range(11))
+    def test_blocked_product_within_rounding_of_convolve(self, level):
+        # the shipped Gaussian grid's kernels at dyadic levels 0-10 (1 161 down
+        # to 39 weights; the blocked product from 75 on): each output is the
+        # dot product of the weights with its window either way, each within
+        # gamma_m (|w| * |a|) of the exact sum. The two must stay within that
+        # bound of each other (the worst case is twice it; this data reaches
+        # 0.15 of it), plus half the smallest subnormal per product on each
+        # side, which the +-1e-320 samples reach. A window of +0 samples gives
+        # +0, as lp_norm and the window spans read +0 tails
+        t, dx = 0.5 / 2**level, 20.0 / 2048
         w = _heat_weights(t, dx)
-        n, half = len(w) + extra, len(w) // 2
-        rng = np.random.default_rng(len(w) + extra)
-        arr = rng.choice([0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0], size=n)
-        got, want = _heat_plan(t, dx, n).run(arr), np.convolve(arr, w)[half : half + n]
-        assert got.shape == (n,)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        m, half = len(w), len(w) // 2
+        gamma = m * 2.0**-53 / (1.0 - m * 2.0**-53)
+        for n in sorted({max(2, m + extra) for extra in (-40, -1, 0, 1, 40)}):
+            arr = np.random.default_rng(n).choice(SIGNED_ZERO_VALUES, size=n)
+            arr[: n // 2] = 0.0
+            got, want = _heat_plan(t, dx, n).run(arr), np.convolve(arr, w)[half : half + n]
+            reach = np.convolve(np.abs(arr), w)[half : half + n]
+            assert np.all(np.abs(got - want) <= gamma * reach + m * 2.0**-1074), n
+            zero = np.convolve(((arr != 0.0) | np.signbit(arr)).astype(float), np.ones(m))[half : half + n] == 0.0
+            assert zero[: max(0, n // 2 - half)].all(), n  # the windows inside the +0 half; 20 of them at n = m + 40
+            assert not got[zero].any() and not np.signbit(got[zero]).any(), n
+
+    @pytest.mark.parametrize("n", [2, 33, 96, 2049, 3 * _HEAT_BLOCK_ROWS * _HEAT_BLOCK + 5])
+    def test_both_sides_of_the_blocked_cutover(self, n):
+        # the widest blocked kernel (97 weights) gives the bits of the
+        # written-out blocked product and one offset more per side (99) those
+        # of np.convolve: on two nodes, on n not a multiple of the block,
+        # on kernels wider than the grid, and over several GEMMs of rows; each
+        # plan prices the multiply-adds it makes
+        dx = 0.01
+        for m, blocked in ((97, True), (99, False)):
+            half = m // 2
+            t = ((half - 0.5) * dx / HEAT_KERNEL_WIDTH) ** 2  # a reach of half - 0.5 offsets, rounded up
+            w, plan = _heat_weights(t, dx), _heat_plan(t, dx, n)
+            arr = np.random.default_rng(n + m).choice(SIGNED_ZERO_VALUES, size=n)
+            got = plan.run(arr)
+            if blocked:
+                c, blocks = math.ceil((_HEAT_BLOCK + m - 1) / _HEAT_BLOCK), math.ceil(n / _HEAT_BLOCK)
+                want, work = _blocked_written_out(arr, w), c * _HEAT_BLOCK**2 * blocks + (c + 1) * (n + _CALL_WORK)
+            else:
+                want, work = np.convolve(arr, w)[half : half + n], m * n + _CALL_WORK
+            assert len(w) == m and plan.work == work
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), m
 
     def test_kernel_past_the_cap_is_usage_error(self):
         # the widest kernel the cap admits is built; one offset more per side,
