@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 # Above this many integer offsets the window maximum switches from a doubling
-# fold (ceil(log2 count) passes over n + count nodes) to scipy's streaming 1-D
-# max filter (identical results, O(n)). The fold is the faster of the two up
-# to a few thousand offsets; only the blow-up scans of `counterexample` and
-# `verify --scale full` reach the filter.
+# fold (ceil(log2 count) passes over n + count nodes) to a block maximum
+# (identical bits, a few passes whatever the count). The fold is the faster
+# of the two up to a few thousand offsets; only the blow-up scans of
+# `counterexample` and `verify --scale full` reach the block maximum.
 _FILTER_CUTOVER = 4096
 
 # Step plans kept, one per (family, h, dx, n): the package's one cache. A
@@ -152,13 +152,17 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[list[tuple[int, int, float]
     consecutive offsets from wl + j, with k doubled, and one overlapping pair
     of k-blocks covers the count. The earlier block is always the first
     operand, and np.maximum keeps its second on a tie between +0 and -0, so a
-    tie keeps the later offset, as a fold in increasing order does, and so
-    does scipy's filter. The filter reads one shift c that brings offset 0
-    into the window (c = 0, no padding, when the window contains it). It
-    runs only on the outputs whose window meets the span of v = shift(c)
-    whose bits are not +0; every other output is a max of +0 terms, +0. On
-    that slice, reads past its ends give cval +0, as the samples there do,
-    and each output of the filter depends only on the values in its window.
+    tie keeps the later offset, as a fold in increasing order does.
+
+    Beyond it a block maximum (van Herk; Gil & Werman) reads u.samples by
+    index: views inside the grid, one reused zero-extended buffer off it. It
+    runs only on the outputs whose window meets the span of samples whose
+    bits are not +0 (the rest are maxima of +0 terms, +0), in blocks of count
+    from i: output i + r is the max of the suffix from r of output i's window
+    (a reversed accumulate) and of that window's last term and the r after it
+    (accumulated forward into out, the second operand). The reversed
+    accumulate keeps the earlier zero on a tie, but its maxima never decrease,
+    so its zeros are one run, each set to its first: the window's last zero.
     """
     wl, wh = min(max(ml, -n), n), min(max(mh, -n), n)
     count = wh - wl + 1
@@ -170,24 +174,33 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[list[tuple[int, int, float]
             return np.maximum(run[:n], run[count - k : count - k + n])
 
         return [(wl, wl, 0.0), (wh, wh, 0.0)], fold
-    c = max(wl, 0) + min(wh, 0)
-    vl, vh = wl - c, wh - c  # the window's offsets on v = shift(c): vl <= 0 <= vh
 
-    def filtered(u: _ZeroPadded) -> np.ndarray:
-        # Imported here: loading scipy.ndimage takes about 0.4 s and 27 MB,
-        # and only windows past the cutover (the blow-up scans) need it.
-        from scipy.ndimage import maximum_filter1d
-
-        v, out = u.shift(c), np.zeros(n)
-        span = _nonzero_span(v.view(np.int64) != 0)  # -0 has nonzero bits
+    def blocked(u: _ZeroPadded) -> np.ndarray:
+        s, out = u.samples, np.zeros(n)
+        span = _nonzero_span(s.view(np.int64) != 0)  # -0 has nonzero bits
         if span is None:
             return out
-        lo, hi = max(0, span[0] - vh), min(n, span[1] - vl)
-        maximum_filter1d(v[lo:hi], count, output=out[lo:hi], mode="constant", cval=0.0,
-                         origin=c - wl - count // 2)
+        rev, ext = np.empty(count), np.empty(count)
+
+        def read(k: int, size: int) -> np.ndarray:  # samples k .. k + size - 1, +0 off the grid
+            if 0 <= k and k + size <= n:
+                return s[k : k + size]
+            a, b = min(max(k, 0), n), min(max(k + size, 0), n)
+            ext[:size] = 0.0
+            ext[a - k : b - k] = s[a:b]
+            return ext[:size]
+
+        hi = min(n, span[1] - wl)
+        for i in range(max(0, span[0] - wh), hi, count):
+            np.maximum.accumulate(read(i + wl, count)[::-1], out=rev)  # rev[j]: max of the window's last j + 1 terms
+            i0, i1 = np.searchsorted(rev, 0.0, "left"), np.searchsorted(rev, 0.0, "right")
+            rev[i0:i1] = rev[i0 : i0 + 1]
+            later = out[i : min(i + count, hi)]
+            np.maximum.accumulate(read(i + wl + count - 1, len(later)), out=later)
+            np.maximum(rev[count - len(later) :][::-1], later, out=later)
         return out
 
-    return [(c, c, 0.0)], filtered
+    return [], blocked
 
 
 def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
@@ -230,7 +243,8 @@ def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
         out = int_max(held)
         return out if top is None else np.maximum(top, out, out=out)
 
-    # the padded copy, each end, the last max and the fold's passes (the filter's: the fold's at the cutover)
+    # the padded copy, each end, the last max and the fold's passes; the block
+    # maximum's few passes are priced as the fold's at the cutover, 13 over n + 4096
     folded = max(0, min(mh - ml + 1, 2 * n + 1, _FILTER_CUTOVER)) if ml < mh else 0
     return _Plan(window, (3 + 4 * len(ends)) * (n + _CALL_WORK) + folded.bit_length() * (n + folded + _CALL_WORK))
 

@@ -246,20 +246,15 @@ class _ZeroPadded:
         start = self.width + k
         return self.padded[start : start + (size or self.n)]
 
-    def interp(self, split: tuple[int, int, float], out: np.ndarray | None = None) -> np.ndarray:
+    def interp(self, split: tuple[int, int, float], out: np.ndarray) -> np.ndarray:
         """The shift of a split (k, k1, frac), (1 - frac) * shift k + frac *
-        shift k1, written into `out` and returned, else fresh; shift k, a view,
-        when frac is 0 and no `out` is given. The weights are nonnegative, so
-        the map is monotone and order-preserving exactly."""
+        shift k1, written into `out` and returned. The weights are
+        nonnegative, so the map is monotone and order-preserving exactly."""
         k, k1, frac = split
         if frac == 0.0:
-            if out is None:
-                return self.shift(k)
             out[:] = self.shift(k)
             return out
-        if out is None:
-            out = np.empty(self.n)
-        elif self._tmp is None:
+        if self._tmp is None:
             self._tmp = np.empty(self.n)
         np.multiply(1.0 - frac, self.shift(k), out=out)
         out += np.multiply(frac, self.shift(k1), out=self._tmp)

@@ -711,27 +711,35 @@ class TestRunOtherSubcommands:
             assert "configuration error" in capsys.readouterr().err
         assert not [g for g in grids if g == make_grid(-3.0, 3.0, 2401)]
 
-    def test_shipped_runs_leave_scipy_unloaded(self, tmp_path):
-        # scipy is imported on first use, by a window supremum past
-        # `envelope._FILTER_CUTOVER` offsets, which none of these runs reaches
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # numpy is the one dependency: in a process whose imports refuse
+        # every package outside the standard library, numpy and nisioenv, a
+        # blow-up scan whose window is past `envelope._FILTER_CUTOVER` offsets
+        # and a Gaussian envelope each give a verdict, with nothing on stderr
         root = Path(__file__).parents[1]
+        scan = base_config(tmp_path / "scan", counterexample={"t": 0.5, "epsilons": [1e-1, 1e-2]})
+        scan["family"] = {"family": "pure_shift", "lambda_interval": [-1.0, 1.0]}
+        scan["grid"] = {"lower": -3.0, "upper": 3.0, "n_nodes": 48001}
+        assert make_grid(-3.0, 3.0, 48001).dx <= 2 * 0.5 / envelope._FILTER_CUTOVER
         script = (
-            "import json, sys\n"
+            "import sys\n"
+            "allowed = sys.stdlib_module_names | {'numpy', 'nisioenv'}\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] not in allowed:\n"
+            "            raise ImportError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import nisioenv\n"
             "from nisioenv import cli\n"
-            "seen = [['import', 0, 'scipy' in sys.modules]]\n"
-            "for sub, name in [('envelope', 'envelope_gaussian'), ('compare-hjb', 'envelope_gaussian'),\n"
-            "                  ('compare-ode', 'compare_ode_compound_poisson')]:\n"
-            "    code = cli.run(sub, f'{sys.argv[1]}/{name}.json', out_dir=f'{sys.argv[2]}/{sub}')\n"
-            "    seen.append([sub, code, 'scipy' in sys.modules])\n"
-            "print(json.dumps(seen))\n"
+            "print([cli.run('counterexample', sys.argv[1]), cli.run('envelope', sys.argv[2])])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script, str(root / "configs"), str(tmp_path)],
-                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
-                              capture_output=True, text=True, check=True)
-        seen = json.loads(proc.stdout.splitlines()[-1])
-        assert [name for name, _, _ in seen] == ["import", "envelope", "compare-hjb", "compare-ode"]
-        assert all(code in (0, 1) for _, code, _ in seen)
-        assert not any(loaded for _, _, loaded in seen), seen
+        paths = [write_config(tmp_path, scan, "scan.json"),
+                 write_config(tmp_path, base_config(tmp_path / "envelope"), "envelope.json")]
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert len(codes) == 2 and all(code in (0, 1) for code in codes), codes
 
     def test_unknown_subcommand(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

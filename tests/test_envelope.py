@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d
 
 from conftest import _heat_written_out, _interp_shift_arr, _shift_int
 from nisioenv import PNorm, UsageError, envelope
@@ -71,7 +70,7 @@ def _window_int_max(u, ml, mh):
 class TestWindowSup:
     def test_filter_path_matches_reduce_path(self):
         # on 9 001 nodes each window keeps more than _FILTER_CUTOVER offsets
-        # after clamping to [-n, n], so the max runs scipy's filter: around
+        # after clamping to [-n, n], so the max runs the block maximum: around
         # offset 0, from it, up to it, and off it on either side
         n = 9001
         u = np.random.default_rng(9).standard_normal(n)
@@ -100,17 +99,18 @@ class TestWindowSup:
 
 def _int_max_written_out(u, ml, mh):
     """The max over the integer offsets ml..mh: a stacked reduce of
-    `_shift_int` per offset up to 48 offsets, scipy's filter on a zero-padded
-    copy beyond. The 48 is fixed, not `envelope._FILTER_CUTOVER`, so the
-    doubling fold is checked against both."""
-    count = mh - ml + 1
-    if count <= 48:
+    `_shift_int` per offset up to 48 offsets, a fold in increasing offset
+    order over a zero-padded copy beyond, np.maximum in place, so the later
+    offset wins a tie. The 48 is fixed, not `envelope._FILTER_CUTOVER`, so
+    each window path meets both references."""
+    if mh - ml + 1 <= 48:
         return np.maximum.reduce([_shift_int(u, m) for m in range(ml, mh + 1)])
-    pad = max(abs(ml), abs(mh))
+    n, pad = u.shape[0], max(abs(ml), abs(mh))
     padded = np.concatenate([np.zeros(pad), u, np.zeros(pad)])
-    filtered = maximum_filter1d(padded, size=count, mode="constant", cval=0.0, origin=0)
-    start = pad + ml + count // 2
-    return filtered[start : start + u.shape[0]]
+    out = padded[pad + ml : pad + ml + n].copy()
+    for m in range(ml + 1, mh + 1):
+        np.maximum(out, padded[pad + m : pad + m + n], out=out)
+    return out
 
 
 def _window_sup_written_out(u, lo, hi, dx):
@@ -139,7 +139,7 @@ class TestWindowSupBytes:
                 u = np.where(rng.random(n) < 0.5, u, rng.standard_normal(n))
             dx = float(rng.choice([0.01, 0.1, 1.0 / 3.0]))
             # windows up to 1500 nodes: wider than the grid, on both sides of
-            # the filter cutover, and often off offset 0 (scipy's origin range)
+            # the window cutover, and often off offset 0
             span = float(rng.choice([2, 10, 60, 300, 1500])) * dx
             ends = rng.uniform(-span, span, size=2)
             snap = rng.random(2) < 0.4  # endpoints on a node
@@ -176,9 +176,9 @@ class TestWindowSupBytes:
     @pytest.mark.parametrize("n", [2049, 4100])
     @pytest.mark.parametrize("count", [4095, 4096, 4097])
     def test_both_sides_of_the_filter_cutover(self, n, count):
-        # the doubling fold up to 4096 offsets and scipy's filter beyond give
-        # the bits of the filter, on windows off offset 0, around it and
-        # wider than the grid
+        # the doubling fold up to 4096 offsets and the block maximum beyond
+        # give the bits of the written-out fold, on windows off offset 0,
+        # around it and wider than the grid
         rng = np.random.default_rng(count + n)
         for ml in (-count // 2, 1 - count, -3, 5, -n - 7, n - count + 2):
             u = rng.choice(self.VALUES, size=n)
@@ -186,9 +186,8 @@ class TestWindowSupBytes:
             assert np.array_equal(got, want), ml
             assert np.array_equal(np.signbit(got), np.signbit(want)), ml
 
-    # windows past the cutover on 9 001 nodes: around offset 0 (c = 0), off
-    # it on either side (c != 0, as for drifts in [0.25, 1]), and wider than
-    # the grid
+    # windows past the cutover on 9 001 nodes: around offset 0, off it on
+    # either side (as for drifts in [0.25, 1]), and wider than the grid
     FILTER_WINDOWS = ((-2100, 2100), (-4500, 100), (1000, 5200), (100, 4300), (-8000, -3800), (-9500, 9500))
 
     @staticmethod
@@ -210,22 +209,57 @@ class TestWindowSupBytes:
         return out + [tails, lone, np.zeros(n)]
 
     def test_cropped_filter_matches_uncropped_and_brute_force(self):
-        # the filter runs only where a window meets the span of nonzero bits;
-        # against scipy's filter on the whole shifted array (values and sign
-        # bits) and a brute-force max over each zero-padded window (values)
+        # the block maximum runs only where a window meets the span of
+        # nonzero bits; against the written-out fold over every output
+        # (values and sign bits) and a brute-force max over each zero-padded
+        # window (values)
         n, rng = 9001, np.random.default_rng(12)
         for u in self._supports(n, rng):
             for ml, mh in self.FILTER_WINDOWS:
                 wl, wh = max(ml, -n), min(mh, n)
-                count, c = wh - wl + 1, max(wl, 0) + min(wh, 0)
+                count = wh - wl + 1
                 assert count > _FILTER_CUTOVER
-                shifted = _shift_int(u, c)
-                whole = maximum_filter1d(shifted, count, mode="constant", cval=0.0, origin=c - wl - count // 2)
+                whole = _int_max_written_out(u, ml, mh)
                 padded = np.concatenate([np.zeros(n), u, np.zeros(n)])
                 brute = sliding_window_view(padded, count)[n + wl : 2 * n + wl].max(axis=1)
                 got = _window_int_max(u, ml, mh)
                 assert np.array_equal(got, whole) and np.array_equal(np.signbit(got), np.signbit(whole)), (ml, mh)
                 assert np.array_equal(got, brute), (ml, mh)
+
+    def test_block_maximum_matches_the_fold(self, monkeypatch):
+        # 300 windows past the cutover, against the doubling fold run on them
+        # (values and sign bits): +-0 only, +-0 with negatives, normals, and
+        # supports that touch a grid end; windows around offset 0, off it on
+        # either side, and up to 2n + 1 offsets, past the grid's clamp
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            n = int(rng.integers(4200, 7000))
+            kind = case % 4
+            if kind == 0:
+                u = rng.choice([0.0, -0.0], size=n)
+            elif kind == 1:
+                u = rng.choice([0.0, -0.0, -1e-320, -1.0, -2.5], size=n)
+            elif kind == 2:
+                u = rng.standard_normal(n)
+            else:
+                u, a = np.zeros(n), int(rng.integers(1, n))
+                support = slice(0, a) if rng.random() < 0.5 else slice(n - a, n)
+                u[support] = rng.choice(self.VALUES, size=a)
+            count = int(rng.integers(_FILTER_CUTOVER + 1, 2 * n + 2))
+            side = case % 3  # around offset 0, right of it, left of it
+            if side == 0:
+                ml = -int(rng.integers(0, count))
+            else:
+                ml = int(rng.integers(1, n - _FILTER_CUTOVER))
+                ml = ml if side == 1 else -ml - count + 1
+            mh = ml + count - 1
+            assert min(mh, n) - max(ml, -n) + 1 > _FILTER_CUTOVER, (n, ml, mh)
+            got = _window_int_max(u, ml, mh)
+            with monkeypatch.context() as patched:
+                patched.setattr(envelope, "_FILTER_CUTOVER", 2 * n + 1)
+                want = _window_int_max(u, ml, mh)
+            assert np.array_equal(got, want), (case, n, ml, mh)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (case, n, ml, mh)
 
     def test_shift_beyond_the_grid_pads_at_most_n(self):
         # a drift of 1e12 nodes reads only zeros; no 1e12-node padding is built
@@ -462,6 +496,21 @@ class TestStepPlans:
             got = _chain(fam, 0.125, m, f).samples
             assert np.array_equal(got, want.samples) and np.array_equal(np.signbit(got), np.signbit(want.samples))
             assert not got.flags.writeable and not np.shares_memory(got, f.samples)
+
+    def test_pure_shift_chains_equal_one_step_on_both_window_paths(self):
+        # T_L = T_0 while lambda_bar h >= dx: a chain of 2^L shift steps of
+        # 0.5 / 2^L, each window on whole nodes of dx = 2^-13, has the bits
+        # of one step of 0.5. Levels 0-1 take the block maximum, 2-7 the fold
+        g = make_grid(-3.0, 3.0, 49153)
+        assert g.dx == 2.0**-13
+        fam = PureShift(LambdaInterval(-1.0, 1.0))
+        f = bump(g, radius=1.0)
+        want = step_J(fam, 0.5, f).samples
+        for level in range(8):
+            h = 0.5 / (1 << level)
+            assert (round(2 * h / g.dx) + 1 > _FILTER_CUTOVER) == (level <= 1)
+            got = _chain(fam, h, 1 << level, f).samples
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), level
 
     def test_chain_checks_every_step_and_frees_its_start(self, monkeypatch, gauss_family):
         # the start is freed by the chain's first step, and a step that is not

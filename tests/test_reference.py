@@ -320,10 +320,10 @@ class TestCounterexampleScan:
         # each step reads its pole, each norm its step result, and nothing
         # outlives its use: the traced peak stays under three grid-long
         # float arrays (about four at p = 1.5 and three at p = 2 when the
-        # filter, lp_norm and the scan worked on the whole grid)
+        # window maximum, lp_norm and the scan worked on the whole grid)
         g = make_grid(-3.0, 3.0, 240001)
         eps = [1e-2, 1e-3, 1e-4]
-        counterexample_scan(g, p, 0.5, eps)  # imports scipy and fills the plan cache
+        counterexample_scan(g, p, 0.5, eps)  # fills the plan cache
         tracemalloc.start()
         try:
             counterexample_scan(g, p, 0.5, eps)
