@@ -8,6 +8,7 @@ functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -323,8 +324,7 @@ def _write_rows_csv(path, header: str, rows) -> None:
     line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(line.format(*row))
+        fh.writelines(itertools.starmap(line.format, rows))
 
 
 def write_csv(f: GridFunction, path) -> None:

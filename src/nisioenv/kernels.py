@@ -232,14 +232,21 @@ KernelFamily = GaussianDrift | CompoundPoisson | PureShift
 # are exact to roughly exp(-2 pi^2 t / dx^2) by Poisson summation.
 _SAMPLED_KERNEL_MIN_VAR = 2.25
 
-# A sampled kernel of at most _HEAT_BLOCKED_MAX_WEIGHTS weights runs as a
-# blocked product (`_blocked_heat_plan`): _HEAT_BLOCK outputs per row, its band
-# matrix at most 32 KiB (97 weights at B = 32). On 2 049 nodes it took 20-30 us
-# against 45-65 us for np.convolve at 39-75 weights (2-vCPU Xeon, OpenBLAS
-# 0.3.31); wider kernels stay on np.convolve, as their band matrices would be
-# larger. At most _HEAT_BLOCK_ROWS rows go to one GEMM, into a 128 KiB buffer.
+# A sampled kernel runs as a blocked product (`_blocked_heat_plan`):
+# _HEAT_BLOCK outputs per row, times the c = ceil((B + m - 1) / B) blocks of a
+# B x B band matrix of the m reversed weights, c B^2 doubles. A plan holds its
+# band when that is at most _HEAT_BAND_HELD_BYTES (64 KiB, 225 weights at
+# B = 32), which covers every width a chain takes many steps at; so a cached
+# plan holds at most 64 KiB (64 of them at most 4 MiB), and building the plan
+# of the widest admitted kernel (65 537 weights, a 16 MiB band) holds none. A
+# wider band is copied in each call from a strided view of the zero-padded
+# weights. On 2 049 nodes (in-process minima, 2-vCPU Xeon, OpenBLAS 0.3.31) a
+# held band took 16-39 us at 39-207 weights against 26-61 us for np.convolve;
+# a band copied per call cost 3-15 us, and the product with it 59-179 us at
+# 291-1 161 weights against 54-239 us. At most _HEAT_BLOCK_ROWS rows go to one
+# GEMM, into a 128 KiB buffer.
 _HEAT_BLOCK = 32
-_HEAT_BLOCKED_MAX_WEIGHTS = 97
+_HEAT_BAND_HELD_BYTES = 64 * 1024
 _HEAT_BLOCK_ROWS = 512
 
 
@@ -261,26 +268,36 @@ def _heat_weights(t: float, dx: float) -> np.ndarray:
     return w
 
 
+def _heat_band(w: np.ndarray, c: int) -> np.ndarray:
+    """The c blocks of B rows of the band matrix of w: row k, column r is
+    w[m - 1 - k + r] for 0 <= k - r < m, else +0. Row k is the window of B
+    entries of the zero-padded weights that starts one entry before row
+    k - 1's, copied out of one strided view."""
+    m, b = len(w), _HEAT_BLOCK
+    padded = np.zeros(c * b + b - 1)
+    padded[c * b - m : c * b] = w
+    size = padded.itemsize
+    rows = np.ndarray((c * b, b), float, padded, (c * b - 1) * size, (-size, size))
+    return np.ascontiguousarray(rows).reshape(c, b, b)
+
+
 def _blocked_heat_plan(w: np.ndarray, n: int) -> _Plan:
     """arr -> the centred samples of the full convolution of arr with w on n
     nodes, as one blocked matrix product: output i = b B + r is row b,
     column r of sum_j rows[b + j] @ band[j], where rows is the samples
-    zero-padded by m // 2 in front, cut into rows of B, and band holds the
-    c = ceil((B + m - 1) / B) blocks of B rows of the band matrix whose row
-    k, column r is w[m - 1 - (k - r)] for 0 <= k - r < m, and 0 elsewhere.
-    Each product is one BLAS GEMM on contiguous operands, the partial sums
-    added in order of j, over at most _HEAT_BLOCK_ROWS rows at a time.
-    Outside its window an output reads only zeros of the band, so a window
-    of +0 samples sums exact zeros from BLAS's +0 start: +0."""
+    zero-padded by m // 2 in front, cut into rows of B, and band is the
+    `_heat_band` of w, held by the plan up to _HEAT_BAND_HELD_BYTES and
+    built in each call past it. Each product is one BLAS GEMM on contiguous
+    operands, the partial sums added in order of j, over at most
+    _HEAT_BLOCK_ROWS rows at a time. Outside its window an output reads only
+    zeros of the band, so a window of +0 samples sums exact zeros from
+    BLAS's +0 start: +0."""
     m, half, b = len(w), len(w) // 2, _HEAT_BLOCK
     c, blocks = -(-(b + m - 1) // b), -(-n // b)
-    # b rows of c b + 1 entries, each the reversed weights then zeros: read c b
-    # at a time, row r starts r entries earlier, after r zeros of the row before
-    cols = np.zeros((b, c * b + 1))
-    cols[:, :m] = w[::-1]
-    band = np.ascontiguousarray(cols.reshape(-1)[: b * c * b].reshape(b, c * b).T).reshape(c, b, b)
+    held = _heat_band(w, c) if c * b * b * 8 <= _HEAT_BAND_HELD_BYTES else None
 
     def run(arr: np.ndarray) -> np.ndarray:
+        band = _heat_band(w, c) if held is None else held
         padded = np.zeros((blocks + c - 1) * b)
         padded[half : half + n] = arr
         rows, out = padded.reshape(-1, b), np.empty((blocks, b))
@@ -293,8 +310,10 @@ def _blocked_heat_plan(w: np.ndarray, n: int) -> _Plan:
                 acc += np.matmul(rows[lo + j : lo + j + k], band[j], out=tmp[:k])
         return out.reshape(-1)[:n]
 
-    # the padded multiply-adds of c GEMMs, then the padding, its copy and c - 1 sums
-    return _Plan(run, c * b * blocks * b + (c + 1) * (n + _CALL_WORK))
+    # the padded multiply-adds of c GEMMs, then the padding, its copy and c - 1
+    # sums; a band built per call adds its c B^2 entries in three calls
+    work = c * b * blocks * b + (c + 1) * (n + _CALL_WORK)
+    return _Plan(run, work if held is not None else work + c * b * b + 3 * _CALL_WORK)
 
 
 def _heat_plan(t: float, dx: float, n: int) -> _Plan:
@@ -304,15 +323,7 @@ def _heat_plan(t: float, dx: float, n: int) -> _Plan:
         return _Plan(np.copy, n + _CALL_WORK)
     dx2 = dx * dx
     if t >= _SAMPLED_KERNEL_MIN_VAR * dx2:
-        w = _heat_weights(t, dx)
-        if len(w) <= _HEAT_BLOCKED_MAX_WEIGHTS:
-            return _blocked_heat_plan(w, n)
-        # mode "same" gives the centred samples of the full convolution, the
-        # same dot products on the same operands, but returns len(w) samples
-        # when the kernel is wider than the grid: slice the full one there
-        half = len(w) // 2
-        return _Plan(lambda arr: (np.convolve(arr, w, "same") if len(w) <= arr.shape[0]
-                                  else np.convolve(arr, w)[half : half + arr.shape[0]]), len(w) * n + _CALL_WORK)
+        return _blocked_heat_plan(_heat_weights(t, dx), n)
     # grid-unresolved variance: three-point steps with the exact variance,
     # nonnegative weights (s <= dx^2), constants preserved by construction
     k = max(1, math.ceil(t / dx2))

@@ -48,7 +48,7 @@ def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
 
 
 def _upwind_passes(t: float, dx: float, lambda_bar: float, cfl: float) -> float:
-    """Array passes of `hjb_upwind` over the grid: 10 per step whatever the drift set (see `_upwind_step`)."""
+    """Array passes of `hjb_upwind` over the grid: at most 10 per step whatever the drift set (see `_upwind_step`)."""
     return 10.0 * _upwind_steps(t, dx, lambda_bar, cfl)
 
 
@@ -73,29 +73,39 @@ def _upwind_stencil(dt: float, dx: float, lo: float, hi: float) -> tuple:
     """The weights of one upwind step on the drift set [lo, hi], worked out once per run: c2 = dt / (2 dx^2) on
     a + b, and for each end c the weight |c| dt / dx on the difference it is upwind of, a = u[i+1] - u[i] (row 0)
     for c >= 0 and b = u[i-1] - u[i] (row 1) for c < 0, as (row written, weight, row read) in an order that reads
-    each row before it is written; the floor of their max is 0 when 0 lies in [lo, hi], else -inf."""
+    each row before it is written; the floor of their max is 0 when 0 lies in [lo, hi], else -inf. When the two
+    weights are equal, each end reads its own row and the floor is 0, the ends are left out and their one weight
+    is the scale of the max, else the scale is None: c >= 0 rounds monotonically, so c max(a, b, 0) is
+    max(c a, c b, 0), and the max with +0 as its second operand makes either zero +0."""
+    c2, floor = 0.5 * dt / (dx * dx), 0.0 if lo <= 0.0 <= hi else -math.inf
     ends = [(0, abs(hi) * dt / dx, int(hi < 0.0)), (1, abs(lo) * dt / dx, int(lo < 0.0))]
-    return 0.5 * dt / (dx * dx), ends[::-1] if lo >= 0.0 else ends, 0.0 if lo <= 0.0 <= hi else -math.inf
+    if ends[0][1] == ends[1][1] and lo < 0.0 <= hi:
+        return c2, [], floor, ends[0][1]
+    return c2, ends[::-1] if lo >= 0.0 else ends, floor, None
 
 
 def _upwind_views(u: np.ndarray, out: np.ndarray) -> tuple:
-    """The rows one upwind step from u into out reads and writes: u[1:-1], u[2:], u[:-2] and out[1:-1]."""
-    return u[1:-1], u[2:], u[:-2], out[1:-1]
+    """The rows one upwind step from u into out reads and writes: u[1:-1], (u[2:], u[:-2]) as one strided view of
+    u (of a contiguous copy of u when u is not contiguous), and out[1:-1]."""
+    u = np.ascontiguousarray(u)
+    size = u.itemsize
+    return u[1:-1], np.ndarray((2, u.size - 2), u.dtype, u, 2 * size, (-2 * size, size)), out[1:-1]
 
 
-def _upwind_step(views: tuple, rows: np.ndarray, c2: float, ends: list, floor: float) -> None:
-    """out[1:-1] = u[1:-1] + (c2 (a + b) + max(hi term, lo term, floor)) on the `_upwind_stencil`, in 10 array
-    passes over the two scratch rows (a, b) and out, given the `_upwind_views` of u and out, which must not
-    share memory. out's ends are left as they are."""
-    (mid, right, left, s), (a, b) = views, rows
-    np.subtract(right, mid, out=a)
-    np.subtract(left, mid, out=b)
+def _upwind_step(views: tuple, rows: np.ndarray, c2: float, ends: list, floor: float, scale: float | None) -> None:
+    """out[1:-1] = u[1:-1] + (c2 (a + b) + max(hi term, lo term, floor)) on the `_upwind_stencil`, in 9 array
+    passes over the two scratch rows (a, b) and out, 8 when the stencil has a scale, given the `_upwind_views` of
+    u and out, which must not share memory. out's ends are left as they are."""
+    (mid, pair, s), (a, b) = views, rows
+    np.subtract(pair, mid, out=rows)
     np.add(a, b, out=s)
     s *= c2
     for dst, c, src in ends:
         np.multiply(c, rows[src], out=rows[dst])
     np.maximum(a, b, out=a)
     np.maximum(a, floor, out=a)
+    if scale is not None:
+        a *= scale
     s += a
     np.add(mid, s, out=s)
 
@@ -128,12 +138,12 @@ def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = 0.
     if t == 0.0:
         return GridFunction(f0.grid, f0.samples.copy())
     dt = t / steps
-    c2, ends, floor = _upwind_stencil(dt, f0.grid.dx, lo, hi)
+    stencil = _upwind_stencil(dt, f0.grid.dx, lo, hi)
     rows, u, nxt = np.empty((2, f0.grid.n_nodes - 2)), np.zeros(f0.grid.n_nodes), np.zeros(f0.grid.n_nodes)
-    _upwind_step(_upwind_views(f0.samples, nxt), rows, c2, ends, floor)
+    _upwind_step(_upwind_views(f0.samples, nxt), rows, *stencil)
     forth, back = _upwind_views(nxt, u), _upwind_views(u, nxt)
     for k in range(1, steps):
-        _upwind_step(forth if k & 1 else back, rows, c2, ends, floor)
+        _upwind_step(forth if k & 1 else back, rows, *stencil)
     return GridFunction._wrap(f0.grid, nxt if steps & 1 else u)
 
 

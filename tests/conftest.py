@@ -113,7 +113,7 @@ def _interp_shift_arr(arr, delta, dx):
 
 
 # The heat step written out: the blocked product with its band matrix built
-# column by column, and np.convolve past the cutoff.
+# column by column.
 
 
 def _blocked_written_out(arr, w):
@@ -139,17 +139,11 @@ def _blocked_written_out(arr, w):
 
 
 def _heat_written_out(arr, t, dx):
-    """The heat step: the sampled kernel, as the blocked product up to
-    kernels._HEAT_BLOCKED_MAX_WEIGHTS weights and as the centred samples of
-    np.convolve's full convolution beyond, or three-point random-walk steps
-    below 2.25 dx^2."""
+    """The heat step: the sampled kernel as the blocked product, or
+    three-point random-walk steps below 2.25 dx^2."""
     dx2 = dx * dx
     if t >= 2.25 * dx2:
-        w = kernels._heat_weights(t, dx)
-        if len(w) <= kernels._HEAT_BLOCKED_MAX_WEIGHTS:
-            return _blocked_written_out(arr, w)
-        half = len(w) // 2
-        return np.convolve(arr, w)[half : half + arr.shape[0]]
+        return _blocked_written_out(arr, kernels._heat_weights(t, dx))
     k = max(1, math.ceil(t / dx2))
     a = 0.5 * (t / k) / dx2
     out = arr

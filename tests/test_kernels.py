@@ -1,17 +1,19 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import _blocked_written_out, _heat_written_out, _interp_shift_arr
-from nisioenv import ConfigurationError, PNorm, UsageError
+from nisioenv import ConfigurationError, PNorm, UsageError, kernels
 from nisioenv.envelope import step_J
 from nisioenv.funcspace import GridFunction, bump, gaussian_profile, lp_norm, make_grid, ramp
 from nisioenv.kernels import (
     HEAT_KERNEL_WIDTH,
     SERIES_TOL,
     _CALL_WORK,
+    _HEAT_BAND_HELD_BYTES,
     _HEAT_BLOCK,
     _HEAT_BLOCK_ROWS,
     _MAX_HEAT_WEIGHTS,
@@ -106,9 +108,8 @@ class TestHeatConvolve:
     @pytest.mark.parametrize("extra", [-40, -1, 0, 1, 40])
     def test_plan_bytes_around_the_grid_width(self, extra):
         # kernels narrower than, as wide as and wider than the grid give the
-        # bits of their written-out reference, signs of zeros included: the
-        # blocked product at 65 weights, the centred slice of np.convolve's
-        # full convolution at 129
+        # bits of their written-out blocked product, signs of zeros included,
+        # at 65 and 129 weights
         dx = 0.25
         for t, m in ((1.0, 65), (4.0, 129)):
             w = _heat_weights(t, dx)
@@ -122,13 +123,14 @@ class TestHeatConvolve:
     @pytest.mark.parametrize("level", range(11))
     def test_blocked_product_within_rounding_of_convolve(self, level):
         # the shipped Gaussian grid's kernels at dyadic levels 0-10 (1 161 down
-        # to 39 weights; the blocked product from 75 on): each output is the
-        # dot product of the weights with its window either way, each within
-        # gamma_m (|w| * |a|) of the exact sum. The two must stay within that
-        # bound of each other (the worst case is twice it; this data reaches
-        # 0.15 of it), plus half the smallest subnormal per product on each
-        # side, which the +-1e-320 samples reach. A window of +0 samples gives
-        # +0, as lp_norm and the window spans read +0 tails
+        # to 39 weights, each a blocked product; np.convolve is the independent
+        # reference): each output is the dot product of the weights with its
+        # window either way, each within gamma_m (|w| * |a|) of the exact sum.
+        # The two must stay within that bound of each other (the worst case is
+        # twice it; this data reaches 0.07 of it), plus half the smallest
+        # subnormal per product on each side, which the +-1e-320 samples reach.
+        # A window of +0 samples gives +0, as lp_norm and the window spans read
+        # +0 tails
         t, dx = 0.5 / 2**level, 20.0 / 2048
         w = _heat_weights(t, dx)
         m, half = len(w), len(w) // 2
@@ -144,26 +146,47 @@ class TestHeatConvolve:
             assert not got[zero].any() and not np.signbit(got[zero]).any(), n
 
     @pytest.mark.parametrize("n", [2, 33, 96, 2049, 3 * _HEAT_BLOCK_ROWS * _HEAT_BLOCK + 5])
-    def test_both_sides_of_the_blocked_cutover(self, n):
-        # the widest blocked kernel (97 weights) gives the bits of the
-        # written-out blocked product and one offset more per side (99) those
-        # of np.convolve: on two nodes, on n not a multiple of the block,
-        # on kernels wider than the grid, and over several GEMMs of rows; each
-        # plan prices the multiply-adds it makes
+    def test_both_sides_of_the_held_band_budget(self, n, monkeypatch):
+        # the widest band a plan holds (225 weights, 8 blocks, 64 KiB) and the
+        # narrowest it builds in each call (227 weights, 9 blocks) give the bits
+        # of the written-out blocked product, signs of zeros included, on two
+        # nodes, on n not a multiple of the block, on kernels wider than the
+        # grid, and over several GEMMs of rows; each plan prices the
+        # multiply-adds it makes, and the per-call band its copy. Held under a
+        # larger budget, the 227-weight band (the loop's last) prices no copy
+        # and gives the per-call bits
         dx = 0.01
-        for m, blocked in ((97, True), (99, False)):
+        for m, c in ((225, 8), (227, 9)):
             half = m // 2
             t = ((half - 0.5) * dx / HEAT_KERNEL_WIDTH) ** 2  # a reach of half - 0.5 offsets, rounded up
             w, plan = _heat_weights(t, dx), _heat_plan(t, dx, n)
             arr = np.random.default_rng(n + m).choice(SIGNED_ZERO_VALUES, size=n)
-            got = plan.run(arr)
-            if blocked:
-                c, blocks = math.ceil((_HEAT_BLOCK + m - 1) / _HEAT_BLOCK), math.ceil(n / _HEAT_BLOCK)
-                want, work = _blocked_written_out(arr, w), c * _HEAT_BLOCK**2 * blocks + (c + 1) * (n + _CALL_WORK)
-            else:
-                want, work = np.convolve(arr, w)[half : half + n], m * n + _CALL_WORK
-            assert len(w) == m and plan.work == work
+            got, want = plan.run(arr), _blocked_written_out(arr, w)
+            work = c * _HEAT_BLOCK**2 * math.ceil(n / _HEAT_BLOCK) + (c + 1) * (n + _CALL_WORK)
+            held = c * _HEAT_BLOCK**2 * 8 <= _HEAT_BAND_HELD_BYTES
+            assert len(w) == m and held == (m == 225)
+            assert plan.work == (work if held else work + c * _HEAT_BLOCK**2 + 3 * _CALL_WORK), m
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), m
+        monkeypatch.setattr(kernels, "_HEAT_BAND_HELD_BYTES", c * _HEAT_BLOCK**2 * 8)
+        held_plan = _heat_plan(t, dx, n)
+        assert held_plan.work == work
+        assert held_plan.run(arr).tobytes() == got.tobytes()
+
+    def test_widest_kernel_plan_holds_no_band(self):
+        # the plan of the widest kernel the cap admits (65 537 weights, a
+        # 16 MiB band of 2 049 blocks) is built without its band: building it
+        # traces at most a few copies of its 512 KiB of weights
+        dx = 0.01
+        t = ((_MAX_HEAT_WEIGHTS // 2) * dx / HEAT_KERNEL_WIDTH) ** 2
+        tracemalloc.start()
+        try:
+            plan = _heat_plan(t, dx, 2049)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = 8 * _MAX_HEAT_WEIGHTS
+        assert plan.work > 2049 * _MAX_HEAT_WEIGHTS
+        assert held < 2 * weights and peak < 6 * weights, (held, peak)
 
     def test_kernel_past_the_cap_is_usage_error(self):
         # the widest kernel the cap admits is built; one offset more per side,

@@ -82,8 +82,9 @@ def test_infinite_step_count_is_usage_error(call, rule):
     assert str(raised.value) == str(stated.value)
 
 
-# drift sets [lo, hi]: symmetric ones by their lambda_bar, then one that reads only D+u and one only D-u
-HULLS = [(-lam, lam) for lam in (0.0, 0.7, 1.0, 1.3)] + [(0.2, 0.9), (-1.3, -0.4)]
+# drift sets [lo, hi]: symmetric ones by their lambda_bar, then one that reads only D+u, one only D-u and two
+# that hold 0 with ends of unequal weights
+HULLS = [(-lam, lam) for lam in (0.0, 0.7, 1.0, 1.3)] + [(0.2, 0.9), (-1.3, -0.4), (-0.4, 1.1), (-1.2, 0.3)]
 HULL_IDS = [str(hi) if lo == -hi else f"{lo},{hi}" for lo, hi in HULLS]
 
 
@@ -125,6 +126,24 @@ class TestHjbUpwind:
         expected = np.zeros(301)
         expected[1:-1] = u[1:-1] + (0.5 * dt / (dx * dx) * (a + b) + np.maximum(np.maximum(*ends), floor))
         assert np.array_equal(hjb_step(u, dt, dx, lo, hi), expected)
+
+    def test_symmetric_step_bytes_fuzz(self):
+        # a symmetric set scales the max of a and b once, where the written-out
+        # step scales both ends; 3 000 random steps over radii 0-3, spacings,
+        # cfl factors and data of +-0, +-1e-320, +-1e300 and normals must give
+        # the same bytes, signs of zeros included
+        rng = np.random.default_rng(20)
+        values = np.array([0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300])
+        for _ in range(3000):
+            n = int(rng.integers(3, 40))
+            u = np.where(rng.random(n) < 0.7, rng.choice(values, n), rng.standard_normal(n))
+            lam, dx = float(rng.integers(0, 4)) * rng.choice([1.0, rng.random()]), 10.0 ** rng.uniform(-3.0, 0.0)
+            dt = rng.uniform(0.01, 1.0) / (1.0 / (dx * dx) + lam / dx)
+            a, b = u[2:] - u[1:-1], u[:-2] - u[1:-1]
+            c = lam * dt / dx
+            expected = np.zeros(n)
+            expected[1:-1] = u[1:-1] + (0.5 * dt / (dx * dx) * (a + b) + np.maximum(np.maximum(c * a, c * b), 0.0))
+            assert hjb_step(u, dt, dx, -lam, lam).tobytes() == expected.tobytes(), (u, lam, dx, dt)
 
     @pytest.mark.parametrize("lambda_bar", [0.0, 0.7, 1.0, 1.3])
     def test_step_near_textbook_formula(self, lambda_bar):
