@@ -68,14 +68,11 @@ def _S(
 
 @dataclass
 class GeneratorEstimate:
-    """Table of quotients (S(h)f - f)/h along a halving h-schedule.
-
-    errors_vs_B holds the interior L^p distance to the closed-form supremum
-    generator.
+    """The quotients (S(h)f - f)/h along a halving h-schedule, by their
+    interior L^p distance to the closed-form supremum generator, errors_vs_B.
     """
 
     h_schedule: list[float]
-    quotients: list[GridFunction]
     errors_vs_B: list[float]
 
 
@@ -96,15 +93,12 @@ def generator_fd(
     params = envelope_params
     schedule = geometric_schedule(h0, k_steps)
     target = sup_generator(fam, f)
-    quotients: list[GridFunction] = []
     errors: list[float] = []
     chains: dict = {}
     for h in reversed(schedule):
         res = nisio_dyadic(fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm, n_min=2, chains=chains)
-        q = (res.final - f) / h
-        quotients.append(q)
-        errors.append(compare(q, target, params.norm).abs_err)
-    return GeneratorEstimate(schedule, quotients[::-1], errors[::-1])
+        errors.append(compare((res.final - f) / h, target, params.norm).abs_err)
+    return GeneratorEstimate(schedule, errors[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +122,6 @@ class DerivativeProbe:
     gap: float
     quotient_monotone: bool
     monotonicity_violation: float
-    quotients_plus: list[GridFunction]
 
 
 def _check_schedule(h_schedule: list[float]) -> None:
@@ -146,16 +139,16 @@ def _side_quotients(
     params: EnvelopeParams,
     level: int | None,
     sign: float,
-) -> tuple[list[GridFunction], float]:
-    """Quotients (S(t)(x + sign*h*y) - base)/(sign*h), base = S(t)x, plus the
-    worst ordering slack."""
+) -> tuple[GridFunction, float]:
+    """The smallest-h quotient (S(t)(x + sign*h*y) - base)/(sign*h), base =
+    S(t)x, and the worst ordering slack of the quotients along h_schedule."""
     quotients = [(_S(fam, t, x + sign * h * y, params, level=level) - base) / (sign * h) for h in h_schedule]
     worst = 0.0
     for prev, nxt in zip(quotients, quotients[1:]):
         # plus side decreases toward the inf, minus side increases toward the sup
         drop = np.max(sign * (nxt.samples - prev.samples))
         worst = max(worst, float(drop))
-    return quotients, worst
+    return quotients[-1], worst
 
 
 def directional_derivative(
@@ -177,18 +170,15 @@ def directional_derivative(
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
         return DerivativeProbe(
-            base=base, plus=ycopy, minus=ycopy, gap=0.0,
-            quotient_monotone=True, monotonicity_violation=0.0, quotients_plus=[ycopy],
+            base=base, plus=ycopy, minus=ycopy, gap=0.0, quotient_monotone=True, monotonicity_violation=0.0,
         )
-    q_plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
-    q_minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
-    plus, minus = q_plus[-1], q_minus[-1]
+    plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
+    minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
     violation = max(v_plus, v_minus)
     return DerivativeProbe(
         base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
         quotient_monotone=violation <= QUOTIENT_TOL,
         monotonicity_violation=violation,
-        quotients_plus=q_plus,
     )
 
 
@@ -198,9 +188,9 @@ def directional_derivative(
 
 @dataclass
 class IdentityReport:
-    """Pairwise comparison of the three realizations of d/dt S(t)f."""
+    """Pairwise comparison of the three realizations of d/dt S(t)f, passed
+    when the largest gap is at most tol."""
 
-    h: float
     gap_forward_plus: float
     gap_forward_minus: float
     gap_plus_minus: float
@@ -249,7 +239,7 @@ def derivative_identity_check(
     g_fm = compare(forward, minus, params.norm).abs_err / scale
     g_pm = compare(plus, minus, params.norm).abs_err / scale
     passed = max(g_fp, g_fm, g_pm) <= identity_tol
-    return IdentityReport(h, g_fp, g_fm, g_pm, identity_tol, passed)
+    return IdentityReport(g_fp, g_fm, g_pm, identity_tol, passed)
 
 
 def _integral_path(quad_nodes: int, level: int) -> tuple[int, int]:
@@ -348,7 +338,6 @@ class LipschitzProbe:
 
     L: float
     lemma_ok: bool
-    lemma_slack: float
 
 
 def lipschitz_probe(
@@ -388,7 +377,7 @@ def lipschitz_probe(
         sphere = (r / size) * w
         b = max(b, lp_norm(T(sphere), norm), lp_norm(T(-1.0 * sphere), norm))
     slack = max((lp_norm(T(w), norm) - (2.0 * b / r) * size for w, size in offsets), default=-math.inf)
-    return LipschitzProbe(L=L, lemma_ok=slack <= QUOTIENT_TOL, lemma_slack=slack)
+    return LipschitzProbe(L=L, lemma_ok=slack <= QUOTIENT_TOL)
 
 
 def growth_bound_estimate(

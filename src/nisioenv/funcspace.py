@@ -257,9 +257,15 @@ class _ZeroPadded:
             return out
         if self._tmp is None:
             self._tmp = np.empty(self.n)
-        np.multiply(1.0 - frac, self.shift(k), out=out)
-        out += np.multiply(frac, self.shift(k1), out=self._tmp)
-        return out
+        return _lerp(self.shift(k), self.shift(k1), frac, out, self._tmp)
+
+
+def _lerp(near: np.ndarray, far: np.ndarray, frac: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(1 - frac) * near + frac * far, the one interpolated shift, written
+    into `out` and returned; `tmp` is scratch of the same size."""
+    np.multiply(1.0 - frac, near, out=out)
+    out += np.multiply(frac, far, out=tmp)
+    return out
 
 
 def interp_shift(f: GridFunction, delta: float) -> GridFunction:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, _clamped_split, _ZeroPadded
+from .funcspace import GridFunction, PNorm, _clamped_split, _lerp, _ZeroPadded
 
 __all__ = [
     "LambdaInterval",
@@ -384,20 +384,19 @@ def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callab
     `_jump_stencil`, for one call: src holds the samples to mix (write them
     into src.samples) inside the zero padding the jumps read, and mix(out)
     writes sum_j w_j * src(x + y_j) into out and returns it, the terms added
-    to zeros atom by atom. Each atom's views of src and its weights are
-    worked out here, once; nothing here outlives the call that made it."""
+    to zeros atom by atom. Each atom's views of src are worked out here,
+    once; nothing here outlives the call that made it."""
     width, rows = stencil
     src, term, tmp = _ZeroPadded(width, n), np.empty(n), np.empty(n)
-    reads = [(w, frac, 1.0 - frac, src.shift(k), src.shift(k1) if frac else None) for (k, k1, frac), w in rows]
+    reads = [(w, frac, src.shift(k), src.shift(k1) if frac else None) for (k, k1, frac), w in rows]
 
     def mix(out: np.ndarray) -> np.ndarray:
-        for j, (w, frac, near_w, near, far) in enumerate(reads):
+        for j, (w, frac, near, far) in enumerate(reads):
             dst = out if j == 0 else term
             if frac == 0.0:  # a whole-node jump: one pass over its view
                 np.multiply(w, near, out=dst)
             else:  # the interpolated shift of `_ZeroPadded.interp`, then its weight
-                np.multiply(near_w, near, out=dst)
-                dst += np.multiply(frac, far, out=tmp)
+                _lerp(near, far, frac, dst, tmp)
                 dst *= w
             # the first term is added to +0.0 where it is made: the bits of a
             # zero-filled sum, one pass fewer

@@ -237,11 +237,11 @@ def pole_initial_condition(grid: Grid, p: float, eps: float) -> GridFunction:
 
 
 def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> list[float]:
-    """The blow-up scan's rules: t in (0, 1) and strictly decreasing epsilons
-    (UsageError), each resolved, eps >= 4 dx (ConfigurationError naming the
-    nodes needed). Without epsilons, the default ladder: the decades 0.1,
-    0.01, ... down to the finest resolved one, at least two (a ratio to
-    check) and at most six."""
+    """The blow-up scan's rules: t in (0, 1) and at least two strictly
+    decreasing epsilons, a ratio to check (UsageError), each resolved,
+    eps >= 4 dx (ConfigurationError naming the nodes needed). Without
+    epsilons, the default ladder: the decades 0.1, 0.01, ... down to the
+    finest resolved one, at least two and at most six."""
     if not (0.0 < t < 1.0):
         raise UsageError(f"scan time t must lie in (0, 1), got {t}")
     floor = 4.0 * grid.dx
@@ -249,8 +249,8 @@ def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> 
         epsilons = [0.1, 0.1 / 10.0]
         while len(epsilons) < 6 and epsilons[-1] / 10.0 >= floor:
             epsilons.append(epsilons[-1] / 10.0)
-    if not epsilons:
-        raise UsageError("scan needs at least one epsilon")
+    if len(epsilons) < 2:
+        raise UsageError(f"the scan needs at least two epsilons (a ratio to check), got {epsilons}")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise UsageError(f"epsilons must be strictly decreasing, got {epsilons}")
     if epsilons[-1] < floor:
@@ -300,11 +300,10 @@ class ComparisonResult:
     abs_err: float
     rel_err: float
     max_err: float
+    margin: float  # the boundary margin of the window
 
-    def to_json_dict(self, margin: float) -> dict:
-        d = asdict(self)
-        d["margin"] = margin
-        return d
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def compare(
@@ -329,4 +328,4 @@ def compare(
     window[:] = 0.0
     window[sl] = a.samples[sl]
     denom = max(lp_norm(GridFunction(a.grid, window), norm), 1e-14)
-    return ComparisonResult(abs_err, abs_err / denom, max_err)
+    return ComparisonResult(abs_err, abs_err / denom, max_err, boundary_margin)

@@ -188,7 +188,7 @@ def test_c08_exact_structural_properties():
         ok,
         f"monotone {worst_monotone:.1e} <= 0, convex {worst_convex:.1e} <= 1e-10, "
         f"homogeneous {worst_homog:.1e} <= 1e-10, quotient-monotone {worst_quot:.1e} <= 1e-9, "
-        f"minus<=plus {worst_order:.1e} <= 1e-9, recentered bound slack {lip.lemma_slack:.1e} <= 1e-9",
+        f"minus<=plus {worst_order:.1e} <= 1e-9, recentered bound within 1e-9 {lip.lemma_ok}",
     )
 
 

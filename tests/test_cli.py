@@ -134,17 +134,24 @@ EXIT_2 = [
     ("generator", {"generator.k_steps": 2.5}, ("`generator.k_steps`",)),
     ("derivative", {"derivative.quad_nodes": 4}, ("quad_nodes must be odd",)),
     ("derivative", {"derivative.quad_nodes": 1}, ("quad_nodes must be odd",)),
-    ("derivative", {"derivative.integral_tol": NAN}, ("`derivative.integral_tol`",)),
     ("compare-hjb", {"hjb.cfl": 2.0}, ("`hjb.cfl`",)),
-    ("compare-hjb", {"compare.boundary_margin": 0.5}, ("`compare.boundary_margin`",)),
     ("compare-ode", {**CP, "ode.dt": 0}, ("`ode.dt`",)),
     ("counterexample", {**SCAN, "counterexample.epsilons": [0.01, 0.1]}, ("strictly decreasing",)),
+    # one epsilon gives no ratio for the growth gate to check
+    ("counterexample", {**SCAN, "counterexample.epsilons": [0.1]},
+     ("`counterexample.epsilons`", "at least two epsilons")),
     ("counterexample", {**SCAN, "counterexample.epsilons": ["x"]}, ("`counterexample.epsilons`",)),
     ("counterexample", {**SCAN, "counterexample.t": 1.0}, ("scan time t",)),
     ("verify", {"generator": [1]}, ("`generator`",)),
+    # the gates and the comparison window are the program's: a config that sets one, here to pass anything, is
+    # refused (no subcommand reads a `compare` section)
+    ("compare-ode", {**CP, "compare.tolerance": 1e9}, ("unknown config keys: ['compare']",)),
+    ("compare-hjb", {"compare.boundary_margin": 0.49}, ("unknown config keys: ['compare']",)),
+    ("derivative", {"derivative.identity_tol": 1e9}, ("unknown config keys: ['derivative.identity_tol']",)),
+    ("derivative", {"derivative.integral_tol": 1e9}, ("unknown config keys: ['derivative.integral_tol']",)),
     # the default ladder resolves one decade on 601 nodes, and 1e-6 is below 4 dx
     ("counterexample", {**SCAN, "grid.n_nodes": 601}, ("under-resolved",)),
-    ("counterexample", {**SHIFT, "counterexample": {"t": 0.5, "epsilons": [1e-6]}}, ("under-resolved",)),
+    ("counterexample", {**SHIFT, "counterexample": {"t": 0.5, "epsilons": [1e-5, 1e-6]}}, ("under-resolved",)),
     # no envelope bound for a pure shift or a Gaussian drift at p = 1, and compare-ode on a Gaussian drift
     ("envelope", SHIFT, ("no envelope bound available", "counterexample")),
     ("envelope", {"norm.p": 1}, ("p > 1",)),
@@ -467,8 +474,8 @@ class TestRunEnvelope:
         assert check["name"] == "upper_bound_certificate" and not check["passed"] and check["measured"] is None
 
     def test_sections_of_other_subcommands_allowed(self, tmp_path):
-        # `envelope` reads no option section, so keys only `compare-ode` reads stay allowed
-        cfg = base_config(tmp_path / "out", ode={"dt": 1e-3}, compare={"tolerance": 1e-2})
+        # `envelope` reads no option section, so keys only `compare-ode` and `compare-hjb` read stay allowed
+        cfg = base_config(tmp_path / "out", ode={"dt": 1e-3}, hjb={"cfl": 0.9})
         assert run("envelope", write_config(tmp_path, cfg)) == 0
 
     def test_heat_kernel_wider_than_grid(self, tmp_path):
@@ -544,10 +551,10 @@ class TestRunOtherSubcommands:
         assert rows[0] == "h,error_lp" and len(rows) == 5
 
     def test_derivative(self, tmp_path):
-        # coarse-grid smoke run; desk-scale tolerances live in test_acceptance
+        # a coarse grid that passes both gates of the program; desk-scale runs live in test_acceptance
         out = tmp_path / "out"
-        cfg = base_config(out, derivative={"quad_nodes": 9, "integral_tol": 6e-2})
-        cfg["time"]["n_max"] = 5
+        cfg = base_config(out, derivative={"quad_nodes": 17})
+        cfg["grid"]["n_nodes"] = 1025
         code = run("derivative", write_config(tmp_path, cfg))
         assert code == 0
         doc = json.loads((out / "derivative_report.json").read_text())

@@ -418,12 +418,17 @@ class TestCounterexampleScan:
     def test_under_resolved_epsilon_names_required_grid(self):
         g = make_grid(-3.0, 3.0, 1001)
         with pytest.raises(ConfigurationError, match="nodes"):
-            counterexample_scan(g, 2.0, 0.5, [1e-4])
+            counterexample_scan(g, 2.0, 0.5, [1e-3, 1e-4])
 
     def test_epsilons_must_decrease(self):
         g = make_grid(-3.0, 3.0, 24001)
         with pytest.raises(UsageError):
             counterexample_scan(g, 2.0, 0.5, [1e-3, 1e-2])
+
+    def test_one_epsilon_has_no_ratio(self):
+        # the growth gate reads the ratios of consecutive norms: one row has none
+        with pytest.raises(UsageError, match="at least two epsilons"):
+            counterexample_scan(make_grid(-3.0, 3.0, 24001), 2.0, 0.5, [1e-2])
 
     def test_time_domain(self):
         g = make_grid(-3.0, 3.0, 24001)
