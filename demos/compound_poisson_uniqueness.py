@@ -32,7 +32,7 @@ print("dyadic envelope iterates vs. the reference:")
 prev = None
 for level in (6, 7, 8, 9):
     res = nisio_dyadic(family, t, f, tol_rel=1e-15, n_max=level, norm=norm, n_min=level)
-    rel = compare(res.final, oracle, norm, boundary_margin=0.05).rel_err
+    rel = compare(res.final, oracle, norm).rel_err
     note = "" if prev is None else f"   (ratio {rel / prev:.3f})"
     print(f"  level {level}: rel L2 = {rel:.4e}{note}")
     prev = rel

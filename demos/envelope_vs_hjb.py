@@ -44,5 +44,5 @@ passed = margin <= 1e-6 * (1.0 + f.max_abs())
 print(f"upper-bound certificate: pass={passed}, worst excess over C(t)f = {margin:.3e}")
 
 oracle = hjb_upwind(f, t, -1.0, 1.0, cfl=0.9)
-comp = compare(result.final, oracle, norm, boundary_margin=0.05)
+comp = compare(result.final, oracle, norm)
 print(f"\nagainst the upwind HJB solve: rel L2 distance = {comp.rel_err:.3e}, sup = {comp.max_err:.3e}")

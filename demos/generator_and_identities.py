@@ -35,11 +35,12 @@ print(f"  final/initial error ratio: {est.errors_vs_B[-1] / est.errors_vs_B[0]:.
 
 f = bump(grid, radius=1.0)
 params = EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=8)
-report = derivative_identity_check(family, 0.25, f, params)
-print(f"derivative identity at t = 0.25 (pairwise relative gaps, tol {report.tol}):")
-for name, gap in report.gaps().items():
+gaps = derivative_identity_check(family, 0.25, f, params).gaps()
+identity_tol = 5e-2  # the gate of the `derivative` subcommand
+print(f"derivative identity at t = 0.25 (pairwise relative gaps, tol {identity_tol}):")
+for name, gap in gaps.items():
     print(f"  {name:18s} {gap:.4e}")
-print(f"  passed: {report.passed}\n")
+print(f"  passed: {max(gaps.values()) <= identity_tol}\n")
 
 deviation = integral_identity_check(family, 0.5, f, quad_nodes=33, envelope_params=params)
 print(f"integral identity at t = 0.5 with 33 Simpson nodes:")

@@ -159,6 +159,15 @@ def _count(mapping: dict, key: str, context: str, default=None, least: int = 0, 
     return int(val)
 
 
+def _keyed(keys: str, rule: Callable, *args, errors=(UsageError, ConfigurationError)):
+    """rule(*args), a rule of the library whose message names no config key: an `errors` it raises becomes a
+    ConfigurationError that begins with `keys`."""
+    try:
+        return rule(*args)
+    except errors as exc:
+        raise ConfigurationError(f"{keys}: {exc}") from None
+
+
 def build_family(spec: dict) -> kernels.KernelFamily:
     name = _require(spec, "family", "family.")
     if name not in ("gaussian_drift", "compound_poisson", "pure_shift"):
@@ -169,17 +178,18 @@ def build_family(spec: dict) -> kernels.KernelFamily:
     try:
         if has_interval:
             lo, hi = (_finite(v, "family.lambda_interval") for v in spec["lambda_interval"])
-            lset: kernels.LambdaSet = LambdaInterval(lo, hi)
+            lset: kernels.LambdaSet = _keyed("`family.lambda_interval`", LambdaInterval, lo, hi)
         else:
             values = _list(spec, "lambda_list", "family.")
-            lset = LambdaValues(tuple(_finite(v, "family.lambda_list") for v in values))
+            lset = _keyed("`family.lambda_list`", LambdaValues, tuple(_finite(v, "family.lambda_list") for v in values))
         if name == "gaussian_drift":
             return GaussianDrift(lset)
         if name == "pure_shift":
             return PureShift(lset)
-        mu = JumpDistribution(tuple((_finite(y, "family.jump_atoms"), _finite(w, "family.jump_atoms"))
-                                    for y, w in _list(spec, "jump_atoms", "family.", " of [offset, weight]")))
-        return CompoundPoisson(lset, mu)
+        atoms = tuple((_finite(y, "family.jump_atoms"), _finite(w, "family.jump_atoms"))
+                      for y, w in _list(spec, "jump_atoms", "family.", " of [offset, weight]"))
+        mu = _keyed("`family.jump_atoms`", JumpDistribution, atoms)
+        return _keyed("`family.lambda_interval` / `family.lambda_list`", CompoundPoisson, lset, mu)
     except ConfigurationError:
         raise
     except (TypeError, ValueError) as exc:
@@ -246,9 +256,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError("config must be a JSON object")
 
     gspec = _object(raw, "grid", "")
-    grid = make_grid(_number(gspec, "lower", "grid."), _number(gspec, "upper", "grid."),
-                     _count(gspec, "n_nodes", "grid.", least=4, most=_MAX_NODES))  # the difference stencils need 4
-    norm = PNorm(_number(_object(raw, "norm", ""), "p", "norm."))
+    grid = _keyed("`grid`", make_grid, _number(gspec, "lower", "grid."), _number(gspec, "upper", "grid."),
+                  _count(gspec, "n_nodes", "grid.", least=4, most=_MAX_NODES))  # the difference stencils need 4
+    norm = _keyed("`norm.p`", PNorm, _number(_object(raw, "norm", ""), "p", "norm."))
     family = build_family(_object(raw, "family", ""))
     initial = build_initial(_object(raw, "initial", ""), grid)
     tspec = _object(raw, "time", "")
@@ -352,7 +362,8 @@ def _check_initial(cfg: ExperimentConfig) -> None:
 
 def _envelope(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
-    kernels.upper_bound_norm_factor(cfg.family, cfg.t, cfg.norm)  # `envelope` certifies against C(t)
+    # `envelope` certifies against C(t): a UsageError where there is none (one past the floats names its keys)
+    _keyed("`family.family`, `norm.p`", kernels.upper_bound_norm_factor, cfg.family, cfg.t, cfg.norm, errors=UsageError)
     _check_work(cfg, cfg.family, _LEVEL_KEYS, lambda: _levels(cfg) + [(cfg.t, 1, 1)])  # C(t)f: a level-0 step
 
     def job(outdir: Path) -> list[CheckResult]:
@@ -401,22 +412,22 @@ def _derivative(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
     opts = cfg.options.get("derivative", {})
     quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
-    path_steps = calculus._integral_path(quad_nodes, cfg.n_max)[1]  # checks the composite Simpson node rule
-    t, top, h = cfg.t, 1 << cfg.n_max, calculus.geometric_schedule()[-1]  # h: the forward quotient's step
+    path_steps = _keyed("`derivative.quad_nodes`", calculus._integral_path, quad_nodes, cfg.n_max)[1]
+    t, top, h = cfg.t, 1 << cfg.n_max, calculus.QUOTIENT_STEP  # h: the forward quotient's step
     _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + _LEVEL_KEYS,  # S(t) thrice, S(t + h), two paths
                 lambda: [(t / top, top, 3), ((t + h) / top, top, 1), (t / path_steps, path_steps, 2)])
-    integral_tol = 2e-2  # the identity's own gate is the library's, `IdentityReport.tol`
+    identity_tol, integral_tol = 5e-2, 2e-2
 
     def job(outdir: Path) -> list[CheckResult]:
         params = cfg.envelope_params()
-        report = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params)
+        gaps = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params).gaps()
         deviation = calculus.integral_identity_check(cfg.family, t, cfg.initial, quad_nodes, params)
-        doc = {"t": t, "gaps": report.gaps(), "integral_deviation": deviation, "integral_path_steps": path_steps,
-               "identity_tol": report.tol, "integral_tol": integral_tol,
-               "pass": bool(report.passed and deviation <= integral_tol)}
+        worst_gap = max(gaps.values())
+        doc = {"t": t, "gaps": gaps, "integral_deviation": deviation, "integral_path_steps": path_steps,
+               "identity_tol": identity_tol, "integral_tol": integral_tol,
+               "pass": bool(worst_gap <= identity_tol and deviation <= integral_tol)}
         _write_json(outdir / "derivative_report.json", doc)
-        worst_gap = max(report.gaps().values())
-        return [CheckResult("derivative_identity_gaps", report.passed, worst_gap, report.tol),
+        return [CheckResult("derivative_identity_gaps", worst_gap <= identity_tol, worst_gap, identity_tol),
                 CheckResult("integral_identity_deviation", deviation <= integral_tol, deviation, integral_tol)]
     return job
 
@@ -464,10 +475,7 @@ def _counterexample(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callab
     epsilons = ([_finite(e, "counterexample.epsilons") for e in _list(opts, "epsilons", "counterexample.")]
                 if "epsilons" in opts else None)
     keys = "`counterexample.t`, `counterexample.epsilons`"
-    try:
-        epsilons = reference.scan_epsilons(cfg.grid, t, epsilons)
-    except UsageError as exc:  # a rule of the scan, whose message names no key
-        raise ConfigurationError(f"{keys}: {exc}") from None
+    epsilons = _keyed(keys, reference.scan_epsilons, cfg.grid, t, epsilons)
     _check_work(cfg, reference._SCAN_FAMILY, keys,
                 lambda: [(t, 1, len(epsilons))], lambda: len(epsilons) * reference._SCAN_PASSES)
 
@@ -789,7 +797,7 @@ def _envelope_construction(ctx):
         times = np.sort(ctx.rng.choice(np.arange(1, 16), size=4, replace=False)) * (0.5 / 16.0)
         pi1 = envelope.Partition((0.0, *times.tolist()))
         extra = np.sort(ctx.rng.choice(np.arange(1, 16), size=3, replace=False)) * (0.5 / 16.0)
-        pi2 = pi1.refine_with((0.0, *extra.tolist()))
+        pi2 = envelope.Partition(tuple(sorted({*pi1.times, *extra.tolist()})))
         nested = max(nested, _excess(envelope.apply_partition(ctx.cp, pi1, ctx.f0),
                                      envelope.apply_partition(ctx.cp, pi2, ctx.f0)))
     res = envelope.nisio_dyadic(ctx.gauss, 0.5, ctx.f0, 1e-4, 6, ctx.norm)

@@ -62,9 +62,6 @@ class Partition:
     def gaps(self) -> list[float]:
         return [b - a for a, b in zip(self.times, self.times[1:])]
 
-    def refine_with(self, extra: tuple[float, ...]) -> "Partition":
-        return Partition(tuple(sorted(set(self.times) | set(float(t) for t in extra))))
-
     @staticmethod
     def dyadic(t: float, level: int) -> "Partition":
         if not t > 0:

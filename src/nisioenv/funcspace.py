@@ -122,9 +122,6 @@ class GridFunction:
     def __truediv__(self, c: float) -> "GridFunction":
         return GridFunction._wrap(self.grid, self.samples / float(c))
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction._wrap(self.grid, -self.samples)
-
     def __abs__(self) -> "GridFunction":
         return GridFunction._wrap(self.grid, np.abs(self.samples))
 

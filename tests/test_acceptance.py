@@ -51,7 +51,7 @@ def test_c01_envelope_vs_hjb_oracle():
         f = bump(grid, radius=1.0)
         res = nisio_dyadic(GAUSS, 0.5, f, 1e-4, n_max, NORM2)
         oracle = hjb_upwind(f, 0.5, -1.0, 1.0, cfl=0.9)
-        dists.append(compare(res.final, oracle, NORM2, 0.05).rel_err)
+        dists.append(compare(res.final, oracle, NORM2).rel_err)
     ok = dists[0] <= 5e-2 and dists[1] < dists[0]
     report(1, ok, f"rel L2 vs HJB {dists[0]:.3e} <= 5e-2, refined {dists[1]:.3e} decreases")
 
@@ -65,7 +65,7 @@ def test_c02_envelope_vs_ode_oracle():
     d = []
     for level in (8, 9):
         res = nisio_dyadic(CP, 1.0, f, 1e-15, level, NORM2, n_min=level)
-        d.append(compare(res.final, oracle, NORM2, 0.05).rel_err)
+        d.append(compare(res.final, oracle, NORM2).rel_err)
     ratio = d[1] / d[0]
     ok = d[0] <= 1e-2 and 0.35 <= ratio <= 0.65
     report(2, ok, f"rel L2 vs ODE {d[0]:.3e} <= 1e-2, level-9 ratio {ratio:.3f} in [0.35, 0.65]")
@@ -95,7 +95,7 @@ def test_c04_refinement_monotonicity():
         pi1 = Partition((0.0, *inner, 0.5))
         k2 = int(rng.integers(1, 6))
         extra = tuple(float(v) for v in rng.uniform(0.01, 0.49, size=k2))
-        pi2 = pi1.refine_with((0.0, *extra, 0.5))
+        pi2 = Partition(tuple(sorted({*pi1.times, *extra})))
         v1 = apply_partition(CP, pi1, f)
         v2 = apply_partition(CP, pi2, f)
         worst = max(worst, float(np.max(v1.samples - v2.samples)))
@@ -133,10 +133,9 @@ def test_c07_derivative_and_integral_identities():
     grid = make_grid(-10.0, 10.0, 2049)
     f = bump(grid, radius=1.0)
     params = EnvelopeParams(norm=NORM2, tol_rel=1e-4, n_max=8)
-    idrep = derivative_identity_check(GAUSS, 0.25, f, params, identity_tol=5e-2)
-    worst_gap = max(idrep.gaps().values())
+    worst_gap = max(derivative_identity_check(GAUSS, 0.25, f, params).gaps().values())
     deviation = integral_identity_check(GAUSS, 0.5, f, 33, params)
-    ok = idrep.passed and worst_gap <= 5e-2 and deviation <= 2e-2
+    ok = worst_gap <= 5e-2 and deviation <= 2e-2
     report(7, ok, f"identity gaps max {worst_gap:.3e} <= 5e-2, integral deviation {deviation:.3e} <= 2e-2")
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -118,6 +119,11 @@ EXIT_2 = [
         ("grid.n_nodes", 3), ("grid.n_nodes", 1e300), ("time.n_max", 2.7), ("time.n_max", 13), ("seeds", 0.5)]],
     *[("envelope", {**CP, "family.jump_atoms": [atom]}, ("`family.jump_atoms`",))
       for atom in ([1.0, NAN], [NAN, 1.0])],
+    # the family's own rules: an interval with lo <= hi, jump weights > 0 that sum to 1, intensities >= 0
+    ("envelope", {"family.lambda_interval": [1.0, -1.0]}, ("`family.lambda_interval`", "finite lo <= hi")),
+    ("envelope", {**CP, "family.jump_atoms": [[1.0, 0.5]]}, ("`family.jump_atoms`", "sum to 1")),
+    ("envelope", {**CP, "family.jump_atoms": [[1.0, 0.0], [0.5, 1.0]]}, ("`family.jump_atoms`", "positive")),
+    ("envelope", {**CP, "family.lambda_list": [-1.0, 1.0]}, ("`family.lambda_list`", "intensities must be >= 0")),
     *[("envelope", {"initial": {"kind": "custom_csv", "params": {"path": path}}}, ("`initial.params.path`",))
       for path in (5, [], None)],
     # counterexample never reads the initial data, yet every check on it runs when the config loads
@@ -155,6 +161,7 @@ EXIT_2 = [
     # no envelope bound for a pure shift or a Gaussian drift at p = 1, and compare-ode on a Gaussian drift
     ("envelope", SHIFT, ("no envelope bound available", "counterexample")),
     ("envelope", {"norm.p": 1}, ("p > 1",)),
+    ("envelope", {"norm.p": 0.5}, ("`norm.p`", "must be in [1, inf)")),
     ("compare-ode", {}, ("compare-ode needs compound_poisson",)),
     # work past the budget, refused before anything is built past it: 2 400 001 nodes at t = 1e-3 and n_max 12
     # (the level-0 heat kernel alone has 60 717 weights, about 2 h for the run), 3 000 epsilons of the blow-up
@@ -294,6 +301,8 @@ class TestInvalidConfigsWriteNothing:
         err = capsys.readouterr().err
         assert exc.value.code == 2 and not (tmp_path / "out").exists(), err
         assert all(word in err for word in ("configuration error", *words)), err
+        # the error names the keys to change: a backticked one, or those the parser does not read
+        assert re.search(r"`[a-z_][a-z0-9_.]*`", err) or "unknown config keys" in err, err
 
     @pytest.mark.parametrize("text", [b'{"grid": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-utf-8", "nested-100000-deep"])

@@ -52,10 +52,6 @@ class TestPartition:
         pi = Partition.dyadic(0.5, 2)
         assert pi.times == (0.0, 0.125, 0.25, 0.375, 0.5)
 
-    def test_refine(self):
-        pi = Partition((0.0, 0.25, 0.5)).refine_with((0.0, 0.1, 0.5))
-        assert pi.times == (0.0, 0.1, 0.25, 0.5)
-
 
 def _window_sup_arr(u, lo, hi, dx):
     return _window_plan(lo, hi, dx, u.shape[0]).run(u)

@@ -39,6 +39,8 @@ _CP = CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((0.1, 1.0),)))
 @pytest.mark.parametrize("call", [
     pytest.param(lambda f: hjb_upwind(f, NAN, -1.0, 1.0), id="hjb-t"),
     pytest.param(lambda f: hjb_upwind(f, 0.5, -1.0, NAN), id="hjb-lambda_bar"),
+    pytest.param(lambda f: hjb_step(f.samples, 1e-3, f.grid.dx, NAN, 1.0), id="hjb_step-lo"),
+    pytest.param(lambda f: hjb_step(f.samples, 1e-3, f.grid.dx, NAN), id="hjb_step-single"),
     pytest.param(lambda f: ode_reference(_CP, f, NAN, 0.01), id="ode-t"),
     pytest.param(lambda f: ode_reference(_CP, f, 0.5, NAN), id="ode-dt"),
     pytest.param(lambda f: upper_bound_C(GaussianDrift(LambdaInterval(-1.0, 1.0)), NAN, f, PNorm(2.0)),
@@ -51,6 +53,16 @@ def test_nan_argument_is_usage_error(call):
     # `not x >= 0`: not a ConfigurationError naming config keys, a ValueError
     # from int(nan), or a silent run to n_max
     with pytest.raises(UsageError, match="nan"):
+        call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: hjb_step(f.samples, 1e-3, f.grid.dx, 1.0, -1.0), id="hjb_step"),
+    pytest.param(lambda f: hjb_upwind(f, 0.5, 1.0, -1.0), id="hjb_upwind"),
+])
+def test_inverted_drift_set_is_usage_error(call):
+    # [1, -1] is no drift set: not read as [-1, 1], nor as its ends' own drifts
+    with pytest.raises(UsageError, match=r"lo <= hi, got \[1.0, -1.0\]"):
         call(bump(make_grid(-2.0, 2.0, 41), radius=1.0))
 
 
@@ -453,9 +465,8 @@ class TestCompare:
         g = make_grid(0.0, 1.0, 101)
         f = GridFunction(g, np.ones(101))
         h = GridFunction(g, np.ones(101) + 0.5)
-        margin = 0.05
-        out = compare(f, h, norm2, boundary_margin=margin)
-        k = math.floor(margin * g.n_nodes)
+        out = compare(f, h, norm2)
+        k = math.floor(out.margin * g.n_nodes)
         window_measure = (g.n_nodes - 2 * k) * g.dx
         assert out.abs_err == pytest.approx(0.5 * window_measure**0.5, rel=1e-12)
         assert out.max_err == pytest.approx(0.5, rel=1e-15)
