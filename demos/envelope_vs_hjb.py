@@ -19,6 +19,7 @@ from nisioenv import (
     lp_norm,
     make_grid,
     nisio_dyadic,
+    upper_bound_C,
 )
 
 grid = make_grid(-10.0, 10.0, 2049)
@@ -39,7 +40,7 @@ for level, norm_val, inc in result.iterates_norms:
 print(f"\nconverged: {result.converged} at level {result.levels_used}")
 print(f"boundary leakage: {result.boundary_leakage:.3e}")
 
-margin = result.upper_bound_margin
+margin = float(np.max(result.final.samples - upper_bound_C(family, t, f, norm).samples))
 passed = margin <= 1e-6 * (1.0 + f.max_abs())
 print(f"upper-bound certificate: pass={passed}, worst excess over C(t)f = {margin:.3e}")
 

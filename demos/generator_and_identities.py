@@ -35,7 +35,7 @@ print(f"  final/initial error ratio: {est.errors_vs_B[-1] / est.errors_vs_B[0]:.
 
 f = bump(grid, radius=1.0)
 params = EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=8)
-gaps = derivative_identity_check(family, 0.25, f, params).gaps()
+gaps = derivative_identity_check(family, 0.25, f, params)
 identity_tol = 5e-2  # the gate of the `derivative` subcommand
 print(f"derivative identity at t = 0.25 (pairwise relative gaps, tol {identity_tol}):")
 for name, gap in gaps.items():

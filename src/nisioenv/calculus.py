@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeParams, _chain, nisio_dyadic
+from .envelope import EnvelopeParams, _chain, _level, nisio_dyadic
 from .errors import UsageError
 from .funcspace import GridFunction, lp_norm
 from .kernels import KernelFamily, _heat_plan, sup_generator
@@ -28,7 +28,6 @@ __all__ = [
     "generator_fd",
     "directional_derivative",
     "derivative_identity_check",
-    "IdentityReport",
     "integral_identity_check",
     "lipschitz_probe",
     "growth_bound_estimate",
@@ -62,7 +61,7 @@ def _S(
     if t == 0.0:
         return GridFunction(f.grid, f.samples.copy())
     if level is not None:
-        return _chain(fam, t / (1 << level), 1 << level, f)
+        return _chain(fam, *_level(t, level), f)
     return nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, params.norm).final
 
 
@@ -116,15 +115,14 @@ class DerivativeProbe:
     base is S(t)x at the fixed level of the quotients; plus/minus are the
     smallest-h difference quotients from above/below; the convexity of the
     computed operator forces the plus quotients to be nodewise non-increasing
-    as h decreases (and minus non-decreasing), which is recorded in
-    quotient_monotone / monotonicity_violation.
+    as h decreases (and minus non-decreasing): monotonicity_violation is the
+    worst breach of either ordering.
     """
 
     base: GridFunction
     plus: GridFunction
     minus: GridFunction
     gap: float
-    quotient_monotone: bool
     monotonicity_violation: float
 
 
@@ -173,38 +171,15 @@ def directional_derivative(
     base = _S(fam, t, x, params, level=level)  # shared by both sides
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
-        return DerivativeProbe(
-            base=base, plus=ycopy, minus=ycopy, gap=0.0, quotient_monotone=True, monotonicity_violation=0.0,
-        )
+        return DerivativeProbe(base=base, plus=ycopy, minus=ycopy, gap=0.0, monotonicity_violation=0.0)
     plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
     minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
-    violation = max(v_plus, v_minus)
-    return DerivativeProbe(
-        base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
-        quotient_monotone=violation <= QUOTIENT_TOL,
-        monotonicity_violation=violation,
-    )
+    return DerivativeProbe(base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
+                           monotonicity_violation=max(v_plus, v_minus))
 
 
 # ---------------------------------------------------------------------------
 # Derivative and integral identities
-
-
-@dataclass
-class IdentityReport:
-    """Pairwise gaps of the three realizations of d/dt S(t)f, each relative
-    to the largest of their norms."""
-
-    gap_forward_plus: float
-    gap_forward_minus: float
-    gap_plus_minus: float
-
-    def gaps(self) -> dict[str, float]:
-        return {
-            "forward_vs_plus": self.gap_forward_plus,
-            "forward_vs_minus": self.gap_forward_minus,
-            "plus_vs_minus": self.gap_plus_minus,
-        }
 
 
 def derivative_identity_check(
@@ -212,14 +187,15 @@ def derivative_identity_check(
     t: float,
     f: GridFunction,
     envelope_params: EnvelopeParams,
-) -> IdentityReport:
+) -> dict[str, float]:
     """Compare the forward time quotient of the envelope with both one-sided
     directional derivatives in the supremum-generator direction.
 
     All three limits coincide for f in the generator's domain, so the
     pairwise interior L^p distances, relative to the largest of the three
     norms, are small there. Every quotient has the step QUOTIENT_STEP, and
-    S(t)f is the base of all three.
+    S(t)f is the base of all three. Returns the gaps forward_vs_plus,
+    forward_vs_minus and plus_vs_minus.
     """
     params, h = envelope_params, QUOTIENT_STEP
     norm = params.norm
@@ -227,8 +203,8 @@ def derivative_identity_check(
     plus, minus = probe.plus, probe.minus
     forward = (_S(fam, t + h, f, params, level=params.n_max) - probe.base) / h
     scale = max(lp_norm(forward, norm), lp_norm(plus, norm), lp_norm(minus, norm), 1e-14)
-    return IdentityReport(*(compare(a, b, norm).abs_err / scale
-                            for a, b in ((forward, plus), (forward, minus), (plus, minus))))
+    pairs = {"forward_vs_plus": (forward, plus), "forward_vs_minus": (forward, minus), "plus_vs_minus": (plus, minus)}
+    return {name: compare(a, b, norm).abs_err / scale for name, (a, b) in pairs.items()}
 
 
 def _integral_path(quad_nodes: int, level: int) -> tuple[int, int]:

@@ -319,19 +319,20 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, cha
                 passes: Callable = lambda: 0) -> None:
     """A ConfigurationError naming `keys` past `_MAX_WORK` predicted node
     operations (see `kernels._Plan`): first an oracle's array `passes()` and
-    the one-step suprema of the `chains()` (h, m, repeats), each `repeats`
-    chains of m steps of exactly h planned for `fam`, then the step of each
-    chain, largest first. Once all of it fits, the finest h must be a normal
-    float: below that, h keeps too few bits for m steps of it to add up to m h.
+    the one-step suprema of the `chains()` (h, m), each a chain of m steps of
+    exactly h planned for `fam` and listed as often as it is made, then the
+    step of each chain, largest first. Once all of it fits, the finest h must
+    be a normal float: below that, h keeps too few bits for m steps of it to
+    add up to m h.
     A rule that `passes()` or `chains()` breaks is the same error."""
     keys = f"`family.lambda_interval` / `family.lambda_list`, `grid`, {keys}"
     try:
         work = passes() * (cfg.grid.n_nodes + kernels._CALL_WORK)
         chains = sorted(chains())
-        work += sum(m * repeats for _, m, repeats in chains) * kernels._CALL_WORK
+        work += sum(m for _, m in chains) * kernels._CALL_WORK
         if work <= _MAX_WORK:
-            for h, m, repeats in reversed(chains):
-                work += m * repeats * envelope._step_plan(fam, h, cfg.grid.dx, cfg.grid.n_nodes).work
+            for h, m in reversed(chains):
+                work += m * envelope._step_plan(fam, h, cfg.grid.dx, cfg.grid.n_nodes).work
                 if work > _MAX_WORK:
                     break
             else:
@@ -347,11 +348,6 @@ def _check_work(cfg: ExperimentConfig, fam: kernels.KernelFamily, keys: str, cha
 _LEVEL_KEYS = "`time.t`, `time.n_max`"
 
 
-def _levels(cfg: ExperimentConfig) -> list:
-    """The chains (h, m, repeats) of the dyadic levels of `nisio_dyadic`."""
-    return [(cfg.t / (1 << level), 1 << level, 1) for level in range(cfg.n_max + 1)]
-
-
 def _check_initial(cfg: ExperimentConfig) -> None:
     """The initial data's L^p norm must be finite, for a pre-flight that reads the data."""
     with np.errstate(over="ignore"):  # an overflow is the error reported here
@@ -360,15 +356,34 @@ def _check_initial(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
 
 
+def _check_direction(cfg: ExperimentConfig, t: float = 1.0) -> None:
+    """The supremum generator Bf of the initial data, times t >= 1, must have a finite L^p norm: `generator`
+    measures quotients of the size of Bf, and `derivative` also its integral over [0, t] (t = max(1, `time.t`))."""
+    try:
+        with np.errstate(over="ignore"):  # an overflow is the error reported here
+            size = lp_norm(t * kernels.sup_generator(cfg.family, cfg.initial), cfg.norm)
+    except UsageError:  # a sample of Bf or t Bf past the float range
+        size = math.inf
+    if not math.isfinite(size):
+        keys = "`family.`, `initial`, `norm.p`" + (", `time.t`" if t > 1.0 else "")
+        raise ConfigurationError(f"keys {keys}: the supremum generator Bf of the initial data, times {t:g}, or its "
+                                 "L^p norm leaves the float range")
+
+
 def _envelope(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
     # `envelope` certifies against C(t): a UsageError where there is none (one past the floats names its keys)
     _keyed("`family.family`, `norm.p`", kernels.upper_bound_norm_factor, cfg.family, cfg.t, cfg.norm, errors=UsageError)
-    _check_work(cfg, cfg.family, _LEVEL_KEYS, lambda: _levels(cfg) + [(cfg.t, 1, 1)])  # C(t)f: a level-0 step
+    # the levels, and C(t)f as one more level-0 step
+    _check_work(cfg, cfg.family, _LEVEL_KEYS, lambda: [*envelope._levels(cfg.t, cfg.n_max), (cfg.t, 1)])
 
     def job(outdir: Path) -> list[CheckResult]:
         res = envelope.nisio_dyadic(cfg.family, cfg.t, cfg.initial, cfg.tol_rel, cfg.n_max, cfg.norm)
-        _write_json(outdir / "envelope_result.json", res.to_json_dict())
+        try:  # the certificate: the worst nodewise excess of the final iterate over C(t)f
+            margin = _excess(res.final, kernels.upper_bound_C(cfg.family, cfg.t, cfg.initial, cfg.norm))
+        except UsageError:  # C(t)f leaves the float range, and nothing is certified
+            margin = None
+        _write_json(outdir / "envelope_result.json", {**res.to_json_dict(), "upper_bound_margin": margin})
         funcspace.write_csv(res.final, outdir / "final.csv")
         _write_rows_csv(outdir / "convergence.csv", "level,steps,h,increment_lp,norm_lp", res.convergence_rows(cfg.t))
         top = cfg.initial.max_abs()
@@ -378,7 +393,6 @@ def _envelope(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
         # only up to the O(dx^2) interpolation commutator
         drop_tol = -1e-9 * top if cfg.family._exact_steps else -(1e-9 + 4.0 * cfg.grid.dx**2 * top)
         worst_drop = min(res.min_increments) if res.min_increments else 0.0
-        margin = res.upper_bound_margin  # None: C(t)f leaves the float range, and nothing is certified
         return [CheckResult("upper_bound_certificate", margin is not None and margin <= tol, margin, tol),
                 CheckResult("dyadic_monotone_increase", worst_drop >= drop_tol, worst_drop, drop_tol)]
     return job
@@ -391,12 +405,12 @@ def _generator(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     k_steps = _count(opts, "k_steps", "generator.", 6)
     n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
 
-    def chains():  # smallest h first: level L >= 1 at h runs only its last half when the h before left the first
+    def chains():  # smallest h first, each run on the trajectory of the one before
         hs = calculus.geometric_schedule(h0, k_steps)[::-1]
-        return [(h / (1 << L), 1 << (L - 1) if L and s / (1 << (L - 1)) == h / (1 << L) else 1 << L, 1)
-                for s, h in zip([math.inf, *hs], hs) for L in range(n + 1)]
+        return [chain for prior, h in zip([None, *hs], hs) for chain in envelope._levels(h, n, prior)]
 
     _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", chains)
+    _check_direction(cfg)
 
     def job(outdir: Path) -> list[CheckResult]:
         est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.envelope_params())
@@ -413,14 +427,16 @@ def _derivative(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     opts = cfg.options.get("derivative", {})
     quad_nodes = _count(opts, "quad_nodes", "derivative.", 33)
     path_steps = _keyed("`derivative.quad_nodes`", calculus._integral_path, quad_nodes, cfg.n_max)[1]
-    t, top, h = cfg.t, 1 << cfg.n_max, calculus.QUOTIENT_STEP  # h: the forward quotient's step
+    t, h = cfg.t, calculus.QUOTIENT_STEP  # h: the forward quotient's step
     _check_work(cfg, cfg.family, "`derivative.quad_nodes`, " + _LEVEL_KEYS,  # S(t) thrice, S(t + h), two paths
-                lambda: [(t / top, top, 3), ((t + h) / top, top, 1), (t / path_steps, path_steps, 2)])
+                lambda: [envelope._level(t, cfg.n_max)] * 3 + [envelope._level(t + h, cfg.n_max)]
+                + [(t / path_steps, path_steps)] * 2)
+    _check_direction(cfg, max(t, 1.0))
     identity_tol, integral_tol = 5e-2, 2e-2
 
     def job(outdir: Path) -> list[CheckResult]:
         params = cfg.envelope_params()
-        gaps = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params).gaps()
+        gaps = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params)
         deviation = calculus.integral_identity_check(cfg.family, t, cfg.initial, quad_nodes, params)
         worst_gap = max(gaps.values())
         doc = {"t": t, "gaps": gaps, "integral_deviation": deviation, "integral_path_steps": path_steps,
@@ -454,7 +470,7 @@ def _compare_hjb(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
     lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
     cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
-    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `hjb.cfl`", lambda: _levels(cfg),
+    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `hjb.cfl`", lambda: envelope._levels(cfg.t, cfg.n_max),
                 lambda: reference._upwind_passes(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
     return _compare(cfg, stage_ms, "hjb", "envelope_vs_hjb_rel_l2", 5e-2,
                     lambda: reference.hjb_upwind(cfg.initial, cfg.t, lams[0], lams[-1], cfl=cfl))
@@ -463,7 +479,7 @@ def _compare_hjb(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
 def _compare_ode(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
     dt = _positive(cfg.options.get("ode", {}), "dt", "ode.", 1e-3)
-    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `ode.dt`", lambda: _levels(cfg),
+    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `ode.dt`", lambda: envelope._levels(cfg.t, cfg.n_max),
                 lambda: reference._rk4_passes(cfg.family, cfg.t, dt))
     return _compare(cfg, stage_ms, "ode", "envelope_vs_ode_rel_lp", 1e-2,
                     lambda: reference.ode_reference(cfg.family, cfg.initial, cfg.t, dt))
@@ -477,7 +493,7 @@ def _counterexample(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callab
     keys = "`counterexample.t`, `counterexample.epsilons`"
     epsilons = _keyed(keys, reference.scan_epsilons, cfg.grid, t, epsilons)
     _check_work(cfg, reference._SCAN_FAMILY, keys,
-                lambda: [(t, 1, len(epsilons))], lambda: len(epsilons) * reference._SCAN_PASSES)
+                lambda: [(t, 1)] * len(epsilons), lambda: len(epsilons) * reference._SCAN_PASSES)
 
     def job(outdir: Path) -> list[CheckResult]:
         table = reference.counterexample_scan(cfg.grid, cfg.norm.p, t, epsilons)
@@ -501,7 +517,8 @@ def _verify(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
         probe = calculus.directional_derivative(
             fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
         M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], params)
-        passed = bool(lip.lemma_ok and probe.quotient_monotone and math.isfinite(lip.L))
+        quotient_monotone = probe.monotonicity_violation <= calculus.QUOTIENT_TOL
+        passed = bool(lip.lemma_ok and quotient_monotone and math.isfinite(lip.L))
         _write_json(outdir / "probes.json", {"t": t, "gap": probe.gap, "L_estimate": lip.L, "M": M, "omega": omega,
                                              "pass": passed})
         # sublinear + bounded gives a global Lipschitz cap 2||S(t)||_1, and the

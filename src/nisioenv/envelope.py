@@ -4,7 +4,7 @@ One-step suprema J_h over the uncertainty set, their composition J_pi along a
 time partition, and dyadic refinement until the iterates stabilize. Nested
 partitions give nodewise non-decreasing iterates bounded above by the
 explicit operator C(t), so the dyadic sequence converges; the result carries
-the convergence table and the upper-bound certificate.
+the convergence table, and `cli` certifies it against C(t).
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .funcspace import (GridFunction, PNorm, _SNAP_TOL, _clamped_split, _nonzero_span, _shift_split, _ZeroPadded,
                         lp_norm)
-from .kernels import _CALL_WORK, KernelFamily, LambdaValues, _member_plan, _Plan, upper_bound_C
+from .kernels import _CALL_WORK, KernelFamily, LambdaValues, _member_plan, _Plan
 
 __all__ = [
     "Partition",
@@ -81,7 +80,7 @@ class EnvelopeParams:
     n_max: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvelopeResult:
     """Dyadic iterates' diagnostics plus the final envelope approximation.
 
@@ -89,7 +88,6 @@ class EnvelopeResult:
     the level-0 increment is NaN (there is no previous iterate).
     min_increments records the worst nodewise drop T_n - T_{n-1} per level,
     the runtime check that nested dyadic partitions increase the iterates.
-    `_upper_bound` computes C(t)f for the certificate `upper_bound_margin`.
     """
 
     final: GridFunction
@@ -97,18 +95,7 @@ class EnvelopeResult:
     levels_used: int
     converged: bool
     boundary_leakage: float
-    _upper_bound: Callable[[], GridFunction] = field(repr=False)
-    min_increments: list[float] = field(default_factory=list)
-
-    @cached_property
-    def upper_bound_margin(self) -> float | None:
-        """The certificate: the worst nodewise excess of the final iterate
-        over C(t)f, None without a finite C(t)f. Computed on first read."""
-        try:
-            bound = self._upper_bound()
-        except UsageError:  # pure shift, Gaussian drift at p = 1, or C(t)f past the float range
-            return None
-        return float(np.max(self.final.samples - bound.samples))
+    min_increments: list[float]
 
     def increments(self) -> list[float]:
         return [row[2] for row in self.iterates_norms[1:]]
@@ -117,7 +104,6 @@ class EnvelopeResult:
         return {
             "levels_used": self.levels_used,
             "converged": self.converged,
-            "upper_bound_margin": self.upper_bound_margin,
             "boundary_leakage": self.boundary_leakage,
             "increments": self.increments(),
         }
@@ -126,8 +112,8 @@ class EnvelopeResult:
         """Rows (level, steps, h, increment_lp, norm_lp) for the convergence CSV."""
         rows = []
         for level, norm_val, inc in self.iterates_norms:
-            steps = 1 << level
-            rows.append((level, steps, t / steps, inc, norm_val))
+            h, steps = _level(t, level)
+            rows.append((level, steps, h, inc, norm_val))
         return rows
 
 
@@ -302,6 +288,12 @@ def _boundary_leakage(f: GridFunction, norm: PNorm) -> float:
     return lp_norm(GridFunction._wrap(f.grid, masked), norm)
 
 
+def _level(t: float, level: int) -> tuple[float, int]:
+    """(h, m) of dyadic level `level` of [0, t]: m = 2^level steps of exactly h = t / 2^level."""
+    m = 1 << level
+    return t / m, m
+
+
 def _chain(fam: KernelFamily, h: float, m: int, f: GridFunction) -> GridFunction:
     """J_h^m f: m >= 1 one-step suprema of exactly h > 0 from f, on one step
     plan. Each step's fresh array is checked finite, the last one as it is
@@ -333,9 +325,9 @@ def nisio_dyadic(
 
     Computes T_n f for n = 0, 1, ... until the L^p increment between levels
     drops below tol_rel * ||f||_p (not before level n_min) or n_max is hit.
-    Level n is its own chain J_h^m f, m = 2^n steps of exactly h = t / 2^n
-    (`_chain`), so monotonicity diagnostics compare independently
-    constructed iterates. Non-convergence at n_max is reported, not raised.
+    Level n is its own chain J_h^m f of (h, m) = `_level(t, n)`, so
+    monotonicity diagnostics compare independently constructed iterates.
+    Non-convergence at n_max is reported, not raised.
 
     `chains` shares one trajectory between runs at increasing horizons: it
     maps (h, m) to J_h^m f, the iterates that the run before left. Level
@@ -344,6 +336,7 @@ def nisio_dyadic(
     otherwise it runs (h, 2^n) from f. Every iterate so has the bits of an
     own run. Entries are dropped once read, the rest when this run ends; the
     run then leaves its own levels below n_max, the ones a run at 2t can read.
+    `_levels` lists the chains that a run makes.
     """
     if not t > 0:
         raise UsageError(f"time horizon must be > 0, got {t}")
@@ -363,7 +356,7 @@ def nisio_dyadic(
     converged = False
     level = 0
     for level in range(n_max + 1):
-        h, m = t / (1 << level), 1 << level
+        h, m = _level(t, level)
         half = (h, m >> 1)  # never held at level 0: no run leaves a chain of 0 steps
         # a popped start goes straight to `_chain`, which frees it with its first step
         current = _chain(fam, h, m >> 1, held.pop(half)) if half in held else _chain(fam, h, m, f)
@@ -387,6 +380,18 @@ def nisio_dyadic(
         levels_used=level,
         converged=converged,
         boundary_leakage=_boundary_leakage(current, norm),
-        _upper_bound=partial(upper_bound_C, fam, t, f, norm),
         min_increments=drops,
     )
+
+
+def _levels(t: float, n_max: int, prior: float | None = None) -> list[tuple[float, int]]:
+    """The chains (h, m) that `nisio_dyadic` runs to t at levels 0..n_max
+    when none converges. Level L is `_level(t, L)`; after a run to `prior` on
+    the same `chains` and n_max, level L >= 1 runs only its last half when
+    that run's level L - 1 is its first half (the lookup `half in held`)."""
+    chains = []
+    for level in range(n_max + 1):
+        h, m = _level(t, level)
+        shared = level and prior is not None and _level(prior, level - 1) == (h, m >> 1)
+        chains.append((h, m >> 1 if shared else m))
+    return chains

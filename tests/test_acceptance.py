@@ -133,7 +133,7 @@ def test_c07_derivative_and_integral_identities():
     grid = make_grid(-10.0, 10.0, 2049)
     f = bump(grid, radius=1.0)
     params = EnvelopeParams(norm=NORM2, tol_rel=1e-4, n_max=8)
-    worst_gap = max(derivative_identity_check(GAUSS, 0.25, f, params).gaps().values())
+    worst_gap = max(derivative_identity_check(GAUSS, 0.25, f, params).values())
     deviation = integral_identity_check(GAUSS, 0.5, f, 33, params)
     ok = worst_gap <= 5e-2 and deviation <= 2e-2
     report(7, ok, f"identity gaps max {worst_gap:.3e} <= 5e-2, integral deviation {deviation:.3e} <= 2e-2")

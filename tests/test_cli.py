@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisioenv import cli, envelope, funcspace
+from nisioenv import cli, envelope, funcspace, kernels
 from nisioenv.cli import load_config, main, run
 from nisioenv.errors import ConfigurationError, UsageError
 from nisioenv.funcspace import bump, make_grid, write_csv
@@ -193,6 +194,13 @@ EXIT_2 = [
     # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
     *[(sub, {**(CP if sub == "compare-ode" else {}), "initial.params": {"radius": 1e-300, "height": 1e308}},
        ("`initial`", "`norm.p`")) for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
+    # the supremum generator Bf that `generator` and `derivative` measure against, or the L^p norm of Bf (and of
+    # t Bf, the size of the integral identity), leaves the float range: Bf of a bump of height 1e307 at p = 1,
+    # |Bf|^p at p = 1e300, and t Bf of a pure shift at t = 1e300
+    *[(sub, {"norm.p": 1, "initial.params.height": 1e307}, ("`initial`", "`norm.p`", "supremum generator"))
+      for sub in ("generator", "derivative")],
+    *[(sub, {"norm.p": 1e300}, ("`norm.p`", "supremum generator")) for sub in ("generator", "derivative")],
+    ("derivative", {**SHIFT, "time.t": 1e300}, ("`time.t`", "supremum generator")),
     # the Poisson weights of the largest compound Poisson step start from e^-(lambda h) = 0: at h = t, at
     # generator.h0, and for derivative at (t + h) / 2^n_max, h its forward quotient's step
     ("envelope", {**CP, "family.lambda_list": [800.0], "time.t": 1.0},
@@ -424,11 +432,18 @@ class TestInvalidConfigsWriteNothing:
         assert "configuration error" in capsys.readouterr().err
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _key_rows() -> dict:
+    """{`key`: its row} of README's key table."""
+    return {line.split("|")[1].strip(): line for line in README.read_text().splitlines() if line.startswith("| `")}
+
+
 def test_readme_names_every_key_and_subcommand(asked_leaves):
     # one row of the key table per leaf the parser asks for, and an option key's row names each subcommand
     # that reads it
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    rows = {line.split("|")[1].strip(): line for line in readme.splitlines() if line.startswith("| `")}
+    readme, rows = README.read_text(), _key_rows()
     readers = {}
     for sub, cases in asked_leaves.items():
         for _, leaf, _ in cases:
@@ -438,6 +453,43 @@ def test_readme_names_every_key_and_subcommand(asked_leaves):
         if leaf.split(".")[0] in cli._OPTION_KEYS:
             assert all(f"`{sub}`" in rows[f"`{leaf}`"].split("|")[-2] for sub in subs), (leaf, subs)
     assert all(f"`{sub}`" in readme for sub in cli.SUBCOMMANDS)
+
+
+# The values a numeric leaf draws: both zeros, the smallest subnormal, the edge of the float range and 1e+-300, of
+# either sign, and the ends of the leaf's range in README's key table with the nearest values past them (an end 0
+# is among the first)
+EXTREMES = [v for x in (0.0, 5e-324, 1.7e308, 1e300, 1e-300) for v in (x, -x)]
+RANGE_ENDS = {"grid.n_nodes": [4, 3, 2_400_001, 2_400_002], "norm.p": [1, math.nextafter(1.0, 0.0)],
+              "time.n_max": [0, 12, 13], "seeds": [-1], "generator.k_steps": [-1], "derivative.quad_nodes": [3, 2, 4],
+              "hjb.cfl": [1, math.nextafter(1.0, 2.0)], "counterexample.t": [1, math.nextafter(1.0, 0.0)]}
+
+
+@pytest.fixture(scope="module")
+def numeric_leaves(asked_leaves):
+    """{subcommand: [(config, leaf)]}, the leaves of `asked_leaves` that README's key table gives as a number or an
+    integer."""
+    kinds = {key: row.split("|")[2].strip() for key, row in _key_rows().items()}
+    return {sub: [(cfg, leaf) for cfg, leaf, _ in cases if kinds[f"`{leaf}`"] in ("number", "integer")]
+            for sub, cases in asked_leaves.items()}
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_extreme_numeric_leaf(numeric_leaves, subcommand, data):
+    # one numeric leaf at an extreme value: exit 2 with nothing written, or exit 0 or 1 with exactly the files of
+    # the subcommand, and never an exception. A hundredth of the work budget keeps every accepted run short
+    cfg, leaf = data.draw(st.sampled_from(numeric_leaves[subcommand]), label="leaf")
+    value = data.draw(st.sampled_from(EXTREMES + RANGE_ENDS.get(leaf, [])), label="value")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_MAX_WORK", cli._MAX_WORK / 100)
+        out = Path(tmp) / "out"
+        cfg = {**_set(copy.deepcopy(cfg), leaf, value), "output_dir": str(out)}
+        code = run(subcommand, write_config(Path(tmp), cfg))
+        written = sorted(path.name for path in out.iterdir()) if out.exists() else None
+    assert code in (0, 1, 2)
+    assert written == (None if code == 2 else sorted(("report.json", "timings.json",
+                                                      *cli.SUBCOMMANDS[subcommand].artifacts)))
 
 
 class TestRunEnvelope:
@@ -510,12 +562,15 @@ class TestRunEnvelope:
 # Runs on base_config at n_max 5 and tol_rel 1e-300 (every level runs) plus the edits: (subcommand, edits, whether
 # the one-step calls counted equal the pre-flight's prediction, step size by step size, or are a part of it).
 # `envelope` prices C(t)f as one more level-0 step (63 of 64); with tol_rel 1e-4, `generator` stops at converged
-# levels (139 of 255).
+# levels (139 of 255). `generator` runs each horizon to level 2 at least, and its first horizon shares no chain.
 COUNTED = [
     ("envelope", {}, False),
     ("compare-hjb", {}, True),
     ("generator", {}, True),
     ("generator", {"time.tol_rel": 1e-4}, False),
+    ("generator", {"time.n_max": 0}, True),
+    ("generator", {"time.n_max": 1}, True),
+    ("generator", {"generator.k_steps": 0}, True),
     ("derivative", {}, True),
     ("derivative", CP, True),
     ("compare-ode", CP, True),
@@ -532,8 +587,8 @@ class TestRunOtherSubcommands:
 
         def recording(cfg, fam, keys, chains, *args):
             predicted.append(Counter())  # one-step calls per step size
-            for h, m, repeats in chains():
-                predicted[-1][h] += m * repeats
+            for h, m in chains():
+                predicted[-1][h] += m
             return real(cfg, fam, keys, chains, *args)
 
         monkeypatch.setattr(cli, "_check_work", recording)
@@ -676,20 +731,22 @@ class TestRunOtherSubcommands:
         rows = (out / "scan.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.1, 0.01]
 
-    @pytest.mark.parametrize("subcommand, calls", [("envelope", 1), ("compare-hjb", 0), ("verify", 0)])
-    def test_certificate_computed_when_read(self, tmp_path, monkeypatch, subcommand, calls):
-        # C(t)f of the envelope certificate is computed once by `envelope`,
-        # which reads the margin, and never by runs that do not read it
-        counted = []
-        real = envelope.upper_bound_C
+    @pytest.mark.parametrize("subcommand, calls, code", [("envelope", 1, 0), ("compare-hjb", 0, 0), ("generator", 0, 1),
+                                                         ("derivative", 0, 1), ("verify", 0, 0)])
+    def test_certificate_computed_when_read(self, tmp_path, monkeypatch, subcommand, calls, code):
+        # C(t)f of the envelope certificate, on the config's grid, is computed once by `envelope`, which reports
+        # the margin, and never by the runs that do not; `verify` computes C(h) of its own on grids of its own.
+        # `generator` and `derivative` fail a gate on this coarse grid
+        grid, counted = make_grid(-8.0, 8.0, 513), []
+        real = kernels.upper_bound_C
 
-        def counting(*args):
-            counted.append(1)
-            return real(*args)
+        def counting(fam, h, f, norm):
+            counted.append(f.grid == grid)
+            return real(fam, h, f, norm)
 
-        monkeypatch.setattr(envelope, "upper_bound_C", counting)
-        assert run(subcommand, write_config(tmp_path, base_config(tmp_path / "out"))) == 0
-        assert len(counted) == calls
+        monkeypatch.setattr(kernels, "upper_bound_C", counting)
+        assert run(subcommand, write_config(tmp_path, base_config(tmp_path / "out"))) == code
+        assert sum(counted) == calls and (subcommand != "verify" or counted)
 
     @pytest.mark.parametrize("initial", [
         None,
