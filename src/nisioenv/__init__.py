@@ -39,7 +39,6 @@ from .kernels import (
     upper_bound_C,
 )
 from .envelope import (
-    EnvelopeParams,
     EnvelopeResult,
     Partition,
     apply_partition,

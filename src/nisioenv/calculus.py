@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeParams, _chain, _level, nisio_dyadic
+from .envelope import _chain, _level, nisio_dyadic
 from .errors import UsageError
-from .funcspace import GridFunction, lp_norm
+from .funcspace import GridFunction, PNorm, lp_norm
 from .kernels import KernelFamily, _heat_plan, sup_generator
 from .reference import compare
 
@@ -50,19 +50,11 @@ def geometric_schedule(h0: float = 0.1, halvings: int = 6) -> list[float]:
     return [h0 * 0.5**k for k in range(halvings + 1)]
 
 
-def _S(
-    fam: KernelFamily,
-    t: float,
-    f: GridFunction,
-    params: EnvelopeParams,
-    level: int | None = None,
-) -> GridFunction:
-    """Envelope evaluation; a fixed dyadic level when comparisons must match."""
+def _S(fam: KernelFamily, t: float, f: GridFunction, level: int) -> GridFunction:
+    """The envelope at the fixed dyadic level `level`, so that comparisons match; the identity at t = 0."""
     if t == 0.0:
         return GridFunction(f.grid, f.samples.copy())
-    if level is not None:
-        return _chain(fam, *_level(t, level), f)
-    return nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, params.norm).final
+    return _chain(fam, *_level(t, level), f)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +76,9 @@ def generator_fd(
     f: GridFunction,
     h0: float,
     k_steps: int,
-    envelope_params: EnvelopeParams,
+    tol_rel: float,
+    n_max: int,
+    norm: PNorm,
 ) -> GeneratorEstimate:
     """Difference quotients of the envelope at f against the supremum generator.
 
@@ -93,14 +87,13 @@ def generator_fd(
     `chains`): level L at h starts from level L - 1 at h/2. A
     non-decreasing tail in the error table is reported, never raised.
     """
-    params = envelope_params
     schedule = geometric_schedule(h0, k_steps)
     target = sup_generator(fam, f)
     errors: list[float] = []
     chains: dict = {}
     for h in reversed(schedule):
-        res = nisio_dyadic(fam, h, f, params.tol_rel, max(params.n_max, 2), params.norm, n_min=2, chains=chains)
-        errors.append(compare((res.final - f) / h, target, params.norm).abs_err)
+        res = nisio_dyadic(fam, h, f, tol_rel, max(n_max, 2), norm, n_min=2, chains=chains)
+        errors.append(compare((res.final - f) / h, target, norm).abs_err)
     return GeneratorEstimate(schedule, errors[::-1])
 
 
@@ -138,13 +131,12 @@ def _side_quotients(
     y: GridFunction,
     base: GridFunction,
     h_schedule: list[float],
-    params: EnvelopeParams,
-    level: int | None,
+    level: int,
     sign: float,
 ) -> tuple[GridFunction, float]:
     """The smallest-h quotient (S(t)(x + sign*h*y) - base)/(sign*h), base =
     S(t)x, and the worst ordering slack of the quotients along h_schedule."""
-    quotients = [(_S(fam, t, x + sign * h * y, params, level=level) - base) / (sign * h) for h in h_schedule]
+    quotients = [(_S(fam, t, x + sign * h * y, level) - base) / (sign * h) for h in h_schedule]
     worst = 0.0
     for prev, nxt in zip(quotients, quotients[1:]):
         # plus side decreases toward the inf, minus side increases toward the sup
@@ -159,22 +151,21 @@ def directional_derivative(
     x: GridFunction,
     y: GridFunction,
     h_schedule: list[float],
-    envelope_params: EnvelopeParams,
+    norm: PNorm,
+    level: int,
 ) -> DerivativeProbe:
     """Gateaux derivative probe of the envelope at x in direction y, from both
-    sides. At t = 0 the envelope is the identity and both derivatives are y
-    exactly.
+    sides, at a fixed dyadic level. At t = 0 the envelope is the identity and
+    both derivatives are y exactly.
     """
     _check_schedule(h_schedule)
-    params = envelope_params
-    level = params.n_max
-    base = _S(fam, t, x, params, level=level)  # shared by both sides
+    base = _S(fam, t, x, level)  # shared by both sides
     if t == 0.0:
         ycopy = GridFunction(y.grid, y.samples.copy())
         return DerivativeProbe(base=base, plus=ycopy, minus=ycopy, gap=0.0, monotonicity_violation=0.0)
-    plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, +1.0)
-    minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, params, level, -1.0)
-    return DerivativeProbe(base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, params.norm),
+    plus, v_plus = _side_quotients(fam, t, x, y, base, h_schedule, level, +1.0)
+    minus, v_minus = _side_quotients(fam, t, x, y, base, h_schedule, level, -1.0)
+    return DerivativeProbe(base=base, plus=plus, minus=minus, gap=lp_norm(plus - minus, norm),
                            monotonicity_violation=max(v_plus, v_minus))
 
 
@@ -186,22 +177,22 @@ def derivative_identity_check(
     fam: KernelFamily,
     t: float,
     f: GridFunction,
-    envelope_params: EnvelopeParams,
+    norm: PNorm,
+    level: int,
 ) -> dict[str, float]:
     """Compare the forward time quotient of the envelope with both one-sided
     directional derivatives in the supremum-generator direction.
 
     All three limits coincide for f in the generator's domain, so the
     pairwise interior L^p distances, relative to the largest of the three
-    norms, are small there. Every quotient has the step QUOTIENT_STEP, and
-    S(t)f is the base of all three. Returns the gaps forward_vs_plus,
-    forward_vs_minus and plus_vs_minus.
+    norms, are small there. Every quotient has the step QUOTIENT_STEP, every
+    S at the fixed dyadic level `level`, and S(t)f is the base of all three.
+    Returns the gaps forward_vs_plus, forward_vs_minus and plus_vs_minus.
     """
-    params, h = envelope_params, QUOTIENT_STEP
-    norm = params.norm
-    probe = directional_derivative(fam, t, f, sup_generator(fam, f), [h], params)
+    h = QUOTIENT_STEP
+    probe = directional_derivative(fam, t, f, sup_generator(fam, f), [h], norm, level)
     plus, minus = probe.plus, probe.minus
-    forward = (_S(fam, t + h, f, params, level=params.n_max) - probe.base) / h
+    forward = (_S(fam, t + h, f, level) - probe.base) / h
     scale = max(lp_norm(forward, norm), lp_norm(plus, norm), lp_norm(minus, norm), 1e-14)
     pairs = {"forward_vs_plus": (forward, plus), "forward_vs_minus": (forward, minus), "plus_vs_minus": (plus, minus)}
     return {name: compare(a, b, norm).abs_err / scale for name, (a, b) in pairs.items()}
@@ -221,7 +212,8 @@ def integral_identity_check(
     t: float,
     f: GridFunction,
     quad_nodes: int,
-    envelope_params: EnvelopeParams,
+    norm: PNorm,
+    level: int,
 ) -> float:
     """Relative deviation of S(t)f - f from the time integral of the
     directional derivative S'_+(s, f) applied to the supremum generator.
@@ -231,11 +223,10 @@ def integral_identity_check(
     from f + h_dir*direction, walks the Simpson intervals as chains of m
     steps of exactly t/M (see `_integral_path` for m and M), so node j is
     the prefix of j*m steps and the path from f ends at S(t)f. The step t/M
-    is at most t/2^(n_max+1), half the fixed-level step. Returns 0 when ||S(t)f - f||_p is below 1e-12.
+    is at most t/2^(level+1), half the fixed-level step. Returns 0 when ||S(t)f - f||_p is below 1e-12.
     """
-    params = envelope_params
     h_dir = QUOTIENT_STEP
-    m, steps = _integral_path(quad_nodes, params.n_max)
+    m, steps = _integral_path(quad_nodes, level)
     weights = np.ones(quad_nodes)  # composite Simpson
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     weights = weights * (t / (quad_nodes - 1)) / 3.0
@@ -251,11 +242,11 @@ def integral_identity_check(
         acc = acc + weight * ((moved - base) / h_dir).samples
 
     lhs = base - f
-    denom = lp_norm(lhs, params.norm)
+    denom = lp_norm(lhs, norm)
     if denom < 1e-12:
         return 0.0
     residual = lhs - GridFunction(f.grid, acc)
-    return lp_norm(residual, params.norm) / denom
+    return lp_norm(residual, norm) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +301,20 @@ def lipschitz_probe(
     x0: GridFunction,
     r: float,
     samples: int,
-    envelope_params: EnvelopeParams,
+    tol_rel: float,
+    n_max: int,
+    norm: PNorm,
     seed: int = 0,
 ) -> LipschitzProbe:
     """Empirical Lipschitz constant of the envelope on the ball B(x0, r)."""
     if samples < 2:
         raise UsageError("lipschitz probe needs at least 2 samples")
-    params = envelope_params
-    norm = params.norm
+
+    def S(y: GridFunction) -> GridFunction:  # a converging dyadic run, the identity at t = 0
+        return y if t == 0.0 else nisio_dyadic(fam, t, y, tol_rel, n_max, norm).final
+
     pts = ball_samples(x0, r, samples, norm, seed=seed)
-    images = [_S(fam, t, y, params) for y in pts]
+    images = [S(y) for y in pts]
     L = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -329,10 +324,10 @@ def lipschitz_probe(
             L = max(L, lp_norm(images[i] - images[j], norm) / dist)
 
     zero = GridFunction(x0.grid, np.zeros(x0.grid.n_nodes))
-    s_zero = _S(fam, t, zero, params)
+    s_zero = S(zero)
 
     def T(y: GridFunction) -> GridFunction:
-        return _S(fam, t, y, params) - s_zero
+        return S(y) - s_zero
 
     offsets = [(w, lp_norm(w, norm)) for w in (y - x0 for y in pts)]
     offsets = [(w, size) for w, size in offsets if size >= 1e-12]
@@ -348,7 +343,9 @@ def growth_bound_estimate(
     fam: KernelFamily,
     t_grid: list[float],
     f_samples: list[GridFunction],
-    envelope_params: EnvelopeParams,
+    tol_rel: float,
+    n_max: int,
+    norm: PNorm,
 ) -> tuple[float, float]:
     """Least-squares fit of log sup_f ||S(t)f||/||f|| against t; returns (M, omega).
 
@@ -357,8 +354,6 @@ def growth_bound_estimate(
     starts each level from it."""
     if len(t_grid) < 2:
         raise UsageError("growth fit needs at least two horizons")
-    params = envelope_params
-    norm = params.norm
     ratios = [0.0] * len(t_grid)
     for f in f_samples:
         base = lp_norm(f, norm)
@@ -366,7 +361,7 @@ def growth_bound_estimate(
             continue
         chains: dict = {}
         for i, t in enumerate(t_grid):
-            image = f if t == 0.0 else nisio_dyadic(fam, t, f, params.tol_rel, params.n_max, norm, chains=chains).final
+            image = f if t == 0.0 else nisio_dyadic(fam, t, f, tol_rel, n_max, norm, chains=chains).final
             ratios[i] = max(ratios[i], lp_norm(image, norm) / base)
     log_ratios = [math.log(max(ratio, 1e-300)) for ratio in ratios]
     omega, log_m = np.polyfit(np.asarray(t_grid, dtype=float), np.asarray(log_ratios), 1)

@@ -73,9 +73,6 @@ class ExperimentConfig:
         """The initial data, checked at load and evaluated on first read."""
         return self._initial()
 
-    def envelope_params(self) -> envelope.EnvelopeParams:
-        return envelope.EnvelopeParams(norm=self.norm, tol_rel=self.tol_rel, n_max=self.n_max)
-
 
 class _Section(dict):
     """A config object that records the keys the parser asks for: every read
@@ -226,14 +223,14 @@ def build_initial(spec: dict, grid: funcspace.Grid) -> Callable[[], GridFunction
             raise ConfigurationError(f"key `initial.params.path` must be a string, got {path!r}")
         if not Path(path).is_file():
             raise ConfigurationError(f"key `initial.params.path`: file not found: {path}")
-        f = funcspace.read_csv(path)
+        f = _keyed("`initial.params.path`", funcspace.read_csv, path)
         if f.grid != grid:
             raise ConfigurationError("key `initial.params.path`: CSV grid does not match the configured grid")
         return lambda: f
     raise ConfigurationError(f"key `initial.kind` must be one of bump, gaussian, ramp, custom_csv; got {kind!r}")
 
 
-_OPTION_KEYS = ("generator", "derivative", "ode", "hjb", "counterexample")
+_OPTION_KEYS = ("generator", "derivative", "ode", "counterexample")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -349,11 +346,17 @@ _LEVEL_KEYS = "`time.t`, `time.n_max`"
 
 
 def _check_initial(cfg: ExperimentConfig) -> None:
-    """The initial data's L^p norm must be finite, for a pre-flight that reads the data."""
+    """The initial data's L^p norm must be finite and its L^p terms must not underflow, for a pre-flight that reads
+    the data: a run resolves differences of samples down to 2^-52 max|f|, so |x|^p dx of that x, and |x|^p before
+    it, must be a normal float, or an increment or error sums to 0. f = 0 has no such term."""
     with np.errstate(over="ignore"):  # an overflow is the error reported here
         f_norm = lp_norm(cfg.initial, cfg.norm)
     if not math.isfinite(f_norm):
         raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
+    top, eps, tiny = cfg.initial.max_abs(), math.log2(sys.float_info.epsilon), math.log2(sys.float_info.min)
+    if top and cfg.norm.p * (math.log2(top) + eps) + min(0.0, math.log2(cfg.grid.dx)) < tiny:
+        raise ConfigurationError(f"keys `initial` and `norm.p`: the L^p term |x|^p dx of x = 2^{eps:g} max|f| = "
+                                 f"{top * sys.float_info.epsilon:.3g} underflows below the normal floats")
 
 
 def _check_direction(cfg: ExperimentConfig, t: float = 1.0) -> None:
@@ -400,20 +403,18 @@ def _envelope(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
 
 def _generator(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
-    opts = cfg.options.get("generator", {})
-    h0 = _positive(opts, "h0", "generator.", 0.1)
-    k_steps = _count(opts, "k_steps", "generator.", 6)
+    h0, k_steps = 0.1, _count(cfg.options.get("generator", {}), "k_steps", "generator.", 6)
     n = max(cfg.n_max, 2)  # each S(h)f runs to level 2 at least
 
     def chains():  # smallest h first, each run on the trajectory of the one before
         hs = calculus.geometric_schedule(h0, k_steps)[::-1]
         return [chain for prior, h in zip([None, *hs], hs) for chain in envelope._levels(h, n, prior)]
 
-    _check_work(cfg, cfg.family, "`generator.h0`, `generator.k_steps`, `time.n_max`", chains)
+    _check_work(cfg, cfg.family, "`generator.k_steps`, `time.n_max`", chains)
     _check_direction(cfg)
 
     def job(outdir: Path) -> list[CheckResult]:
-        est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.envelope_params())
+        est = calculus.generator_fd(cfg.family, cfg.initial, h0, k_steps, cfg.tol_rel, cfg.n_max, cfg.norm)
         _write_rows_csv(outdir / "generator.csv", "h,error_lp", list(zip(est.h_schedule, est.errors_vs_B)))
         decreasing = all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
         final_ratio = est.errors_vs_B[-1] / max(est.errors_vs_B[0], 1e-300)
@@ -435,9 +436,8 @@ def _derivative(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     identity_tol, integral_tol = 5e-2, 2e-2
 
     def job(outdir: Path) -> list[CheckResult]:
-        params = cfg.envelope_params()
-        gaps = calculus.derivative_identity_check(cfg.family, t, cfg.initial, params)
-        deviation = calculus.integral_identity_check(cfg.family, t, cfg.initial, quad_nodes, params)
+        gaps = calculus.derivative_identity_check(cfg.family, t, cfg.initial, cfg.norm, cfg.n_max)
+        deviation = calculus.integral_identity_check(cfg.family, t, cfg.initial, quad_nodes, cfg.norm, cfg.n_max)
         worst_gap = max(gaps.values())
         doc = {"t": t, "gaps": gaps, "integral_deviation": deviation, "integral_path_steps": path_steps,
                "identity_tol": identity_tol, "integral_tol": integral_tol,
@@ -469,11 +469,10 @@ def _compare(cfg: ExperimentConfig, stage_ms: dict, name: str, check: str, tol: 
 def _compare_hjb(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     _check_initial(cfg)
     lams = cfg.family.lambda_set.candidates  # increasing: a list has the supremum generator of its hull
-    cfl = _positive(cfg.options.get("hjb", {}), "cfl", "hjb.", 0.9)
-    _check_work(cfg, cfg.family, _LEVEL_KEYS + ", `hjb.cfl`", lambda: envelope._levels(cfg.t, cfg.n_max),
-                lambda: reference._upwind_passes(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, cfl))
+    _check_work(cfg, cfg.family, _LEVEL_KEYS, lambda: envelope._levels(cfg.t, cfg.n_max),
+                lambda: reference._upwind_passes(cfg.t, cfg.grid.dx, cfg.family.lambda_set.sup_abs, reference._CFL))
     return _compare(cfg, stage_ms, "hjb", "envelope_vs_hjb_rel_l2", 5e-2,
-                    lambda: reference.hjb_upwind(cfg.initial, cfg.t, lams[0], lams[-1], cfl=cfl))
+                    lambda: reference.hjb_upwind(cfg.initial, cfg.t, lams[0], lams[-1]))
 
 
 def _compare_ode(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
@@ -512,11 +511,12 @@ def _verify(cfg: ExperimentConfig, scale: str, stage_ms: dict) -> Callable:
     def job(outdir: Path) -> list[CheckResult]:
         ctx = _verify_context(scale, cfg.seed)
         checks = [check for inv in _INVARIANTS for check in inv.run(ctx)]
-        fam, f0, params, t = ctx.gauss, ctx.f0, ctx.params, 0.25
-        lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, params, seed=cfg.seed)
+        fam, f0, norm, t = ctx.gauss, ctx.f0, ctx.norm, 0.25
+        lip = calculus.lipschitz_probe(fam, t, f0, 1.0, 8 if scale == "small" else 24, ctx.tol_rel, ctx.n_max, norm,
+                                       seed=cfg.seed)
         probe = calculus.directional_derivative(
-            fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), params)
-        M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], params)
+            fam, t, f0, kernels.sup_generator(fam, f0), calculus.geometric_schedule(0.1, 3), norm, ctx.n_max)
+        M, omega = calculus.growth_bound_estimate(fam, [0.125, 0.25, 0.5], [f0], ctx.tol_rel, ctx.n_max, norm)
         quotient_monotone = probe.monotonicity_violation <= calculus.QUOTIENT_TOL
         passed = bool(lip.lemma_ok and quotient_monotone and math.isfinite(lip.L))
         _write_json(outdir / "probes.json", {"t": t, "gap": probe.gap, "L_estimate": lip.L, "M": M, "omega": omega,
@@ -631,13 +631,13 @@ def monotone_stepper_violation(stepper, grid: funcspace.Grid, rng, pairs: int, d
 def _verify_context(scale: str, seed: int) -> SimpleNamespace:
     """What the invariants and the sampled probes share: grid, norm, seeded
     generator, repetitions, the drift and compound Poisson test families, the
-    bump f0, and the envelope parameters of the calculus quotients."""
+    bump f0, and the calculus probes' tol_rel and n_max (the fixed level of the quotients)."""
     grid, norm = make_grid(-8.0, 8.0, 257 if scale == "small" else 1025), PNorm(2.0)
     return SimpleNamespace(
         scale=scale, grid=grid, norm=norm, rng=np.random.default_rng(seed),
         reps=20 if scale == "small" else 100, gauss=GaussianDrift(LambdaInterval(-1.0, 1.0)),
         cp=CompoundPoisson(LambdaValues((0.0, 1.0)), JumpDistribution(((1.0, 1.0),))),
-        f0=funcspace.bump(grid, radius=1.0), params=envelope.EnvelopeParams(norm=norm, tol_rel=1e-4, n_max=4))
+        f0=funcspace.bump(grid, radius=1.0), tol_rel=1e-4, n_max=4)
 
 
 @dataclass(frozen=True)
@@ -837,8 +837,8 @@ def _equivalent_generators_converge(ctx):
     # gap can reach exactly 0 at one level and not at the next
     f, mu = funcspace.bump(make_grid(-8.0, 8.0, 257), radius=1.0), JumpDistribution(((1.0, 1.0),))
     ends, three = (CompoundPoisson(LambdaValues(lams), mu) for lams in ((0.2, 3.0), (0.2, 1.6, 3.0)))
-    gaps = [lp_norm(calculus._S(ends, 1.0, f, ctx.params, level) - calculus._S(three, 1.0, f, ctx.params, level),
-                    ctx.norm) for level in (2, 6)]
+    gaps = [lp_norm(calculus._S(ends, 1.0, f, level) - calculus._S(three, 1.0, f, level), ctx.norm)
+            for level in (2, 6)]
     return (gaps[1] / max(gaps[0], 1e-300),)
 
 
@@ -848,17 +848,17 @@ def _equivalent_generators_converge(ctx):
 @_invariant(("calculus.plus_quotient_monotone", calculus.QUOTIENT_TOL),
             ("calculus.minus_below_plus", calculus.QUOTIENT_TOL), ("calculus.quotient_scaling", 1e-10))
 def _quotient_orderings_and_scaling(ctx):
-    params, schedule = ctx.params, calculus.geometric_schedule(0.2, 3)
+    schedule = calculus.geometric_schedule(0.2, 3)
     worst = gap = 0.0
     for _ in range(max(3, ctx.reps // 4)):
         x = _random_smooth(ctx.grid, ctx.rng)
         y = _random_smooth(ctx.grid, ctx.rng)
-        probe = calculus.directional_derivative(ctx.gauss, 0.25, x, y, schedule, params)
+        probe = calculus.directional_derivative(ctx.gauss, 0.25, x, y, schedule, ctx.norm, ctx.n_max)
         worst = max(worst, probe.monotonicity_violation)
         gap = max(gap, _excess(probe.minus, probe.plus))
     f0, c = ctx.f0, 2.5
-    q1 = (calculus._S(ctx.gauss, 0.2, f0, params, level=3) - f0) / 0.2
-    qc = (calculus._S(ctx.gauss, 0.2, c * f0, params, level=3) - c * f0) / 0.2
+    q1 = (calculus._S(ctx.gauss, 0.2, f0, 3) - f0) / 0.2
+    qc = (calculus._S(ctx.gauss, 0.2, c * f0, 3) - c * f0) / 0.2
     return worst, gap, _rel_lp(qc - c * q1, qc, ctx.norm)
 
 

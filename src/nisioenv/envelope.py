@@ -23,7 +23,6 @@ from .kernels import _CALL_WORK, KernelFamily, LambdaValues, _member_plan, _Plan
 
 __all__ = [
     "Partition",
-    "EnvelopeParams",
     "EnvelopeResult",
     "step_J",
     "apply_partition",
@@ -69,15 +68,6 @@ class Partition:
             raise UsageError("dyadic level must be >= 0")
         m = 1 << level
         return Partition(tuple(t * k / m for k in range(m + 1)))
-
-
-@dataclass(frozen=True)
-class EnvelopeParams:
-    """Bundle of envelope evaluation parameters used by the calculus probes."""
-
-    norm: PNorm
-    tol_rel: float
-    n_max: int
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ __all__ = [
     "ComparisonResult",
 ]
 
+_CFL = 0.9  # the CFL factor of the upwind oracle: `hjb_upwind`'s default, and the one `compare-hjb` prices and runs
+
 
 def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
     """Steps `hjb_upwind` takes to reach t >= 0, for lam_bar the largest |lam| of the drift set: the step obeys
@@ -132,7 +134,7 @@ def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = 
     return out
 
 
-def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = 0.9) -> GridFunction:
+def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = _CFL) -> GridFunction:
     """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (a list has the
     supremum generator of its hull [min, max]), in `_upwind_steps` steps of `hjb_step`. Its stencil, two scratch
     rows, two zeroed buffers and their row views are made once per run: the first step reads f0 itself, the others

@@ -19,7 +19,7 @@ from nisioenv.calculus import (
     integral_identity_check,
     lipschitz_probe,
 )
-from nisioenv.envelope import EnvelopeParams, Partition, apply_partition, nisio_dyadic, step_J
+from nisioenv.envelope import Partition, apply_partition, nisio_dyadic, step_J
 from nisioenv.funcspace import GridFunction, bump, lp_norm, make_grid
 from nisioenv.kernels import (
     CompoundPoisson,
@@ -121,8 +121,7 @@ def test_c05_approximate_semigroup_law():
 def test_c06_generator_identity():
     grid = make_grid(-10.0, 10.0, 2049)
     f = bump(grid, radius=3.0)
-    params = EnvelopeParams(norm=NORM2, tol_rel=1e-6, n_max=6)
-    est = generator_fd(GAUSS, f, 0.1, 6, params)
+    est = generator_fd(GAUSS, f, 0.1, 6, 1e-6, 6, NORM2)
     decreasing = all(b < a for a, b in zip(est.errors_vs_B, est.errors_vs_B[1:]))
     ratio = est.errors_vs_B[-1] / est.errors_vs_B[0]
     ok = decreasing and ratio <= 0.10
@@ -132,9 +131,8 @@ def test_c06_generator_identity():
 def test_c07_derivative_and_integral_identities():
     grid = make_grid(-10.0, 10.0, 2049)
     f = bump(grid, radius=1.0)
-    params = EnvelopeParams(norm=NORM2, tol_rel=1e-4, n_max=8)
-    worst_gap = max(derivative_identity_check(GAUSS, 0.25, f, params).values())
-    deviation = integral_identity_check(GAUSS, 0.5, f, 33, params)
+    worst_gap = max(derivative_identity_check(GAUSS, 0.25, f, NORM2, 8).values())
+    deviation = integral_identity_check(GAUSS, 0.5, f, 33, NORM2, 8)
     ok = worst_gap <= 5e-2 and deviation <= 2e-2
     report(7, ok, f"identity gaps max {worst_gap:.3e} <= 5e-2, integral deviation {deviation:.3e} <= 2e-2")
 
@@ -142,7 +140,6 @@ def test_c07_derivative_and_integral_identities():
 def test_c08_exact_structural_properties():
     # 100 seeded random inputs per property on a desk-scale grid
     grid = make_grid(-8.0, 8.0, 257)
-    params = EnvelopeParams(norm=NORM2, tol_rel=1e-4, n_max=2)
     schedule = geometric_schedule(0.2, 3)
     rng = np.random.default_rng(777)
     pi = Partition((0.0, 0.1, 0.25))
@@ -168,11 +165,11 @@ def test_c08_exact_structural_properties():
     worst_quot = worst_order = -math.inf
     for _ in range(100):
         x, y = smooth(), smooth()
-        probe = directional_derivative(GAUSS, 0.2, x, y, schedule, params)
+        probe = directional_derivative(GAUSS, 0.2, x, y, schedule, NORM2, 2)
         worst_quot = max(worst_quot, probe.monotonicity_violation)
         worst_order = max(worst_order, float(np.max(probe.minus.samples - probe.plus.samples)))
 
-    lip = lipschitz_probe(GAUSS, 0.2, bump(grid, radius=1.0), 1.0, 100, params, seed=99)
+    lip = lipschitz_probe(GAUSS, 0.2, bump(grid, radius=1.0), 1.0, 100, 1e-4, 2, NORM2, seed=99)
 
     ok = (
         worst_monotone <= 0.0
@@ -208,8 +205,7 @@ def test_c09_counterexample_divergence():
 def test_c10_growth_bounds():
     grid = make_grid(-10.0, 10.0, 1025)
     fs = [bump(grid, radius=1.0), bump(grid, radius=2.0), bump(grid, radius=4.0)]
-    params = EnvelopeParams(norm=NORM2, tol_rel=1e-4, n_max=7)
-    _, om_gauss = growth_bound_estimate(GAUSS, [0.125, 0.25, 0.375, 0.5], fs, params)
-    _, om_cp = growth_bound_estimate(CP, [0.25, 0.5, 0.75, 1.0], fs, params)
+    _, om_gauss = growth_bound_estimate(GAUSS, [0.125, 0.25, 0.375, 0.5], fs, 1e-4, 7, NORM2)
+    _, om_cp = growth_bound_estimate(CP, [0.25, 0.5, 0.75, 1.0], fs, 1e-4, 7, NORM2)
     ok = om_gauss <= 0.55 and om_cp <= 1.05
     report(10, ok, f"fitted omega: gaussian {om_gauss:.3f} <= 0.55, compound Poisson {om_cp:.3f} <= 1.05")

@@ -136,12 +136,9 @@ EXIT_2 = [
     ("envelope", {"family.jump_atoms": [[1.0, 1.0]]}, ("family.jump_atoms",)),
     ("generator", {"generator.k_step": 3}, ("generator.k_step",)),
     # the options of each subcommand
-    ("generator", {"generator.h0": "x"}, ("`generator.h0`",)),
-    ("generator", {"generator.h0": -1}, ("`generator.h0`",)),
     ("generator", {"generator.k_steps": 2.5}, ("`generator.k_steps`",)),
     ("derivative", {"derivative.quad_nodes": 4}, ("quad_nodes must be odd",)),
     ("derivative", {"derivative.quad_nodes": 1}, ("quad_nodes must be odd",)),
-    ("compare-hjb", {"hjb.cfl": 2.0}, ("`hjb.cfl`",)),
     ("compare-ode", {**CP, "ode.dt": 0}, ("`ode.dt`",)),
     ("counterexample", {**SCAN, "counterexample.epsilons": [0.01, 0.1]}, ("strictly decreasing",)),
     # one epsilon gives no ratio for the growth gate to check
@@ -150,6 +147,10 @@ EXIT_2 = [
     ("counterexample", {**SCAN, "counterexample.epsilons": ["x"]}, ("`counterexample.epsilons`",)),
     ("counterexample", {**SCAN, "counterexample.t": 1.0}, ("scan time t",)),
     ("verify", {"generator": [1]}, ("`generator`",)),
+    # the first step of the `generator` schedule and the CFL factor of the upwind oracle are the program's: a
+    # config that sets one, here to the value the program uses, is refused (no subcommand reads an `hjb` section)
+    ("generator", {"generator.h0": 0.1}, ("unknown config keys: ['generator.h0']",)),
+    ("compare-hjb", {"hjb.cfl": 0.9}, ("unknown config keys: ['hjb']",)),
     # the gates and the comparison window are the program's: a config that sets one, here to pass anything, is
     # refused (no subcommand reads a `compare` section)
     ("compare-ode", {**CP, "compare.tolerance": 1e9}, ("unknown config keys: ['compare']",)),
@@ -173,7 +174,7 @@ EXIT_2 = [
                         "counterexample": {"t": 0.5, "epsilons": [1e-2 * 0.998**k for k in range(3000)]}},
      (BUDGET, "`grid`", "`counterexample.epsilons`")),
     ("compare-ode", {**CP, "ode.dt": 1e-9}, (BUDGET, "`grid`", "`ode.dt`", "`time.t`")),
-    ("compare-hjb", {"time.t": 1e6}, (BUDGET, "`grid`", "`time.t`", "`hjb.cfl`")),
+    ("compare-hjb", {"time.t": 1e6}, (BUDGET, "`grid`", "`time.t`")),
     ("derivative", {"derivative.quad_nodes": 1_000_001}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
     ("derivative", {"derivative.quad_nodes": 10**12 + 1}, (BUDGET, "`grid`", "`derivative.quad_nodes`")),
     # 1e308 RK4 steps are a finite count whose passes overflow to inf
@@ -194,33 +195,43 @@ EXIT_2 = [
     # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
     *[(sub, {**(CP if sub == "compare-ode" else {}), "initial.params": {"radius": 1e-300, "height": 1e308}},
        ("`initial`", "`norm.p`")) for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
+    # the L^p terms of the initial data underflow: |x|^p dx of x = 2^-52 max|f|, the finest difference a run
+    # resolves, is below the normal floats. At p = 1e300 every sample below 1 gives 0, and at p = 2 a bump of height
+    # 1e-170 squares to 0 (without the rule, `envelope` converged at level 1 on an increment of 0.0 and `compare-hjb`
+    # passed at rel_err 0.0 against a max_err of 9% of the data)
+    *[(sub, {"norm.p": 1e300}, ("`initial`", "`norm.p`", "underflows"))
+      for sub in ("envelope", "compare-hjb", "generator", "derivative")],
+    *[(sub, {"initial.params.height": 1e-170}, ("`initial`", "`norm.p`", "underflows"))
+      for sub in ("envelope", "compare-hjb")],
     # the supremum generator Bf that `generator` and `derivative` measure against, or the L^p norm of Bf (and of
     # t Bf, the size of the integral identity), leaves the float range: Bf of a bump of height 1e307 at p = 1,
-    # |Bf|^p at p = 1e300, and t Bf of a pure shift at t = 1e300
+    # |Bf|^p of a bump of height 1e30 at p = 10, and t Bf of a pure shift at t = 1e300
     *[(sub, {"norm.p": 1, "initial.params.height": 1e307}, ("`initial`", "`norm.p`", "supremum generator"))
       for sub in ("generator", "derivative")],
-    *[(sub, {"norm.p": 1e300}, ("`norm.p`", "supremum generator")) for sub in ("generator", "derivative")],
+    *[(sub, {"initial.params.height": 1e30, "norm.p": 10}, ("`norm.p`", "supremum generator"))
+      for sub in ("generator", "derivative")],
     ("derivative", {**SHIFT, "time.t": 1e300}, ("`time.t`", "supremum generator")),
-    # the Poisson weights of the largest compound Poisson step start from e^-(lambda h) = 0: at h = t, at
-    # generator.h0, and for derivative at (t + h) / 2^n_max, h its forward quotient's step
+    # the Poisson weights of the largest compound Poisson step start from e^-(lambda h) = 0: at h = t, at the
+    # first step 0.1 of the generator schedule, and for derivative at (t + h) / 2^n_max, h its forward quotient's step
     ("envelope", {**CP, "family.lambda_list": [800.0], "time.t": 1.0},
      ("Poisson rate 800", "`family.lambda_list`", "`time.t`")),
     ("compare-ode", {**CP, "family.lambda_list": [0.0, 800.0], "time.t": 1.0}, ("Poisson rate 800", "`time.t`")),
-    ("generator", {**CP, "generator.h0": 800.0, "generator.k_steps": 0},
-     ("Poisson rate 800", "`family.lambda_list`", "`generator.h0`")),
+    ("generator", {**CP, "family.lambda_list": [0.0, 8000.0], "generator.k_steps": 0},
+     ("Poisson rate 800", "`family.lambda_list`", "`generator.k_steps`")),
     ("derivative", {**CP, "family.lambda_list": [0.0, 710.0], "time.t": 1.0, "time.n_max": 0},
      ("Poisson rate 711.1", "`time.t`", "`time.n_max`")),
-    # a heat kernel of variance 1e12 would need 5e8 weights (4 GB): at generator.h0, and at t with no drift
-    ("generator", {"generator.h0": 1e12}, ("heat kernel", "`grid`", "`generator.h0`")),
+    # a heat kernel past its cap: of variance 0.1, the generator's first step, on 2 400 001 nodes (6.1e5
+    # weights), and of variance 1e12 at t with no drift (5e8 weights, 4 GB)
+    ("generator", HUGE_GRID, ("heat kernel", "`grid`", "`generator.k_steps`")),
     ("envelope", {"time.t": 1e12, "family": {"family": "gaussian_drift", "lambda_interval": [0.0, 0.0]}},
      ("heat kernel", "`grid`", "`time.t`")),
-    # a pure shift window lam * h0 = 1e310 leaves the float range
-    ("generator", {"family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}, "generator.h0": 1e10},
-     ("`family.lambda_interval`", "`generator.h0`")),
+    # a pure shift window lam * h = 1e300 * 1e20 / 2^6 leaves the float range
+    ("derivative", {"time.t": 1e20, "family": {"family": "pure_shift", "lambda_interval": [-1e300, 1e300]}},
+     ("`family.lambda_interval`", "`time.t`")),
     # 1100 and 10^12 halvings of h0 = 0.1 reach a step of 0, and t = 5e-324 split in four rounds to a step of
     # 0; at t = 1.2e-322 the steps t / 16 and t / 32 round to 1e-323 and 5e-324, below the normal floats, so 16
-    # and 32 of them run to 1.6e-322, 1.35 t (the last levels and the integral path); `generator.h0` 1e-310 and
-    # a scan time of 1e-320 are steps below the normal floats too
+    # and 32 of them run to 1.6e-322, 1.35 t (the last levels and the integral path); 1017 halvings of 0.1 and
+    # two levels more (0.1 / 2^1019 = 1.8e-308) and a scan time of 1e-320 are steps below the normal floats too
     ("generator", {"generator.k_steps": 1100, "time.n_max": 2}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
     ("generator", {"generator.k_steps": 10**12}, ("`generator.k_steps`", "h0 / 2^halvings > 0")),
     ("envelope", {"time.t": 5e-324, "time.n_max": 2}, ("`time.t`", "`time.n_max`", "rounds to 0")),
@@ -230,7 +241,7 @@ EXIT_2 = [
     *[(sub, {"time.n_max": 5, "time.t": 1.2e-322}, ("`time.t`", "`time.n_max`", "below the normal floats"))
       for sub in ("envelope", "compare-hjb")],
     ("compare-ode", {**CP, "time.n_max": 5, "time.t": 1.2e-322}, ("`time.t`", "below the normal floats")),
-    ("generator", {"generator.h0": 1e-310, "generator.k_steps": 0}, ("`generator.h0`", "below the normal floats")),
+    ("generator", {"time.n_max": 0, "generator.k_steps": 1017}, ("`generator.k_steps`", "below the normal floats")),
     ("counterexample", {"counterexample.t": 1e-320, **SCAN}, ("`counterexample.t`", "below the normal floats")),
     # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
     ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
@@ -396,8 +407,9 @@ class TestInvalidConfigsWriteNothing:
                                                                "compare-ode", "verify")} | {
             ("counterexample_shift", sub) for sub in ("generator", "derivative", "counterexample", "verify")}
 
-    @pytest.mark.parametrize("row", ["-4.5,abc", "-4.5,nan", "-4.5,inf"])
+    @pytest.mark.parametrize("row", ["-4.5,abc", "-4.5,nan", "-4.5,inf", "-4.49,0"])
     def test_custom_csv_bad_data(self, tmp_path, capsys, row):
+        # a value that is not a finite number, or an x off the uniform grid
         csv_path = tmp_path / "initial.csv"
         write_csv(bump(make_grid(-8.0, 8.0, 513), radius=1.0), csv_path)
         lines = csv_path.read_text().splitlines()
@@ -408,7 +420,7 @@ class TestInvalidConfigsWriteNothing:
         code = run("envelope", write_config(tmp_path, cfg))
         assert code == 2
         assert not out.exists()
-        assert "configuration error" in capsys.readouterr().err
+        assert "configuration error: `initial.params.path`: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
     @given(data=st.data())
@@ -461,7 +473,7 @@ def test_readme_names_every_key_and_subcommand(asked_leaves):
 EXTREMES = [v for x in (0.0, 5e-324, 1.7e308, 1e300, 1e-300) for v in (x, -x)]
 RANGE_ENDS = {"grid.n_nodes": [4, 3, 2_400_001, 2_400_002], "norm.p": [1, math.nextafter(1.0, 0.0)],
               "time.n_max": [0, 12, 13], "seeds": [-1], "generator.k_steps": [-1], "derivative.quad_nodes": [3, 2, 4],
-              "hjb.cfl": [1, math.nextafter(1.0, 2.0)], "counterexample.t": [1, math.nextafter(1.0, 0.0)]}
+              "counterexample.t": [1, math.nextafter(1.0, 0.0)]}
 
 
 @pytest.fixture(scope="module")
@@ -478,15 +490,20 @@ def numeric_leaves(asked_leaves):
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_extreme_numeric_leaf(numeric_leaves, subcommand, data):
     # one numeric leaf at an extreme value: exit 2 with nothing written, or exit 0 or 1 with exactly the files of
-    # the subcommand, and never an exception. A hundredth of the work budget keeps every accepted run short
+    # the subcommand, and never an exception; a run that exits 0 or 1 exits so again into a sibling directory, and
+    # writes the same bytes but for timings.json. A hundredth of the work budget keeps every accepted run short
     cfg, leaf = data.draw(st.sampled_from(numeric_leaves[subcommand]), label="leaf")
     value = data.draw(st.sampled_from(EXTREMES + RANGE_ENDS.get(leaf, [])), label="value")
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_MAX_WORK", cli._MAX_WORK / 100)
-        out = Path(tmp) / "out"
-        cfg = {**_set(copy.deepcopy(cfg), leaf, value), "output_dir": str(out)}
-        code = run(subcommand, write_config(Path(tmp), cfg))
-        written = sorted(path.name for path in out.iterdir()) if out.exists() else None
+        outs = [Path(tmp) / "out", Path(tmp) / "again"]
+        config = write_config(Path(tmp), {**_set(copy.deepcopy(cfg), leaf, value), "output_dir": str(outs[0])})
+        code = run(subcommand, config)
+        written = sorted(path.name for path in outs[0].iterdir()) if outs[0].exists() else None
+        if code != 2:
+            assert run(subcommand, config, out_dir=outs[1]) == code
+            files = [{p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"} for out in outs]
+            assert files[0] == files[1], (leaf, value)
     assert code in (0, 1, 2)
     assert written == (None if code == 2 else sorted(("report.json", "timings.json",
                                                       *cli.SUBCOMMANDS[subcommand].artifacts)))
@@ -535,8 +552,8 @@ class TestRunEnvelope:
         assert check["name"] == "upper_bound_certificate" and not check["passed"] and check["measured"] is None
 
     def test_sections_of_other_subcommands_allowed(self, tmp_path):
-        # `envelope` reads no option section, so keys only `compare-ode` and `compare-hjb` read stay allowed
-        cfg = base_config(tmp_path / "out", ode={"dt": 1e-3}, hjb={"cfl": 0.9})
+        # `envelope` reads no option section, so keys only `compare-ode` and `generator` read stay allowed
+        cfg = base_config(tmp_path / "out", ode={"dt": 1e-3}, generator={"k_steps": 3})
         assert run("envelope", write_config(tmp_path, cfg)) == 0
 
     def test_heat_kernel_wider_than_grid(self, tmp_path):
@@ -606,7 +623,7 @@ class TestRunOtherSubcommands:
 
     def test_generator(self, tmp_path):
         out = tmp_path / "out"
-        cfg = base_config(out, generator={"h0": 0.05, "k_steps": 3})
+        cfg = base_config(out, generator={"k_steps": 3})
         cfg["initial"]["params"]["radius"] = 2.0
         code = run("generator", write_config(tmp_path, cfg))
         assert (out / "generator.csv").is_file()
