@@ -346,17 +346,8 @@ _LEVEL_KEYS = "`time.t`, `time.n_max`"
 
 
 def _check_initial(cfg: ExperimentConfig) -> None:
-    """The initial data's L^p norm must be finite and its L^p terms must not underflow, for a pre-flight that reads
-    the data: a run resolves differences of samples down to 2^-52 max|f|, so |x|^p dx of that x, and |x|^p before
-    it, must be a normal float, or an increment or error sums to 0. f = 0 has no such term."""
-    with np.errstate(over="ignore"):  # an overflow is the error reported here
-        f_norm = lp_norm(cfg.initial, cfg.norm)
-    if not math.isfinite(f_norm):
-        raise ConfigurationError("keys `initial` and `norm.p`: the L^p norm of the initial data overflows")
-    top, eps, tiny = cfg.initial.max_abs(), math.log2(sys.float_info.epsilon), math.log2(sys.float_info.min)
-    if top and cfg.norm.p * (math.log2(top) + eps) + min(0.0, math.log2(cfg.grid.dx)) < tiny:
-        raise ConfigurationError(f"keys `initial` and `norm.p`: the L^p term |x|^p dx of x = 2^{eps:g} max|f| = "
-                                 f"{top * sys.float_info.epsilon:.3g} underflows below the normal floats")
+    """The initial data must pass `funcspace._checked_lp_norm`, for a pre-flight that reads it."""
+    _keyed("keys `initial` and `norm.p`", funcspace._checked_lp_norm, cfg.initial, cfg.norm)
 
 
 def _check_direction(cfg: ExperimentConfig, t: float = 1.0) -> None:

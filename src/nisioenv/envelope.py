@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-from .funcspace import (GridFunction, PNorm, _SNAP_TOL, _clamped_split, _nonzero_span, _shift_split, _ZeroPadded,
-                        lp_norm)
-from .kernels import _CALL_WORK, KernelFamily, LambdaValues, _member_plan, _Plan
+from .funcspace import (GridFunction, PNorm, _SNAP_TOL, _checked_lp_norm, _clamped_split, _nonzero_span, _shift_split,
+                        _ZeroPadded, lp_norm)
+from .kernels import _CALL_WORK, KernelFamily, _member_plan, _Plan
 
 __all__ = [
     "Partition",
@@ -176,50 +176,50 @@ def _int_max_plan(n: int, ml: int, mh: int) -> tuple[list[tuple[int, int, float]
     return [], blocked
 
 
-def _window_plan(lo: float, hi: float, dx: float, n: int) -> _Plan:
+def _window_plan(points: Sequence[float], connected: bool, dx: float, n: int) -> _Plan:
     """u -> a fresh array: at each node x, the sup of the interpolant of u
-    over the window [x + lo, x + hi], for samples u on n nodes of spacing dx.
+    over x + the increasing points, on n nodes of spacing dx; `connected`
+    adds the integer offsets ml..mh between the first and the last point.
 
-    The candidates are the window's integer offsets ml..mh and its two
-    endpoints. An endpoint that snaps to one of those offsets is a term of the
-    integer max already and is left out. The rest are folded as
-    max(max of the endpoints, integer max): np.maximum keeps its second
-    operand on a tie between +0 and -0, so this order gives the bits of the
-    max over all candidates. A window with the one offset m (a sub-cell
-    window) maxes shift m into the endpoints' max in place, or copies it.
-    Every shift is a view of u held in one `_ZeroPadded`, clamped to [-n, n]
-    (farther shifts read only zeros); the offsets, the endpoint splits and
-    the padding width are worked out here, once."""
-    ml = math.ceil(lo / dx - _SNAP_TOL)
-    mh = math.floor(hi / dx + _SNAP_TOL)
-    splits = [(_shift_split(end, dx), _clamped_split(end, dx, n)) for end in (lo, hi)]
-    ends = [split for (k, frac), split in splits if frac or not ml <= k <= mh]
-    reads, int_max, one = ends, None, None
+    A point that snaps to one of those offsets is a term of the integer max
+    already and is left out. The rest are folded in order, then as
+    max(max of the points, integer max): np.maximum keeps its second operand
+    on a tie between +0 and -0, so this order gives the bits of the max over
+    all candidates. A window with the one offset m (a sub-cell window) maxes
+    shift m into the points' max in place, or copies it. Every shift is a
+    view of u held in one `_ZeroPadded`, clamped to [-n, n] (farther shifts
+    read only zeros); the offsets, the point splits and the padding width
+    are worked out here, once."""
+    ml = math.ceil(points[0] / dx - _SNAP_TOL)
+    mh = math.floor(points[-1] / dx + _SNAP_TOL) if connected else ml - 1  # no offset between the points
+    splits = [(_shift_split(p, dx), _clamped_split(p, dx, n)) for p in points]
+    interps = [split for (k, frac), split in splits if frac or not ml <= k <= mh]
+    reads, int_max, one = interps, None, None
     if ml == mh:
         one = min(max(ml, -n), n)
-        reads = ends + [(one, one, 0.0)]
+        reads = interps + [(one, one, 0.0)]
     elif ml < mh:
         int_reads, int_max = _int_max_plan(n, ml, mh)
-        reads = ends + int_reads
+        reads = interps + int_reads
     width = _ZeroPadded.width_for(reads)
 
     def window(u: np.ndarray) -> np.ndarray:
         held = _ZeroPadded(width, n, u)
         top = None
-        for split in ends:  # each end into a fresh array, which the maxes below may write
+        for split in interps:  # each point into a fresh array, which the maxes below may write
             cand = held.interp(split, np.empty(n))
             top = cand if top is None else np.maximum(top, cand, out=top)
         if one is not None:
             return held.shift(one).copy() if top is None else np.maximum(top, held.shift(one), out=top)
-        if int_max is None:  # no node in the window: both endpoints are candidates
+        if int_max is None:  # no node offset in the window: the points are the candidates
             return top
         out = int_max(held)
         return out if top is None else np.maximum(top, out, out=out)
 
-    # the padded copy, each end, the last max and the fold's passes; the block
+    # the padded copy, each point, the last max and the fold's passes; the block
     # maximum's few passes are priced as the fold's at the cutover, 13 over n + 4096
     folded = max(0, min(mh - ml + 1, 2 * n + 1, _FILTER_CUTOVER)) if ml < mh else 0
-    return _Plan(window, (3 + 4 * len(ends)) * (n + _CALL_WORK) + folded.bit_length() * (n + folded + _CALL_WORK))
+    return _Plan(window, (3 + 4 * len(interps)) * (n + _CALL_WORK) + folded.bit_length() * (n + folded + _CALL_WORK))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +231,11 @@ def _step_plan(fam: KernelFamily, h: float, dx: float, n: int) -> _Plan:
     """The `_Plan` of `step_J` at step h on n nodes of spacing dx: arr -> a
     fresh array, and its work. Cached per (family, h, dx, n)."""
     lset = fam.lambda_set
-    base = None if isinstance(lset, LambdaValues) else fam._profile_plan(h, dx, n)
-    if base is not None:  # an interval of translates: the window maximum
-        window = _window_plan(lset.lo * h, lset.hi * h, dx, n)
+    base = fam._profile_plan(h, dx, n)
+    if base is not None:  # translates of one profile: the window maximum over the offsets lam*h
+        window = _window_plan([lam * h for lam in lset.candidates], lset._connected, dx, n)
         return _Plan(lambda arr: window.run(base.run(arr)), base.work + window.work)
-    rows = _member_plan(fam, lset.candidates, h, dx, n)  # a compound Poisson interval: its two ends
+    rows = _member_plan(fam, lset.candidates, h, dx, n)  # compound Poisson: a row per candidate
     return _Plan(lambda arr: np.maximum.reduce(rows.run(arr)), rows.work + len(lset.candidates) * (n + _CALL_WORK))
 
 
@@ -243,17 +243,16 @@ def step_J(fam: KernelFamily, h: float, f: GridFunction) -> GridFunction:
     """One-step supremum over the family: sup over the uncertainty set of the
     members applied at time h.
 
-    Finite sets take the nodewise max over the members. On an interval,
-    members that are translates of one function (Gaussian drift, pure shift)
-    are resolved exactly at interpolant level by a window maximum of that
-    function; an interval of Poisson intensities steps over its two ends, as
-    the list of them does. Its member generators A + lam B are affine in lam,
-    so the interval and its ends have one supremum generator, and a convex
-    C_0-semigroup is determined by its generator: the two have one envelope.
-    The members share their family's linear part (see `kernels._member_plan`),
-    and their nodewise max is taken over the member arrays. The work is
-    planned once per (family, h, dx, n) by `_step_plan`; each call computes
-    on arrays and wraps its fresh result without a copy: a chain of one step.
+    A translate family's members (Gaussian drift, pure shift) are one
+    function, f heat-smoothed or f itself, shifted by lam*h, so the step is a
+    window maximum (`_window_plan`) over the offsets lam*h of a finite set,
+    or every offset between an interval's ends. Compound Poisson members
+    share one chain of jump powers; the step is the nodewise max over the
+    rows of a finite set's members (`kernels._member_plan`), and an interval
+    takes the rows of its two ends: its generators A + lam B are affine in
+    lam, so both sets have one supremum generator, and one envelope, since a
+    convex C_0-semigroup is determined by its generator. Each call runs the
+    plan of `_step_plan` and wraps its fresh result: a chain of one step.
     """
     return _chain(fam, h, 1, f)
 
@@ -317,7 +316,8 @@ def nisio_dyadic(
     drops below tol_rel * ||f||_p (not before level n_min) or n_max is hit.
     Level n is its own chain J_h^m f of (h, m) = `_level(t, n)`, so
     monotonicity diagnostics compare independently constructed iterates.
-    Non-convergence at n_max is reported, not raised.
+    Non-convergence at n_max is reported, not raised; f must pass
+    `funcspace._checked_lp_norm`.
 
     `chains` shares one trajectory between runs at increasing horizons: it
     maps (h, m) to J_h^m f, the iterates that the run before left. Level
@@ -332,8 +332,7 @@ def nisio_dyadic(
         raise UsageError(f"time horizon must be > 0, got {t}")
     if not tol_rel > 0:
         raise UsageError(f"tol_rel must be > 0, got {tol_rel}")
-    f_norm = lp_norm(f, norm)
-    threshold = tol_rel * f_norm
+    threshold = tol_rel * _checked_lp_norm(f, norm)
     held = {}
     if chains is not None:
         held = chains.copy()

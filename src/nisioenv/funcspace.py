@@ -172,6 +172,21 @@ def lp_norm(f: GridFunction, norm: PNorm) -> float:
     return total ** (1.0 / p)
 
 
+def _checked_lp_norm(f: GridFunction, norm: PNorm) -> float:
+    """lp_norm(f), or UsageError where it overflows or its terms underflow:
+    a run resolves differences down to 2^-52 max|f|, so |x|^p dx of that x,
+    and |x|^p before it, must be normal floats (f = 0 has no such term)."""
+    with np.errstate(over="ignore"):  # an overflow is the error raised here
+        value = lp_norm(f, norm)
+    if not math.isfinite(value):
+        raise UsageError("the L^p norm of the data overflows")
+    top, eps, tiny = f.max_abs(), math.log2(sys.float_info.epsilon), math.log2(sys.float_info.min)
+    if top and norm.p * (math.log2(top) + eps) + min(0.0, math.log2(f.grid.dx)) < tiny:
+        raise UsageError(f"the L^p term |x|^p dx of x = 2^{eps:g} max|f| = {top * sys.float_info.epsilon:.3g} "
+                         "underflows below the normal floats")
+    return value
+
+
 def _nonzero_span(mask: np.ndarray) -> tuple[int, int] | None:
     """[a, b) from the first to one past the last True of a 1-D bool mask,
     or None when it has none."""
@@ -299,10 +314,10 @@ def bump(grid: Grid, center: float = 0.0, radius: float = 1.0, height: float = 1
     """
     if not radius > 0:
         raise ConfigurationError("bump radius must be positive")
-    u = (grid.nodes() - center) / radius
     vals = np.zeros(grid.n_nodes)
-    inside = np.abs(u) < 1.0
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):  # a u past the float range lies outside
+        u = (grid.nodes() - center) / radius
+        inside = np.abs(u) < 1.0
         vals[inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
     return GridFunction._wrap(grid, vals)
 
@@ -311,7 +326,8 @@ def gaussian_profile(grid: Grid, center: float = 0.0, sigma: float = 1.0, height
     if not sigma > 0:
         raise ConfigurationError("gaussian sigma must be positive")
     x = grid.nodes()
-    return GridFunction(grid, height * np.exp(-((x - center) ** 2) / (2.0 * sigma**2)))
+    with np.errstate(over="ignore"):  # an exponent past the float range gives exp(-inf) = 0
+        return GridFunction(grid, height * np.exp(-((x - center) ** 2) / (2.0 * sigma**2)))
 
 
 def ramp(grid: Grid, slope: float = 1.0, intercept: float = 0.0) -> GridFunction:

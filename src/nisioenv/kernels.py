@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, _clamped_split, _lerp, _ZeroPadded
+from .funcspace import GridFunction, PNorm, _clamped_split, _lerp, _ZeroPadded, interp_shift
 
 __all__ = [
     "LambdaInterval",
@@ -54,8 +54,9 @@ SERIES_TOL = 1e-12
 # below 1e-15 and renormalization restores exact unit mass.
 HEAT_KERNEL_WIDTH = 8.0
 
-# Cap on one member plan's rows, members * nodes: 11 on 2 400 001 nodes (211 MB), 1 100 times the widest of any
-# test (24 001), 6 400 times that of any benchmark job (4 098, two drifts); 200 members there would need 3.6 GiB.
+# Cap on one compound Poisson plan's rows, intensities * nodes: 11 on 2 400 001 nodes (211 MB), 3 300 times the widest
+# of any test (8 004, four on 2 001 nodes), 6 600 times that of any benchmark job (4 002, two); 200 intensities there
+# would need 3.6 GiB.
 _MAX_MEMBER_SAMPLES = 11 * 2_400_001
 
 # Cap on the weights of one sampled heat kernel, 2^16 + 1 (512 KiB): 28 times
@@ -97,6 +98,7 @@ class _LambdaSet:
 class LambdaInterval(_LambdaSet):
     """Closed interval [lo, hi] of drift/intensity parameters."""
 
+    _connected = True  # a translate family's one-step window also takes every offset between its two ends
     lo: float
     hi: float
 
@@ -121,6 +123,7 @@ class LambdaInterval(_LambdaSet):
 class LambdaValues(_LambdaSet):
     """Finite set of parameters, kept sorted."""
 
+    _connected = False  # a translate family's one-step window takes its points alone
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -410,55 +413,37 @@ def _jump_mixer(stencil: tuple[int, tuple], n: int) -> tuple[_ZeroPadded, Callab
 # Member application
 
 
-def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, n: int) -> _Plan:
-    """arr -> the members lams of one family at time t applied to samples
-    arr on n nodes, a fresh array with one row per lam; it raises UsageError
-    unless every entry is finite. The members share their linear part (one
-    heat convolution, or one chain of jump powers mu^{*k} f), computed once
-    per call, and each row is bit-identical to its member alone. What does
-    not depend on arr is worked out here, once: the checks on t, the rows'
-    size and every lam; for translates the heat step and the split of every
-    shift, for compound Poisson the Poisson weights and the jump stencil."""
-    if not t >= 0:
-        raise UsageError(f"time must be >= 0, got {t}")
+def _member_plan(fam: CompoundPoisson, lams: Sequence[float], t: float, dx: float, n: int) -> _Plan:
+    """arr -> the members lams (in its set) of a compound Poisson family at
+    time t >= 0 applied to samples arr on n nodes, a fresh array with one
+    row per lam, all finite or UsageError. The rows share one chain of jump
+    powers mu^{*k} f, made once per call, and each is bit-identical to its
+    member alone. The rows' size, the Poisson weights and the jump stencil
+    are worked out here, once."""
     if len(lams) * n > _MAX_MEMBER_SAMPLES:
         raise UsageError(f"{len(lams)} members on {n} nodes: more than {_MAX_MEMBER_SAMPLES} samples "
                          "(the cap on one plan's rows)")
-    for lam in lams:
-        if not fam.lambda_set.contains(lam):
-            raise UsageError(f"lambda = {lam} is not in the family's uncertainty set {fam.lambda_set}")
-    base = fam._profile_plan(t, dx, n)
-    if base is not None:
-        splits = [_clamped_split(lam * t, dx, n) for lam in lams]
-        width = _ZeroPadded.width_for(splits)
+    weights = [_poisson_weights(lam * t) for lam in lams]
+    depth = max((len(w) for w in weights), default=1)
+    stencil = _jump_stencil(fam.mu, dx, n)
+    # two paddings and f copied in; a power of mu makes up to five passes per atom, each row two per term
+    work = (len(lams) + 3 + (depth - 1) * (5 * len(fam.mu.atoms) + 2 * len(lams))) * (n + _CALL_WORK)
 
-        def fill(rows: np.ndarray, arr: np.ndarray) -> None:
-            moved = _ZeroPadded(width, n, base.run(arr))
-            for row, split in zip(rows, splits):
-                moved.interp(split, out=row)
-        work = base.work + (2 + 3 * len(lams)) * (n + _CALL_WORK)
-    else:
-        weights = [_poisson_weights(lam * t) for lam in lams]
-        depth = max((len(w) for w in weights), default=1)
-        stencil = _jump_stencil(fam.mu, dx, n)
-        # two paddings and f copied in; a power of mu makes up to five passes per atom, each row two per term
-        work = (len(lams) + 3 + (depth - 1) * (5 * len(fam.mu.atoms) + 2 * len(lams))) * (n + _CALL_WORK)
-
-        def fill(rows: np.ndarray, arr: np.ndarray) -> None:
-            # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0; each
-            # power is mixed from the padding of the one before into the other
+    def fill(rows: np.ndarray, arr: np.ndarray) -> None:
+        # row i is sum_j w_ij mu^{*j} f, added term by term from j = 0; each
+        # power is mixed from the padding of the one before into the other
+        for row, w in zip(rows, weights):
+            np.multiply(w[0], arr, out=row)
+        if depth == 1:
+            return
+        (src, mix), (dst, mix_dst), term = _jump_mixer(stencil, n), _jump_mixer(stencil, n), np.empty(n)
+        src.samples[:] = arr
+        for j in range(1, depth):
+            power = mix(dst.samples)
+            (src, mix), (dst, mix_dst) = (dst, mix_dst), (src, mix)
             for row, w in zip(rows, weights):
-                np.multiply(w[0], arr, out=row)
-            if depth == 1:
-                return
-            (src, mix), (dst, mix_dst), term = _jump_mixer(stencil, n), _jump_mixer(stencil, n), np.empty(n)
-            src.samples[:] = arr
-            for j in range(1, depth):
-                power = mix(dst.samples)
-                (src, mix), (dst, mix_dst) = (dst, mix_dst), (src, mix)
-                for row, w in zip(rows, weights):
-                    if j < len(w):
-                        row += np.multiply(w[j], power, out=term)
+                if j < len(w):
+                    row += np.multiply(w[j], power, out=term)
 
     def rows_of(arr: np.ndarray) -> np.ndarray:
         rows = np.empty((len(lams), n))
@@ -471,8 +456,15 @@ def _member_plan(fam: KernelFamily, lams: Sequence[float], t: float, dx: float, 
 
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
-    """Apply one member semigroup at time t to f; t = 0 returns f exactly."""
-    return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, f.grid.dx, f.grid.n_nodes).run(f.samples)[0])
+    """Apply one member semigroup at time t to f; t = 0 returns f exactly. A
+    member of a translate family is its profile shifted by lam*t."""
+    if not (t >= 0 and fam.lambda_set.contains(lam)):
+        raise UsageError(f"a member needs time >= 0 and lambda in {fam.lambda_set}, got t = {t}, lambda = {lam}")
+    dx, n = f.grid.dx, f.grid.n_nodes
+    profile = fam._profile_plan(t, dx, n)
+    if profile is None:
+        return GridFunction._wrap(f.grid, _member_plan(fam, (lam,), t, dx, n).run(f.samples)[0])
+    return interp_shift(GridFunction._wrap(f.grid, profile.run(f.samples)), lam * t)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
-from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
+from .funcspace import Grid, GridFunction, PNorm, _checked_lp_norm, _node_span, lp_norm
 from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_mixer, _jump_stencil
 
 __all__ = [
@@ -321,18 +321,17 @@ def compare(a: GridFunction, b: GridFunction, norm: PNorm) -> ComparisonResult:
     """L^p and sup distances over the interior window, which drops _WINDOW_MARGIN of the nodes on each side and
     so holds at least 90% of them.
 
-    abs_err is the rectangle-rule L^p norm of a - b over the window, rel_err
-    divides by max(||a||_p over the window, 1e-14), max_err is the sup there.
+    abs_err is the rectangle-rule L^p norm of a - b over the window, rel_err divides by max(||a||_p over the
+    window, 1e-14), max_err is the sup there. The reference a must pass `funcspace._checked_lp_norm` there.
     """
     a._check_same_grid(b)
     sl = a.grid.interior_slice(_WINDOW_MARGIN)
     window = np.zeros(a.grid.n_nodes)
 
+    window[sl] = a.samples[sl]
+    denom = max(_checked_lp_norm(GridFunction(a.grid, window), norm), 1e-14)
+
     window[sl] = a.samples[sl] - b.samples[sl]
     abs_err = lp_norm(GridFunction(a.grid, window), norm)
     max_err = float(np.max(np.abs(window[sl])))
-
-    window[:] = 0.0
-    window[sl] = a.samples[sl]
-    denom = max(lp_norm(GridFunction(a.grid, window), norm), 1e-14)
     return ComparisonResult(abs_err, abs_err / denom, max_err, _WINDOW_MARGIN)

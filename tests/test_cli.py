@@ -243,8 +243,8 @@ EXIT_2 = [
     ("compare-ode", {**CP, "time.n_max": 5, "time.t": 1.2e-322}, ("`time.t`", "below the normal floats")),
     ("generator", {"time.n_max": 0, "generator.k_steps": 1017}, ("`generator.k_steps`", "below the normal floats")),
     ("counterexample", {"counterexample.t": 1e-320, **SCAN}, ("`counterexample.t`", "below the normal floats")),
-    # 200 drifts on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
-    ("envelope", {"family": {"family": "gaussian_drift", "lambda_list": [k / 100.0 for k in range(200)]},
+    # 200 Poisson intensities on 2 400 001 nodes: member rows of 3.6 GiB, refused before they are allocated
+    ("envelope", {"family": {**CP["family"], "lambda_list": [k / 100.0 for k in range(200)]},
                   **HUGE_GRID, "time.t": 1e-5, "time.n_max": 0},
      ("`family.lambda_list`", "`grid`", "the cap on one plan's rows")),
 ]

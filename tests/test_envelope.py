@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -55,13 +56,13 @@ class TestPartition:
 
 
 def _window_sup_arr(u, lo, hi, dx):
-    return _window_plan(lo, hi, dx, u.shape[0]).run(u)
+    return _window_plan((lo, hi), True, dx, u.shape[0]).run(u)
 
 
 def _window_int_max(u, ml, mh):
     """The window supremum with whole-node ends on dx = 1: both ends snap to
     the integer offsets, so it is the integer max alone."""
-    return _window_plan(ml, mh, 1.0, u.shape[0]).run(u)
+    return _window_plan((ml, mh), True, 1.0, u.shape[0]).run(u)
 
 
 class TestWindowSup:
@@ -150,6 +151,24 @@ class TestWindowSupBytes:
             # needs two nodes); from two nodes on it folds row by row
             if n > 1:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (lo / dx, hi / dx)
+
+    @pytest.mark.parametrize("n", [2, 5, 201])
+    def test_points_alone_match_written_out_reduce(self, n):
+        # a window that is not connected reads its points alone: on a node,
+        # off it, repeated, beyond the grid, and with the node offsets between
+        # them left out; the bits of the stacked reduce of the shifts
+        rng = np.random.default_rng(n + 1)
+        dx = 0.1
+        for _ in range(200):
+            u = rng.choice(self.VALUES, size=n)
+            k = int(rng.integers(1, 9))
+            points = rng.uniform(-1.5 * n * dx, 1.5 * n * dx, size=k)
+            points = np.where(rng.random(k) < 0.4, np.round(points / dx) * dx, points)
+            points = sorted(np.concatenate([points, points[:1]]).tolist())
+            want = np.maximum.reduce([_interp_shift_arr(u, p, dx) for p in points])
+            got = _window_plan(points, False, dx, n).run(u)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), points
+            assert not np.shares_memory(got, u)
 
     @pytest.mark.parametrize("n", [2, 5, 201])
     def test_single_offset_windows(self, n):
@@ -347,6 +366,22 @@ class TestSharedMembers:
         expected = np.maximum.reduce(
             [interp_shift(heat_convolve(f, h), lam * h).samples for lam in fam.lambda_set.values])
         assert np.array_equal(step_J(fam, h, f).samples, expected)
+
+
+def test_translate_list_step_holds_no_member_rows():
+    # one step of 50 drifts on 20 001 nodes holds a few grid-long arrays
+    # (about 6 n doubles), never a row per member (50 n)
+    g = make_grid(-10.0, 10.0, 20001)
+    f = bump(g, radius=1.0)
+    fam = GaussianDrift(LambdaValues(tuple(np.linspace(-1.0, 1.0, 50))))
+    _step_plan(fam, 0.01, g.dx, g.n_nodes)  # the heat weights and point splits, built before the measurement
+    tracemalloc.start()
+    try:
+        step_J(fam, 0.01, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * g.n_nodes, peak / (8 * g.n_nodes)
 
 
 def _mix_written_out(arr, mu, dx):
@@ -597,6 +632,17 @@ class TestNisioDyadic:
         assert res.converged and res.levels_used == 1
         direct = apply_member(fam, 0.5, 0.4, f)
         assert lp_norm(res.final - direct, norm2) <= 1e-10
+
+    @pytest.mark.parametrize("p, height, words", [(1e300, 1.0, "underflows"), (2.0, 1e-170, "underflows"),
+                                                  (2.0, 1e300, "overflows")])
+    def test_data_past_the_float_range_rejected(self, gauss_family, p, height, words):
+        # data whose L^p terms underflow converged at level 1 on an increment of 0.0; f = 0 stays valid
+        g = make_grid(-8.0, 8.0, 513)
+        with pytest.raises(UsageError, match=words):
+            nisio_dyadic(gauss_family, 0.5, bump(g, radius=1.0, height=height), 1e-4, 10, PNorm(p))
+        zero = GridFunction(g, np.zeros(g.n_nodes))
+        res = nisio_dyadic(gauss_family, 0.5, zero, 1e-4, 10, PNorm(p))
+        assert res.converged and not res.final.samples.any()
 
     def test_iterates_monotone_compound_poisson(self, cp_family, norm2):
         g = make_grid(-10.0, 10.0, 2001)

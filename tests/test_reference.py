@@ -477,3 +477,13 @@ class TestCompare:
         tiny = GridFunction(g, 1e-20 * np.ones(101))
         out = compare(zero, tiny, norm2)
         assert math.isfinite(out.rel_err)
+
+    @pytest.mark.parametrize("p, height, words", [(1e300, 1.0, "underflows"), (2.0, 1e-170, "underflows"),
+                                                  (2.0, 1e300, "overflows")])
+    def test_reference_past_the_float_range_rejected(self, p, height, words):
+        # a reference whose L^p terms underflow read rel_err 0.0 at a max_err of a tenth of it, one whose norm
+        # overflows read rel_err NaN; a zero reference stays valid (test_relative_error_guard)
+        g = make_grid(-8.0, 8.0, 513)
+        a = bump(g, radius=1.0, height=height)
+        with pytest.raises(UsageError, match=words):
+            compare(a, 0.9 * a, PNorm(p))
