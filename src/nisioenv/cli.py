@@ -449,11 +449,15 @@ def _compare(cfg: ExperimentConfig, stage_ms: dict, name: str, check: str, tol: 
         t1 = time.perf_counter()
         solution = oracle()
         stage_ms.update(envelope=(t1 - t0) * 1000.0, oracle=(time.perf_counter() - t1) * 1000.0)
-        comp = reference.compare(res.final, solution, cfg.norm)
-        _write_json(outdir / "comparison.json", comp.to_json_dict())
+        try:
+            comp = reference.compare(res.final, solution, cfg.norm).to_json_dict()
+        except UsageError as exc:  # the envelope's or the error's L^p norm over the window leaves the float range
+            comp = {"margin": reference._WINDOW_MARGIN, "refused": str(exc)}
+        _write_json(outdir / "comparison.json", comp)
         funcspace.write_csv(res.final, outdir / "envelope.csv")
         funcspace.write_csv(solution, outdir / f"{name}.csv")
-        return [CheckResult(check, comp.rel_err <= tol, comp.rel_err, tol)]
+        rel_err = comp.get("rel_err", math.inf)
+        return [CheckResult(check, rel_err <= tol, rel_err, tol)]
     return job
 
 

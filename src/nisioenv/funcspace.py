@@ -172,17 +172,17 @@ def lp_norm(f: GridFunction, norm: PNorm) -> float:
     return total ** (1.0 / p)
 
 
-def _checked_lp_norm(f: GridFunction, norm: PNorm) -> float:
-    """lp_norm(f), or UsageError where it overflows or its terms underflow:
-    a run resolves differences down to 2^-52 max|f|, so |x|^p dx of that x,
-    and |x|^p before it, must be normal floats (f = 0 has no such term)."""
+def _checked_lp_norm(f: GridFunction, norm: PNorm, resolved: float = sys.float_info.epsilon) -> float:
+    """lp_norm(f), or UsageError where it overflows or where |x|^p dx, or |x|^p,
+    of x = `resolved` max|f| underflows: a run resolves differences down to
+    2^-52 max|f| (f = 0 has no such x); 1 asks it of the largest term."""
     with np.errstate(over="ignore"):  # an overflow is the error raised here
         value = lp_norm(f, norm)
     if not math.isfinite(value):
         raise UsageError("the L^p norm of the data overflows")
-    top, eps, tiny = f.max_abs(), math.log2(sys.float_info.epsilon), math.log2(sys.float_info.min)
-    if top and norm.p * (math.log2(top) + eps) + min(0.0, math.log2(f.grid.dx)) < tiny:
-        raise UsageError(f"the L^p term |x|^p dx of x = 2^{eps:g} max|f| = {top * sys.float_info.epsilon:.3g} "
+    top, fine, tiny = f.max_abs(), math.log2(resolved), math.log2(sys.float_info.min)
+    if top and norm.p * (math.log2(top) + fine) + min(0.0, math.log2(f.grid.dx)) < tiny:
+        raise UsageError(f"the L^p term |x|^p dx of x = 2^{fine:g} max|f| = {top * resolved:.3g} "
                          "underflows below the normal floats")
     return value
 

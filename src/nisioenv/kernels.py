@@ -457,7 +457,8 @@ def _member_plan(fam: CompoundPoisson, lams: Sequence[float], t: float, dx: floa
 
 def apply_member(fam: KernelFamily, lam: float, t: float, f: GridFunction) -> GridFunction:
     """Apply one member semigroup at time t to f; t = 0 returns f exactly. A
-    member of a translate family is its profile shifted by lam*t."""
+    member of a translate family is its profile shifted by lam*t; a sample
+    past the float range raises UsageError (each GridFunction checks it)."""
     if not (t >= 0 and fam.lambda_set.contains(lam)):
         raise UsageError(f"a member needs time >= 0 and lambda in {fam.lambda_set}, got t = {t}, lambda = {lam}")
     dx, n = f.grid.dx, f.grid.n_nodes

@@ -317,21 +317,24 @@ class ComparisonResult:
         return asdict(self)
 
 
+def _in_window(a: GridFunction, b: GridFunction | None = None) -> GridFunction:
+    """a, or a - b on a's grid, over the window of `compare`, and 0 on the margins it leaves out."""
+    sl, window = a.grid.interior_slice(_WINDOW_MARGIN), np.zeros(a.grid.n_nodes)
+    window[sl] = a.samples[sl] - (0.0 if b is None else b.samples[sl])
+    return GridFunction._wrap(a.grid, window)
+
+
 def compare(a: GridFunction, b: GridFunction, norm: PNorm) -> ComparisonResult:
     """L^p and sup distances over the interior window, which drops _WINDOW_MARGIN of the nodes on each side and
     so holds at least 90% of them.
 
     abs_err is the rectangle-rule L^p norm of a - b over the window, rel_err divides by max(||a||_p over the
-    window, 1e-14), max_err is the sup there. The reference a must pass `funcspace._checked_lp_norm` there.
+    window, 1e-14), max_err is the sup there. A UsageError where either L^p norm overflows or loses its largest
+    term (`funcspace._checked_lp_norm`): |x|^p dx of x = max|a|, or of x = max_err from a's rounding 2^-52 max|a| up.
     """
     a._check_same_grid(b)
-    sl = a.grid.interior_slice(_WINDOW_MARGIN)
-    window = np.zeros(a.grid.n_nodes)
-
-    window[sl] = a.samples[sl]
-    denom = max(_checked_lp_norm(GridFunction(a.grid, window), norm), 1e-14)
-
-    window[sl] = a.samples[sl] - b.samples[sl]
-    abs_err = lp_norm(GridFunction(a.grid, window), norm)
-    max_err = float(np.max(np.abs(window[sl])))
+    ref, diff = _in_window(a), _in_window(a, b)
+    denom, max_err = max(_checked_lp_norm(ref, norm, 1.0), 1e-14), diff.max_abs()
+    resolved = max_err >= np.finfo(float).eps * ref.max_abs()
+    abs_err = _checked_lp_norm(diff, norm, 1.0) if resolved else lp_norm(diff, norm)
     return ComparisonResult(abs_err, abs_err / denom, max_err, _WINDOW_MARGIN)

@@ -686,6 +686,31 @@ class TestRunOtherSubcommands:
         cfg["time"] = {"t": 0.5, "tol_rel": 1e-6, "n_max": 7}
         assert run("compare-ode", write_config(tmp_path, cfg)) == 0
 
+    def test_compare_hjb_at_the_highest_admitted_p(self, tmp_path, capsys):
+        # the shipped bump is admitted up to norm.p 19.5, where the L^p terms of 2^-52 times its envelope's peak
+        # of about 0.7 underflow; both norms of the comparison hold their largest terms, so it reads its
+        # relative error and passes
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "envelope_gaussian.json").read_text())
+        cfg["norm"]["p"] = 19.5
+        out = tmp_path / "out"
+        assert run("compare-hjb", write_config(tmp_path, {**cfg, "output_dir": str(out)})) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "comparison.json").read_text())["rel_err"] < 5e-2
+
+    def test_compare_ode_window_past_the_float_range_fails(self, tmp_path, capsys):
+        # a gaussian of height 1e-136 in the left margin is admitted, but over the window its envelope peaks at
+        # 2.5e-156, whose L^p term underflows: the check fails, comparison.json names the refusal, and every file
+        # is written with nothing on stderr
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "compare_ode_compound_poisson.json").read_text())
+        cfg["initial"] = {"kind": "gaussian", "params": {"center": -9.95, "sigma": 0.1, "height": 1e-136}}
+        out = tmp_path / "out"
+        assert run("compare-ode", write_config(tmp_path, {**cfg, "output_dir": str(out)})) == 1
+        assert capsys.readouterr().err == ""
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ("report.json", "timings.json", *cli.SUBCOMMANDS["compare-ode"].artifacts))
+        assert "underflows" in json.loads((out / "comparison.json").read_text())["refused"]
+        assert json.loads((out / "report.json").read_text())["checks"][0]["measured"] is None
+
     @pytest.mark.parametrize("subcommand, shipped", [("envelope", "envelope_gaussian"),
                                                      ("compare-hjb", "envelope_gaussian"),
                                                      ("compare-ode", "compare_ode_compound_poisson")])

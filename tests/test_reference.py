@@ -481,9 +481,20 @@ class TestCompare:
     @pytest.mark.parametrize("p, height, words", [(1e300, 1.0, "underflows"), (2.0, 1e-170, "underflows"),
                                                   (2.0, 1e300, "overflows")])
     def test_reference_past_the_float_range_rejected(self, p, height, words):
-        # a reference whose L^p terms underflow read rel_err 0.0 at a max_err of a tenth of it, one whose norm
-        # overflows read rel_err NaN; a zero reference stays valid (test_relative_error_guard)
+        # a reference whose largest L^p term underflows (p = 2) or an error whose one does (p = 1e300, on a
+        # reference that peaks at 1) read rel_err 0.0 at a max_err of a tenth of it, one whose norm overflows
+        # read rel_err NaN; a zero reference stays valid (test_relative_error_guard)
         g = make_grid(-8.0, 8.0, 513)
         a = bump(g, radius=1.0, height=height)
         with pytest.raises(UsageError, match=words):
             compare(a, 0.9 * a, PNorm(p))
+
+    @pytest.mark.parametrize("offset, rel_err", [(1e-4, (5e-5, 2e-4)), (1e-17, (0.0, 1e-15))])
+    def test_error_resolved_past_the_data_rule(self, offset, rel_err):
+        # at p = 19.5 the terms of 2^-52 max|a| underflow, yet both norms hold their largest term: an error of
+        # 1e-4 reads as itself, and one below a's rounding as (nearly) 0, with no UsageError
+        g = make_grid(-10.0, 10.0, 2049)
+        a = bump(g, radius=1.0, height=0.7)
+        out = compare(a, GridFunction(g, a.samples + offset), PNorm(19.5))
+        assert out.max_err == pytest.approx(offset, rel=1e-6)
+        assert rel_err[0] <= out.rel_err <= rel_err[1]
