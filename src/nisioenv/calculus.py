@@ -18,7 +18,7 @@ from .envelope import _chain, _level, nisio_dyadic
 from .errors import UsageError
 from .funcspace import GridFunction, PNorm, lp_norm
 from .kernels import KernelFamily, _heat_plan, sup_generator
-from .reference import _in_window
+from .reference import _in_window, _relative
 
 __all__ = [
     "GeneratorEstimate",
@@ -185,17 +185,17 @@ def derivative_identity_check(
 
     All three limits coincide for f in the generator's domain, so the
     pairwise interior L^p distances, relative to the largest of the three
-    norms, are small there. Every quotient has the step QUOTIENT_STEP, every
-    S at the fixed dyadic level `level`, and S(t)f is the base of all three.
-    Returns the gaps forward_vs_plus, forward_vs_minus and plus_vs_minus.
+    norms (0 where all vanish), are small there. Every quotient has the step
+    QUOTIENT_STEP, every S the dyadic level `level`, and S(t)f is the base
+    of all three. Returns gaps forward_vs_plus, forward_vs_minus, plus_vs_minus.
     """
     h = QUOTIENT_STEP
     probe = directional_derivative(fam, t, f, sup_generator(fam, f), [h], norm, level)
     plus, minus = probe.plus, probe.minus
     forward = (_S(fam, t + h, f, level) - probe.base) / h
-    scale = max(lp_norm(forward, norm), lp_norm(plus, norm), lp_norm(minus, norm), 1e-14)
+    scale = max(lp_norm(forward, norm), lp_norm(plus, norm), lp_norm(minus, norm))
     pairs = {"forward_vs_plus": (forward, plus), "forward_vs_minus": (forward, minus), "plus_vs_minus": (plus, minus)}
-    return {name: lp_norm(_in_window(a, b), norm) / scale for name, (a, b) in pairs.items()}
+    return {name: _relative(lp_norm(_in_window(a, b), norm), scale) for name, (a, b) in pairs.items()}
 
 
 def _integral_path(quad_nodes: int, level: int) -> tuple[int, int]:
@@ -223,7 +223,7 @@ def integral_identity_check(
     from f + h_dir*direction, walks the Simpson intervals as chains of m
     steps of exactly t/M (see `_integral_path` for m and M), so node j is
     the prefix of j*m steps and the path from f ends at S(t)f. The step t/M
-    is at most t/2^(level+1), half the fixed-level step. Returns 0 when ||S(t)f - f||_p is below 1e-12.
+    is at most t/2^(level+1), half the fixed-level step. At S(t)f = f it is 0 or inf (`reference._relative`).
     """
     h_dir = QUOTIENT_STEP
     m, steps = _integral_path(quad_nodes, level)
@@ -242,11 +242,7 @@ def integral_identity_check(
         acc = acc + weight * ((moved - base) / h_dir).samples
 
     lhs = base - f
-    denom = lp_norm(lhs, norm)
-    if denom < 1e-12:
-        return 0.0
-    residual = lhs - GridFunction(f.grid, acc)
-    return lp_norm(residual, norm) / denom
+    return _relative(lp_norm(lhs - GridFunction(f.grid, acc), norm), lp_norm(lhs, norm))
 
 
 # ---------------------------------------------------------------------------

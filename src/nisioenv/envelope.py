@@ -316,8 +316,8 @@ def nisio_dyadic(
     drops below tol_rel * ||f||_p (not before level n_min) or n_max is hit.
     Level n is its own chain J_h^m f of (h, m) = `_level(t, n)`, so
     monotonicity diagnostics compare independently constructed iterates.
-    Non-convergence at n_max is reported, not raised; f must pass
-    `funcspace._checked_lp_norm`.
+    Non-convergence at n_max is reported, not raised; a UsageError where
+    ||f||_p overflows (`funcspace._checked_lp_norm`).
 
     `chains` shares one trajectory between runs at increasing horizons: it
     maps (h, m) to J_h^m f, the iterates that the run before left. Level

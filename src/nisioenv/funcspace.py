@@ -145,7 +145,8 @@ class PNorm:
 
 
 def lp_norm(f: GridFunction, norm: PNorm) -> float:
-    """Rectangle-rule L^p norm (sum_i |f_i|^p dx)^(1/p).
+    """Rectangle-rule L^p norm (sum_i |f_i|^p dx)^(1/p) of `_scaled_powers`,
+    scaled back: accurate for every finite f, inf only where it overflows.
 
     Terms are accumulated strictly left to right so the result does not
     depend on any parallel reduction schedule or on the interpreter: the
@@ -160,30 +161,34 @@ def lp_norm(f: GridFunction, norm: PNorm) -> float:
         if span is None:
             return 0.0
         x = x[span[0] : span[1]]
-    terms = np.abs(x) if p != 2.0 else x * x  # one fresh array, worked on in place
-    if p != 1.0 and p != 2.0:
-        np.power(terms, p, out=terms)
+    terms, m, e = _scaled_powers(x, p)  # one fresh array, worked on in place
     terms *= f.grid.dx
     total = float(np.cumsum(terms, out=terms)[-1])
-    if p == 1.0:
-        return total
-    if p == 2.0:
-        return math.sqrt(total)
-    return total ** (1.0 / p)
+    root = total if p == 1.0 else math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+    try:
+        return math.ldexp(root * m, e)
+    except OverflowError:  # the norm itself leaves the floats
+        return math.inf
 
 
-def _checked_lp_norm(f: GridFunction, norm: PNorm, resolved: float = sys.float_info.epsilon) -> float:
-    """lp_norm(f), or UsageError where it overflows or where |x|^p dx, or |x|^p,
-    of x = `resolved` max|f| underflows: a run resolves differences down to
-    2^-52 max|f| (f = 0 has no such x); 1 asks it of the largest term."""
-    with np.errstate(over="ignore"):  # an overflow is the error raised here
-        value = lp_norm(f, norm)
-    if not math.isfinite(value):
+def _scaled_powers(x: np.ndarray, p: float) -> tuple[np.ndarray, float, int]:
+    """(|x / s|^p in a fresh array, m, e), s = m 2^e, the largest power about
+    1; a p-th root r of their sum is ldexp(r m, e) of x. s = 2^e from
+    frexp(max|x|) at p in {1, 2}, exact in normal floats, and max|x| at other
+    p, where a number in [1/2, 1) to a p of about 1074 or more underflows."""
+    terms = np.abs(x)
+    top = float(terms.max())
+    m, e = math.frexp(top)
+    if p != 1.0 and p != 2.0:  # |x| / max|x| has the bits of |x| 2^-e / m in normal floats; zeros stay zeros
+        return np.power(np.divide(terms, top or 1.0, out=terms), p, out=terms), m, e
+    np.ldexp(terms, -e, out=terms)
+    return terms if p == 1.0 else np.square(terms, out=terms), 1.0, e
+
+
+def _checked_lp_norm(f: GridFunction, norm: PNorm) -> float:
+    """lp_norm(f), or UsageError where it overflows: the one float-range rule of the data."""
+    if (value := lp_norm(f, norm)) == math.inf:
         raise UsageError("the L^p norm of the data overflows")
-    top, fine, tiny = f.max_abs(), math.log2(resolved), math.log2(sys.float_info.min)
-    if top and norm.p * (math.log2(top) + fine) + min(0.0, math.log2(f.grid.dx)) < tiny:
-        raise UsageError(f"the L^p term |x|^p dx of x = 2^{fine:g} max|f| = {top * resolved:.3g} "
-                         "underflows below the normal floats")
     return value
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .funcspace import GridFunction, PNorm, _clamped_split, _lerp, _ZeroPadded, interp_shift
+from .funcspace import GridFunction, PNorm, _clamped_split, _lerp, _scaled_powers, _ZeroPadded, interp_shift
 
 __all__ = [
     "LambdaInterval",
@@ -542,8 +542,8 @@ def upper_bound_C(fam: KernelFamily, h: float, f: GridFunction, norm: PNorm) -> 
     factor = upper_bound_norm_factor(fam, h, norm)
     dx, n = f.grid.dx, f.grid.n_nodes
     heat = fam._profile_plan(h, dx, n)  # None for compound Poisson
-    powed = np.abs(f.samples) ** norm.p
+    powed, m, e = _scaled_powers(f.samples, norm.p)  # C(h) is positively homogeneous: it runs on f / (m 2^e)
     moved = (heat.run(powed) if heat is not None
              else _member_plan(fam, (fam.lambda_set.sup_abs,), h, dx, n).run(powed)[0])
     with np.errstate(over="ignore"):  # a C(h)f past the float range fails the finiteness check: reported there
-        return GridFunction._wrap(f.grid, factor * np.maximum(moved, 0.0) ** (1.0 / norm.p))
+        return GridFunction._wrap(f.grid, np.ldexp(factor * m * np.maximum(moved, 0.0) ** (1.0 / norm.p), e))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelope import step_J
 from .errors import ConfigurationError, UsageError
-from .funcspace import Grid, GridFunction, PNorm, _checked_lp_norm, _node_span, lp_norm
+from .funcspace import Grid, GridFunction, PNorm, _node_span, lp_norm
 from .kernels import CompoundPoisson, KernelFamily, LambdaInterval, PureShift, _jump_mixer, _jump_stencil
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 _CFL = 0.9  # the CFL factor of the upwind oracle: `hjb_upwind`'s default, and the one `compare-hjb` prices and runs
+
+
+def _height_exponent(f0: GridFunction) -> int:
+    """e, max|f0| / 2^e in [1, 2): the oracles are positively homogeneous and run on f0 / 2^e, scaled back exactly."""
+    return math.frexp(f0.max_abs())[1] - 1
 
 
 def _upwind_steps(t: float, dx: float, lambda_bar: float, cfl: float) -> int:
@@ -137,8 +142,8 @@ def hjb_step(u: np.ndarray, dt: float, dx: float, lo: float, hi: float | None = 
 def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = _CFL) -> GridFunction:
     """Upwind finite-difference solution at time t of the envelope PDE of the drift set [lo, hi] (a list has the
     supremum generator of its hull [min, max]), in `_upwind_steps` steps of `hjb_step`. Its stencil, two scratch
-    rows, two zeroed buffers and their row views are made once per run: the first step reads f0 itself, the others
-    alternate between the buffers, whose ends stay 0."""
+    rows, two zeroed buffers and their row views are made once per run: the first step reads f0 / 2^e of
+    `_height_exponent`, the others alternate between the buffers, whose ends stay 0."""
     if not t >= 0:
         raise UsageError(f"time must be >= 0, got {t}")
     _check_drift_set(lo, hi)
@@ -148,11 +153,12 @@ def hjb_upwind(f0: GridFunction, t: float, lo: float, hi: float, cfl: float = _C
     dt = t / steps
     stencil = _upwind_stencil(dt, f0.grid.dx, lo, hi)
     rows, u, nxt = np.empty((2, f0.grid.n_nodes - 2)), np.zeros(f0.grid.n_nodes), np.zeros(f0.grid.n_nodes)
-    _upwind_step(_upwind_views(f0.samples, nxt), rows, *stencil)
+    e = _height_exponent(f0)
+    _upwind_step(_upwind_views(np.ldexp(f0.samples, -e), nxt), rows, *stencil)
     forth, back = _upwind_views(nxt, u), _upwind_views(u, nxt)
     for k in range(1, steps):
         _upwind_step(forth if k & 1 else back, rows, *stencil)
-    return GridFunction._wrap(f0.grid, nxt if steps & 1 else u)
+    return GridFunction._wrap(f0.grid, np.ldexp(nxt if steps & 1 else u, e))
 
 
 def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> GridFunction:
@@ -164,9 +170,9 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
     the stage buffer of the other three), the four stage rows and two
     scratch rows of the sup are made once per run; each stage has the
     operations, in the order, of `sup_generator` and the textbook RK4
-    update, so the bits are theirs. Finiteness is checked once per step, on
-    u: a non-finite stage reaches u through a positive coefficient, and a
-    non-finite u stays so.
+    update, so the bits are theirs (on f0 scaled by `_height_exponent`).
+    Finiteness is checked once per step, on u: a non-finite stage reaches u
+    through a positive coefficient, and a non-finite u stays so.
     """
     if not isinstance(fam, CompoundPoisson):
         raise UsageError("ode_reference is defined for compound Poisson families only")
@@ -188,7 +194,8 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
         np.subtract(mix(k), s, out=k)
         lset.sup_scaled(k, out=k, rows=rows)
 
-    u[:] = f0.samples
+    e = _height_exponent(f0)
+    np.ldexp(f0.samples, -e, out=u)
     with np.errstate(over="ignore", invalid="ignore"):  # a stage past the float range is reported from u
         for _ in range(steps):
             rhs(k1, mix_u, u)
@@ -208,7 +215,7 @@ def ode_reference(fam: KernelFamily, f0: GridFunction, t: float, dt: float) -> G
             u += k1
             if not np.isfinite(u, out=finite).all():
                 raise UsageError("an RK4 stage of ode_reference is not finite")
-    return GridFunction._wrap(f0.grid, u.copy())
+    return GridFunction._wrap(f0.grid, np.ldexp(u, e))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +280,9 @@ def scan_epsilons(grid: Grid, t: float, epsilons: list[float] | None = None) -> 
 
 
 # The blow-up scan's uncertain shift, and its array passes per epsilon besides the step: the pole (6: the zeroed
-# grid, three to build the nodes, then the cap's fill with the pole pieces' abs, and their power) and the norm (4)
+# grid, three to build the nodes, then the cap's fill with the pole pieces' abs, and their power) and the norm (7)
 _SCAN_FAMILY = PureShift(LambdaInterval(-1.0, 1.0))
-_SCAN_PASSES = 10
+_SCAN_PASSES = 13
 
 
 def counterexample_scan(
@@ -313,8 +320,8 @@ class ComparisonResult:
     max_err: float
     margin: float  # the boundary margin of the window, _WINDOW_MARGIN
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    def to_json_dict(self) -> dict:  # JSON has no inf or NaN: null
+        return {k: v if math.isfinite(v) else None for k, v in asdict(self).items()}
 
 
 def _in_window(a: GridFunction, b: GridFunction | None = None) -> GridFunction:
@@ -324,17 +331,21 @@ def _in_window(a: GridFunction, b: GridFunction | None = None) -> GridFunction:
     return GridFunction._wrap(a.grid, window)
 
 
+def _relative(err: float, size: float) -> float:
+    """err / size, and where size is 0: 0 when err is 0 too, else inf."""
+    return err / size if size else (math.inf if err else 0.0)
+
+
 def compare(a: GridFunction, b: GridFunction, norm: PNorm) -> ComparisonResult:
     """L^p and sup distances over the interior window, which drops _WINDOW_MARGIN of the nodes on each side and
     so holds at least 90% of them.
 
-    abs_err is the rectangle-rule L^p norm of a - b over the window, rel_err divides by max(||a||_p over the
-    window, 1e-14), max_err is the sup there. A UsageError where either L^p norm overflows or loses its largest
-    term (`funcspace._checked_lp_norm`): |x|^p dx of x = max|a|, or of x = max_err from a's rounding 2^-52 max|a| up.
+    abs_err is the rectangle-rule L^p norm of a - b over the window, max_err the sup there, and rel_err the ratio
+    of the norms of a - b and a there (0 when both vanish, inf when only a does), formed on a and b over 2^e of
+    `_height_exponent`: exact in normal floats, and the norm of a stays finite at any height.
     """
     a._check_same_grid(b)
-    ref, diff = _in_window(a), _in_window(a, b)
-    denom, max_err = max(_checked_lp_norm(ref, norm, 1.0), 1e-14), diff.max_abs()
-    resolved = max_err >= np.finfo(float).eps * ref.max_abs()
-    abs_err = _checked_lp_norm(diff, norm, 1.0) if resolved else lp_norm(diff, norm)
-    return ComparisonResult(abs_err, abs_err / denom, max_err, _WINDOW_MARGIN)
+    diff, ref = _in_window(a, b), _in_window(a)
+    e = _height_exponent(ref)
+    unit = [lp_norm(GridFunction._wrap(a.grid, np.ldexp(g.samples, -e)), norm) for g in (diff, ref)]
+    return ComparisonResult(lp_norm(diff, norm), _relative(*unit), diff.max_abs(), _WINDOW_MARGIN)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nisioenv import cli, envelope, funcspace, kernels
@@ -192,25 +192,16 @@ EXIT_2 = [
       for sub in ("compare-hjb", "counterexample", "derivative")],
     ("envelope", {"family.lambda_interval": [-60.0, 60.0], "time.t": 0.5},
      ("C(h) growth factor", "`family.lambda_interval`")),
-    # ||f||_2 overflows: a bump of height 1e308 on the one node at its centre
-    *[(sub, {**(CP if sub == "compare-ode" else {}), "initial.params": {"radius": 1e-300, "height": 1e308}},
-       ("`initial`", "`norm.p`")) for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
-    # the L^p terms of the initial data underflow: |x|^p dx of x = 2^-52 max|f|, the finest difference a run
-    # resolves, is below the normal floats. At p = 1e300 every sample below 1 gives 0, and at p = 2 a bump of height
-    # 1e-170 squares to 0 (without the rule, `envelope` converged at level 1 on an increment of 0.0 and `compare-hjb`
-    # passed at rel_err 0.0 against a max_err of 9% of the data)
-    *[(sub, {"norm.p": 1e300}, ("`initial`", "`norm.p`", "underflows"))
-      for sub in ("envelope", "compare-hjb", "generator", "derivative")],
-    *[(sub, {"initial.params.height": 1e-170}, ("`initial`", "`norm.p`", "underflows"))
-      for sub in ("envelope", "compare-hjb")],
+    # the one float-range rule of the data: ||f||_1 of a bump of radius 5 and height 1e308 is 2.2e308
+    *[(sub, {**(CP if sub == "compare-ode" else {}), "norm.p": 1, "initial.params": {"radius": 5.0, "height": 1e308}},
+       ("`initial`", "`norm.p`", "the L^p norm of the data overflows"))
+      for sub in ("envelope", "generator", "derivative", "compare-hjb", "compare-ode")],
     # the supremum generator Bf that `generator` and `derivative` measure against, or the L^p norm of Bf (and of
-    # t Bf, the size of the integral identity), leaves the float range: Bf of a bump of height 1e307 at p = 1,
-    # |Bf|^p of a bump of height 1e30 at p = 10, and t Bf of a pure shift at t = 1e300
+    # t Bf, the size of the integral identity), leaves the float range: Bf of a bump of height 1e307 at p = 1, and
+    # t Bf of a pure shift at t = 1.7e308
     *[(sub, {"norm.p": 1, "initial.params.height": 1e307}, ("`initial`", "`norm.p`", "supremum generator"))
       for sub in ("generator", "derivative")],
-    *[(sub, {"initial.params.height": 1e30, "norm.p": 10}, ("`norm.p`", "supremum generator"))
-      for sub in ("generator", "derivative")],
-    ("derivative", {**SHIFT, "time.t": 1e300}, ("`time.t`", "supremum generator")),
+    ("derivative", {**SHIFT, "time.t": 1.7e308}, ("`time.t`", "supremum generator")),
     # the Poisson weights of the largest compound Poisson step start from e^-(lambda h) = 0: at h = t, at the
     # first step 0.1 of the generator schedule, and for derivative at (t + h) / 2^n_max, h its forward quotient's step
     ("envelope", {**CP, "family.lambda_list": [800.0], "time.t": 1.0},
@@ -687,9 +678,9 @@ class TestRunOtherSubcommands:
         assert run("compare-ode", write_config(tmp_path, cfg)) == 0
 
     def test_compare_hjb_at_the_highest_admitted_p(self, tmp_path, capsys):
-        # the shipped bump is admitted up to norm.p 19.5, where the L^p terms of 2^-52 times its envelope's peak
-        # of about 0.7 underflow; both norms of the comparison hold their largest terms, so it reads its
-        # relative error and passes
+        # at norm.p 19.5 the unscaled L^p terms of 2^-52 times the envelope's peak of about 0.7 underflow, which
+        # was the highest p the pre-flight admitted for the shipped bump; the comparison reads its relative error
+        # and passes
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "envelope_gaussian.json").read_text())
         cfg["norm"]["p"] = 19.5
         out = tmp_path / "out"
@@ -697,19 +688,19 @@ class TestRunOtherSubcommands:
         assert capsys.readouterr().err == ""
         assert json.loads((out / "comparison.json").read_text())["rel_err"] < 5e-2
 
-    def test_compare_ode_window_past_the_float_range_fails(self, tmp_path, capsys):
-        # a gaussian of height 1e-136 in the left margin is admitted, but over the window its envelope peaks at
-        # 2.5e-156, whose L^p term underflows: the check fails, comparison.json names the refusal, and every file
-        # is written with nothing on stderr
+    @pytest.mark.parametrize("height", [1.0, 1e-136])
+    def test_compare_ode_window_far_below_the_data(self, tmp_path, capsys, height):
+        # a gaussian in the left margin: over the window its envelope peaks at 2.5e-20 of its height, 2.5e-156 at
+        # height 1e-136, where the unscaled L^p terms underflowed and the comparison was refused. Both heights now
+        # read the error: envelope and RK4 agree there bit for bit, and rel_err is 0 with every file written
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "compare_ode_compound_poisson.json").read_text())
-        cfg["initial"] = {"kind": "gaussian", "params": {"center": -9.95, "sigma": 0.1, "height": 1e-136}}
+        cfg["initial"] = {"kind": "gaussian", "params": {"center": -9.95, "sigma": 0.1, "height": height}}
         out = tmp_path / "out"
-        assert run("compare-ode", write_config(tmp_path, {**cfg, "output_dir": str(out)})) == 1
+        assert run("compare-ode", write_config(tmp_path, {**cfg, "output_dir": str(out)})) == 0
         assert capsys.readouterr().err == ""
         assert sorted(path.name for path in out.iterdir()) == sorted(
             ("report.json", "timings.json", *cli.SUBCOMMANDS["compare-ode"].artifacts))
-        assert "underflows" in json.loads((out / "comparison.json").read_text())["refused"]
-        assert json.loads((out / "report.json").read_text())["checks"][0]["measured"] is None
+        assert json.loads((out / "comparison.json").read_text())["rel_err"] == 0.0
 
     @pytest.mark.parametrize("subcommand, shipped", [("envelope", "envelope_gaussian"),
                                                      ("compare-hjb", "envelope_gaussian"),
@@ -870,6 +861,99 @@ class TestRunOtherSubcommands:
         assert doc["provenance"]["seed"] == 3
 
 
+def _report(tmp, subcommand, edits, out="out"):
+    """(exit code, checks of report.json or None) of a run on base_config with the edits, into tmp / out."""
+    cfg = base_config(str(tmp / out))
+    for path, value in copy.deepcopy(edits).items():
+        _set(cfg, path, value)
+    code = run(subcommand, write_config(tmp, cfg, f"{out}.json"))
+    report = tmp / out / "report.json"
+    return code, json.loads(report.read_text())["checks"] if report.exists() else None
+
+
+# The scale property. Every family is a supremum of linear semigroups, so the envelope, C(t) and both oracles are
+# positively homogeneous, and multiplying data by 2^k is exact in floats while every sample stays normal: at bump
+# height 2^k a run exits as at height 1, with the same verdicts, the same bits of its relative measured values and
+# gates, and the absolute ones of `envelope` (certificate margin, worst drop, both gates) exactly 2^k times as large.
+# k is drawn from [-900, 900]: on base_config every value held bit for bit from -970 to 1010 (in steps of 10). Below
+# that the envelope's tails turn subnormal, and from 1020 on the supremum generator Bf leaves the floats (exit 2)
+SCALED = {"envelope": {}, "compare-hjb": {}, "compare-ode": CP, "generator": {}, "derivative": {}}
+
+
+@pytest.fixture(scope="module")
+def height_one(tmp_path_factory):
+    """{subcommand: (exit code, checks)} of the SCALED runs at bump height 1."""
+    tmp = tmp_path_factory.mktemp("height-one")
+    return {sub: _report(tmp, sub, edits, sub) for sub, edits in SCALED.items()}
+
+
+@pytest.mark.parametrize("subcommand", list(SCALED))
+@given(k=st.integers(-900, 900))
+@example(k=-900)
+@example(k=-70)
+@example(k=900)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_verdicts_do_not_depend_on_the_height(height_one, subcommand, k):
+    code, checks = height_one[subcommand]
+    with tempfile.TemporaryDirectory() as tmp:
+        scaled = _report(Path(tmp), subcommand, {**SCALED[subcommand], "initial.params.height": math.ldexp(1.0, k)})
+    if subcommand == "envelope":
+        checks = [{**c, "measured": math.ldexp(c["measured"], k), "tolerance": math.ldexp(c["tolerance"], k)}
+                  for c in checks]
+    assert scaled == (code, checks), k
+
+
+@pytest.mark.parametrize("subcommand, edits", [("compare-hjb", {}), ("compare-ode", CP)])
+@pytest.mark.parametrize("height", [1.0, 2.0**-70])
+def test_zero_oracle_fails(tmp_path, monkeypatch, subcommand, edits, height):
+    # an oracle that returns 0 reads rel_err 1 at every height (at 2^-70 it passed at 1e-7 while rel_err divided
+    # by max(||a||, 1e-14))
+    def zero(f0, *args):
+        return funcspace.GridFunction(f0.grid, np.zeros(f0.grid.n_nodes))
+
+    monkeypatch.setattr(cli.reference, "hjb_upwind", zero)
+    monkeypatch.setattr(cli.reference, "ode_reference", lambda fam, f0, *args: zero(f0))
+    code, checks = _report(tmp_path, subcommand, {**edits, "initial.params.height": height})
+    assert code == 1 and checks[0]["measured"] == 1.0 and not checks[0]["passed"]
+
+
+# Runs that exited 2 while the norm summed unscaled terms |x|^p dx, which underflowed (p = 1e300; height 1e-170 at
+# p = 2) or overflowed (height 1e30 at p = 10; height -1.7e308, where the certificate's f - C(t)f is -inf; a bump of
+# height 1e308 on one node; t Bf of a pure shift at t = 1e300), and now reach a verdict: (subcommand, edits)
+PAST_THE_OLD_TERMS = [
+    *[(sub, {"norm.p": 1e300}) for sub in ("envelope", "compare-hjb", "generator", "derivative")],
+    *[(sub, {"initial.params.height": 1e-170}) for sub in ("envelope", "compare-hjb")],
+    ("envelope", {"initial.params.height": -1.7e308}),
+    *[(sub, {"initial.params.height": 1e30, "norm.p": 10}) for sub in ("generator", "derivative")],
+    *[(sub, {**(CP if sub == "compare-ode" else {}), "initial.params": {"radius": 1e-300, "height": 1e308}})
+      for sub in ("envelope", "compare-hjb", "compare-ode")],
+    ("derivative", {**SHIFT, "time.t": 1e300}),
+]
+
+
+@pytest.mark.parametrize("subcommand, edits", PAST_THE_OLD_TERMS,
+                         ids=[f"{sub}:{','.join(edits)}" for sub, edits in PAST_THE_OLD_TERMS])
+def test_past_the_old_term_range_reaches_a_verdict(tmp_path, capsys, subcommand, edits):
+    # every file, nothing on stderr and a finite measured value for every check. The norm is accurate: at p = 1e300
+    # it is the sup, so the envelope's last norm_lp is max|final| and compare-hjb's abs_err is its max_err; a run at
+    # height 1e-170 or 1e30 gives the verdicts of height 1
+    code, checks = _report(tmp_path, subcommand, edits)
+    out = tmp_path / "out"
+    assert code in (0, 1) and capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == sorted(("report.json", "timings.json",
+                                                            *cli.SUBCOMMANDS[subcommand].artifacts))
+    assert all(c["measured"] is not None for c in checks), checks
+    if edits.get("norm.p") == 1e300 and subcommand == "envelope":
+        norm_lp = float((out / "convergence.csv").read_text().splitlines()[-1].split(",")[-1])
+        assert norm_lp == max(abs(float(row.split(",")[1])) for row in (out / "final.csv").read_text().split()[1:])
+    if edits.get("norm.p") == 1e300 and subcommand == "compare-hjb":
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["abs_err"] == comparison["max_err"]
+    if "initial.params.height" in edits:
+        one = _report(tmp_path, subcommand, {**edits, "initial.params.height": 1.0}, "one")
+        assert (code, [c["passed"] for c in checks]) == (one[0], [c["passed"] for c in one[1]])
+
+
 # the ordered (name, tolerance) pairs of `verify --scale small`
 VERIFY_CHECKS = [
     ("funcspace.interp_shift_monotone", 0.0),
@@ -889,6 +973,7 @@ VERIFY_CHECKS = [
     ("envelope.step_monotone", 0.0),
     ("envelope.step_convex", 1e-10),
     ("envelope.step_homogeneous", 1e-10),
+    ("envelope.step_homogeneous_pow2", 0.0),
     ("envelope.refinement_monotone_cp", 1e-09),
     ("envelope.random_partition_no_exceedance", 9.916552644963352e-05),
     ("envelope.singleton_step_bitexact", 0.0),

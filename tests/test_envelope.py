@@ -23,6 +23,7 @@ from nisioenv.funcspace import (
     _SNAP_TOL,
     GridFunction,
     bump,
+    gaussian_profile,
     interp_shift,
     lp_norm,
     make_grid,
@@ -633,16 +634,27 @@ class TestNisioDyadic:
         direct = apply_member(fam, 0.5, 0.4, f)
         assert lp_norm(res.final - direct, norm2) <= 1e-10
 
-    @pytest.mark.parametrize("p, height, words", [(1e300, 1.0, "underflows"), (2.0, 1e-170, "underflows"),
-                                                  (2.0, 1e300, "overflows")])
-    def test_data_past_the_float_range_rejected(self, gauss_family, p, height, words):
-        # data whose L^p terms underflow converged at level 1 on an increment of 0.0; f = 0 stays valid
-        g = make_grid(-8.0, 8.0, 513)
-        with pytest.raises(UsageError, match=words):
-            nisio_dyadic(gauss_family, 0.5, bump(g, radius=1.0, height=height), 1e-4, 10, PNorm(p))
+    def test_data_past_the_float_range_rejected(self, gauss_family):
+        # the one float-range rule: ||f||_1 of a gaussian of height 1e308 and sigma 4 is 1e309; f = 0 stays valid
+        g = make_grid(-40.0, 40.0, 513)
+        with pytest.raises(UsageError, match="the L\\^p norm of the data overflows"):
+            nisio_dyadic(gauss_family, 0.5, gaussian_profile(g, sigma=4.0, height=1e308), 1e-4, 10, PNorm(1.0))
         zero = GridFunction(g, np.zeros(g.n_nodes))
-        res = nisio_dyadic(gauss_family, 0.5, zero, 1e-4, 10, PNorm(p))
+        res = nisio_dyadic(gauss_family, 0.5, zero, 1e-4, 10, PNorm(1.0))
         assert res.converged and not res.final.samples.any()
+
+    @pytest.mark.parametrize("p, height", [(1e300, 1.0), (2.0, 1e-170), (2.0, 1e300)])
+    def test_data_past_the_old_term_range_runs_as_at_height_1(self, gauss_family, p, height):
+        # the unscaled terms of these data underflow or overflow: at p = 1e300 every increment read 0.0, and the
+        # run converged at level 1; the others were refused. The increments are now height times those at height
+        # 1, up to 1e-13 of the height (f's own rounding, as 1e-170 and 1e300 are no powers of two), and the run
+        # stops at the same level (at p = 1e300 the norm is the sup, max|f| = 1)
+        g = make_grid(-8.0, 8.0, 513)
+        one, res = (nisio_dyadic(gauss_family, 0.5, bump(g, radius=1.0, height=c), 1e-4, 10, PNorm(p))
+                    for c in (1.0, height))
+        assert res.levels_used == one.levels_used > 1 and res.converged == one.converged
+        assert res.increments() == pytest.approx([height * inc for inc in one.increments()], abs=1e-13 * height)
+        assert min(one.increments()) > 0.0
 
     def test_iterates_monotone_compound_poisson(self, cp_family, norm2):
         g = make_grid(-10.0, 10.0, 2001)

@@ -73,10 +73,16 @@ class TestLpNorm:
 
     @staticmethod
     def _written_out(x, dx, p):
-        """Every sample's term, on the whole grid, summed left to right."""
-        terms = np.abs(x) * dx if p == 1.0 else x * x * dx if p == 2.0 else np.abs(x) ** p * dx
+        """Every sample's term, on the whole grid, of the samples divided by s and summed left to right, times s:
+        s = 2^e with max|x| / 2^e in [1/2, 1) at p in {1, 2}, and s = max|x| at other p."""
+        top = float(np.max(np.abs(x)))
+        if not top:
+            return 0.0
+        s = 2.0 ** math.frexp(top)[1] if p in (1.0, 2.0) else top
+        y = np.abs(x) / s
+        terms = y * dx if p == 1.0 else y * y * dx if p == 2.0 else y**p * dx
         total = float(np.cumsum(terms)[-1])
-        return total if p == 1.0 else math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+        return s * (total if p == 1.0 else math.sqrt(total) if p == 2.0 else total ** (1.0 / p))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_zero_tails_skipped_with_the_same_bits(self, p):
@@ -96,6 +102,29 @@ class TestLpNorm:
             got = lp_norm(GridFunction(g, x), PNorm(p))
             want = self._written_out(x, g.dx, p)
             assert got.hex() == want.hex(), (x[x != 0], p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 19.5, 1e300])
+    def test_accurate_at_every_height(self, p):
+        # the terms of the scaled samples neither overflow nor underflow: the norm is exactly homogeneous under
+        # 2^k while the samples stay normal (the bump's smallest is about 2^-22), accurate at heights whose squares
+        # leave the floats, and at p = 1e300 it is max|f|, the limit p -> inf
+        g = make_grid(-8.0, 8.0, 513)
+        f, norm = bump(g, radius=1.0), PNorm(p)
+        base = lp_norm(f, norm)
+        for k in (-1000, -565, -40, 7, 300, 511, 1000):
+            assert lp_norm(GridFunction(g, np.ldexp(f.samples, k)), norm) == math.ldexp(base, k), k
+        for height in (1e-170, 1e300):
+            assert lp_norm(bump(g, radius=1.0, height=height), norm) == pytest.approx(height * base, rel=1e-14)
+        if p == 1e300:
+            assert base == 1.0 == f.max_abs()
+
+    def test_only_a_norm_past_the_floats_is_inf(self):
+        # 1e308 on 513 nodes 1/32 apart, a measure of 16.03: its L^1 norm is 1.6e309 and its L^2 norm 4.0e308, past
+        # the floats, while its L^8 norm is 1.41e308
+        g = make_grid(-8.0, 8.0, 513)
+        f = GridFunction(g, np.full(513, 1e308))
+        assert [lp_norm(f, PNorm(p)) for p in (1.0, 2.0, 8.0)] == [math.inf, math.inf,
+                                                                   pytest.approx(1e308 * 16.03125**0.125, rel=1e-14)]
 
     def test_ramp_l1_converges_to_half(self):
         # rectangle rule for int_0^1 x dx is exactly N/(2(N-1))

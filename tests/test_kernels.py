@@ -497,21 +497,37 @@ class TestUpperBound:
         with pytest.raises(UsageError):
             upper_bound_C(gauss_family, 0.1, bump_small, PNorm(1.0))
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 1e300])
+    def test_homogeneous_at_every_height(self, p, gauss_family):
+        # C(h) runs on |f| scaled to a largest sample of about 1, so C(h)(2^k f) = 2^k C(h)f bit for bit, and at a
+        # height whose |f|^p leaves the floats (1e-170 at p = 2, below 1 at p = 1e300) it is not 0
+        g = make_grid(-8.0, 8.0, 513)
+        f, norm = bump(g, radius=1.0), PNorm(p)
+        base = upper_bound_C(gauss_family, 0.25, f, norm).samples
+        for k in (-300, -40, 7, 300):
+            scaled = upper_bound_C(gauss_family, 0.25, GridFunction(g, np.ldexp(f.samples, k)), norm)
+            assert np.array_equal(scaled.samples, np.ldexp(base, k)), k
+        tiny = upper_bound_C(gauss_family, 0.25, bump(g, radius=1.0, height=1e-170 if p == 2.0 else 0.5), norm)
+        assert tiny.max_abs() > 0.0
+
     def test_cp_p1_works(self, grid_small, bump_small, cp_family):
         out = upper_bound_C(cp_family, 0.1, bump_small, PNorm(1.0))
         assert np.all(np.isfinite(out.samples))
 
     @staticmethod
     def _two_formulas(fam, h, f, norm):
-        # the per-family closed forms, written out separately
+        # the per-family closed forms, written out separately, of |f| / s and times s: s = max|f| at p = 1.5, and
+        # at p in {1, 2} 1, as a power of two changes no bit of a positively homogeneous C(h)
         lam_bar = fam.lambda_set.sup_abs
         p = norm.p
+        s = 1.0 if p in (1.0, 2.0) else float(np.max(np.abs(f.samples)))
+        powed = (np.abs(f.samples) / s) ** p
         if isinstance(fam, GaussianDrift):
             factor = math.exp((norm.q - 1.0) * h * lam_bar**2 / 2.0) if lam_bar > 0.0 else 1.0
-            smoothed = _heat_plan(h, f.grid.dx, f.grid.n_nodes).run(np.abs(f.samples) ** p)
-            return factor * np.maximum(smoothed, 0.0) ** (1.0 / p)
-        moved = apply_member(fam, lam_bar, h, GridFunction(f.grid, np.abs(f.samples) ** p))
-        return math.exp((lam_bar - fam.lambda_set.inf) * h) * np.maximum(moved.samples, 0.0) ** (1.0 / p)
+            smoothed = _heat_plan(h, f.grid.dx, f.grid.n_nodes).run(powed)
+            return factor * s * np.maximum(smoothed, 0.0) ** (1.0 / p)
+        moved = apply_member(fam, lam_bar, h, GridFunction(f.grid, powed))
+        return math.exp((lam_bar - fam.lambda_set.inf) * h) * s * np.maximum(moved.samples, 0.0) ** (1.0 / p)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("lset", [LambdaInterval(-1.0, 0.5), LambdaValues((-0.3, 0.8, 1.2)), LambdaValues((0.0,))])

@@ -110,6 +110,17 @@ class TestHjbUpwind:
         exact = GridFunction(g, math.sqrt(s0 / (s0 + t)) * np.exp(-g.nodes() ** 2 / (2.0 * (s0 + t))))
         assert compare(sol, exact, norm2).rel_err < 1e-3
 
+    def test_float_max_data_runs_scaled(self):
+        # a spike at the float maximum: the difference sum u[i+1] - u[i] + u[i-1] - u[i] is -2 max, past the
+        # floats; the scheme runs on f / 2^1023 and scales back, exactly, so it gives the bits of the run at height 2
+        g = make_grid(-1.0, 1.0, 201)
+        vals = np.zeros(201)
+        vals[100] = np.finfo(float).max
+        got = hjb_upwind(GridFunction(g, vals), 0.01, -1.0, 1.0).samples
+        assert np.isfinite(got).all() and got.max() <= vals[100]
+        assert np.array_equal(got, np.ldexp(hjb_upwind(GridFunction(g, np.ldexp(vals, -1023)), 0.01, -1.0,
+                                                       1.0).samples, 1023))
+
     def test_mutated_downwind_sign_breaks_monotonicity(self):
         # mutation check: advecting from the wrong side puts a negative weight
         # on a neighbor node, which the monotonicity probe must catch
@@ -293,37 +304,39 @@ class TestOdeReference:
 
         t, steps = 0.3, 30
         dt = t / steps
-        u = f.samples
+        e = math.frexp(f.max_abs())[1] - 1  # the oracle runs on f / 2^e, of a largest sample in [1, 2)
+        u = np.ldexp(f.samples, -e)
         for _ in range(steps):
             k1 = rhs(u)
             k2 = rhs(u + 0.5 * dt * k1)
             k3 = rhs(u + 0.5 * dt * k2)
             k4 = rhs(u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = np.ldexp(u, e)
         got = ode_reference(fam, f, t, 0.01).samples
         assert np.array_equal(got, u) and np.array_equal(np.signbit(got), np.signbit(u))
         assert not got.flags.writeable and not np.shares_memory(got, f.samples)
 
     @pytest.mark.parametrize("lambda_set", [LambdaValues((0.0, 1.0)), LambdaInterval(0.0, 1.0)])
-    def test_alternating_float_max_stage_raises(self, lambda_set):
-        # mu * f - f is -2 f at the float range: the first stage overflows
+    def test_float_max_data_runs_scaled(self, lambda_set):
+        # mu * f - f is -2 f, past the floats for samples of either sign at the float maximum; the oracle runs on
+        # f / 2^1023 and scales back, exactly, and so gives the bits of the run on data of height 2
         g = make_grid(-5.0, 5.0, 101)
         big = np.finfo(float).max
         f = GridFunction(g, np.where(np.arange(101) % 2 == 0, big, -big))
         fam = CompoundPoisson(lambda_set, JumpDistribution(((0.1, 1.0),)))
-        with pytest.raises(UsageError, match="an RK4 stage of ode_reference is not finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            ode_reference(fam, f, 0.1, 0.01)
+        got = ode_reference(fam, f, 0.1, 0.01).samples
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, np.ldexp(ode_reference(fam, GridFunction(g, np.ldexp(f.samples, -1023)), 0.1,
+                                                          0.01).samples, 1023))
 
     def test_overflowing_stage_raises(self):
-        # adjacent nodes of opposite sign near the float range: the jump to
-        # the neighbour overflows the generator in the first stage
+        # an intensity of 1e300: the second stage, 1e300 times the first's 5e297, overflows
         g = make_grid(-1.0, 1.0, 201)
-        vals = np.zeros(201)
-        vals[100], vals[101] = 1.5e308, -1.5e308
-        fam = CompoundPoisson(LambdaValues((1.0,)), JumpDistribution(((0.01, 1.0),)))
-        with pytest.raises(UsageError), np.errstate(over="ignore"):
-            ode_reference(fam, GridFunction(g, vals), 0.1, 0.01)
+        fam = CompoundPoisson(LambdaValues((0.0, 1e300)), JumpDistribution(((0.01, 1.0),)))
+        with pytest.raises(UsageError, match="an RK4 stage of ode_reference is not finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            ode_reference(fam, bump(g, radius=0.5), 0.1, 0.01)
 
     def test_rejects_non_compound_poisson(self, gauss_family):
         g = make_grid(-1.0, 1.0, 101)
@@ -472,29 +485,53 @@ class TestCompare:
         assert out.max_err == pytest.approx(0.5, rel=1e-15)
 
     def test_relative_error_guard(self, norm2):
+        # a reference that vanishes over the window: rel_err is 0 against a b that vanishes too, else inf
         g = make_grid(0.0, 1.0, 101)
         zero = GridFunction(g, np.zeros(101))
         tiny = GridFunction(g, 1e-20 * np.ones(101))
-        out = compare(zero, tiny, norm2)
-        assert math.isfinite(out.rel_err)
+        assert compare(zero, tiny, norm2).rel_err == math.inf
+        assert compare(zero, zero, norm2).rel_err == 0.0
 
-    @pytest.mark.parametrize("p, height, words", [(1e300, 1.0, "underflows"), (2.0, 1e-170, "underflows"),
-                                                  (2.0, 1e300, "overflows")])
-    def test_reference_past_the_float_range_rejected(self, p, height, words):
-        # a reference whose largest L^p term underflows (p = 2) or an error whose one does (p = 1e300, on a
-        # reference that peaks at 1) read rel_err 0.0 at a max_err of a tenth of it, one whose norm overflows
-        # read rel_err NaN; a zero reference stays valid (test_relative_error_guard)
+    @pytest.mark.parametrize("p", [1.0, 2.0, 19.5, 1e300])
+    @pytest.mark.parametrize("k", [-1000, -70, 0, 300, 1023])
+    def test_relative_error_at_every_height(self, p, k):
+        # a zero oracle reads rel_err 1 and an oracle 0.9 a reads 0.1 at every height, also where a's terms
+        # |x|^p dx, unscaled, would underflow (k = -70 at p = 19.5, k = -1000 at p = 2, any k < 0 at p = 1e300)
+        # or overflow (k = 300 at p = 19.5, k = 1023 at p = 2); an oracle 2^-40 a reads a rel_err of 1 - 2^-40
         g = make_grid(-8.0, 8.0, 513)
-        a = bump(g, radius=1.0, height=height)
-        with pytest.raises(UsageError, match=words):
-            compare(a, 0.9 * a, PNorm(p))
+        a = GridFunction(g, np.ldexp(bump(g, radius=1.0).samples, k))
+        zero, norm = GridFunction(g, np.zeros(513)), PNorm(p)
+        assert compare(a, zero, norm).rel_err == 1.0
+        assert compare(a, 0.9 * a, norm).rel_err == pytest.approx(0.1, rel=1e-14)
+        assert compare(a, GridFunction(g, np.ldexp(a.samples, -40)), norm).rel_err == pytest.approx(1.0 - 2.0**-40)
 
-    @pytest.mark.parametrize("offset, rel_err", [(1e-4, (5e-5, 2e-4)), (1e-17, (0.0, 1e-15))])
-    def test_error_resolved_past_the_data_rule(self, offset, rel_err):
-        # at p = 19.5 the terms of 2^-52 max|a| underflow, yet both norms hold their largest term: an error of
-        # 1e-4 reads as itself, and one below a's rounding as (nearly) 0, with no UsageError
+    @pytest.mark.parametrize("p, height", [(1e300, 1.0), (2.0, 1e-170), (2.0, 1e300)])
+    def test_reference_past_the_old_term_range_is_accurate(self, p, height):
+        # the unscaled terms of a reference of these heights underflow (p = 1e300 below 1, 1e-170 at p = 2) or
+        # overflow (1e300 at p = 2): each read rel_err 0.0 or NaN against an oracle 0.9 a, and was then refused.
+        # Its norms are now accurate: abs_err is height times that at height 1
+        g = make_grid(-8.0, 8.0, 513)
+        one, a = bump(g, radius=1.0), bump(g, radius=1.0, height=height)
+        out, base = compare(a, 0.9 * a, PNorm(p)), compare(one, 0.9 * one, PNorm(p))
+        assert out.rel_err == pytest.approx(0.1, rel=1e-14)
+        assert out.abs_err == pytest.approx(height * base.abs_err, rel=1e-14)
+        assert out.max_err == pytest.approx(0.1 * height, rel=1e-14)
+
+    @pytest.mark.parametrize("offset", [1e-4, 1e-17])
+    def test_error_read_at_a_high_p(self, offset):
+        # at p = 19.5 the unscaled terms of 2^-52 max|a| underflow; the error of an oracle a + offset (below a's
+        # rounding at 1e-17, where it is offset only where a is small) reads as the ratio of the norms written out
+        # on the samples divided by their max
         g = make_grid(-10.0, 10.0, 2049)
         a = bump(g, radius=1.0, height=0.7)
-        out = compare(a, GridFunction(g, a.samples + offset), PNorm(19.5))
+        b = GridFunction(g, a.samples + offset)
+        out = compare(a, b, PNorm(19.5))
+        sl = g.interior_slice(0.05)
+
+        def written_out(x):
+            top = np.max(np.abs(x))
+            return top * math.fsum((np.abs(x) / top) ** 19.5 * g.dx) ** (1.0 / 19.5)
+
         assert out.max_err == pytest.approx(offset, rel=1e-6)
-        assert rel_err[0] <= out.rel_err <= rel_err[1]
+        assert out.rel_err == pytest.approx(written_out((a.samples - b.samples)[sl]) / written_out(a.samples[sl]),
+                                            rel=1e-13)
